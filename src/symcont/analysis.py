@@ -41,7 +41,7 @@ from .domains import (
     merge_interval_components,
 )
 from .errors import ConfigurationError, DomainError, InapplicableError
-from .exactnum import QuadExt, as_quadext, format_quadext
+from .exactnum import QuadExt, as_quadext, format_quadext, int_ratio
 from .functions import (
     Affine,
     Const,
@@ -314,76 +314,62 @@ def _lift_rationals(
 ) -> tuple[list[int], list[int], int, int] | None:
     """Integer images of rational points/values (scaled by the lcm of the
     denominators) so window scans can run on machine integers."""
-    if any(x.irr != 0 for x in xs) or any(v.irr != 0 for v in vs):
+    rx = [int_ratio(x) for x in xs]
+    rv = [int_ratio(v) for v in vs]
+    if None in rx or None in rv:
         return None
-    lx = lcm(*(x.rat.denominator for x in xs)) if xs else 1
-    lv = lcm(*(v.rat.denominator for v in vs)) if vs else 1
-    xi = [int(x.rat * lx) for x in xs]
-    vi = [int(v.rat * lv) for v in vs]
+    lx = lcm(*(d for _, d in rx))
+    lv = lcm(*(d for _, d in rv))
+    xi = [n * (lx // d) for n, d in rx]
+    vi = [n * (lv // d) for n, d in rv]
     return xi, vi, lx, lv
+
+
+def _window_scan(
+    keys: Sequence, vals: Sequence, width: object
+) -> tuple[object | None, tuple[int, int] | None, int]:
+    """Max oscillation of vals over index pairs with keys[j] - keys[i] < width
+    (keys ascending), by one pass with monotone deques of the window's max and
+    min; works alike on ints and on exact numbers."""
+    maxd: deque[int] = deque()
+    mind: deque[int] = deque()
+    left = 0
+    best = None
+    best_idx = None
+    pairs = 0
+    for r in range(len(keys)):
+        while left < r and keys[r] - keys[left] >= width:
+            if maxd and maxd[0] == left:
+                maxd.popleft()
+            if mind and mind[0] == left:
+                mind.popleft()
+            left += 1
+        while maxd and vals[maxd[-1]] <= vals[r]:
+            maxd.pop()
+        maxd.append(r)
+        while mind and vals[mind[-1]] >= vals[r]:
+            mind.pop()
+        mind.append(r)
+        if r > left:
+            pairs += r - left
+            osc = vals[maxd[0]] - vals[mind[0]]
+            if best is None or osc > best:
+                best = osc
+                best_idx = (maxd[0], mind[0])
+    return best, best_idx, pairs
 
 
 def _window_scan_int(
     xi: list[int], vi: list[int], thr_num: int, thr_den: int
 ) -> tuple[int | None, tuple[int, int] | None, int]:
     """Max oscillation over pairs with (x_j - x_i) < thr_num/thr_den."""
-    maxd: deque[int] = deque()
-    mind: deque[int] = deque()
-    left = 0
-    best: int | None = None
-    best_idx = None
-    pairs = 0
-    for r in range(len(xi)):
-        while left < r and (xi[r] - xi[left]) * thr_den >= thr_num:
-            if maxd and maxd[0] == left:
-                maxd.popleft()
-            if mind and mind[0] == left:
-                mind.popleft()
-            left += 1
-        while maxd and vi[maxd[-1]] <= vi[r]:
-            maxd.pop()
-        maxd.append(r)
-        while mind and vi[mind[-1]] >= vi[r]:
-            mind.pop()
-        mind.append(r)
-        if r > left:
-            pairs += r - left
-            osc = vi[maxd[0]] - vi[mind[0]]
-            if best is None or osc > best:
-                best = osc
-                best_idx = (maxd[0], mind[0])
-    return best, best_idx, pairs
+    return _window_scan([x * thr_den for x in xi], vi, thr_num)
 
 
 def _window_scan_exact(
     xs: Sequence[QuadExt], vs: Sequence[QuadExt], delta: QuadExt
 ) -> tuple[QuadExt | None, tuple[int, int] | None, int]:
-    maxd: deque[int] = deque()
-    mind: deque[int] = deque()
-    left = 0
-    best: QuadExt | None = None
-    best_idx = None
-    pairs = 0
-    for r in range(len(xs)):
-        while left < r and xs[r] - xs[left] >= delta:
-            if maxd and maxd[0] == left:
-                maxd.popleft()
-            if mind and mind[0] == left:
-                mind.popleft()
-            left += 1
-        while maxd and vs[maxd[-1]] <= vs[r]:
-            maxd.pop()
-        maxd.append(r)
-        while mind and vs[mind[-1]] >= vs[r]:
-            mind.pop()
-        mind.append(r)
-        if r > left:
-            pairs += r - left
-            osc = vs[maxd[0]] - vs[mind[0]]
-            if best is None or osc > best:
-                best = osc
-                best_idx = (maxd[0], mind[0])
-    return best, best_idx, pairs
+    return _window_scan(xs, vs, delta)
 
 
 def _uc_osc_over(
@@ -653,69 +639,7 @@ def _per_point_c(
     n = len(pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
     flat: list[tuple[QuadExt, QuadExt]] = []  # (anchor, jump)
-
-    if const_regions is not None:
-        groups = _region_groups(pts, vals, const_regions)
-        for idx, a in enumerate(pts):
-            d_any: QuadExt | None = None
-            if idx > 0:
-                d_any = a - pts[idx - 1]
-            if idx + 1 < n:
-                d_next = pts[idx + 1] - a
-                if d_any is None or d_next < d_any:
-                    d_any = d_next
-            if d_any is None:
-                continue
-            eff = [d for d in schedule if d > d_any]
-            if len(eff) < 2:
-                continue
-            va = vals[idx]
-            cross = []
-            for gpts, gval in groups:
-                if gval == va:
-                    continue
-                dg = _nearest_distance(gpts, a)
-                if dg is not None:
-                    cross.append((dg, abs(gval - va)))
-            if not cross:
-                continue
-            zero = QuadExt.of(0)
-            m_big = max((o for d, o in cross if d < eff[0]), default=zero)
-            m_small = max((o for d, o in cross if d < eff[-1]), default=zero)
-            if m_small == m_big and m_big.sign() > 0:
-                flat.append((a, m_big))
-    elif n * n <= config.max_pairs:
-        for idx, a in enumerate(pts):
-            d_any = None
-            if idx > 0:
-                d_any = a - pts[idx - 1]
-            if idx + 1 < n:
-                d_next = pts[idx + 1] - a
-                if d_any is None or d_next < d_any:
-                    d_any = d_next
-            if d_any is None:
-                continue
-            eff = [d for d in schedule if d > d_any]
-            if len(eff) < 2:
-                continue
-            va = vals[idx]
-            zero = QuadExt.of(0)
-            m_big = zero
-            m_small = zero
-            for k in range(n):
-                if k == idx:
-                    continue
-                dist = abs(pts[k] - a)
-                if dist >= eff[0]:
-                    continue
-                osc = abs(vals[k] - va)
-                if osc > m_big:
-                    m_big = osc
-                if dist < eff[-1] and osc > m_small:
-                    m_small = osc
-            if m_small == m_big and m_big.sign() > 0:
-                flat.append((a, m_big))
-    else:
+    if const_regions is None and n * n > config.max_pairs:
         return Verdict(
             "C",
             "no_violation",
@@ -727,6 +651,50 @@ def _per_point_c(
                 "many points for a non-constant piecewise function"
             ],
         )
+
+    groups = None if const_regions is None else _region_groups(pts, vals, const_regions)
+    zero = QuadExt.of(0)
+    for idx, a in enumerate(pts):
+        d_any: QuadExt | None = None
+        if idx > 0:
+            d_any = a - pts[idx - 1]
+        if idx + 1 < n:
+            d_next = pts[idx + 1] - a
+            if d_any is None or d_next < d_any:
+                d_any = d_next
+        if d_any is None:
+            continue
+        eff = [d for d in schedule if d > d_any]
+        if len(eff) < 2:
+            continue
+        va = vals[idx]
+        if groups is not None:
+            cross = []
+            for gpts, gval in groups:
+                if gval == va:
+                    continue
+                dg = _nearest_distance(gpts, a)
+                if dg is not None:
+                    cross.append((dg, abs(gval - va)))
+            if not cross:
+                continue
+            m_big = max((o for d, o in cross if d < eff[0]), default=zero)
+            m_small = max((o for d, o in cross if d < eff[-1]), default=zero)
+        else:
+            m_big = m_small = zero
+            for k in range(n):
+                if k == idx:
+                    continue
+                dist = abs(pts[k] - a)
+                if dist >= eff[0]:
+                    continue
+                osc = abs(vals[k] - va)
+                if osc > m_big:
+                    m_big = osc
+                if dist < eff[-1] and osc > m_small:
+                    m_small = osc
+        if m_small == m_big and m_big.sign() > 0:
+            flat.append((a, m_big))
 
     if flat:
         jump = flat[0][1]

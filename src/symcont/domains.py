@@ -24,17 +24,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, InapplicableError
-from .exactnum import SQRT2, ZERO, QuadExt, as_quadext
+from .exactnum import SQRT2, ZERO, QuadExt, as_quadext, int_ratio
 
 
 def exact_floor(x: QuadExt) -> int:
-    """Largest integer <= x, decided exactly (float is only a starting guess)."""
-    n = math.floor(float(x))
-    while QuadExt.of(n + 1) <= x:
-        n += 1
-    while QuadExt.of(n) > x:
-        n -= 1
-    return n
+    """Largest integer <= x = (a + b*sqrt2)/d, as (a + floor(b*sqrt2)) // d."""
+    b = x.b
+    # for b != 0, |b|*sqrt2 is m = isqrt(2*b*b) plus a fraction in (0, 1)
+    m = math.isqrt(2 * b * b)
+    return (x.a + (m if b >= 0 else -m - 1)) // x.d
 
 
 def exact_ceil(x: QuadExt) -> int:
@@ -122,11 +120,8 @@ class IntegerWindow(Domain):
             raise DomainError(f"empty integer window [{self.lo}, {self.hi}]")
 
     def contains(self, x: QuadExt) -> bool:
-        return (
-            x.irr == 0
-            and x.rat.denominator == 1
-            and self.lo <= x.rat.numerator <= self.hi
-        )
+        r = int_ratio(x)
+        return r is not None and r[1] == 1 and self.lo <= r[0] <= self.hi
 
     def enumerate(self, limit: int) -> Enumeration:
         count = self.hi - self.lo + 1
@@ -167,9 +162,8 @@ class OddPrimeReciprocals(Domain):
     def contains(self, x: QuadExt) -> bool:
         if x == ZERO:
             return self.with_zero
-        if x.irr != 0 or x.rat.numerator != 1:
-            return False
-        return x.rat.denominator in _odd_prime_set(self.max_prime)
+        r = int_ratio(x)
+        return r is not None and r[0] == 1 and r[1] in _odd_prime_set(self.max_prime)
 
     def enumerate(self, limit: int) -> Enumeration:
         pts: list[QuadExt] = [ZERO] if self.with_zero else []
@@ -195,7 +189,8 @@ class NaturalReciprocals(Domain):
     def contains(self, x: QuadExt) -> bool:
         if x == ZERO:
             return self.with_zero
-        return x.irr == 0 and x.rat.numerator == 1 and 1 <= x.rat.denominator <= self.max_n
+        r = int_ratio(x)
+        return r is not None and r[0] == 1 and r[1] <= self.max_n
 
     def enumerate(self, limit: int) -> Enumeration:
         pts: list[QuadExt] = [ZERO] if self.with_zero else []
@@ -234,8 +229,9 @@ class TruncatedRationals(Domain):
     def contains(self, x: QuadExt) -> bool:
         if not (self.lo <= x <= self.hi):
             return False
-        if x.irr == 0:
-            return x.rat.denominator <= self.max_denominator
+        r = int_ratio(x)
+        if r is not None:
+            return r[1] <= self.max_denominator
         return self._sqrt2_in_range() and x == SQRT2
 
     def enumerate(self, limit: int) -> Enumeration:
@@ -471,10 +467,6 @@ class Staircase(Domain):
         return f"staircase {self.variant} with {self.blocks} blocks"
 
 
-def build_staircase(variant: str, blocks: int) -> Staircase:
-    return Staircase(variant, blocks)
-
-
 @dataclass(frozen=True)
 class UnionOf(Domain):
     parts: tuple[Domain, ...]
@@ -531,49 +523,3 @@ class SymmetricPair:
 
     def sort_key(self) -> tuple[QuadExt, QuadExt, QuadExt]:
         return (self.h, self.x, self.y)
-
-
-@dataclass
-class PairSurvey:
-    pairs: list[SymmetricPair]
-    candidates_checked: int
-    truncated: bool
-
-
-def symmetric_pairs(
-    ambient: Domain,
-    *,
-    centers: Domain | None = None,
-    delta_max: QuadExt | None = None,
-    max_pairs: int,
-    enum_limit: int,
-) -> PairSurvey:
-    """All pairs x > y from the enumerated ambient set whose midpoint lies in
-    `centers` (the ambient itself by default). `delta_max` keeps only pairs
-    with half-distance strictly below it; `max_pairs` bounds the number of
-    candidate pairs inspected."""
-    center_dom = ambient if centers is None else centers
-    en = ambient.enumerate(enum_limit)
-    pts = en.points
-    out: list[SymmetricPair] = []
-    checked = 0
-    truncated = en.truncated
-    width_cap = None if delta_max is None else 2 * delta_max
-    for j in range(1, len(pts)):
-        if truncated and checked >= max_pairs:
-            break
-        x = pts[j]
-        for i in range(j - 1, -1, -1):
-            y = pts[i]
-            if width_cap is not None and x - y >= width_cap:
-                break
-            checked += 1
-            if checked > max_pairs:
-                truncated = True
-                break
-            if center_dom.contains((x + y) / 2):
-                out.append(SymmetricPair(x, y))
-        if truncated and checked > max_pairs:
-            break
-    out.sort(key=SymmetricPair.sort_key)
-    return PairSurvey(out, checked, truncated)

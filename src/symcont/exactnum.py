@@ -1,26 +1,29 @@
 """Exact arithmetic in the quadratic field Q(sqrt 2).
 
 Every number handled by the package is either a rational (``fractions.Fraction``)
-or a ``QuadExt``: a pair (rat, irr) of rationals denoting ``rat + irr*sqrt(2)``.
+or a ``QuadExt``: integers ``a, b, d`` denoting ``(a + b*sqrt(2))/d`` with
+``d > 0`` and ``gcd(a, b, d) == 1``, so equal numbers have equal coordinates.
 All arithmetic, comparison, and rendering is exact; no floats enter any decision.
 
-The sign of ``a + b*sqrt(2)`` is decided without approximation:
+The sign of ``a + b*sqrt(2)`` (integers) is decided without approximation:
 
 * ``b == 0``: sign of ``a``.
 * ``a == 0``: sign of ``b``.
 * same signs: that common sign.
 * opposite signs: compare ``a**2`` with ``2*b**2``; equality is impossible for
-  nonzero rationals because sqrt(2) is irrational.
+  nonzero integers because sqrt(2) is irrational.
+
+``x < y`` is that sign for ``(a1*d2 - a2*d1) + (b1*d2 - b2*d1)*sqrt(2)``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .errors import ParseError
+from .errors import ExactnessError, ParseError
 
 Rational = Fraction
 
@@ -37,92 +40,169 @@ def format_rational(q: Fraction) -> str:
     return str(q)
 
 
-@dataclass(frozen=True, slots=True)
-class QuadExt:
-    """The number ``rat + irr*sqrt(2)`` with both coordinates rational."""
+class _Coords:
+    """Storage of a QuadExt, written only by ``_make`` before the retyping."""
 
-    rat: Fraction = Fraction(0)
-    irr: Fraction = Fraction(0)
+    __slots__ = ("a", "b", "d")
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> QuadExt:
+    """``(a + b*sqrt2)/d`` with ``d > 0`` and ``gcd(a, b, d) == 1`` already."""
+    x = _new(_Coords)
+    x.a = a
+    x.b = b
+    x.d = d
+    # QuadExt refuses attribute writes; retyping after the plain writes keeps
+    # construction as cheap as for a mutable class
+    x.__class__ = QuadExt
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> QuadExt:
+    """``(a + b*sqrt2)/d`` for any ``d > 0``, brought to lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _make(a, b, d)
+
+
+def _sign(a: int, b: int) -> int:
+    """Sign of ``a + b*sqrt(2)`` for integers a, b."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if a == 0 or (a > 0) == (b > 0):
+        return sb
+    aa = a * a
+    bb = 2 * b * b
+    if aa == bb:
+        raise ExactnessError(f"{a}**2 == 2*{b}**2 would make sqrt(2) rational")
+    return -sb if aa > bb else sb
+
+
+def _cmp(x: QuadExt, y: QuadExt) -> int:
+    """Sign of ``x - y``, without building the difference."""
+    d = x.d
+    if y.d == d:
+        return _sign(x.a - y.a, x.b - y.b)
+    return _sign(x.a * y.d - y.a * d, x.b * y.d - y.b * d)
+
+
+class QuadExt(_Coords):
+    """The number ``(a + b*sqrt(2))/d``, built from rationals ``rat + irr*sqrt(2)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, rat: Fraction | int = 0, irr: Fraction | int = 0) -> QuadExt:
+        if type(rat) is int and type(irr) is int:
+            return _make(rat, irr, 1)
+        rat, irr = Fraction(rat), Fraction(irr)
+        d = math.lcm(rat.denominator, irr.denominator)
+        return _make(rat.numerator * (d // rat.denominator),
+                     irr.numerator * (d // irr.denominator), d)
 
     @staticmethod
-    def of(rat: Fraction | int | str, irr: Fraction | int | str = 0) -> "QuadExt":
-        return QuadExt(Fraction(rat), Fraction(irr))
+    def of(rat: Fraction | int | str, irr: Fraction | int | str = 0) -> QuadExt:
+        return QuadExt(rat, irr)
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError("QuadExt is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return (_make, (self.a, self.b, self.d))
+
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def irr(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def sign(self) -> int:
-        a, b = self.rat, self.irr
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
-        if sa == sb:
-            return sa
-        aa = a * a
-        bb = 2 * b * b
-        # aa == bb would make sqrt(2) rational
-        assert aa != bb
-        return sa if aa > bb else sb
+        return _sign(self.a, self.b)
 
     def is_rational(self) -> bool:
-        return self.irr == 0
+        return self.b == 0
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: object) -> "QuadExt":
+    def __add__(self, other: object) -> QuadExt:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.rat + o.rat, self.irr + o.irr)
+        d = self.d
+        if o.d == d:
+            return _reduced(self.a + o.a, self.b + o.b, d)
+        return _reduced(self.a * o.d + o.a * d, self.b * o.d + o.b * d, d * o.d)
 
     __radd__ = __add__
 
-    def __sub__(self, other: object) -> "QuadExt":
+    def __sub__(self, other: object) -> QuadExt:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.rat - o.rat, self.irr - o.irr)
+        d = self.d
+        if o.d == d:
+            return _reduced(self.a - o.a, self.b - o.b, d)
+        return _reduced(self.a * o.d - o.a * d, self.b * o.d - o.b * d, d * o.d)
 
-    def __rsub__(self, other: object) -> "QuadExt":
+    def __rsub__(self, other: object) -> QuadExt:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(o.rat - self.rat, o.irr - self.irr)
+        return o - self
 
-    def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.rat, -self.irr)
+    def __neg__(self) -> QuadExt:
+        return _make(-self.a, -self.b, self.d)
 
-    def __mul__(self, other: object) -> "QuadExt":
+    def __mul__(self, other: object) -> QuadExt:
+        if type(other) is int:
+            return _reduced(self.a * other, self.b * other, self.d)
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(
-            self.rat * o.rat + 2 * self.irr * o.irr,
-            self.rat * o.irr + self.irr * o.rat,
-        )
+        a, b = self.a, self.b
+        return _reduced(a * o.a + 2 * b * o.b, a * o.b + b * o.a, self.d * o.d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: object) -> "QuadExt":
+    def __truediv__(self, other: object) -> QuadExt:
+        if type(other) is int and other:
+            if other < 0:
+                return _reduced(-self.a, -self.b, -other * self.d)
+            return _reduced(self.a, self.b, other * self.d)
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        norm = o.rat * o.rat - 2 * o.irr * o.irr
-        if o.rat == 0 and o.irr == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 2)")
-        # norm == 0 with o nonzero would make sqrt(2) rational
-        assert norm != 0
-        num = self * QuadExt(o.rat, -o.irr)
-        return QuadExt(num.rat / norm, num.irr / norm)
+        p, q = o.a, o.b
+        norm = p * p - 2 * q * q
+        if norm == 0:
+            if q == 0:
+                raise ZeroDivisionError("division by zero in Q(sqrt 2)")
+            raise ExactnessError(f"{p}**2 == 2*{q}**2 would make sqrt(2) rational")
+        # x/o = x * o.d * (p - q*sqrt2) / norm
+        a, b = self.a * o.d, self.b * o.d
+        if norm < 0:
+            a, b, norm = -a, -b, -norm
+        return _reduced(a * p - 2 * b * q, b * p - a * q, self.d * norm)
 
-    def __rtruediv__(self, other: object) -> "QuadExt":
+    def __rtruediv__(self, other: object) -> QuadExt:
         o = _coerce(other)
         if o is None:
             return NotImplemented
         return o / self
 
-    def __abs__(self) -> "QuadExt":
-        return -self if self.sign() < 0 else self
+    def __abs__(self) -> QuadExt:
+        return -self if _sign(self.a, self.b) < 0 else self
 
     # -- comparison ---------------------------------------------------------
 
@@ -130,39 +210,40 @@ class QuadExt:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        return _cmp(self, o) < 0
 
     def __le__(self, other: object) -> bool:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() <= 0
+        return _cmp(self, o) <= 0
 
     def __gt__(self, other: object) -> bool:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() > 0
+        return _cmp(self, o) > 0
 
     def __ge__(self, other: object) -> bool:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() >= 0
+        return _cmp(self, o) >= 0
 
     def __eq__(self, other: object) -> bool:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self.rat == o.rat and self.irr == o.irr
+        return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self) -> int:
-        if self.irr == 0:
-            return hash(self.rat)
+        # the hashes of the rational coordinates keep set and dict layouts as before
+        if self.b == 0:
+            return hash(self.a) if self.d == 1 else hash(self.rat)
         return hash((self.rat, self.irr))
 
     def __float__(self) -> float:
-        return float(self.rat) + float(self.irr) * math.sqrt(2.0)
+        return self.a / self.d + self.b / self.d * math.sqrt(2.0)
 
     def __str__(self) -> str:
         return format_quadext(self)
@@ -172,15 +253,17 @@ class QuadExt:
 
 
 ZERO = QuadExt()
-ONE = QuadExt(Fraction(1))
-SQRT2 = QuadExt(Fraction(0), Fraction(1))
+ONE = QuadExt(1)
+SQRT2 = QuadExt(0, 1)
 
 
 def _coerce(value: object) -> QuadExt | None:
-    if isinstance(value, QuadExt):
+    if type(value) is QuadExt:
         return value
+    if type(value) is int:
+        return _make(value, 0, 1)
     if isinstance(value, (int, Fraction)):
-        return QuadExt(Fraction(value))
+        return _make(int(value.numerator), 0, int(value.denominator))
     return None
 
 
@@ -191,9 +274,14 @@ def as_quadext(value: object) -> QuadExt:
     return out
 
 
+def int_ratio(x: QuadExt) -> tuple[int, int] | None:
+    """``(numerator, denominator)`` in lowest terms when x is rational, else None."""
+    return (x.a, x.d) if x.b == 0 else None
+
+
 def compare(x: QuadExt, y: QuadExt) -> int:
     """-1, 0, or 1 according to the exact order of x and y."""
-    return (x - y).sign()
+    return _cmp(as_quadext(x), as_quadext(y))
 
 
 def midpoint(x: QuadExt, y: QuadExt) -> QuadExt:
@@ -202,9 +290,9 @@ def midpoint(x: QuadExt, y: QuadExt) -> QuadExt:
 
 def format_quadext(x: QuadExt) -> str:
     """Render exactly: ``p/q`` when rational, else ``a + b*sqrt2`` / ``a - b*sqrt2``."""
-    if x.irr == 0:
+    if x.b == 0:
         return str(x.rat)
-    op = "+" if x.irr > 0 else "-"
+    op = "+" if x.b > 0 else "-"
     return f"{x.rat} {op} {abs(x.irr)}*sqrt2"
 
 

@@ -125,12 +125,15 @@ def brute_force_usc_status(domain: FinitePoints, f) -> str:
     return "proven"
 
 
-def run_cli(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+def run_cli(
+    *args: str, cwd: Path | None = None, timeout: float | None = None
+) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "symcont", *args],
         capture_output=True,
         text=True,
         cwd=cwd or REPO_ROOT,
+        timeout=timeout,
     )
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
@@ -163,6 +164,37 @@ class TestZoo:
         code, out, _ = run_main("zoo", "--example", "ex-3.6", "--format", "json")
         assert code == 1
         assert json.loads(out)["ok"] is False
+
+
+class TestFarFromZero:
+    """Valid TruncatedRationals windows far from zero, where a float image of
+    the bounds is useless: exact floors keep the enumeration to the window."""
+
+    @staticmethod
+    def spec(tmp_path, lo: int) -> str:
+        spec = {
+            "domain": {"type": "TruncatedRationals", "maxDenominator": 3,
+                       "lo": str(lo), "hi": str(lo + 2), "adjoinSqrt2": False},
+            "function": {"formula": "Identity"},
+        }
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(spec))
+        return str(path)
+
+    def test_window_at_ten_to_the_30_is_prompt(self, tmp_path):
+        path = self.spec(tmp_path, 10**30)
+        start = time.perf_counter()
+        proc = run_cli("analyze", path, "--format", "json", timeout=30)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "analyze"
+        assert elapsed < 2
+
+    def test_window_at_ten_to_the_400_exits_cleanly(self, tmp_path):
+        path = self.spec(tmp_path, 10**400)
+        proc = run_cli("analyze", path, "--format", "json", timeout=30)
+        assert proc.returncode in (0, 2)
+        assert "Traceback" not in proc.stderr
 
 
 class TestModuli:

@@ -18,11 +18,10 @@ from symcont import (
     Staircase,
     TruncatedRationals,
     UnionOf,
-    build_staircase,
     merge_interval_components,
     staircase_breakpoints,
-    symmetric_pairs,
 )
+from symcont.analysis import _pairs_from_points
 from symcont.domains import SymmetricPair, exact_ceil, exact_floor
 
 from conftest import qx
@@ -352,8 +351,7 @@ class TestStaircase:
         assert not stair.contains(mid_gap)
 
     def test_build_staircase(self):
-        built = build_staircase("A", 3)
-        assert isinstance(built, Staircase)
+        built = Staircase("A", 3)
         assert built.breakpoints() == staircase_breakpoints("A", 3)
 
     def test_not_enumerable(self):
@@ -381,6 +379,16 @@ class TestUnionOf:
         assert not UnionOf((IntegerWindow(0, 1), cont)).enumerable
 
 
+def survey_pairs(ambient, *, centers=None, delta_max=None, max_pairs, enum_limit):
+    """The pair survey over the enumerated ambient set, midpoints tested
+    against `centers` (the ambient itself by default)."""
+    en = ambient.enumerate(enum_limit)
+    center_dom = ambient if centers is None else centers
+    return _pairs_from_points(
+        en.points, center_dom.contains, delta_max, max_pairs, en.truncated
+    )
+
+
 class TestSymmetricPairs:
     def test_pair_invariants(self):
         p = SymmetricPair(qx(Fraction(1, 2)), qx(Fraction(1, 6)))
@@ -394,13 +402,13 @@ class TestSymmetricPairs:
 
     def test_prime_reciprocals_no_pairs(self):
         d = OddPrimeReciprocals(200, with_zero=True)
-        survey = symmetric_pairs(d, max_pairs=10**6, enum_limit=10**4)
+        survey = survey_pairs(d, max_pairs=10**6, enum_limit=10**4)
         assert survey.pairs == []
         assert not survey.truncated
 
     def test_natural_reciprocals_pair(self):
         d = NaturalReciprocals(10, with_zero=True)
-        survey = symmetric_pairs(d, max_pairs=10**6, enum_limit=10**4)
+        survey = survey_pairs(d, max_pairs=10**6, enum_limit=10**4)
         found = {(p.x, p.y) for p in survey.pairs}
         assert (qx(Fraction(1, 4)), qx(0)) in found
         target = next(
@@ -410,7 +418,7 @@ class TestSymmetricPairs:
 
     def test_integer_window_below_half(self):
         d = IntegerWindow(-3, 3)
-        survey = symmetric_pairs(
+        survey = survey_pairs(
             d, delta_max=qx(Fraction(1, 2)), max_pairs=10**6, enum_limit=100
         )
         assert survey.pairs == []
@@ -418,7 +426,7 @@ class TestSymmetricPairs:
     def test_restricted_centers(self):
         d = NaturalReciprocals(10, with_zero=True)
         centers = FinitePoints.of(qx(Fraction(1, 8)))
-        survey = symmetric_pairs(
+        survey = survey_pairs(
             d, centers=centers, max_pairs=10**6, enum_limit=10**4
         )
         assert all(p.center == qx(Fraction(1, 8)) for p in survey.pairs)
@@ -426,13 +434,13 @@ class TestSymmetricPairs:
 
     def test_ordering_deterministic(self):
         d = NaturalReciprocals(12, with_zero=True)
-        survey = symmetric_pairs(d, max_pairs=10**6, enum_limit=10**4)
+        survey = survey_pairs(d, max_pairs=10**6, enum_limit=10**4)
         keys = [p.sort_key() for p in survey.pairs]
         assert keys == sorted(keys)
 
     def test_max_pairs_truncates(self):
         d = NaturalReciprocals(40, with_zero=True)
-        survey = symmetric_pairs(d, max_pairs=3, enum_limit=10**4)
+        survey = survey_pairs(d, max_pairs=3, enum_limit=10**4)
         assert survey.truncated and len(survey.pairs) <= 3
 
 

@@ -1,9 +1,17 @@
+import ast
+import copy
+import math
+import operator
+import pickle
 import random
-from decimal import Decimal
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import symcont.exactnum
 
 from symcont import (
     ONE,
@@ -19,6 +27,7 @@ from symcont import (
     parse_quadext,
     parse_rational,
 )
+from symcont.domains import exact_ceil, exact_floor
 
 from conftest import dec, qx
 
@@ -43,6 +52,14 @@ class TestConstruction:
     def test_is_rational(self):
         assert qx(3, 0).is_rational()
         assert not SQRT2.is_rational()
+
+    def test_immutable_and_copyable(self):
+        x = QuadExt(Fraction(1, 3), Fraction(-2, 5))
+        with pytest.raises(AttributeError):
+            x.a = 0
+        with pytest.raises(AttributeError):
+            del x.d
+        assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
 
 
 class TestSign:
@@ -237,3 +254,143 @@ class TestFieldProperties:
     def test_order_translation_invariant(self, a, b):
         c = QuadExt(Fraction(1, 3), Fraction(2))
         assert (a < b) == (a + c < b + c)
+
+
+def test_no_assert_guards():
+    """Guards must survive ``python -O``, which strips assert statements."""
+    tree = ast.parse(Path(symcont.exactnum.__file__).read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
+
+# ---------------------------------------------------------------------------
+# differential test of the integer kernel against a Fraction-pair reference
+# and the decimal oracle
+
+
+def ref_sign(r: Fraction, i: Fraction) -> int:
+    """Sign of r + i*sqrt2 by the rule on rational coordinates."""
+    if i == 0:
+        return (r > 0) - (r < 0)
+    if r == 0 or (r > 0) == (i > 0):
+        return 1 if i > 0 else -1
+    return (1 if r > 0 else -1) if r * r > 2 * i * i else (1 if i > 0 else -1)
+
+
+def ref_op(op: str, p: tuple, q: tuple) -> tuple[Fraction, Fraction]:
+    (r1, i1), (r2, i2) = p, q
+    if op == "+":
+        return r1 + r2, i1 + i2
+    if op == "-":
+        return r1 - r2, i1 - i2
+    if op == "*":
+        return r1 * r2 + 2 * i1 * i2, r1 * i2 + i1 * r2
+    norm = r2 * r2 - 2 * i2 * i2
+    return (r1 * r2 - 2 * i1 * i2) / norm, (i1 * r2 - r1 * i2) / norm
+
+
+def pair(x) -> tuple[Fraction, Fraction]:
+    if isinstance(x, QuadExt):
+        return x.rat, x.irr
+    return Fraction(x), Fraction(0)
+
+
+def dec_of(x) -> Decimal:
+    return dec(x) if isinstance(x, QuadExt) else Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def wide_dec(x) -> Decimal:
+    """A 300-digit decimal image: exact enough to order and floor numbers whose
+    coordinates run to 10**40, where the 50-digit oracle cannot."""
+    a, b, d = (x.a, x.b, x.d) if isinstance(x, QuadExt) else (x.numerator, 0, x.denominator)
+    with localcontext() as ctx:
+        ctx.prec = 300
+        return (Decimal(a) + Decimal(b) * Decimal(2).sqrt()) / Decimal(d)
+
+
+def dec_floor(x) -> int:
+    return int(wide_dec(x).to_integral_value(rounding=ROUND_FLOOR))
+
+
+ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+ORDER = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq, "!=": operator.ne,
+}
+
+coordinates = st.one_of(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+    st.integers(-20, 20).map(Fraction),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**6)),
+)
+kernel_numbers = st.one_of(
+    st.builds(QuadExt, coordinates, coordinates),
+    st.builds(QuadExt, coordinates),
+)
+operands = st.one_of(kernel_numbers, st.integers(-50, 50), coordinates)
+
+
+class TestKernelDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_numbers, operands)
+    def test_arithmetic(self, x, y):
+        for name, fn in ARITH.items():
+            for left, right in ((x, y), (y, x)):
+                if name == "/" and ref_sign(*pair(right)) == 0:
+                    with pytest.raises(ZeroDivisionError):
+                        fn(left, right)
+                    continue
+                z = fn(left, right)
+                assert isinstance(z, QuadExt)
+                assert (z.rat, z.irr) == ref_op(name, pair(left), pair(right))
+                dl, dr = dec_of(left), dec_of(right)
+                expected = fn(dl, dr)
+                scale = 1 + abs(dl) + abs(dr) + abs(dl * dr) + abs(expected)
+                assert abs(dec(z) - expected) <= Decimal("1e-40") * scale
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_numbers, operands)
+    def test_order(self, x, y):
+        r1, i1 = pair(x)
+        r2, i2 = pair(y)
+        s = ref_sign(r1 - r2, i1 - i2)
+        dx, dy = wide_dec(x), wide_dec(y)
+        assert s == (dx > dy) - (dx < dy)
+        for name, fn in ORDER.items():
+            assert fn(x, y) == fn(s, 0)
+            assert fn(y, x) == fn(0, s)
+        if isinstance(y, QuadExt):
+            assert compare(x, y) == s
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_numbers)
+    def test_sign_abs_floor(self, x):
+        d = wide_dec(x)
+        assert x.sign() == ref_sign(x.rat, x.irr) == (d > 0) - (d < 0)
+        assert abs(x) == (x if d >= 0 else -x)
+        n = exact_floor(x)
+        assert n == dec_floor(x)
+        assert QuadExt(n) <= x < QuadExt(n + 1)
+        assert exact_ceil(x) == -dec_floor(-x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_numbers)
+    def test_representation(self, x):
+        assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
+        assert QuadExt(x.rat, x.irr) == x
+        assert (x.rat, x.irr) == (Fraction(x.a, x.d), Fraction(x.b, x.d))
+        assert parse_quadext(format_quadext(x)) == x
+        if x.is_rational():
+            q = x.rat
+            assert x == q and q == x and hash(x) == hash(q)
+            assert x != q + 1
+            if q.denominator == 1:
+                assert x == int(q) and hash(x) == hash(int(q))
+        else:
+            assert x != x.rat and x.rat != x
+
+    @settings(max_examples=200, deadline=None)
+    @given(coordinates)
+    def test_rational_embedding(self, q):
+        x = QuadExt(q)
+        assert x == q and hash(x) == hash(q) and x.irr == 0
+        assert QuadExt.of(q) == x == as_quadext(q)

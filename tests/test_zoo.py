@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from symcont import (
     QuadExt,
     evaluate,
 )
+from symcont.report import dump_json
 from symcont.zoo import (
     Budget,
     build_example,
@@ -207,3 +209,11 @@ class TestStepLattice:
     def test_window_guard(self):
         with pytest.raises(ConfigurationError):
             step_lattice_function(0, 3, 1, 10)
+
+
+def test_small_catalog_report_bytes_pinned():
+    """The catalog report at the small budget, byte for byte: a change to the
+    exact kernel or to any decision routine must leave these bytes alone."""
+    report = dump_json({"command": "zoo", **run_all(None, SMALL).to_json()})
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == "3291319782b09c6b29d9a31903027dfb3f97d2b5d62fa46b2778c80136ebd907"
