@@ -1,0 +1,60 @@
+"""The benchmark's per-layer tracer rebinds names inside symcont from outside
+(perfbench/tracer.py). This keeps the names it needs alive and checks that
+their counters still see work and that every name is put back afterwards."""
+
+import importlib
+import sys
+
+from symcont import (
+    AnalysisConfig,
+    Identity,
+    IntervalPiece,
+    IntervalUnion,
+    NaturalReciprocals,
+    classify,
+    modulus_profile,
+)
+
+from conftest import REPO_ROOT, qx
+
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from perfbench.tracer import MODULE_FUNCTIONS, Tracer, instrument  # noqa: E402
+
+
+def _bindings() -> dict:
+    """Every attribute of every symcont module and of every class they define."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "symcont":
+            continue
+        for attr, value in vars(module).items():
+            out[(name, attr)] = value
+            if isinstance(value, type) and value.__module__ == name:
+                for key, member in vars(value).items():
+                    out[(name, attr, key)] = member
+    return out
+
+
+def test_tracer_hooks_count_and_restore():
+    for module_name, attr, _ in MODULE_FUNCTIONS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), attr
+    before = _bindings()
+    tracer = Tracer()
+    with instrument(tracer):
+        classify(NaturalReciprocals(30, with_zero=False), Identity(), AnalysisConfig())
+        union = IntervalUnion((IntervalPiece(qx(0), qx(1)),))
+        modulus_profile(union, Identity(), AnalysisConfig(grid_exponent=5), "uc")
+    counts = tracer.counts
+    assert counts["analysis.survey_candidates"] > 0
+    assert counts["analysis.survey_pairs"] > 0
+    assert counts["analysis.scan_pairs"] > 0
+    assert counts["analysis.scan_int_calls"] > 0
+    assert tracer.calls("analysis.per_point_c") == 1
+    assert tracer.calls("analysis.usc_family") == 1
+    after = _bindings()
+    assert after.keys() == before.keys()
+    moved = [key for key, value in before.items() if after[key] is not value]
+    assert moved == []

@@ -10,7 +10,7 @@ from symcont import (
     QuadExt,
     evaluate,
 )
-from symcont.report import dump_json
+from symcont.report import dump_json, render_zoo_text
 from symcont.zoo import (
     Budget,
     build_example,
@@ -211,9 +211,25 @@ class TestStepLattice:
             step_lattice_function(0, 3, 1, 10)
 
 
-def test_small_catalog_report_bytes_pinned():
-    """The catalog report at the small budget, byte for byte: a change to the
-    exact kernel or to any decision routine must leave these bytes alone."""
-    report = dump_json({"command": "zoo", **run_all(None, SMALL).to_json()})
-    digest = hashlib.sha256(report.encode()).hexdigest()
-    assert digest == "3291319782b09c6b29d9a31903027dfb3f97d2b5d62fa46b2778c80136ebd907"
+@pytest.mark.parametrize(
+    "budget, digest",
+    [
+        (SMALL, "3291319782b09c6b29d9a31903027dfb3f97d2b5d62fa46b2778c80136ebd907"),
+        (Budget(), "878a54f0dc8ffe365d85096d4cae32dd991fae144e52b31b518fbc015a84f055"),
+    ],
+    ids=["small", "published"],
+)
+def test_small_catalog_report_bytes_pinned(budget, digest):
+    """The catalog report at the small and at the published budget, byte for
+    byte (the published one is `symcont zoo --all --format json`): a change to
+    the exact kernel or to any decision routine must leave these bytes alone."""
+    report = dump_json({"command": "zoo", **run_all(None, budget).to_json()})
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+def test_small_catalog_text_bytes_pinned():
+    """The text rendering of the small-budget catalog, byte for byte."""
+    report = {"command": "zoo", **run_all(None, SMALL).to_json()}
+    text = render_zoo_text(report)
+    digest = "e7a72f851e490c721b61f3c66fccf8d945bc131fa4d82598781eac7c4e00a751"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
