@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .domains import (
     Domain,
@@ -40,7 +40,7 @@ from .domains import (
     SymmetricPair,
     merge_interval_components,
 )
-from .errors import ConfigurationError, DomainError, InapplicableError
+from .errors import ConfigurationError, DomainError
 from .exactnum import QuadExt, as_quadext, format_quadext, int_ratio
 from .functions import (
     Affine,
@@ -51,6 +51,7 @@ from .functions import (
     Monomial,
     Reciprocal,
     SideLimit,
+    _analytic_pieces,
     describe_function,
     evaluate,
     one_sided_limits,
@@ -204,12 +205,12 @@ def _resolution(
     return out
 
 
-def _analytic_pieces(domain: Domain) -> tuple[IntervalPiece, ...]:
-    if isinstance(domain, IntervalUnion):
-        return domain.pieces
-    if isinstance(domain, Staircase):
-        return domain.block_pieces()
-    raise InapplicableError(f"no interval pieces for {domain.describe()}")
+def _open_verdict(notion: str, res: dict, note: str) -> Verdict:
+    """A flat-modulus search that neither refuted nor proved the notion at
+    this resolution."""
+    return Verdict(
+        notion, "no_violation", "flat_modulus", "truncation", resolution=res, notes=[note]
+    )
 
 
 def _probe_points(
@@ -241,7 +242,13 @@ def _pairs_from_points(
     delta_max: QuadExt | None,
     max_pairs: int,
     already_truncated: bool = False,
+    *,
+    first_only: bool = False,
 ) -> _Survey:
+    """Pairs x > y of the sorted points whose midpoint passes center_contains
+    and whose width is below 2*delta_max (any width when None), in sort_key
+    order. The scan stops after max_pairs candidates, marking the survey
+    truncated, or at the first valid pair when first_only is set."""
     out: list[SymmetricPair] = []
     checked = 0
     truncated = already_truncated
@@ -260,22 +267,13 @@ def _pairs_from_points(
                 break
             if center_contains((x + y) / 2):
                 out.append(SymmetricPair(x, y))
+                if first_only:
+                    stop = True
+                    break
         if stop:
             break
     out.sort(key=SymmetricPair.sort_key)
     return _Survey(out, checked, truncated)
-
-
-def _find_any_valid_pair(
-    pts: Sequence[QuadExt], center_contains: Callable[[QuadExt], bool]
-) -> SymmetricPair | None:
-    for j in range(1, len(pts)):
-        x = pts[j]
-        for i in range(j - 1, -1, -1):
-            y = pts[i]
-            if center_contains((x + y) / 2):
-                return SymmetricPair(x, y)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +625,64 @@ def _nearest_distance(sorted_pts: list[QuadExt], a: QuadExt) -> QuadExt | None:
     return best
 
 
+def _cross_region_pairs(
+    pts: Sequence[QuadExt],
+    vals: Sequence[QuadExt],
+    const_regions: list[tuple[Domain | None, QuadExt]],
+) -> tuple[int, Iterator[tuple[QuadExt, QuadExt, QuadExt]]]:
+    """Piecewise-constant reduction: pairs inside one region oscillate by
+    exactly zero, so only pairs across regions with distinct values matter.
+    Returns their count and a lazy listing of them as (x, y, osc), x > y."""
+    groups = _region_groups(pts, vals, const_regions)
+    cross = [
+        (g, h) for i, g in enumerate(groups) for h in groups[i + 1 :] if g[1] != h[1]
+    ]
+    total = sum(len(g[0]) * len(h[0]) for g, h in cross)
+
+    def pairs() -> Iterator[tuple[QuadExt, QuadExt, QuadExt]]:
+        for (gpts, gval), (hpts, hval) in cross:
+            osc = abs(gval - hval)
+            for u in gpts:
+                for w in hpts:
+                    yield (u, w, osc) if u > w else (w, u, osc)
+
+    return total, pairs()
+
+
+def _anchor_window(
+    pts: Sequence[QuadExt], idx: int, schedule: tuple[QuadExt, ...]
+) -> tuple[QuadExt, QuadExt] | None:
+    """Largest and smallest schedule delta above the distance from pts[idx]
+    to its nearest neighbor (the scale below which the model cannot show any
+    challenger at all), or None when fewer than two such deltas exist."""
+    a = pts[idx]
+    gaps = []
+    if idx > 0:
+        gaps.append(a - pts[idx - 1])
+    if idx + 1 < len(pts):
+        gaps.append(pts[idx + 1] - a)
+    if not gaps:
+        return None
+    gap = min(gaps)
+    eff = [d for d in schedule if d > gap]
+    if len(eff) < 2:
+        return None
+    return eff[0], eff[-1]
+
+
+def _anchor_witness(flat: list[tuple[QuadExt, QuadExt]]) -> tuple[QuadExt, dict]:
+    """The smallest anchor with the largest jump among the (anchor, jump)
+    pairs of flat anchors, and its witness."""
+    jump = max(j for _, j in flat)
+    anchor = min(a for a, j in flat if j == jump)
+    return anchor, {
+        "kind": "anchor",
+        "anchor": format_quadext(anchor),
+        "jump": format_quadext(jump),
+        "flat_anchor_count": len(flat),
+    }
+
+
 def _per_point_c(
     ambient: Domain,
     pts: tuple[QuadExt, ...],
@@ -635,38 +691,24 @@ def _per_point_c(
     en_truncated: bool,
     const_regions: list[tuple[Domain | None, QuadExt]] | None,
 ) -> Verdict:
-    schedule = config.delta_schedule
     n = len(pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
-    flat: list[tuple[QuadExt, QuadExt]] = []  # (anchor, jump)
     if const_regions is None and n * n > config.max_pairs:
-        return Verdict(
+        return _open_verdict(
             "C",
-            "no_violation",
-            "flat_modulus",
-            "truncation",
-            resolution=res,
-            notes=[
-                "per-point scan skipped: the pair budget cannot cover this "
-                "many points for a non-constant piecewise function"
-            ],
+            res,
+            "per-point scan skipped: the pair budget cannot cover this many "
+            "points for a non-constant piecewise function",
         )
 
     groups = None if const_regions is None else _region_groups(pts, vals, const_regions)
     zero = QuadExt.of(0)
+    flat: list[tuple[QuadExt, QuadExt]] = []  # (anchor, jump)
     for idx, a in enumerate(pts):
-        d_any: QuadExt | None = None
-        if idx > 0:
-            d_any = a - pts[idx - 1]
-        if idx + 1 < n:
-            d_next = pts[idx + 1] - a
-            if d_any is None or d_next < d_any:
-                d_any = d_next
-        if d_any is None:
+        window = _anchor_window(pts, idx, config.delta_schedule)
+        if window is None:
             continue
-        eff = [d for d in schedule if d > d_any]
-        if len(eff) < 2:
-            continue
+        big, small = window
         va = vals[idx]
         if groups is not None:
             cross = []
@@ -678,37 +720,27 @@ def _per_point_c(
                     cross.append((dg, abs(gval - va)))
             if not cross:
                 continue
-            m_big = max((o for d, o in cross if d < eff[0]), default=zero)
-            m_small = max((o for d, o in cross if d < eff[-1]), default=zero)
+            m_big = max((o for d, o in cross if d < big), default=zero)
+            m_small = max((o for d, o in cross if d < small), default=zero)
         else:
             m_big = m_small = zero
             for k in range(n):
                 if k == idx:
                     continue
                 dist = abs(pts[k] - a)
-                if dist >= eff[0]:
+                if dist >= big:
                     continue
                 osc = abs(vals[k] - va)
                 if osc > m_big:
                     m_big = osc
-                if dist < eff[-1] and osc > m_small:
+                if dist < small and osc > m_small:
                     m_small = osc
         if m_small == m_big and m_big.sign() > 0:
             flat.append((a, m_big))
 
     if flat:
-        jump = flat[0][1]
-        for _, j in flat[1:]:
-            if j > jump:
-                jump = j
-        anchor = min(a for a, j in flat if j == jump)
-        witness = {
-            "kind": "anchor",
-            "anchor": format_quadext(anchor),
-            "jump": format_quadext(jump),
-            "flat_anchor_count": len(flat),
-            "profile": _anchor_profile_json(pts, vals, anchor, config),
-        }
+        anchor, witness = _anchor_witness(flat)
+        witness["profile"] = _anchor_profile_json(pts, vals, anchor, config)
         return Verdict(
             "C",
             "refuted",
@@ -722,13 +754,8 @@ def _per_point_c(
                 "model floor"
             ],
         )
-    return Verdict(
-        "C",
-        "no_violation",
-        "flat_modulus",
-        "truncation",
-        resolution=res,
-        notes=["every pointwise oscillation decays before its challenges run out"],
+    return _open_verdict(
+        "C", res, "every pointwise oscillation decays before its challenges run out"
     )
 
 
@@ -762,9 +789,18 @@ def _usc_family(
     all_pairs = n * (n - 1) // 2
 
     # rule: a complete pair scan finding no valid symmetric pair proves the
-    # notion vacuously (no challenge can ever form below any delta)
+    # notion vacuously (no challenge can ever form below any delta); the
+    # piecewise-constant reduction needs no more of the scan than that
+    survey = None
     if not en_truncated and 0 < all_pairs <= config.max_pairs:
-        if _find_any_valid_pair(pts, ambient.contains) is None:
+        survey = _pairs_from_points(
+            pts,
+            ambient.contains,
+            None,
+            config.max_pairs,
+            first_only=const_regions is not None,
+        )
+        if not survey.pairs:
             return Verdict(
                 "USC",
                 "proven",
@@ -785,22 +821,14 @@ def _usc_family(
 
     if const_regions is not None:
         return _usc_const_sweep(ambient, pts, vals, config, en_truncated, const_regions)
-
-    if not en_truncated and 0 < all_pairs <= config.max_pairs:
-        survey = _pairs_from_points(pts, ambient.contains, None, config.max_pairs)
-        val_of = dict(zip(pts, vals))
-        entries = [(p.h, abs(val_of[p.x] - val_of[p.y])) for p in survey.pairs]
-        return _sweep_verdict(
-            "USC", entries, config, res, survey.truncated, en_truncated, survey.pairs
+    if survey is None:
+        return _open_verdict(
+            "USC", res, "pair budget too small for a symmetric sweep at this resolution"
         )
-
-    return Verdict(
-        "USC",
-        "no_violation",
-        "flat_modulus",
-        "truncation",
-        resolution=res,
-        notes=["pair budget too small for a symmetric sweep at this resolution"],
+    val_of = dict(zip(pts, vals))
+    entries = [(p.h, abs(val_of[p.x] - val_of[p.y])) for p in survey.pairs]
+    return _sweep_verdict(
+        "USC", entries, config, res, survey.truncated, en_truncated, survey.pairs
     )
 
 
@@ -812,58 +840,29 @@ def _usc_const_sweep(
     en_truncated: bool,
     const_regions: list[tuple[Domain | None, QuadExt]],
 ) -> Verdict:
-    """Piecewise-constant reduction: pairs inside one region oscillate by
-    exactly zero, so only cross-region pairs with distinct values are
-    enumerated, and the effective deltas are the scales at which such pairs
-    exist."""
-    n = len(pts)
-    groups = _region_groups(pts, vals, const_regions)
-    cross_total = 0
-    for gi in range(len(groups)):
-        for gj in range(gi + 1, len(groups)):
-            if groups[gi][1] != groups[gj][1]:
-                cross_total += len(groups[gi][0]) * len(groups[gj][0])
+    """Symmetric sweep over the cross-region pairs only; the effective deltas
+    are the scales at which such pairs exist."""
+    total, cross = _cross_region_pairs(pts, vals, const_regions)
     res = _resolution(
         config,
-        points=n,
+        points=len(pts),
         enumeration_truncated=en_truncated,
-        pairs_checked=cross_total,
+        pairs_checked=total,
     )
-    if cross_total > config.max_pairs:
-        return Verdict(
-            "USC",
-            "no_violation",
-            "flat_modulus",
-            "truncation",
-            resolution=res,
-            notes=["cross-region pair count exceeds the pair budget"],
-        )
-    entries: list[tuple[QuadExt, QuadExt, SymmetricPair]] = []
-    for gi in range(len(groups)):
-        for gj in range(gi + 1, len(groups)):
-            pi, vi = groups[gi]
-            pj, vj = groups[gj]
-            if vi == vj:
-                continue
-            osc = abs(vi - vj)
-            for u in pi:
-                for w in pj:
-                    x, y = (u, w) if u > w else (w, u)
-                    if ambient.contains((x + y) / 2):
-                        entries.append(((x - y) / 2, osc, SymmetricPair(x, y)))
+    if total > config.max_pairs:
+        return _open_verdict("USC", res, "cross-region pair count exceeds the pair budget")
+    entries = [
+        ((x - y) / 2, osc, SymmetricPair(x, y))
+        for x, y, osc in cross
+        if ambient.contains((x + y) / 2)
+    ]
     entries.sort(key=lambda e: e[2].sort_key())
     if not entries:
         if en_truncated:
-            return Verdict(
+            return _open_verdict(
                 "USC",
-                "no_violation",
-                "flat_modulus",
-                "truncation",
-                resolution=res,
-                notes=[
-                    "no valid cross-region pair found, but the enumeration was "
-                    "truncated"
-                ],
+                res,
+                "no valid cross-region pair found, but the enumeration was truncated",
             )
         return Verdict(
             "USC",
@@ -872,7 +871,7 @@ def _usc_const_sweep(
             "truncation",
             certificate={
                 "kind": "exhaustive_enumeration",
-                "pairs_checked": cross_total,
+                "pairs_checked": total,
                 "max_osc": "0",
             },
             resolution=res,
@@ -886,11 +885,7 @@ def _usc_const_sweep(
         [(h, osc) for h, osc, _ in entries], config.delta_schedule
     )
     if flat:
-        wit_pair = None
-        for h, osc, pair in entries:
-            if osc == level:
-                wit_pair = pair
-                break
+        wit_pair = next(pair for _, osc, pair in entries if osc == level)
         witness = {
             "kind": "pair",
             **_pair_json(wit_pair.x, wit_pair.y, level),
@@ -908,13 +903,8 @@ def _usc_const_sweep(
                 "exist at every effective delta down to the model floor"
             ],
         )
-    return Verdict(
-        "USC",
-        "no_violation",
-        "flat_modulus",
-        "truncation",
-        resolution=res,
-        notes=["cross-region symmetric oscillation decays at this resolution"],
+    return _open_verdict(
+        "USC", res, "cross-region symmetric oscillation decays at this resolution"
     )
 
 
@@ -973,13 +963,8 @@ def _sweep_verdict(
             resolution=res,
             notes=["no valid challenge exists at any scale"],
         )
-    return Verdict(
-        notion,
-        "no_violation",
-        "flat_modulus",
-        "truncation",
-        resolution=res,
-        notes=["oscillation decays (or the probe was truncated) at this resolution"],
+    return _open_verdict(
+        notion, res, "oscillation decays (or the probe was truncated) at this resolution"
     )
 
 
@@ -1012,33 +997,10 @@ def _uc_family(
             ],
         )
     if const_regions is not None:
-        groups = _region_groups(pts, vals, const_regions)
-        cross_total = 0
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                if groups[gi][1] != groups[gj][1]:
-                    cross_total += len(groups[gi][0]) * len(groups[gj][0])
-        if cross_total > config.max_pairs:
-            return Verdict(
-                "UC",
-                "no_violation",
-                "flat_modulus",
-                "truncation",
-                resolution=res,
-                notes=["cross-region pair count exceeds the pair budget"],
-            )
-        entries = []
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                pi, vi = groups[gi]
-                pj, vj = groups[gj]
-                if vi == vj:
-                    continue
-                osc = abs(vi - vj)
-                for u in pi:
-                    for w in pj:
-                        entries.append((abs(u - w), osc))
-        entries.sort()
+        total, cross = _cross_region_pairs(pts, vals, const_regions)
+        if total > config.max_pairs:
+            return _open_verdict("UC", res, "cross-region pair count exceeds the pair budget")
+        entries = sorted((x - y, osc) for x, y, osc in cross)
         if not entries and not en_truncated:
             return Verdict(
                 "UC",
@@ -1047,7 +1009,7 @@ def _uc_family(
                 "truncation",
                 certificate={
                     "kind": "exhaustive_enumeration",
-                    "pairs_checked": cross_total,
+                    "pairs_checked": total,
                     "max_osc": "0",
                 },
                 resolution=res,
@@ -1100,14 +1062,7 @@ def _uc_family(
             resolution=res,
             notes=["every pair below the largest delta oscillates by zero"],
         )
-    return Verdict(
-        "UC",
-        "no_violation",
-        "flat_modulus",
-        "truncation",
-        resolution=res,
-        notes=["pair oscillation decays at this resolution"],
-    )
+    return _open_verdict("UC", res, "pair oscillation decays at this resolution")
 
 
 def _sc_family(
@@ -1117,45 +1072,27 @@ def _sc_family(
     config: AnalysisConfig,
     en_truncated: bool,
 ) -> Verdict:
-    """Per-anchor mirror scan. The effective delta window at an anchor is
-    floored by the distance to its nearest neighbor (the scale below which
-    the model cannot show any challenger at all); the mirrored oscillation
-    must be the same positive value across the whole window to refute."""
+    """Per-anchor mirror scan: the mirrored oscillation must be the same
+    positive value across the anchor's whole effective delta window to
+    refute."""
     n = len(pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
     if n * (n - 1) // 2 > config.max_pairs:
-        return Verdict(
-            "SC",
-            "no_violation",
-            "flat_modulus",
-            "truncation",
-            resolution=res,
-            notes=["pair budget too small for a per-anchor mirror scan"],
-        )
+        return _open_verdict("SC", res, "pair budget too small for a per-anchor mirror scan")
     val_of = dict(zip(pts, vals))
     lo = pts[0] if pts else None
-    schedule = config.delta_schedule
     flat: list[tuple[QuadExt, QuadExt]] = []
     for idx, a in enumerate(pts):
-        d_any: QuadExt | None = None
-        if idx > 0:
-            d_any = a - pts[idx - 1]
-        if idx + 1 < n:
-            d_next = pts[idx + 1] - a
-            if d_any is None or d_next < d_any:
-                d_any = d_next
-        if d_any is None:
+        window = _anchor_window(pts, idx, config.delta_schedule)
+        if window is None:
             continue
-        eff = [d for d in schedule if d > d_any]
-        if len(eff) < 2:
-            continue
-        va = val_of[a]
+        big, small = window
         m_big: QuadExt | None = None
         m_small: QuadExt | None = None
         for k in range(idx + 1, n):
             x = pts[k]
             h = x - a
-            if h >= eff[0]:
+            if h >= big:
                 break
             y = 2 * a - x
             if y < lo:
@@ -1165,7 +1102,7 @@ def _sc_family(
             osc = abs(val_of[x] - val_of[y])
             if m_big is None or osc > m_big:
                 m_big = osc
-            if h < eff[-1] and (m_small is None or osc > m_small):
+            if h < small and (m_small is None or osc > m_small):
                 m_small = osc
         if (
             m_big is not None
@@ -1175,35 +1112,20 @@ def _sc_family(
         ):
             flat.append((a, m_big))
     if flat:
-        jump = flat[0][1]
-        for _, j in flat[1:]:
-            if j > jump:
-                jump = j
-        anchor = min(a for a, j in flat if j == jump)
         return Verdict(
             "SC",
             "refuted",
             "flat_modulus",
             "truncation",
-            witness={
-                "kind": "anchor",
-                "anchor": format_quadext(anchor),
-                "jump": format_quadext(jump),
-                "flat_anchor_count": len(flat),
-            },
+            witness=_anchor_witness(flat)[1],
             resolution=res,
             notes=[
                 "mirror pairs around the witness anchor keep the same positive "
                 "oscillation across the whole effective delta window"
             ],
         )
-    return Verdict(
-        "SC",
-        "no_violation",
-        "flat_modulus",
-        "truncation",
-        resolution=res,
-        notes=["every per-anchor mirror oscillation decays at this resolution"],
+    return _open_verdict(
+        "SC", res, "every per-anchor mirror oscillation decays at this resolution"
     )
 
 
@@ -1218,15 +1140,10 @@ def _family_classify(
     usc_v = _usc_family(ambient, pts, vals, config, en.truncated, const_regions)
     uc_v = _uc_family(ambient, pts, vals, config, en.truncated, const_regions, c_v)
     if c_v.status == "proven" or usc_v.status == "proven":
-        sc_v = Verdict(
+        sc_v = _open_verdict(
             "SC",
-            "no_violation",
-            "flat_modulus",
-            "truncation",
-            resolution=_resolution(
-                config, points=len(pts), enumeration_truncated=en.truncated
-            ),
-            notes=["scan skipped; an implication settles this notion"],
+            _resolution(config, points=len(pts), enumeration_truncated=en.truncated),
+            "scan skipped; an implication settles this notion",
         )
     else:
         sc_v = _sc_family(ambient, pts, vals, config, en.truncated)
@@ -1269,32 +1186,19 @@ def _leaf_uc_failure(piece: IntervalPiece, fm: Formula) -> dict | None:
     if piece.contains(QuadExt.of(0)):
         raise ConfigurationError("reciprocal piece contains 0")
     if piece.lo == 0:
-        s = min(QuadExt.of(3), piece.hi) if piece.hi_closed else piece.hi * Fraction(3, 4)
-        terms = []
-        for m in range(1, _LADDER_TERMS + 1):
-            x, y = s / m, s / (3 * m)
-            terms.append(_pair_json(x, y, abs(evaluate(fm, x) - evaluate(fm, y))))
-        return {
-            "kind": "pair_family",
-            "description": "pairs sliding into the open end at 0 with "
-            "shrinking distance and growing oscillation",
-            "piece": piece.describe(),
-            "terms": terms,
-        }
-    if piece.hi == 0:
-        s = max(QuadExt.of(-3), piece.lo) if piece.lo_closed else piece.lo * Fraction(3, 4)
-        terms = []
-        for m in range(1, _LADDER_TERMS + 1):
-            x, y = s / (3 * m), s / m
-            terms.append(_pair_json(x, y, abs(evaluate(fm, x) - evaluate(fm, y))))
-        return {
-            "kind": "pair_family",
-            "description": "pairs sliding into the open end at 0 with "
-            "shrinking distance and growing oscillation",
-            "piece": piece.describe(),
-            "terms": terms,
-        }
-    return None
+        end, closed, sgn = piece.hi, piece.hi_closed, 1
+    elif piece.hi == 0:
+        end, closed, sgn = piece.lo, piece.lo_closed, -1
+    else:
+        return None
+    s = sgn * min(QuadExt.of(3), abs(end)) if closed else end * Fraction(3, 4)
+    return {
+        "kind": "pair_family",
+        "description": "pairs sliding into the open end at 0 with "
+        "shrinking distance and growing oscillation",
+        "piece": piece.describe(),
+        "terms": _ladder(fm, lambda m: _ordered(s / m, s / (3 * m))),
+    }
 
 
 @dataclass
@@ -1386,103 +1290,53 @@ def _ladder(
     return terms
 
 
-def _junction_uc_witness(j: _Junction, f: FuncSpec) -> dict:
-    c = j.c
-    if (
-        j.left.exists
-        and j.right.exists
-        and j.left.value is not None
-        and j.right.value is not None
-        and j.left.value != j.right.value
-    ):
-        s = min(QuadExt.of(1), j.left_piece.length, j.right_piece.length)
-        terms = _ladder(f, lambda m: (c + s / (m + 1), c - s / (m + 1)))
-        return {
-            "kind": "pair_family",
-            "description": "pairs straddling the junction at shrinking "
-            "distance keep oscillating by the jump",
-            "at": format_quadext(c),
-            "terms": terms,
-        }
-    for side, piece, sgn in (
-        (j.right, j.right_piece, 1),
-        (j.left, j.left_piece, -1),
-    ):
-        if side.exists and side.value is None:
-            s = piece.length * Fraction(3, 4)
-            terms = _ladder(
-                f, lambda m: _ordered(c + sgn * s / (m + 1), c + sgn * s / (3 * (m + 1)))
-            )
-            return {
-                "kind": "pair_family",
-                "description": "pairs inside the divergent side oscillate "
-                "without bound at shrinking distance",
-                "at": format_quadext(c),
-                "terms": terms,
-            }
-    # owned value disagrees with the matching limits
-    side, piece, sgn = (
-        (j.right, j.right_piece, 1)
-        if j.right.exists
-        else (j.left, j.left_piece, -1)
-    )
-    s = min(QuadExt.of(1), piece.length)
-    terms = _ladder(f, lambda m: _ordered(c + sgn * s / (m + 1), c))
-    return {
-        "kind": "pair_family",
-        "description": "pairs pinned at the junction point itself keep "
-        "oscillating by the gap between the value and the limit",
-        "at": format_quadext(c),
-        "terms": terms,
-    }
+# per notion: the step s/(m + k) of the m-th pair, the factor of the step on
+# the far side of a jump, the factor for a pair pinned at the junction point,
+# and the two descriptions; the symmetric pairs keep their midpoints inside
+# a piece next to the junction
+_JUNCTION_LADDERS = {
+    "UC": (
+        1,
+        1,
+        1,
+        "pairs straddling the junction at shrinking distance keep "
+        "oscillating by the jump",
+        "pairs pinned at the junction point itself keep oscillating by the "
+        "gap between the value and the limit",
+    ),
+    "USC": (
+        4,
+        3,
+        2,
+        "symmetric pairs with midpoint inside the left piece straddle the "
+        "junction and keep oscillating by the jump",
+        "symmetric pairs with one endpoint pinned at the junction point "
+        "(midpoint inside the adjacent piece) keep oscillating by the gap "
+        "between the value and the limit",
+    ),
+}
 
 
-def _junction_usc_witness(j: _Junction, f: FuncSpec) -> dict:
+def _junction_witness(j: _Junction, f: FuncSpec, notion: str) -> dict:
+    """Pair ladder at a junction that breaks the uniform (symmetric) modulus.
+
+    A divergent one-sided limit never reaches here: it comes only from a
+    reciprocal piece ending at 0, which _leaf_uc_failure reports first."""
+    k, far, pinned, jump_text, pinned_text = _JUNCTION_LADDERS[notion]
     c = j.c
-    if (
-        j.left.exists
-        and j.right.exists
-        and j.left.value is not None
-        and j.right.value is not None
-        and j.left.value != j.right.value
-    ):
+    if j.left.exists and j.right.exists and j.left.value != j.right.value:
         s = min(QuadExt.of(1), j.left_piece.length, j.right_piece.length)
-        terms = _ladder(f, lambda m: (c + s / (m + 4), c - 3 * (s / (m + 4))))
-        return {
-            "kind": "pair_family",
-            "description": "symmetric pairs with midpoint inside the left "
-            "piece straddle the junction and keep oscillating by the jump",
-            "at": format_quadext(c),
-            "terms": terms,
-        }
-    for side, piece, sgn in (
-        (j.right, j.right_piece, 1),
-        (j.left, j.left_piece, -1),
-    ):
-        if side.exists and side.value is None:
-            s = piece.length * Fraction(3, 4)
-            terms = _ladder(
-                f, lambda m: _ordered(c + sgn * s / (m + 1), c + sgn * s / (3 * (m + 1)))
-            )
-            return {
-                "kind": "pair_family",
-                "description": "symmetric pairs inside the divergent side "
-                "(midpoints stay inside the piece) oscillate without bound",
-                "at": format_quadext(c),
-                "terms": terms,
-            }
-    side, piece, sgn = (
-        (j.right, j.right_piece, 1)
-        if j.right.exists
-        else (j.left, j.left_piece, -1)
-    )
-    s = min(QuadExt.of(1), piece.length)
-    terms = _ladder(f, lambda m: _ordered(c + sgn * 2 * (s / (m + 4)), c))
+        terms = _ladder(f, lambda m: (c + s / (m + k), c - far * (s / (m + k))))
+        description = jump_text
+    else:
+        # the owned value disagrees with the matching limits
+        sgn, piece = (1, j.right_piece) if j.right.exists else (-1, j.left_piece)
+        s = min(QuadExt.of(1), piece.length)
+        terms = _ladder(f, lambda m: _ordered(c + sgn * pinned * (s / (m + k)), c))
+        description = pinned_text
     return {
         "kind": "pair_family",
-        "description": "symmetric pairs with one endpoint pinned at the "
-        "junction point (midpoint inside the adjacent piece) keep "
-        "oscillating by the gap between the value and the limit",
+        "description": description,
         "at": format_quadext(c),
         "terms": terms,
     }
@@ -1602,7 +1456,7 @@ def _interval_classify(
         uc_v = verdict(
             "UC",
             "refuted",
-            witness=_junction_uc_witness(j, f),
+            witness=_junction_witness(j, f, "UC"),
             notes=["a junction breaks the uniform modulus"],
         )
     else:
@@ -1635,7 +1489,7 @@ def _interval_classify(
         usc_v = verdict(
             "USC",
             "refuted",
-            witness=_junction_usc_witness(j, f),
+            witness=_junction_witness(j, f, "USC"),
             notes=["the junction pair family uses midpoints inside the domain"],
         )
     else:
@@ -1809,17 +1663,11 @@ def _staircase_classify(
     res_usc = dict(res)
     res_usc["pairs_checked"] = candidates
     if not entries:
-        usc_v = Verdict(
+        usc_v = _open_verdict(
             "USC",
-            "no_violation",
-            "flat_modulus",
-            "truncation",
-            resolution=res_usc,
-            notes=[
-                "every candidate cross-block midpoint falls inside an open "
-                "gap, so no symmetric challenge crosses a gap at this "
-                "resolution"
-            ],
+            res_usc,
+            "every candidate cross-block midpoint falls inside an open gap, "
+            "so no symmetric challenge crosses a gap at this resolution",
         )
     else:
         flat, level, rows = _flat_over_effective(
@@ -1845,22 +1693,12 @@ def _staircase_classify(
                 ],
             )
         else:
-            usc_v = Verdict(
-                "USC",
-                "no_violation",
-                "flat_modulus",
-                "truncation",
-                resolution=res_usc,
-                notes=["valid cross-block oscillation decays at this resolution"],
+            usc_v = _open_verdict(
+                "USC", res_usc, "valid cross-block oscillation decays at this resolution"
             )
 
-    sc_v = Verdict(
-        "SC",
-        "no_violation",
-        "flat_modulus",
-        "truncation",
-        resolution=dict(res),
-        notes=["settled by implication from pointwise continuity"],
+    sc_v = _open_verdict(
+        "SC", dict(res), "settled by implication from pointwise continuity"
     )
     return {"C": c_v, "UC": uc_v, "SC": sc_v, "USC": usc_v}
 

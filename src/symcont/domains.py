@@ -166,9 +166,11 @@ class OddPrimeReciprocals(Domain):
         return r is not None and r[0] == 1 and r[1] in _odd_prime_set(self.max_prime)
 
     def enumerate(self, limit: int) -> Enumeration:
-        pts: list[QuadExt] = [ZERO] if self.with_zero else []
-        pts.extend(QuadExt.of(Fraction(1, p)) for p in reversed(self._primes()))
-        return Enumeration(tuple(pts[:limit]), truncated=len(pts) > limit)
+        primes = self._primes()
+        pts: list[QuadExt] = [ZERO] if self.with_zero and limit > 0 else []
+        pts.extend(QuadExt.of(Fraction(1, p)) for p in primes[::-1][: limit - len(pts)])
+        total = len(primes) + self.with_zero
+        return Enumeration(tuple(pts), truncated=total > limit)
 
     def describe(self) -> str:
         base = f"reciprocals of odd primes up to {self.max_prime}"
@@ -193,9 +195,11 @@ class NaturalReciprocals(Domain):
         return r is not None and r[0] == 1 and r[1] <= self.max_n
 
     def enumerate(self, limit: int) -> Enumeration:
-        pts: list[QuadExt] = [ZERO] if self.with_zero else []
-        pts.extend(QuadExt.of(Fraction(1, n)) for n in range(self.max_n, 0, -1))
-        return Enumeration(tuple(pts[:limit]), truncated=len(pts) > limit)
+        pts: list[QuadExt] = [ZERO] if self.with_zero and limit > 0 else []
+        stop = max(self.max_n - (limit - len(pts)), 0)
+        pts.extend(QuadExt.of(Fraction(1, n)) for n in range(self.max_n, stop, -1))
+        total = self.max_n + self.with_zero
+        return Enumeration(tuple(pts), truncated=total > limit)
 
     def describe(self) -> str:
         base = f"reciprocals of naturals up to {self.max_n}"

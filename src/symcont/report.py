@@ -71,30 +71,29 @@ def moduli_report(
 # text rendering
 
 
-def _verdict_lines(verdict: Verdict, indent: str = "") -> list[str]:
+def _verdict_lines(verdict: dict, indent: str = "") -> list[str]:
+    """Text lines of one verdict, read from its JSON form."""
     lines = [
-        f"{indent}{verdict.notion:<9} {verdict.status:<12} "
-        f"method={verdict.method}  scope={verdict.scope}"
+        f"{indent}{verdict['notion']:<9} {verdict['status']:<12} "
+        f"method={verdict['method']}  scope={verdict['scope']}"
     ]
-    if verdict.witness:
-        kind = verdict.witness.get("kind", "?")
+    w = verdict["witness"]
+    if w:
+        kind = w.get("kind", "?")
         detail = ""
-        if kind == "pair" and "x" in verdict.witness:
-            w = verdict.witness
+        if kind == "pair" and "x" in w:
             detail = f" x={w['x']} y={w['y']} osc={w.get('osc', '?')}"
         elif kind == "anchor":
-            w = verdict.witness
             detail = f" anchor={w['anchor']} jump={w['jump']}"
         elif kind in ("pair_family", "sequence", "approach", "chain"):
-            terms = verdict.witness.get("terms") or verdict.witness.get("records") or []
+            terms = w.get("terms") or w.get("records") or []
             if terms:
-                t0 = terms[0]
-                detail = f" first: {json.dumps(t0)}"
+                detail = f" first: {json.dumps(terms[0])}"
         lines.append(f"{indent}  witness [{kind}]{detail}")
-    if verdict.certificate:
-        kind = verdict.certificate.get("kind", "?")
+    if verdict["certificate"]:
+        kind = verdict["certificate"].get("kind", "?")
         lines.append(f"{indent}  certificate [{kind}]")
-    for note in verdict.notes:
+    for note in verdict["notes"]:
         lines.append(f"{indent}  note: {note}")
     return lines
 
@@ -106,34 +105,10 @@ def render_analyze_text(report: dict) -> str:
         "",
     ]
     for verdict_json in report["verdicts"].values():
-        v = Verdict(
-            verdict_json["notion"],
-            verdict_json["status"],
-            verdict_json["method"],
-            verdict_json["scope"],
-            verdict_json["certificate"],
-            verdict_json["witness"],
-            verdict_json["resolution"],
-            verdict_json["notes"],
-        )
-        lines.extend(_verdict_lines(v))
+        lines.extend(_verdict_lines(verdict_json))
     if "wrt_b" in report:
-        w = report["wrt_b"]
         lines.append("")
-        lines.extend(
-            _verdict_lines(
-                Verdict(
-                    w["notion"],
-                    w["status"],
-                    w["method"],
-                    w["scope"],
-                    w["certificate"],
-                    w["witness"],
-                    w["resolution"],
-                    w["notes"],
-                )
-            )
-        )
+        lines.extend(_verdict_lines(report["wrt_b"]))
     if report["consistency"]:
         lines.append("")
         for flag in report["consistency"]:
@@ -174,17 +149,7 @@ def render_zoo_text(report: dict) -> str:
         lines.append(f"  domain:   {case['domain']}")
         lines.append(f"  function: {case['function']}")
         for verdict_json in case["verdicts"].values():
-            v = Verdict(
-                verdict_json["notion"],
-                verdict_json["status"],
-                verdict_json["method"],
-                verdict_json["scope"],
-                verdict_json["certificate"],
-                verdict_json["witness"],
-                verdict_json["resolution"],
-                verdict_json["notes"],
-            )
-            lines.extend(_verdict_lines(v, indent="  "))
+            lines.extend(_verdict_lines(verdict_json, indent="  "))
         if case["wrt_b"] is not None:
             w = case["wrt_b"]
             lines.append(

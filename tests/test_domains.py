@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,34 @@ class TestNaturalReciprocals:
         assert d.contains(qx(Fraction(1, 999)))
         assert not d.contains(qx(0))
         assert not d.contains(qx(Fraction(2, 3)))
+
+
+def _reciprocal_listing(cls, n, with_zero):
+    """The sorted members, from the definitions by trial division."""
+    if cls is NaturalReciprocals:
+        dens = range(1, n + 1)
+    else:
+        dens = [p for p in range(3, n + 1) if all(p % d for d in range(2, p))]
+    pts = sorted(qx(Fraction(1, q)) for q in dens)
+    return ([qx(0)] if with_zero else []) + pts
+
+
+class TestReciprocalPrefix:
+    @pytest.mark.parametrize("cls, n", [(NaturalReciprocals, 9), (OddPrimeReciprocals, 30)])
+    @pytest.mark.parametrize("with_zero", [True, False])
+    def test_limit_cuts_the_full_listing(self, cls, n, with_zero):
+        full = _reciprocal_listing(cls, n, with_zero)
+        d = cls(n, with_zero=with_zero)
+        for k in range(len(full) + 3):
+            en = d.enumerate(k)
+            assert list(en.points) == full[:k]
+            assert en.truncated == (len(full) > k)
+
+    def test_work_follows_the_limit(self):
+        start = time.perf_counter()
+        en = NaturalReciprocals(2 * 10**6).enumerate(20)
+        assert time.perf_counter() - start < 0.5
+        assert en.points[1] == qx(Fraction(1, 2 * 10**6)) and en.truncated
 
 
 class TestTruncatedRationals:

@@ -1,7 +1,8 @@
 """Exact verdict JSON for decision branches the catalog and the other tests
 do not reach: family sweeps that only run when an earlier rule stays silent,
-junctions whose owned value breaks away from matching limits, and reciprocal
-pieces ending at 0 from either side.
+a staircase whose cross-block oscillation decays, junctions whose owned value
+breaks away from matching limits, and reciprocal pieces ending at 0 from
+either side.
 
 Each case pins the sha256 of the JSON of all four verdicts, so any change to
 a witness, a certificate, a resolution entry or a note shows here."""
@@ -24,6 +25,7 @@ from symcont import (
     NaturalReciprocals,
     Piecewise,
     Reciprocal,
+    Staircase,
     TruncatedRationals,
     classify,
 )
@@ -32,7 +34,7 @@ from symcont.analysis import NOTIONS
 from conftest import qx
 
 
-def _alternating(max_pairs=None):
+def _alternating(**config):
     """Values 1 and 0 on alternate points of {1/n : n <= 30} and 0, given by
     zero-slope affine pieces so no piecewise-constant reduction applies."""
     nr = NaturalReciprocals(30)
@@ -42,17 +44,15 @@ def _alternating(max_pairs=None):
     f = Piecewise(
         (FuncPiece(odd, Affine(0, 1)), FuncPiece(even, Affine(0, 0)))
     )
-    config = AnalysisConfig() if max_pairs is None else AnalysisConfig(max_pairs=max_pairs)
-    return nr, f, config
+    return nr, f, AnalysisConfig(**config)
 
 
-def _indicator_of_one(max_pairs=None):
+def _indicator_of_one(**config):
     nr = NaturalReciprocals(30)
     f = Piecewise(
         (FuncPiece(FinitePoints((qx(1),)), Const(1)), FuncPiece(nr, Const(0)))
     )
-    config = AnalysisConfig() if max_pairs is None else AnalysisConfig(max_pairs=max_pairs)
-    return nr, f, config
+    return nr, f, AnalysisConfig(**config)
 
 
 def _positive_rationals_indicator():
@@ -137,6 +137,18 @@ CASES = {
         "USC",
         ("no_violation", "flat_modulus"),
         "3c1e4b9ea02ce0fb286bd777d7943f8c007390ce94af0d500e9882cdb515c3a2",
+    ),
+    "cross_region_none_listed": (
+        lambda: _indicator_of_one(enum_limit=5),
+        "USC",
+        ("no_violation", "flat_modulus"),
+        "2967d40c3303ac337c88e675ee2554ceb1a5afacdbbe3c43373140904b11a3ba",
+    ),
+    "staircase_cross_block_decays": (
+        lambda: (Staircase("B", 6), Identity(), AnalysisConfig()),
+        "USC",
+        ("no_violation", "flat_modulus"),
+        "b1d35f371bb9e816a484e9ff1c1bad5c40e84bd08f53134156aeebdfde4c2f42",
     ),
     "junction_owned_value_right_piece": (
         lambda: _owned_value_junction(right_side=True),
