@@ -790,7 +790,8 @@ def _usc_family(
 
     # rule: a complete pair scan finding no valid symmetric pair proves the
     # notion vacuously (no challenge can ever form below any delta); the
-    # piecewise-constant reduction needs no more of the scan than that
+    # piecewise-constant sweep enumerates its own pairs, so for it the scan
+    # stops at the first valid pair
     survey = None
     if not en_truncated and 0 < all_pairs <= config.max_pairs:
         survey = _pairs_from_points(
