@@ -395,18 +395,20 @@ class TestOscillationScans:
         return best, wit_count
 
     def brute_sym(self, domain, pts, vals, delta):
-        best = None
-        count = 0
+        """(sup, count, witness) over the valid pairs below delta; the witness
+        is the earliest pair in (h, x, y) order that reaches the sup."""
         val_of = dict(zip(pts, vals))
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                x, y = pts[j], pts[i]
-                if (x - y) / 2 < delta and domain.contains((x + y) / 2):
-                    count += 1
-                    osc = abs(val_of[x] - val_of[y])
-                    if best is None or osc > best:
-                        best = osc
-        return best, count
+        valid = sorted(
+            ((pts[j] - pts[i]) / 2, pts[j], pts[i])
+            for i in range(len(pts))
+            for j in range(i + 1, len(pts))
+            if (pts[j] - pts[i]) / 2 < delta
+            and domain.contains((pts[j] + pts[i]) / 2)
+        )
+        oscs = [abs(val_of[x] - val_of[y]) for _, x, y in valid]
+        best = max(oscs, default=None)
+        wit = next(((x, y) for (_, x, y), o in zip(valid, oscs) if o == best), None)
+        return best, len(valid), wit
 
     def test_uc_scan_matches_brute_force(self):
         from symcont import evaluate
@@ -433,9 +435,14 @@ class TestOscillationScans:
             vals = [evaluate(f, p) for p in pts]
             for delta in (qx(4), qx(Fraction(1, 2))):
                 res = sym_oscillation(dom, f, delta, FAST)
-                expect, count = self.brute_sym(dom, pts, vals, delta)
+                expect, count, wit = self.brute_sym(dom, pts, vals, delta)
                 assert res.value == expect
                 assert res.challenges == count
+                assert res.witness == wit
+            prof = modulus_profile(dom, f, FAST, "usc")
+            for delta, res in prof.rows:
+                expect, count, wit = self.brute_sym(dom, pts, vals, delta)
+                assert (res.value, res.challenges, res.witness) == (expect, count, wit)
 
     def test_restricted_centers(self):
         dom = NaturalReciprocals(12, with_zero=True)

@@ -2,10 +2,12 @@
 do not reach: family sweeps that only run when an earlier rule stays silent,
 a staircase whose cross-block oscillation decays, junctions whose owned value
 breaks away from matching limits, and reciprocal pieces ending at 0 from
-either side.
+either side, and the subset-anchored scan when it proves the notion or runs
+out of its pair budget.
 
-Each case pins the sha256 of the JSON of all four verdicts, so any change to
-a witness, a certificate, a resolution entry or a note shows here."""
+Each case pins the sha256 of the JSON of all four verdicts (of the one
+subset-anchored verdict), so any change to a witness, a certificate, a
+resolution entry or a note shows here."""
 
 import hashlib
 import json
@@ -27,6 +29,7 @@ from symcont import (
     Reciprocal,
     Staircase,
     TruncatedRationals,
+    check_wrt_subset,
     classify,
 )
 from symcont.analysis import NOTIONS
@@ -195,4 +198,42 @@ def test_verdict_json_pinned(name):
     text = _verdicts_json(build)
     got = json.loads(text)[notion]
     assert (got["status"], got["method"]) == expected
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+# name -> (ambient, function, subset, config, (status, method, scope),
+# pairs_checked, sha256 of the JSON of the subset-anchored verdict)
+WRT_SUBSET_CASES = {
+    "midpoint_free_full_scope": (
+        lambda: (
+            FinitePoints.of(qx(0), qx(1), qx(3)),
+            Identity(),
+            FinitePoints.of(qx(3)),
+            AnalysisConfig(),
+        ),
+        ("proven", "midpoint_free", "full"),
+        0,
+        "6614c4297cb8943a9d5a822d75dd7df1bd7e207af9e2dd56559ccbacc47ea4e3",
+    ),
+    "mirror_scan_over_budget": (
+        lambda: (
+            NaturalReciprocals(30),
+            Identity(),
+            FinitePoints.of(qx(Fraction(1, 8))),
+            AnalysisConfig(max_pairs=3),
+        ),
+        ("no_violation", "flat_modulus", "truncation"),
+        4,
+        "a7f647153b538c1a33132596f9772e1571b24daa5506dace6d14d6c68b30d13b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRT_SUBSET_CASES))
+def test_wrt_subset_json_pinned(name):
+    build, expected, pairs_checked, digest = WRT_SUBSET_CASES[name]
+    v = check_wrt_subset(*build())
+    text = json.dumps(v.to_json(), indent=1)
+    assert (v.status, v.method, v.scope) == expected
+    assert v.resolution["pairs_checked"] == pairs_checked
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
