@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator, Sequence
@@ -141,24 +141,12 @@ class ModulusProfile:
     truncated: bool
 
     def to_json(self) -> dict:
-        rows = []
-        for delta, res in self.rows:
-            rows.append(
-                {
-                    "delta": format_quadext(delta),
-                    "omega": None if res.value is None else format_quadext(res.value),
-                    "challenges": res.challenges,
-                    "witness": None
-                    if res.witness is None
-                    else [format_quadext(res.witness[0]), format_quadext(res.witness[1])],
-                }
-            )
         return {
             "notion": self.notion,
             "points": self.points,
             "sampled": self.sampled,
             "truncated": self.truncated,
-            "rows": rows,
+            "rows": _profile_rows_json(self.rows, with_witness=True),
         }
 
 
@@ -210,6 +198,51 @@ def _open_verdict(notion: str, res: dict, note: str) -> Verdict:
     this resolution."""
     return Verdict(
         notion, "no_violation", "flat_modulus", "truncation", resolution=res, notes=[note]
+    )
+
+
+def _flat_verdict(notion: str, res: dict, witness: dict, note: str) -> Verdict:
+    """A flat-modulus refutation: the oscillation never decays in the model."""
+    return Verdict(
+        notion,
+        "refuted",
+        "flat_modulus",
+        "truncation",
+        witness=witness,
+        resolution=res,
+        notes=[note],
+    )
+
+
+def _zero_verdict(notion: str, res: dict, pairs_checked: int, note: str) -> Verdict:
+    """Every listed pair oscillates by exactly zero."""
+    return Verdict(
+        notion,
+        "proven",
+        "exhaustive_enumeration",
+        "truncation",
+        certificate={
+            "kind": "exhaustive_enumeration",
+            "pairs_checked": pairs_checked,
+            "max_osc": "0",
+        },
+        resolution=res,
+        notes=[note],
+    )
+
+
+def _midpoint_free_verdict(
+    notion: str, res: dict, pairs_checked: int, note: str
+) -> Verdict:
+    """No challenge exists at any scale."""
+    return Verdict(
+        notion,
+        "proven",
+        "midpoint_free",
+        "truncation",
+        certificate={"kind": "midpoint_free", "pairs_checked": pairs_checked},
+        resolution=res,
+        notes=[note],
     )
 
 
@@ -290,21 +323,8 @@ def sym_oscillation(
 ) -> OscillationResult:
     """sup |f(x) - f(y)| over pairs x > y in A with midpoint in `centers`
     (A itself by default) and half-distance strictly below delta."""
-    config = config or AnalysisConfig()
-    delta = as_quadext(delta)
-    pts, en_trunc, _ = _probe_points(ambient, config, for_pairs=True)
-    center_dom = centers if centers is not None else ambient
-    survey = _pairs_from_points(
-        pts, center_dom.contains, delta, config.max_pairs, en_trunc
-    )
-    val_of = {p: evaluate(f, p) for p in pts}
-    best: QuadExt | None = None
-    wit = None
-    for pair in survey.pairs:
-        osc = abs(val_of[pair.x] - val_of[pair.y])
-        if best is None or osc > best:
-            best, wit = osc, (pair.x, pair.y)
-    return OscillationResult(best, wit, len(survey.pairs), survey.truncated)
+    config = replace(config or AnalysisConfig(), delta_schedule=(delta,))
+    return modulus_profile(ambient, f, config, "usc", centers=centers).rows[0][1]
 
 
 def _lift_rationals(
@@ -370,26 +390,29 @@ def _window_scan_exact(
     return _window_scan(xs, vs, delta)
 
 
-def _uc_osc_over(
-    xs: Sequence[QuadExt], vs: Sequence[QuadExt], delta: QuadExt
-) -> OscillationResult:
+def _uc_rows(
+    xs: Sequence[QuadExt],
+    vs: Sequence[QuadExt],
+    schedule: tuple[QuadExt, ...],
+    truncated: bool,
+) -> list[tuple[QuadExt, OscillationResult]]:
+    """Oscillation sup over pairs with |x - y| below each schedule delta, by
+    one window scan per delta (on integers when points, values and delta are
+    rational); the witness is ordered x > y."""
     lifted = _lift_rationals(xs, vs)
-    if lifted is not None and delta.irr == 0:
-        xi, vi, lx, lv = lifted
-        thr = delta.rat * lx
-        best, idx, pairs = _window_scan_int(xi, vi, thr.numerator, thr.denominator)
-        if best is None:
-            return OscillationResult(None, None, pairs, False)
-        val = QuadExt(Fraction(best, lv))
-        i, j = idx
-        wit = (xs[i], xs[j]) if xs[i] > xs[j] else (xs[j], xs[i])
-        return OscillationResult(val, wit, pairs, False)
-    best, idx, pairs = _window_scan_exact(xs, vs, delta)
-    if best is None:
-        return OscillationResult(None, None, pairs, False)
-    i, j = idx
-    wit = (xs[i], xs[j]) if xs[i] > xs[j] else (xs[j], xs[i])
-    return OscillationResult(best, wit, pairs, False)
+    rows = []
+    for delta in schedule:
+        if lifted is not None and delta.irr == 0:
+            xi, vi, lx, lv = lifted
+            thr = delta.rat * lx
+            best, idx, pairs = _window_scan_int(xi, vi, thr.numerator, thr.denominator)
+            if best is not None:
+                best = QuadExt(Fraction(best, lv))
+        else:
+            best, idx, pairs = _window_scan_exact(xs, vs, delta)
+        wit = None if idx is None else _ordered(xs[idx[0]], xs[idx[1]])
+        rows.append((delta, OscillationResult(best, wit, pairs, truncated)))
+    return rows
 
 
 def uc_oscillation(
@@ -399,13 +422,8 @@ def uc_oscillation(
     config: AnalysisConfig | None = None,
 ) -> OscillationResult:
     """sup |f(x) - f(y)| over pairs in A with |x - y| strictly below delta."""
-    config = config or AnalysisConfig()
-    delta = as_quadext(delta)
-    pts, en_trunc, _ = _probe_points(ambient, config, for_pairs=False)
-    vals = [evaluate(f, p) for p in pts]
-    res = _uc_osc_over(pts, vals, delta)
-    res.truncated = res.truncated or en_trunc
-    return res
+    config = replace(config or AnalysisConfig(), delta_schedule=(delta,))
+    return modulus_profile(ambient, f, config, "uc").rows[0][1]
 
 
 def modulus_profile(
@@ -420,99 +438,97 @@ def modulus_profile(
     config = config or AnalysisConfig()
     if notion not in ("uc", "usc"):
         raise ConfigurationError("modulus profile notion must be 'uc' or 'usc'")
-    for_pairs = notion == "usc"
-    pts, en_trunc, sampled = _probe_points(ambient, config, for_pairs=for_pairs)
+    pts, en_trunc, sampled = _probe_points(ambient, config, for_pairs=notion == "usc")
     vals = [evaluate(f, p) for p in pts]
-    rows: list[tuple[QuadExt, OscillationResult]] = []
-    truncated = en_trunc
     if notion == "uc":
-        for delta in config.delta_schedule:
-            res = _uc_osc_over(pts, vals, delta)
-            res.truncated = res.truncated or en_trunc
-            rows.append((delta, res))
-    else:
-        center_dom = centers if centers is not None else ambient
-        survey = _pairs_from_points(
-            pts,
-            center_dom.contains,
-            config.delta_schedule[0],
-            config.max_pairs,
-            en_trunc,
-        )
-        truncated = survey.truncated
-        val_of = dict(zip(pts, vals))
-        entries = [
-            (p.h, abs(val_of[p.x] - val_of[p.y]), p) for p in survey.pairs
-        ]
-        hs = [e[0] for e in entries]
-        prefix_best: list[QuadExt] = []
-        prefix_wit: list[SymmetricPair] = []
-        for h, osc, pair in entries:
-            if not prefix_best or osc > prefix_best[-1]:
-                prefix_best.append(osc)
-                prefix_wit.append(pair)
-            else:
-                prefix_best.append(prefix_best[-1])
-                prefix_wit.append(prefix_wit[-1])
-        for delta in config.delta_schedule:
-            i = bisect.bisect_left(hs, delta)
-            if i == 0:
-                rows.append((delta, OscillationResult(None, None, 0, truncated)))
-            else:
-                pair = prefix_wit[i - 1]
-                rows.append(
-                    (
-                        delta,
-                        OscillationResult(
-                            prefix_best[i - 1], (pair.x, pair.y), i, truncated
-                        ),
-                    )
-                )
-    return ModulusProfile(notion, rows, len(pts), sampled, truncated)
+        rows = _uc_rows(pts, vals, config.delta_schedule, en_trunc)
+        return ModulusProfile(notion, rows, len(pts), sampled, en_trunc)
+    center_dom = centers if centers is not None else ambient
+    survey = _pairs_from_points(
+        pts, center_dom.contains, config.delta_schedule[0], config.max_pairs, en_trunc
+    )
+    entries = _pair_entries(survey.pairs, dict(zip(pts, vals)))
+    rows = _sup_rows(entries, config.delta_schedule, survey.truncated)
+    return ModulusProfile(notion, rows, len(pts), sampled, survey.truncated)
 
 
 # ---------------------------------------------------------------------------
 # flat-modulus helpers
 
 
-def _flat_over_effective(
-    entries: list[tuple[QuadExt, QuadExt]],
-    schedule: tuple[QuadExt, ...],
-) -> tuple[bool, QuadExt | None, list[tuple[QuadExt, QuadExt | None, int]]]:
-    """entries: (scale, osc) challenges sorted by scale ascending.
+def _pair_entries(
+    pairs: Sequence[SymmetricPair], val_of: dict[QuadExt, QuadExt]
+) -> list[tuple[QuadExt, QuadExt, QuadExt, QuadExt]]:
+    """(h, osc, x, y) of surveyed pairs, in their order."""
+    return [(p.h, abs(val_of[p.x] - val_of[p.y]), p.x, p.y) for p in pairs]
 
-    Returns (flat, level, profile_rows). A schedule delta is effective when a
-    challenge with scale < delta exists. The sup per delta is monotone, so the
-    modulus is flat iff the sup at the smallest effective delta equals the sup
-    at the largest and is positive; at least two effective deltas are needed.
-    """
-    scales = [e[0] for e in entries]
-    prefix: list[QuadExt] = []
-    for _, osc in entries:
-        prefix.append(osc if not prefix or osc > prefix[-1] else prefix[-1])
-    rows: list[tuple[QuadExt, QuadExt | None, int]] = []
-    effective: list[QuadExt] = []
-    for delta in schedule:
-        i = bisect.bisect_left(scales, delta)
-        if i == 0:
-            rows.append((delta, None, 0))
-        else:
-            rows.append((delta, prefix[i - 1], i))
-            effective.append(prefix[i - 1])
-    if len(effective) < 2:
-        return False, None, rows
-    top, bottom = effective[0], effective[-1]
-    flat = bottom == top and top.sign() > 0
-    return flat, top if flat else None, rows
+
+def _sup_rows(
+    entries: Sequence[tuple[QuadExt, ...]],
+    schedule: tuple[QuadExt, ...],
+    truncated: bool = False,
+) -> list[tuple[QuadExt, OscillationResult]]:
+    """Oscillation sup at every schedule delta over challenge entries
+    (scale, osc, x, y), or (scale, osc) when no witness pair is wanted,
+    sorted by scale ascending. Each row counts the entries with scale below
+    delta and names the pair of the earliest entry that reaches their sup."""
+    rows = []
+    best = wit = None
+    i = 0
+    for delta in reversed(schedule):
+        while i < len(entries) and entries[i][0] < delta:
+            if best is None or entries[i][1] > best:
+                best, wit = entries[i][1], entries[i][2:] or None
+            i += 1
+        rows.append((delta, OscillationResult(best, wit, i, truncated)))
+    rows.reverse()
+    return rows
+
+
+def _flat_row(rows: list[tuple[QuadExt, OscillationResult]]) -> OscillationResult | None:
+    """The row at the smallest effective delta (one with challenges) when the
+    modulus is flat: its sup is positive and equals the sup at the largest
+    effective delta. The sup is monotone in delta, so it never decayed in
+    between; at least two effective deltas are needed."""
+    effective = [res for _, res in rows if res.challenges]
+    if len(effective) >= 2:
+        top, bottom = effective[0].value, effective[-1].value
+        if bottom == top and top.sign() > 0:
+            return effective[-1]
+    return None
 
 
 def _profile_rows_json(
-    rows: list[tuple[QuadExt, QuadExt | None, int]]
+    rows: list[tuple[QuadExt, OscillationResult]], with_witness: bool = False
 ) -> list[dict]:
-    return [
-        {"delta": format_quadext(d), "omega": _fmt(v), "challenges": c}
-        for d, v, c in rows
-    ]
+    out = []
+    for delta, res in rows:
+        row = {
+            "delta": format_quadext(delta),
+            "omega": _fmt(res.value),
+            "challenges": res.challenges,
+        }
+        if with_witness:
+            row["witness"] = (
+                None if res.witness is None else [format_quadext(w) for w in res.witness]
+            )
+        out.append(row)
+    return out
+
+
+def _uc_witness(
+    flat: OscillationResult, rows: list[tuple[QuadExt, OscillationResult]]
+) -> dict:
+    """The witness of a flat uniform modulus: the flat row's pair (no
+    midpoint, which UC does not constrain) and the whole profile."""
+    wx, wy = flat.witness
+    return {
+        "kind": "pair",
+        "x": format_quadext(wx),
+        "y": format_quadext(wy),
+        "osc": format_quadext(flat.value),
+        "profile": _profile_rows_json(rows),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -740,40 +756,24 @@ def _per_point_c(
 
     if flat:
         anchor, witness = _anchor_witness(flat)
-        witness["profile"] = _anchor_profile_json(pts, vals, anchor, config)
-        return Verdict(
+        idx = bisect.bisect_left(pts, anchor)
+        entries = sorted(
+            (abs(p - anchor), abs(v - vals[idx]))
+            for k, (p, v) in enumerate(zip(pts, vals))
+            if k != idx
+        )
+        witness["profile"] = _profile_rows_json(_sup_rows(entries, config.delta_schedule))
+        return _flat_verdict(
             "C",
-            "refuted",
-            "flat_modulus",
-            "truncation",
-            witness=witness,
-            resolution=res,
-            notes=[
-                "the pointwise oscillation at the witness anchor stays at the "
-                "same positive jump at every effective delta down to the "
-                "model floor"
-            ],
+            res,
+            witness,
+            "the pointwise oscillation at the witness anchor stays at the "
+            "same positive jump at every effective delta down to the model "
+            "floor",
         )
     return _open_verdict(
         "C", res, "every pointwise oscillation decays before its challenges run out"
     )
-
-
-def _anchor_profile_json(
-    pts: tuple[QuadExt, ...],
-    vals: list[QuadExt],
-    anchor: QuadExt,
-    config: AnalysisConfig,
-) -> list[dict]:
-    idx = bisect.bisect_left(list(pts), anchor)
-    va = vals[idx]
-    entries = sorted(
-        (abs(pts[k] - anchor), abs(vals[k] - va))
-        for k in range(len(pts))
-        if k != idx
-    )
-    flat_rows = _flat_over_effective(entries, config.delta_schedule)[2]
-    return _profile_rows_json(flat_rows)
 
 
 def _usc_family(
@@ -802,22 +802,17 @@ def _usc_family(
             first_only=const_regions is not None,
         )
         if not survey.pairs:
-            return Verdict(
+            return _midpoint_free_verdict(
                 "USC",
-                "proven",
-                "midpoint_free",
-                "truncation",
-                certificate={"kind": "midpoint_free", "pairs_checked": all_pairs},
-                resolution=_resolution(
+                _resolution(
                     config,
                     points=n,
                     enumeration_truncated=False,
                     pairs_checked=all_pairs,
                 ),
-                notes=[
-                    "no pair of domain points has its midpoint in the domain, "
-                    "so no symmetric challenge exists at any scale"
-                ],
+                all_pairs,
+                "no pair of domain points has its midpoint in the domain, so "
+                "no symmetric challenge exists at any scale",
             )
 
     if const_regions is not None:
@@ -826,11 +821,8 @@ def _usc_family(
         return _open_verdict(
             "USC", res, "pair budget too small for a symmetric sweep at this resolution"
         )
-    val_of = dict(zip(pts, vals))
-    entries = [(p.h, abs(val_of[p.x] - val_of[p.y])) for p in survey.pairs]
-    return _sweep_verdict(
-        "USC", entries, config, res, survey.truncated, en_truncated, survey.pairs
-    )
+    entries = _pair_entries(survey.pairs, dict(zip(pts, vals)))
+    return _sweep_verdict("USC", entries, config, res, survey.truncated, en_truncated)
 
 
 def _usc_const_sweep(
@@ -852,12 +844,9 @@ def _usc_const_sweep(
     )
     if total > config.max_pairs:
         return _open_verdict("USC", res, "cross-region pair count exceeds the pair budget")
-    entries = [
-        ((x - y) / 2, osc, SymmetricPair(x, y))
-        for x, y, osc in cross
-        if ambient.contains((x + y) / 2)
-    ]
-    entries.sort(key=lambda e: e[2].sort_key())
+    entries = sorted(
+        ((x - y) / 2, osc, x, y) for x, y, osc in cross if ambient.contains((x + y) / 2)
+    )
     if not entries:
         if en_truncated:
             return _open_verdict(
@@ -865,44 +854,27 @@ def _usc_const_sweep(
                 res,
                 "no valid cross-region pair found, but the enumeration was truncated",
             )
-        return Verdict(
+        return _zero_verdict(
             "USC",
-            "proven",
-            "exhaustive_enumeration",
-            "truncation",
-            certificate={
-                "kind": "exhaustive_enumeration",
-                "pairs_checked": total,
-                "max_osc": "0",
-            },
-            resolution=res,
-            notes=[
-                "pairs within one constant region oscillate by exactly zero, "
-                "and every cross-region pair has its midpoint outside the "
-                "domain, so the symmetric modulus vanishes identically"
-            ],
+            res,
+            total,
+            "pairs within one constant region oscillate by exactly zero, and "
+            "every cross-region pair has its midpoint outside the domain, so "
+            "the symmetric modulus vanishes identically",
         )
-    flat, level, rows = _flat_over_effective(
-        [(h, osc) for h, osc, _ in entries], config.delta_schedule
-    )
-    if flat:
-        wit_pair = next(pair for _, osc, pair in entries if osc == level)
-        witness = {
-            "kind": "pair",
-            **_pair_json(wit_pair.x, wit_pair.y, level),
-            "profile": _profile_rows_json(rows),
-        }
-        return Verdict(
+    rows = _sup_rows(entries, config.delta_schedule)
+    flat = _flat_row(rows)
+    if flat is not None:
+        return _flat_verdict(
             "USC",
-            "refuted",
-            "flat_modulus",
-            "truncation",
-            witness=witness,
-            resolution=res,
-            notes=[
-                "valid symmetric pairs with the same positive oscillation "
-                "exist at every effective delta down to the model floor"
-            ],
+            res,
+            {
+                "kind": "pair",
+                **_pair_json(*flat.witness, flat.value),
+                "profile": _profile_rows_json(rows),
+            },
+            "valid symmetric pairs with the same positive oscillation exist "
+            "at every effective delta down to the model floor",
         )
     return _open_verdict(
         "USC", res, "cross-region symmetric oscillation decays at this resolution"
@@ -911,59 +883,41 @@ def _usc_const_sweep(
 
 def _sweep_verdict(
     notion: str,
-    entries: list[tuple[QuadExt, QuadExt]],
+    entries: list[tuple[QuadExt, QuadExt, QuadExt, QuadExt]],
     config: AnalysisConfig,
     res: dict,
     pairs_truncated: bool,
     en_truncated: bool,
-    pairs: list[SymmetricPair] | None = None,
 ) -> Verdict:
-    flat, level, rows = _flat_over_effective(entries, config.delta_schedule)
-    if flat:
-        witness = {"kind": "pair", "profile": _profile_rows_json(rows)}
-        if pairs is not None:
-            val_level = level
-            for pair, (h, osc) in zip(pairs, entries):
-                if osc == val_level:
-                    witness.update(_pair_json(pair.x, pair.y, osc))
-                    break
-        return Verdict(
+    """Flat-modulus verdict over (scale, osc, x, y) challenge entries sorted
+    by scale."""
+    rows = _sup_rows(entries, config.delta_schedule)
+    flat = _flat_row(rows)
+    if flat is not None:
+        if notion == "UC":
+            witness = _uc_witness(flat, rows)
+        else:
+            witness = {
+                "kind": "pair",
+                "profile": _profile_rows_json(rows),
+                **_pair_json(*flat.witness, flat.value),
+            }
+        return _flat_verdict(
             notion,
-            "refuted",
-            "flat_modulus",
-            "truncation",
-            witness=witness,
-            resolution=res,
-            notes=[
-                "oscillation stays at the same positive level at every "
-                "effective delta down to the model floor"
-            ],
+            res,
+            witness,
+            "oscillation stays at the same positive level at every effective "
+            "delta down to the model floor",
         )
-    if entries and all(osc.sign() == 0 for _, osc in entries):
-        if not pairs_truncated and not en_truncated:
-            return Verdict(
-                notion,
-                "proven",
-                "exhaustive_enumeration",
-                "truncation",
-                certificate={
-                    "kind": "exhaustive_enumeration",
-                    "pairs_checked": len(entries),
-                    "max_osc": "0",
-                },
-                resolution=res,
-                notes=["every valid pair oscillates by exactly zero"],
+    if not pairs_truncated and not en_truncated:
+        if not entries:
+            return _midpoint_free_verdict(
+                notion, res, 0, "no valid challenge exists at any scale"
             )
-    if not entries and not pairs_truncated and not en_truncated:
-        return Verdict(
-            notion,
-            "proven",
-            "midpoint_free",
-            "truncation",
-            certificate={"kind": "midpoint_free", "pairs_checked": 0},
-            resolution=res,
-            notes=["no valid challenge exists at any scale"],
-        )
+        if all(e[1].sign() == 0 for e in entries):
+            return _zero_verdict(
+                notion, res, len(entries), "every valid pair oscillates by exactly zero"
+            )
     return _open_verdict(
         notion, res, "oscillation decays (or the probe was truncated) at this resolution"
     )
@@ -1001,69 +955,48 @@ def _uc_family(
         total, cross = _cross_region_pairs(pts, vals, const_regions)
         if total > config.max_pairs:
             return _open_verdict("UC", res, "cross-region pair count exceeds the pair budget")
-        entries = sorted((x - y, osc) for x, y, osc in cross)
+        entries = sorted((x - y, osc, x, y) for x, y, osc in cross)
         if not entries and not en_truncated:
-            return Verdict(
-                "UC",
-                "proven",
-                "exhaustive_enumeration",
-                "truncation",
-                certificate={
-                    "kind": "exhaustive_enumeration",
-                    "pairs_checked": total,
-                    "max_osc": "0",
-                },
-                resolution=res,
-                notes=["all points carry the same value within reach"],
+            return _zero_verdict(
+                "UC", res, total, "all points carry the same value within reach"
             )
         return _sweep_verdict("UC", entries, config, res, False, en_truncated)
     # generic sweep via sliding windows, one linear pass per delta
-    results = [
-        (delta, _uc_osc_over(pts, vals, delta)) for delta in config.delta_schedule
-    ]
-    rows = [(d, r.value, r.challenges) for d, r in results]
-    effective = [(d, r) for d, r in results if r.challenges > 0]
-    if len(effective) >= 2:
-        top, bottom = effective[0][1].value, effective[-1][1].value
-        if top == bottom and top.sign() > 0:
-            wx, wy = effective[-1][1].witness
-            return Verdict(
-                "UC",
-                "refuted",
-                "flat_modulus",
-                "truncation",
-                witness={
-                    "kind": "pair",
-                    "x": format_quadext(wx),
-                    "y": format_quadext(wy),
-                    "osc": format_quadext(bottom),
-                    "profile": _profile_rows_json(rows),
-                },
-                resolution=res,
-                notes=[
-                    "pair oscillation stays at the same positive level at "
-                    "every effective delta down to the model floor"
-                ],
-            )
-    if (
-        effective
-        and all(r.value.sign() == 0 for _, r in effective)
-        and not en_truncated
-    ):
-        return Verdict(
+    rows = _uc_rows(pts, vals, config.delta_schedule, en_truncated)
+    flat = _flat_row(rows)
+    if flat is not None:
+        return _flat_verdict(
             "UC",
-            "proven",
-            "exhaustive_enumeration",
-            "truncation",
-            certificate={
-                "kind": "exhaustive_enumeration",
-                "pairs_checked": max(r.challenges for _, r in effective),
-                "max_osc": "0",
-            },
-            resolution=res,
-            notes=["every pair below the largest delta oscillates by zero"],
+            res,
+            _uc_witness(flat, rows),
+            "pair oscillation stays at the same positive level at every "
+            "effective delta down to the model floor",
+        )
+    effective = [r for _, r in rows if r.challenges]
+    if effective and all(r.value.sign() == 0 for r in effective) and not en_truncated:
+        return _zero_verdict(
+            "UC",
+            res,
+            max(r.challenges for r in effective),
+            "every pair below the largest delta oscillates by zero",
         )
     return _open_verdict("UC", res, "pair oscillation decays at this resolution")
+
+
+def _mirror_walk(
+    pts: Sequence[QuadExt], start: int, a: QuadExt
+) -> Iterator[tuple[QuadExt, QuadExt, QuadExt]]:
+    """(h, x, y) for the sorted points x = pts[start], pts[start + 1], ...
+    with h = x - a and the mirror y = a - h, until a mirror falls below the
+    lowest point."""
+    lo = pts[0]
+    for k in range(start, len(pts)):
+        x = pts[k]
+        h = x - a
+        y = a - h
+        if y < lo:
+            return
+        yield h, x, y
 
 
 def _sc_family(
@@ -1081,7 +1014,6 @@ def _sc_family(
     if n * (n - 1) // 2 > config.max_pairs:
         return _open_verdict("SC", res, "pair budget too small for a per-anchor mirror scan")
     val_of = dict(zip(pts, vals))
-    lo = pts[0] if pts else None
     flat: list[tuple[QuadExt, QuadExt]] = []
     for idx, a in enumerate(pts):
         window = _anchor_window(pts, idx, config.delta_schedule)
@@ -1090,13 +1022,8 @@ def _sc_family(
         big, small = window
         m_big: QuadExt | None = None
         m_small: QuadExt | None = None
-        for k in range(idx + 1, n):
-            x = pts[k]
-            h = x - a
+        for h, x, y in _mirror_walk(pts, idx + 1, a):
             if h >= big:
-                break
-            y = 2 * a - x
-            if y < lo:
                 break
             if not ambient.contains(y):
                 continue
@@ -1113,17 +1040,12 @@ def _sc_family(
         ):
             flat.append((a, m_big))
     if flat:
-        return Verdict(
+        return _flat_verdict(
             "SC",
-            "refuted",
-            "flat_modulus",
-            "truncation",
-            witness=_anchor_witness(flat)[1],
-            resolution=res,
-            notes=[
-                "mirror pairs around the witness anchor keep the same positive "
-                "oscillation across the whole effective delta window"
-            ],
+            res,
+            _anchor_witness(flat)[1],
+            "mirror pairs around the witness anchor keep the same positive "
+            "oscillation across the whole effective delta window",
         )
     return _open_verdict(
         "SC", res, "every per-anchor mirror oscillation decays at this resolution"
@@ -1650,7 +1572,7 @@ def _staircase_classify(
 
     # USC: candidate symmetric pairs are the endpoint combinations of
     # adjacent blocks whose midpoints land back inside the staircase
-    entries: list[tuple[QuadExt, QuadExt, SymmetricPair]] = []
+    entries: list[tuple[QuadExt, QuadExt, QuadExt, QuadExt]] = []
     candidates = 0
     for i in range(len(blocks) - 1):
         b1, b2 = blocks[i], blocks[i + 1]
@@ -1659,10 +1581,12 @@ def _staircase_classify(
                 candidates += 1
                 if ambient.contains((u + w) / 2):
                     osc = abs(evaluate(f, w) - evaluate(f, u))
-                    entries.append(((w - u) / 2, osc, SymmetricPair(w, u)))
-    entries.sort(key=lambda e: e[2].sort_key())
+                    entries.append(((w - u) / 2, osc, w, u))
+    entries.sort()
     res_usc = dict(res)
     res_usc["pairs_checked"] = candidates
+    rows = _sup_rows(entries, config.delta_schedule)
+    flat = _flat_row(rows)
     if not entries:
         usc_v = _open_verdict(
             "USC",
@@ -1670,33 +1594,22 @@ def _staircase_classify(
             "every candidate cross-block midpoint falls inside an open gap, "
             "so no symmetric challenge crosses a gap at this resolution",
         )
-    else:
-        flat, level, rows = _flat_over_effective(
-            [(h, osc) for h, osc, _ in entries], config.delta_schedule
+    elif flat is not None:
+        usc_v = _flat_verdict(
+            "USC",
+            res_usc,
+            {
+                "kind": "pair",
+                **_pair_json(*flat.witness, flat.value),
+                "profile": _profile_rows_json(rows),
+            },
+            "cross-block symmetric pairs with midpoints inside blocks keep "
+            "the same positive oscillation at every effective delta",
         )
-        if flat:
-            wit = next(p for h, osc, p in entries if osc == level)
-            usc_v = Verdict(
-                "USC",
-                "refuted",
-                "flat_modulus",
-                "truncation",
-                witness={
-                    "kind": "pair",
-                    **_pair_json(wit.x, wit.y, level),
-                    "profile": _profile_rows_json(rows),
-                },
-                resolution=res_usc,
-                notes=[
-                    "cross-block symmetric pairs with midpoints inside blocks "
-                    "keep the same positive oscillation at every effective "
-                    "delta"
-                ],
-            )
-        else:
-            usc_v = _open_verdict(
-                "USC", res_usc, "valid cross-block oscillation decays at this resolution"
-            )
+    else:
+        usc_v = _open_verdict(
+            "USC", res_usc, "valid cross-block oscillation decays at this resolution"
+        )
 
     sc_v = _open_verdict(
         "SC", dict(res), "settled by implication from pointwise continuity"
@@ -1787,36 +1700,26 @@ def check_wrt_subset(
     pts = en_a.points
     val_of = {p: evaluate(f, p) for p in pts}
     truncated = en_a.truncated or en_b.truncated
-    entries: list[tuple[QuadExt, QuadExt]] = []
-    pairs: list[SymmetricPair] = []
+    entries: list[tuple[QuadExt, QuadExt, QuadExt, QuadExt]] = []
     checked = 0
-    lo = pts[0]
     for a in en_b.points:
-        i = bisect.bisect_right(pts, a)
-        for k in range(i, len(pts)):
-            x = pts[k]
-            if x == a:
-                continue
-            y = 2 * a - x
-            if y < lo:
-                break
+        for h, x, y in _mirror_walk(pts, bisect.bisect_right(pts, a), a):
             checked += 1
             if checked > config.max_pairs:
-                truncated = True
                 break
             if ambient.contains(y):
-                pairs.append(SymmetricPair(x, y))
-        if truncated and checked > config.max_pairs:
+                entries.append((h, abs(val_of[x] - val_of[y]), x, y))
+        if checked > config.max_pairs:
+            truncated = True
             break
-    pairs.sort(key=SymmetricPair.sort_key)
-    entries = [(p.h, abs(val_of[p.x] - val_of[p.y])) for p in pairs]
+    entries.sort()
     res = _resolution(
         config,
         points=len(pts),
         enumeration_truncated=truncated,
         pairs_checked=checked,
     )
-    v = _sweep_verdict("USC_wrt_B", entries, config, res, truncated, truncated, pairs)
+    v = _sweep_verdict("USC_wrt_B", entries, config, res, truncated, truncated)
     if v.status == "proven" and v.method == "midpoint_free":
         v.notes = ["no symmetric challenge is centered on the subset at any scale"]
         v.certificate["pairs_checked"] = checked
@@ -1938,7 +1841,9 @@ def verify_witness(
     if w is None:
         return issues
     kind = w.get("kind")
-    if kind == "pair" and "x" in w:
+    if kind == "pair" and not ("x" in w and "y" in w):
+        issues.append("witness pair missing")
+    elif kind == "pair":
         x, y = parse_quadext(w["x"]), parse_quadext(w["y"])
         if not (ambient.contains(x) and ambient.contains(y)):
             issues.append("witness pair leaves the domain")

@@ -19,6 +19,7 @@ from symcont import (
     QuadExt,
     Reciprocal,
     RefutingSequence,
+    UnionOf,
     apply_implications,
     check_consistency,
     check_wrt_subset,
@@ -379,6 +380,45 @@ class TestWitnessVerification:
         dom = FinitePoints.of(qx(0), qx(1))
         v = classify(dom, Const(0), FAST)["C"]
         assert verify_witness(dom, Const(0), v) == []
+
+    def test_pair_witness_without_points(self):
+        ambient, f = nr_indicator(60)
+        v = classify(ambient, f, FAST)["USC"]
+        del v.witness["x"], v.witness["y"]
+        assert verify_witness(ambient, f, v) == ["witness pair missing"]
+
+
+class TestCrossRegionUcWitness:
+    def test_flat_refutation_names_the_pair(self):
+        """Points valued 0 and 1 whose cross gaps shrink with n refute UC by
+        the cross-region sweep; the reciprocal part keeps the union off the
+        uniformly discrete pipeline."""
+        zeros, ones = [], []
+        for n in range(2, 9):
+            for k in range(3):
+                a = qx(10 + Fraction(1, n) + Fraction(k, n**5))
+                zeros.append(a)
+                ones.append(a + qx(Fraction(1, n**3)))
+        low, high = FinitePoints.of(*zeros), FinitePoints.of(*ones)
+        tail = NaturalReciprocals(1, with_zero=False)
+        ambient = UnionOf((low, high, tail))
+        f = Piecewise(
+            (
+                FuncPiece(low, Const(0)),
+                FuncPiece(high, Const(1)),
+                FuncPiece(tail, Const(0)),
+            )
+        )
+        v = classify(ambient, f, AnalysisConfig())["UC"]
+        assert (v.status, v.method) == ("refuted", "flat_modulus")
+        assert list(v.witness) == ["kind", "x", "y", "osc", "profile"]
+        x, y = parse_quadext(v.witness["x"]), parse_quadext(v.witness["y"])
+        assert high.contains(x) and low.contains(y)
+        # the closest cross pair: the value-1 point of n = 8, k = 0 against
+        # the value-0 point of n = 8, k = 2
+        assert x - y == qx(Fraction(1, 8**3) - Fraction(2, 8**5))
+        assert v.witness["osc"] == "1"
+        assert verify_witness(ambient, f, v) == []
 
 
 class TestOscillationScans:

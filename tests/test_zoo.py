@@ -9,6 +9,7 @@ from symcont import (
     ConfigurationError,
     QuadExt,
     evaluate,
+    verify_witness,
 )
 from symcont.report import dump_json, render_zoo_text
 from symcont.zoo import (
@@ -114,6 +115,19 @@ class TestSmallBudgetRun:
             for seq in case.sequence_reports:
                 assert seq["ok"], (case.example_id, seq)
                 assert seq["failure"] is None
+
+    def test_every_witness_reverifies(self):
+        for example_id in EXPECTED_IDS:
+            for case in build_example(example_id, SMALL):
+                rep = run_case(example_id, case, FAST, SMALL)
+                for v in rep.verdicts.values():
+                    assert verify_witness(case.ambient, case.f, v) == [], (
+                        example_id, case.name, v.notion
+                    )
+                if rep.wrt_b is not None:
+                    assert verify_witness(
+                        case.ambient, case.f, rep.wrt_b, case.subset_b
+                    ) == [], (example_id, case.name)
 
     def test_family_scope_override(self):
         reports = run_example("ex-3.2", FAST, SMALL)
