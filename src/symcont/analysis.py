@@ -476,10 +476,11 @@ def _sup_rows(
     best = wit = None
     i = 0
     for delta in reversed(schedule):
-        while i < len(entries) and entries[i][0] < delta:
-            if best is None or entries[i][1] > best:
-                best, wit = entries[i][1], entries[i][2:] or None
-            i += 1
+        end = bisect.bisect_left(entries, delta, i, key=lambda e: e[0])
+        for k in range(i, end):
+            if best is None or entries[k][1] > best:
+                best, wit = entries[k][1], entries[k][2:] or None
+        i = end
         rows.append((delta, OscillationResult(best, wit, i, truncated)))
     rows.reverse()
     return rows
