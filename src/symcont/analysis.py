@@ -26,6 +26,7 @@ vacuously; everything else stays `no_violation`.
 from __future__ import annotations
 
 import bisect
+import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -38,10 +39,11 @@ from .domains import (
     IntervalUnion,
     Staircase,
     SymmetricPair,
+    exact_ceil,
     merge_interval_components,
 )
 from .errors import ConfigurationError, DomainError
-from .exactnum import QuadExt, as_quadext, format_quadext, int_ratio
+from .exactnum import QuadExt, _reduced, as_quadext, format_quadext
 from .functions import (
     Affine,
     Const,
@@ -49,11 +51,13 @@ from .functions import (
     FuncSpec,
     Identity,
     Monomial,
+    Piecewise,
     Reciprocal,
     SideLimit,
     _analytic_pieces,
     describe_function,
     evaluate,
+    formula_eval,
     one_sided_limits,
     piecewise_const_regions,
     sup_abs_diff,
@@ -64,6 +68,10 @@ NOTIONS = ("C", "UC", "SC", "USC")
 
 # pair surveys on sampled continua cap the grid to keep pair counts sane
 _SYM_SAMPLE_EXPONENT_CAP = 7
+
+# largest accepted grid exponent: a sampled sweep builds 2**grid_exponent + 1
+# points per interval piece, so this bounds one piece's grid at 65 537 points
+GRID_EXPONENT_MAX = 16
 
 
 def default_delta_schedule() -> tuple[QuadExt, ...]:
@@ -92,6 +100,10 @@ class AnalysisConfig:
         object.__setattr__(self, "delta_schedule", sched)
         if self.grid_exponent < 1:
             raise ConfigurationError("grid exponent must be at least 1")
+        if self.grid_exponent > GRID_EXPONENT_MAX:
+            raise ConfigurationError(
+                f"grid exponent must be at most {GRID_EXPONENT_MAX}"
+            )
         if self.max_pairs < 0:
             raise ConfigurationError("max_pairs must be nonnegative")
         if self.enum_limit < 1:
@@ -248,18 +260,63 @@ def _midpoint_free_verdict(
 
 def _probe_points(
     domain: Domain, config: AnalysisConfig, *, for_pairs: bool
-) -> tuple[tuple[QuadExt, ...], bool, bool]:
-    """(points, enumeration_truncated, sampled)."""
+) -> tuple[
+    tuple[QuadExt, ...], list[tuple[IntervalPiece, list[QuadExt]]] | None, bool
+]:
+    """(points, runs, enumeration_truncated), points ascending.
+
+    An enumerable domain is listed and has no runs (None). A continuum is
+    sampled: runs pairs each analytic piece with its grid. The pieces are
+    sorted and pairwise disjoint (two pieces sharing an endpoint leave it
+    open on one side), so the runs concatenate into the sorted points."""
     if domain.enumerable:
         en = domain.enumerate(config.enum_limit)
-        return en.points, en.truncated, False
+        return en.points, None, en.truncated
     exponent = config.grid_exponent
     if for_pairs:
         exponent = min(exponent, _SYM_SAMPLE_EXPONENT_CAP)
-    pts: set[QuadExt] = set()
-    for piece in _analytic_pieces(domain):
-        pts.update(piece.grid(exponent))
-    return tuple(sorted(pts)), False, True
+    runs = [(piece, piece.grid(exponent)) for piece in _analytic_pieces(domain)]
+    pts = tuple(itertools.chain.from_iterable(run for _, run in runs))
+    return pts, runs, False
+
+
+def _probe_values(
+    f: FuncSpec,
+    pts: Sequence[QuadExt],
+    runs: list[tuple[IntervalPiece, list[QuadExt]]] | None,
+) -> list[QuadExt]:
+    """f at every probe point.
+
+    A sampled probe is evaluated run by run with the formula owning each
+    piece (a constant without any arithmetic) when Piecewise first-match
+    cannot tell the points of one piece apart: f is a bare formula, or every
+    region of f is an interval union of ambient pieces. The pieces are
+    disjoint, so a point of piece P lies in a region exactly when the region
+    lists P, and the first region listing P owns the whole run. Pieces are
+    compared by tuple membership, which hashes no endpoint. Every other
+    probe is evaluated point by point."""
+    owners: list[Formula | None] | None = None
+    pieces = () if runs is None else tuple(p for p, _ in runs)
+    if runs is not None and isinstance(f, Formula):
+        owners = [f] * len(pieces)
+    elif runs is not None and isinstance(f, Piecewise) and all(
+        isinstance(fp.region, IntervalUnion)
+        and all(q in pieces for q in fp.region.pieces)
+        for fp in f.pieces
+    ):
+        owners = [
+            next((fp.formula for fp in f.pieces if p in fp.region.pieces), None)
+            for p in pieces
+        ]
+    if owners is None or None in owners:
+        return [evaluate(f, p) for p in pts]
+    vals: list[QuadExt] = []
+    for (_, run), fm in zip(runs, owners):
+        if isinstance(fm, Const):
+            vals += [fm.value] * len(run)
+        else:
+            vals += [formula_eval(fm, x) for x in run]
+    return vals
 
 
 @dataclass
@@ -267,6 +324,8 @@ class _Survey:
     pairs: list[SymmetricPair]
     candidates_checked: int
     truncated: bool
+    # (j, i): the positions of each pair's x and y among the surveyed points
+    index: list[tuple[int, int]]
 
 
 def _pairs_from_points(
@@ -281,32 +340,58 @@ def _pairs_from_points(
     """Pairs x > y of the sorted points whose midpoint passes center_contains
     and whose width is below 2*delta_max (any width when None), in sort_key
     order. The scan stops after max_pairs candidates, marking the survey
-    truncated, or at the first valid pair when first_only is set."""
-    out: list[SymmetricPair] = []
+    truncated, or at the first valid pair when first_only is set.
+
+    One loop serves both kinds of key: the lifted integers of
+    _lift_rationals when the points share one sqrt2 part, the exact points
+    otherwise. On integers the width cap is its ceiling (an integer width is
+    at least a real cap exactly when it is at least the cap's ceiling), each
+    midpoint is built once from the integer sum, and (X_j - X_i, X_j, X_i)
+    orders pairs as sort_key does."""
+    lifted = _lift_rationals(pts)
+    if lifted is None:
+        keys = pts
+        cap = None if delta_max is None else 2 * delta_max
+
+        def mid(i: int, j: int) -> QuadExt:
+            return (pts[i] + pts[j]) / 2
+
+    else:
+        keys, den, c = lifted
+        cap = None if delta_max is None else exact_ceil(2 * den * delta_max)
+        # (X_i + X_j)/(2L) + c*sqrt2 over the one denominator 2L*c.den
+        c_den = c.denominator
+        irr, mid_den = 2 * den * c.numerator, 2 * den * c_den
+
+        def mid(i: int, j: int) -> QuadExt:
+            return _reduced((keys[i] + keys[j]) * c_den, irr, mid_den)
+
+    found = []
     checked = 0
     truncated = already_truncated
-    width_cap = None if delta_max is None else 2 * delta_max
-    for j in range(1, len(pts)):
-        x = pts[j]
+    for j in range(1, len(keys)):
+        x = keys[j]
         stop = False
         for i in range(j - 1, -1, -1):
-            y = pts[i]
-            if width_cap is not None and x - y >= width_cap:
+            y = keys[i]
+            if cap is not None and x - y >= cap:
                 break
             checked += 1
             if checked > max_pairs:
                 truncated = True
                 stop = True
                 break
-            if center_contains((x + y) / 2):
-                out.append(SymmetricPair(x, y))
+            if center_contains(mid(i, j)):
+                found.append((x - y, x, y, j, i))
                 if first_only:
                     stop = True
                     break
         if stop:
             break
-    out.sort(key=SymmetricPair.sort_key)
-    return _Survey(out, checked, truncated)
+    found.sort()
+    index = [(j, i) for *_, j, i in found]
+    pairs = [SymmetricPair(pts[j], pts[i]) for j, i in index]
+    return _Survey(pairs, checked, truncated, index)
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +413,22 @@ def sym_oscillation(
 
 
 def _lift_rationals(
-    xs: Sequence[QuadExt], vs: Sequence[QuadExt]
-) -> tuple[list[int], list[int], int, int] | None:
-    """Integer images of rational points/values (scaled by the lcm of the
-    denominators) so window scans can run on machine integers."""
-    rx = [int_ratio(x) for x in xs]
-    rv = [int_ratio(v) for v in vs]
-    if None in rx or None in rv:
-        return None
-    lx = lcm(*(d for _, d in rx))
-    lv = lcm(*(d for _, d in rv))
-    xi = [n * (lx // d) for n, d in rx]
-    vi = [n * (lv // d) for n, d in rv]
-    return xi, vi, lx, lv
+    xs: Sequence[QuadExt],
+) -> tuple[list[int], int, Fraction] | None:
+    """Integers X_k, a common denominator L and one sqrt2 coefficient c with
+    xs[k] = X_k/L + c*sqrt2, or None when the numbers do not share one sqrt2
+    part. L is the lcm of the denominators. The shared offset c*sqrt2 drops
+    out of every difference (X_j - X_i)/L, so widths, window thresholds and
+    oscillations run on integers for rational sets and for sqrt2-shifted
+    ones alike; a midpoint is (X_i + X_j)/(2L) + c*sqrt2."""
+    if not xs:
+        return [], 1, Fraction(0)
+    b0, d0 = xs[0].b, xs[0].d
+    for x in xs:
+        if x.b * d0 != b0 * x.d:
+            return None
+    den = lcm(*(x.d for x in xs))
+    return [x.a * (den // x.d) for x in xs], den, Fraction(b0, d0)
 
 
 def _window_scan(
@@ -397,17 +485,19 @@ def _uc_rows(
     truncated: bool,
 ) -> list[tuple[QuadExt, OscillationResult]]:
     """Oscillation sup over pairs with |x - y| below each schedule delta, by
-    one window scan per delta (on integers when points, values and delta are
-    rational); the witness is ordered x > y."""
-    lifted = _lift_rationals(xs, vs)
+    one window scan per delta (on integers when the points share one sqrt2
+    part, the values share one, and delta is rational); the witness is
+    ordered x > y."""
+    lx, lv = _lift_rationals(xs), _lift_rationals(vs)
     rows = []
     for delta in schedule:
-        if lifted is not None and delta.irr == 0:
-            xi, vi, lx, lv = lifted
-            thr = delta.rat * lx
-            best, idx, pairs = _window_scan_int(xi, vi, thr.numerator, thr.denominator)
+        if lx is not None and lv is not None and delta.is_rational():
+            thr = delta.rat * lx[1]
+            best, idx, pairs = _window_scan_int(
+                lx[0], lv[0], thr.numerator, thr.denominator
+            )
             if best is not None:
-                best = QuadExt(Fraction(best, lv))
+                best = QuadExt(Fraction(best, lv[1]))
         else:
             best, idx, pairs = _window_scan_exact(xs, vs, delta)
         wit = None if idx is None else _ordered(xs[idx[0]], xs[idx[1]])
@@ -438,8 +528,9 @@ def modulus_profile(
     config = config or AnalysisConfig()
     if notion not in ("uc", "usc"):
         raise ConfigurationError("modulus profile notion must be 'uc' or 'usc'")
-    pts, en_trunc, sampled = _probe_points(ambient, config, for_pairs=notion == "usc")
-    vals = [evaluate(f, p) for p in pts]
+    pts, runs, en_trunc = _probe_points(ambient, config, for_pairs=notion == "usc")
+    sampled = runs is not None
+    vals = _probe_values(f, pts, runs)
     if notion == "uc":
         rows = _uc_rows(pts, vals, config.delta_schedule, en_trunc)
         return ModulusProfile(notion, rows, len(pts), sampled, en_trunc)
@@ -447,20 +538,16 @@ def modulus_profile(
     survey = _pairs_from_points(
         pts, center_dom.contains, config.delta_schedule[0], config.max_pairs, en_trunc
     )
-    entries = _pair_entries(survey.pairs, dict(zip(pts, vals)))
+    entries = [
+        (p.h, abs(vals[j] - vals[i]), p.x, p.y)
+        for p, (j, i) in zip(survey.pairs, survey.index)
+    ]
     rows = _sup_rows(entries, config.delta_schedule, survey.truncated)
     return ModulusProfile(notion, rows, len(pts), sampled, survey.truncated)
 
 
 # ---------------------------------------------------------------------------
 # flat-modulus helpers
-
-
-def _pair_entries(
-    pairs: Sequence[SymmetricPair], val_of: dict[QuadExt, QuadExt]
-) -> list[tuple[QuadExt, QuadExt, QuadExt, QuadExt]]:
-    """(h, osc, x, y) of surveyed pairs, in their order."""
-    return [(p.h, abs(val_of[p.x] - val_of[p.y]), p.x, p.y) for p in pairs]
 
 
 def _sup_rows(
@@ -822,7 +909,10 @@ def _usc_family(
         return _open_verdict(
             "USC", res, "pair budget too small for a symmetric sweep at this resolution"
         )
-    entries = _pair_entries(survey.pairs, dict(zip(pts, vals)))
+    entries = [
+        (p.h, abs(vals[j] - vals[i]), p.x, p.y)
+        for p, (j, i) in zip(survey.pairs, survey.index)
+    ]
     return _sweep_verdict("USC", entries, config, res, survey.truncated, en_truncated)
 
 

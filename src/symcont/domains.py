@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, InapplicableError
-from .exactnum import SQRT2, ZERO, QuadExt, as_quadext, int_ratio
+from .exactnum import SQRT2, ZERO, QuadExt, _reduced, as_quadext, int_ratio
 
 
 def exact_floor(x: QuadExt) -> int:
@@ -290,20 +290,33 @@ class IntervalPiece:
         return True
 
     def grid(self, exponent: int) -> list[QuadExt]:
-        """Exact sample grid: 2**exponent + 1 equispaced points including the
-        closed endpoints; an open endpoint is replaced by a run of points
-        approaching it at dyadic fractions of the length."""
+        """Exact sample grid, ascending: 2**exponent + 1 equispaced points
+        including the closed endpoints; an open endpoint is replaced by a run
+        of points approaching it at length/2**m, m = 1..10.
+
+        Every point is lo + (length / 2**N) * k for an integer k, with
+        N = max(exponent, 10) so that the open-end runs land on integers too:
+        the equispaced run is k = 0, 2**(N - exponent), ..., 2**N, an open
+        low end drops k = 0 and adds k = 2**(N - m), and an open high end
+        drops k = 2**N and adds k = 2**N - 2**(N - m). The integers k are
+        sorted and deduplicated, and each point is built once from its k.
+        """
         if self.is_degenerate:
             return [self.lo]
-        n = 2**exponent
-        step = self.length / n
-        pts = [self.lo + step * i for i in range(n + 1)]
+        top = max(exponent, 10)
+        n = 2**top
+        ks = set(range(0, n + 1, 2 ** (top - exponent)))
         if not self.lo_closed:
-            pts = pts[1:] + [self.lo + self.length / 2**m for m in range(1, 11)]
+            ks.discard(0)
+            ks.update(2 ** (top - m) for m in range(1, 11))
         if not self.hi_closed:
-            pts = [p for p in pts if p != self.hi]
-            pts += [self.hi - self.length / 2**m for m in range(1, 11)]
-        return sorted(set(pts))
+            ks.discard(n)
+            ks.update(n - 2 ** (top - m) for m in range(1, 11))
+        # lo + length*k/n over one denominator, reduced once per point
+        lo, ln = self.lo, self.length
+        a0, b0, den = lo.a * ln.d * n, lo.b * ln.d * n, lo.d * ln.d * n
+        da, db = ln.a * lo.d, ln.b * lo.d
+        return [_reduced(a0 + da * k, b0 + db * k, den) for k in sorted(ks)]
 
     def describe(self) -> str:
         left = "[" if self.lo_closed else "("

@@ -1,16 +1,22 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symcont import (
     SQRT2,
+    Affine,
     AnalysisConfig,
+    Combined,
     ConfigurationError,
     Const,
     DomainError,
     FinitePoints,
     FuncPiece,
+    Identity,
     IntegerWindow,
     IntervalPiece,
     IntervalUnion,
@@ -24,6 +30,7 @@ from symcont import (
     check_consistency,
     check_wrt_subset,
     classify,
+    evaluate,
     modulus_profile,
     parse_quadext,
     sym_oscillation,
@@ -32,7 +39,17 @@ from symcont import (
     verify_refuting_sequence,
     verify_witness,
 )
-from symcont.analysis import NOTIONS, Verdict
+from symcont import analysis
+from symcont.analysis import (
+    NOTIONS,
+    Verdict,
+    _ordered,
+    _pairs_from_points,
+    _probe_points,
+    _uc_rows,
+    _window_scan_exact,
+)
+from symcont.domains import SymmetricPair
 from symcont.zoo import build_example, ex_3_5_member, indicator_with_zero
 
 from conftest import (
@@ -74,6 +91,12 @@ class TestConfig:
             AnalysisConfig(enum_limit=0)
         with pytest.raises(ConfigurationError):
             AnalysisConfig(output_format="yaml")
+
+    def test_grid_exponent_capped(self):
+        # validation alone: no grid is built for either value
+        assert AnalysisConfig(grid_exponent=16).grid_exponent == 16
+        with pytest.raises(ConfigurationError, match="at most 16"):
+            AnalysisConfig(grid_exponent=17)
 
     def test_schedule_coercion(self):
         cfg = AnalysisConfig(delta_schedule=(Fraction(1, 2), Fraction(1, 4)))
@@ -577,3 +600,241 @@ class TestUniformLimitTransfer:
         assert rep.sup_dists[-1][1] == qx(Fraction(1, 64))
         assert not rep.stagnant
         assert rep.inequality_ok
+
+
+# -- integer probe paths against their exact counterparts ----------------------
+
+_RATS = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+_IRRS = (Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(2, 3))
+
+
+@st.composite
+def exact_sets(draw, min_size=0, max_size=12, distinct=True):
+    """Exact numbers, all rational, all sharing one nonzero sqrt2 part, or
+    with mixed sqrt2 parts: distinct and ascending, or else in drawn order
+    with repeats allowed."""
+    kind = draw(st.sampled_from(("rational", "shared", "mixed")))
+    rats = draw(st.lists(_RATS, min_size=min_size, max_size=max_size, unique=distinct))
+    if kind == "rational":
+        irrs = [Fraction(0)] * len(rats)
+    elif kind == "shared":
+        irrs = [draw(st.sampled_from(_IRRS[1:]))] * len(rats)
+    else:
+        n = len(rats)
+        irrs = draw(st.lists(st.sampled_from(_IRRS), min_size=n, max_size=n))
+    out = [QuadExt(r, i) for r, i in zip(rats, irrs)]
+    return sorted(set(out)) if distinct else out
+
+
+@st.composite
+def survey_cases(draw):
+    pts = draw(exact_sets())
+    pairs = [(j, i) for j in range(len(pts)) for i in range(j)]
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    centers = FinitePoints(
+        tuple((pts[j] + pts[i]) / 2 for (j, i), keep in zip(pairs, picks) if keep)
+        + (qx(0),)
+    )
+    cap_kind = draw(st.sampled_from(("none", "pair", "rational", "sqrt2")))
+    if cap_kind == "pair" and pairs:
+        # a cap equal to a surveyed width tests the strict inequality
+        j, i = draw(st.sampled_from(pairs))
+        delta_max = (pts[j] - pts[i]) / 2
+    elif cap_kind == "rational":
+        delta_max = qx(draw(st.fractions(min_value=Fraction(1, 16), max_value=4)))
+    elif cap_kind == "sqrt2":
+        delta_max = SQRT2 / draw(st.integers(1, 16))
+    else:
+        delta_max = None
+    max_pairs = draw(st.sampled_from((10**6, 0, 1, 3, 7)))
+    return pts, centers, delta_max, max_pairs, draw(st.booleans())
+
+
+def _exact_only():
+    """Route every lift to the exact path, as for points with mixed sqrt2 parts."""
+    return mock.patch.object(analysis, "_lift_rationals", return_value=None)
+
+
+class TestIntegerPaths:
+    @settings(max_examples=200, deadline=None)
+    @given(survey_cases())
+    def test_survey_lifted_matches_exact(self, case):
+        pts, centers, delta_max, max_pairs, first_only = case
+        args = (pts, centers.contains, delta_max, max_pairs)
+        got = _pairs_from_points(*args, first_only=first_only)
+        with _exact_only():
+            exact = _pairs_from_points(*args, first_only=first_only)
+        assert got == exact
+        assert [(p.x, p.y) for p in got.pairs] == [(pts[j], pts[i]) for j, i in got.index]
+        if first_only:
+            return
+        # brute force over every pair below the width cap
+        within = [
+            (x, y)
+            for k, y in enumerate(pts)
+            for x in pts[k + 1 :]
+            if delta_max is None or x - y < 2 * delta_max
+        ]
+        assert got.truncated == (len(within) > max_pairs)
+        if not got.truncated:
+            want = sorted(
+                (SymmetricPair(x, y) for x, y in within if centers.contains((x + y) / 2)),
+                key=SymmetricPair.sort_key,
+            )
+            assert (got.pairs, got.candidates_checked) == (want, len(within))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_uc_rows_match_exact_window_scan(self, data):
+        pts = data.draw(exact_sets(min_size=1))
+        vals = data.draw(exact_sets(len(pts), len(pts), distinct=False))
+        widths = [x - y for k, y in enumerate(pts) for x in pts[k + 1 :]]
+        deltas = {qx(Fraction(1, 3)), SQRT2 / 5, qx(8)}
+        if widths:
+            deltas.update(data.draw(st.lists(st.sampled_from(widths), max_size=4)))
+        schedule = tuple(sorted(deltas, reverse=True))
+        rows = _uc_rows(pts, vals, schedule, False)
+        for delta, res in rows:
+            best, idx, count = _window_scan_exact(pts, vals, delta)
+            wit = None if idx is None else _ordered(pts[idx[0]], pts[idx[1]])
+            assert (res.value, res.witness, res.challenges) == (best, wit, count)
+
+    @staticmethod
+    def sorted_set_grid(piece, exponent):
+        """The grid as first built: every point by exact arithmetic, then
+        sorted and deduplicated."""
+        if piece.is_degenerate:
+            return [piece.lo]
+        n = 2**exponent
+        step = piece.length / n
+        pts = [piece.lo + step * i for i in range(n + 1)]
+        if not piece.lo_closed:
+            pts = pts[1:] + [piece.lo + piece.length / 2**m for m in range(1, 11)]
+        if not piece.hi_closed:
+            pts = [p for p in pts if p != piece.hi]
+            pts += [piece.hi - piece.length / 2**m for m in range(1, 11)]
+        return sorted(set(pts))
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        lo=_RATS,
+        lo_irr=st.sampled_from(_IRRS),
+        length=st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12),
+        length_irr=st.sampled_from((Fraction(0), Fraction(1, 2))),
+    )
+    def test_grid_matches_sorted_set_construction(self, lo, lo_irr, length, length_irr):
+        lo = QuadExt(lo, lo_irr)
+        hi = lo + QuadExt(length, length_irr)
+        for e in range(1, 13):
+            for lo_closed in (True, False):
+                for hi_closed in (True, False):
+                    piece = IntervalPiece(lo, hi, lo_closed, hi_closed)
+                    assert piece.grid(e) == self.sorted_set_grid(piece, e), (piece, e)
+
+
+def _pointwise_uc_rows(ambient, f, config):
+    """uc rows from values found by evaluate at every probe point."""
+    pts = _probe_points(ambient, config, for_pairs=False)[0]
+    return _uc_rows(pts, [evaluate(f, p) for p in pts], config.delta_schedule, False)
+
+
+class TestTileValues:
+    CONFIG = AnalysisConfig(
+        delta_schedule=(qx(1), qx(Fraction(1, 4)), qx(Fraction(1, 32))), grid_exponent=5
+    )
+    UNIT = IntervalUnion((IntervalPiece(qx(0), qx(1)),))
+
+    def spike(self):
+        """5 at x = 1/2 by first match, the identity elsewhere on [0, 1]."""
+        return Piecewise(
+            (
+                FuncPiece(FinitePoints.of(qx(Fraction(1, 2))), Const(5)),
+                FuncPiece(self.UNIT, Identity()),
+            )
+        )
+
+    def test_finite_points_region_wins_first_match(self):
+        prof = modulus_profile(self.UNIT, self.spike(), self.CONFIG, "uc")
+        assert prof.rows == _pointwise_uc_rows(self.UNIT, self.spike(), self.CONFIG)
+        assert prof.rows[0][1].value == qx(5)
+
+    def test_combined_spec(self):
+        f = Combined("add", (Identity(), self.spike()))
+        prof = modulus_profile(self.UNIT, f, self.CONFIG, "uc")
+        assert prof.rows == _pointwise_uc_rows(self.UNIT, f, self.CONFIG)
+        assert prof.rows[0][1].value == qx(Fraction(11, 2))
+
+    def test_foreign_piece_region(self):
+        half = IntervalUnion((IntervalPiece(qx(0), qx(Fraction(1, 2))),))
+        f = Piecewise((FuncPiece(half, Const(3)), FuncPiece(self.UNIT, Identity())))
+        prof = modulus_profile(self.UNIT, f, self.CONFIG, "uc")
+        assert prof.rows == _pointwise_uc_rows(self.UNIT, f, self.CONFIG)
+
+    def test_piece_listed_twice_takes_first_region(self):
+        right = IntervalPiece(qx(2), qx(3))
+        ambient = IntervalUnion((IntervalPiece(qx(0), qx(1)), right))
+        f = Piecewise(
+            (FuncPiece(IntervalUnion((right,)), Const(7)), FuncPiece(ambient, Identity()))
+        )
+        prof = modulus_profile(ambient, f, self.CONFIG, "uc")
+        assert prof.rows == _pointwise_uc_rows(ambient, f, self.CONFIG)
+
+
+class TestProbeCounts:
+    """The sampled probe hashes no exact number and tests membership only
+    for survey midpoints."""
+
+    @staticmethod
+    def two_piece_case(shift):
+        left = IntervalPiece(qx(0) + shift, qx(1) + shift)
+        right = IntervalPiece(qx(Fraction(3, 2)) + shift, qx(Fraction(5, 2)) + shift, False)
+        ambient = IntervalUnion((left, right))
+        # f = 3(x - shift) - 1 on the right piece, 2 on the left
+        f = Piecewise(
+            (
+                FuncPiece(IntervalUnion((left,)), Const(2)),
+                FuncPiece(IntervalUnion((right,)), Affine(qx(3), qx(-1) - 3 * shift)),
+            )
+        )
+        return ambient, f
+
+    def counting(self, monkeypatch):
+        counts = Counter()
+        for cls, name in (
+            (QuadExt, "__hash__"),
+            (IntervalUnion, "contains"),
+            (IntervalPiece, "contains"),
+        ):
+            original = getattr(cls, name)
+
+            def counted(self, *args, _orig=original, _key=f"{cls.__name__}.{name}"):
+                counts[_key] += 1
+                return _orig(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+        survey = analysis._pairs_from_points
+
+        def counted_survey(*args, **kwargs):
+            out = survey(*args, **kwargs)
+            counts["candidates"] += out.candidates_checked
+            return out
+
+        monkeypatch.setattr(analysis, "_pairs_from_points", counted_survey)
+        return counts
+
+    @pytest.mark.parametrize("shift", [qx(0), SQRT2 - 1], ids=["rational", "sqrt2"])
+    def test_uc_and_usc_counts(self, monkeypatch, shift):
+        ambient, f = self.two_piece_case(shift)
+        config = AnalysisConfig(grid_exponent=6)
+        counts = self.counting(monkeypatch)
+        uc = modulus_profile(ambient, f, config, "uc")
+        assert counts == Counter()
+        usc = modulus_profile(ambient, f, config, "usc")
+        assert counts["QuadExt.__hash__"] == 0
+        assert 0 < counts["IntervalUnion.contains"] <= counts["candidates"]
+        monkeypatch.undo()
+        # the counted profiles are the ones pointwise evaluation gives
+        assert uc.rows == _pointwise_uc_rows(ambient, f, config)
+        pointwise = lambda f, pts, runs: [evaluate(f, p) for p in pts]  # noqa: E731
+        with mock.patch.object(analysis, "_probe_values", pointwise):
+            assert modulus_profile(ambient, f, config, "usc") == usc

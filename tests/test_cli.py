@@ -216,6 +216,22 @@ class TestModuli:
         code, _, _ = run_main("moduli", prime_spec)
         assert code == 2
 
+    @pytest.mark.parametrize("where", ["flag", "spec"])
+    def test_grid_exponent_above_cap_exits_2(self, tmp_path, where):
+        spec = {
+            "domain": {"type": "IntervalUnion", "pieces": [{"lo": 0, "hi": 1}]},
+            "function": {"formula": "Identity"},
+        }
+        flags = ["--grid-exponent", "40"]
+        if where == "spec":
+            spec["config"] = {"gridExponent": 40}
+            flags = []
+        path = tmp_path / "interval.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("moduli", str(path), "--notion", "uc", *flags, timeout=10)
+        assert proc.returncode == 2
+        assert "grid exponent must be at most 16" in proc.stderr
+
 
 class TestUsage:
     def test_no_command(self):
