@@ -3,11 +3,13 @@ do not reach: family sweeps that only run when an earlier rule stays silent,
 a staircase whose cross-block oscillation decays, junctions whose owned value
 breaks away from matching limits, and reciprocal pieces ending at 0 from
 either side, and the subset-anchored scan when it proves the notion or runs
-out of its pair budget.
+out of its pair budget. Sampled usc profiles pin the survey's membership
+test at open, touching and irrational piece ends, on sqrt2-shifted grids,
+and with values whose sqrt2 parts differ.
 
 Each case pins the sha256 of the JSON of all four verdicts (of the one
-subset-anchored verdict), so any change to a witness, a certificate, a
-resolution entry or a note shows here."""
+subset-anchored verdict, of the one profile), so any change to a witness, a
+certificate, a resolution entry or a note shows here."""
 
 import hashlib
 import json
@@ -16,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from symcont import (
+    SQRT2,
     Affine,
     AnalysisConfig,
     Const,
@@ -31,6 +34,7 @@ from symcont import (
     TruncatedRationals,
     check_wrt_subset,
     classify,
+    modulus_profile,
 )
 from symcont.analysis import NOTIONS
 
@@ -236,4 +240,87 @@ def test_wrt_subset_json_pinned(name):
     text = json.dumps(v.to_json(), indent=1)
     assert (v.status, v.method, v.scope) == expected
     assert v.resolution["pairs_checked"] == pairs_checked
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def _piecewise(*parts):
+    """f given piece by piece as (piece, formula) on a union of the pieces."""
+    return Piecewise(tuple(FuncPiece(_union(p), fm) for p, fm in parts))
+
+
+def _open_ends():
+    """(0, 1) and (1, 2]: midpoints land on the open ends 0 and 1 from
+    points on either side."""
+    left = IntervalPiece(qx(0), qx(1), False, False)
+    right = IntervalPiece(qx(1), qx(2), False, True)
+    return _union(left, right), _piecewise((left, Const(0)), (right, Identity())), None
+
+
+def _sqrt2_shifted():
+    s = SQRT2
+    left = IntervalPiece(s, s + 1, True, False)
+    right = IntervalPiece(s + qx(Fraction(3, 2)), s + qx(Fraction(5, 2)), False, True)
+    f = _piecewise((left, Const(2)), (right, Affine(qx(3), qx(-1) - 3 * s)))
+    return _union(left, right), f, None
+
+
+def _irrational_centers():
+    """A rational grid on [0, 2] whose midpoints are tested against pieces
+    with sqrt2 ends, open and closed."""
+    centers = _union(
+        IntervalPiece(SQRT2 / 2, qx(1), False, True),
+        IntervalPiece(SQRT2, qx(2) * SQRT2 - 1, True, False),
+    )
+    return _union(IntervalPiece(qx(0), qx(2))), Identity(), centers
+
+
+def _touching_pieces():
+    """[0, 1) and [1, 2]: the midpoint 1 belongs to the right piece only."""
+    left = IntervalPiece(qx(0), qx(1), True, False)
+    right = IntervalPiece(qx(1), qx(2))
+    return _union(left, right), _piecewise((left, Const(0)), (right, Const(1))), None
+
+
+def _mixed_sqrt2_values():
+    """Rational points whose values sqrt2 and x share no sqrt2 part."""
+    left = IntervalPiece(qx(0), qx(1), True, False)
+    right = IntervalPiece(qx(Fraction(3, 2)), qx(3))
+    f = _piecewise((left, Const(SQRT2)), (right, Identity()))
+    return _union(left, right), f, None
+
+
+# name -> (ambient, function, centers or None), sha256 of the usc profile JSON
+USC_PROFILE_CASES = {
+    "open_low_and_high_ends": (
+        _open_ends,
+        "bcc4f329ba1015ab97250d168377b0e996a92d0267134dcbffa31e67a67ce68b",
+    ),
+    "sqrt2_shifted_union": (
+        _sqrt2_shifted,
+        "b4bfda7f523e3e19d1113af33a998ab6a195d60ab7db3f3ba9aadee242d45fe1",
+    ),
+    "irrational_center_ends": (
+        _irrational_centers,
+        "37e329ffd0e64aadd7c777048d9b330955037aac8113c85a6c5921b87b7c8704",
+    ),
+    "touching_open_closed_ends": (
+        _touching_pieces,
+        "c4efc5afa56d9b206605b67d34096eddbaa40a9306c100b8971f478d101da9b3",
+    ),
+    "mixed_sqrt2_values": (
+        _mixed_sqrt2_values,
+        "64e599f498828b171e6021624d342c05d83dabdf38a8e652db3813b043d025bf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USC_PROFILE_CASES))
+def test_usc_profile_json_pinned(name):
+    build, digest = USC_PROFILE_CASES[name]
+    ambient, f, centers = build()
+    profile = modulus_profile(
+        ambient, f, AnalysisConfig(grid_exponent=5), "usc", centers=centers
+    )
+    assert profile.sampled and any(res.challenges for _, res in profile.rows)
+    text = json.dumps(profile.to_json(), indent=1)
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
