@@ -30,6 +30,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterator, Sequence
 
@@ -40,6 +41,7 @@ from .domains import (
     Staircase,
     SymmetricPair,
     exact_ceil,
+    exact_floor,
     merge_interval_components,
 )
 from .errors import ConfigurationError, DomainError
@@ -72,6 +74,11 @@ _SYM_SAMPLE_EXPONENT_CAP = 7
 # largest accepted grid exponent: a sampled sweep builds 2**grid_exponent + 1
 # points per interval piece, so this bounds one piece's grid at 65 537 points
 GRID_EXPONENT_MAX = 16
+
+# largest sampled probe, in points over all interval pieces: one full grid at
+# GRID_EXPONENT_MAX fits, while many pieces at a large exponent exit 2 before
+# any point is built instead of growing with the piece count
+PROBE_POINTS_MAX = 100_000
 
 
 def default_delta_schedule() -> tuple[QuadExt, ...]:
@@ -268,14 +275,22 @@ def _probe_points(
     An enumerable domain is listed and has no runs (None). A continuum is
     sampled: runs pairs each analytic piece with its grid. The pieces are
     sorted and pairwise disjoint (two pieces sharing an endpoint leave it
-    open on one side), so the runs concatenate into the sorted points."""
+    open on one side), so the runs concatenate into the sorted points. A
+    probe of more than PROBE_POINTS_MAX points raises ConfigurationError."""
     if domain.enumerable:
         en = domain.enumerate(config.enum_limit)
         return en.points, None, en.truncated
     exponent = config.grid_exponent
     if for_pairs:
         exponent = min(exponent, _SYM_SAMPLE_EXPONENT_CAP)
-    runs = [(piece, piece.grid(exponent)) for piece in _analytic_pieces(domain)]
+    pieces = _analytic_pieces(domain)
+    size = sum(piece.grid_size(exponent) for piece in pieces)
+    if size > PROBE_POINTS_MAX:
+        raise ConfigurationError(
+            f"sampled probe of {size} points exceeds the limit of "
+            f"{PROBE_POINTS_MAX}: lower the grid exponent or the piece count"
+        )
+    runs = [(piece, piece.grid(exponent)) for piece in pieces]
     pts = tuple(itertools.chain.from_iterable(run for _, run in runs))
     return pts, runs, False
 
@@ -321,50 +336,93 @@ def _probe_values(
 
 @dataclass
 class _Survey:
-    pairs: list[SymmetricPair]
     candidates_checked: int
     truncated: bool
     # (j, i): the positions of each pair's x and y among the surveyed points
     index: list[tuple[int, int]]
+    points: Sequence[QuadExt]
+    # (X, L) with points[k] = X[k]/L + c*sqrt2, or None when the points do
+    # not share one sqrt2 part; the same points either way, so not compared
+    lift: tuple[list[int], int] | None = field(default=None, compare=False)
+
+    @cached_property
+    def pairs(self) -> list[SymmetricPair]:
+        return [SymmetricPair(self.points[j], self.points[i]) for j, i in self.index]
+
+
+def _sum_ranges(
+    pieces: Sequence[IntervalPiece], den: int, c: Fraction
+) -> tuple[list[int], list[int]]:
+    """Per piece, the least and greatest integer S with S/(2L) + c*sqrt2 in
+    the piece (empty ranges dropped), ascending: for a real bound
+    r = 2L*(end - c*sqrt2), S >= r is S >= ceil(r), S > r is S >= floor(r) + 1,
+    S <= r is S <= floor(r) and S < r is S <= ceil(r) - 1."""
+    shift = QuadExt(0, c)
+    los, his = [], []
+    for p in pieces:
+        lo = 2 * den * (p.lo - shift)
+        hi = 2 * den * (p.hi - shift)
+        s_lo = exact_ceil(lo) if p.lo_closed else exact_floor(lo) + 1
+        s_hi = exact_floor(hi) if p.hi_closed else exact_ceil(hi) - 1
+        if s_lo <= s_hi:
+            los.append(s_lo)
+            his.append(s_hi)
+    return los, his
 
 
 def _pairs_from_points(
     pts: Sequence[QuadExt],
-    center_contains: Callable[[QuadExt], bool],
+    centers: Domain,
     delta_max: QuadExt | None,
     max_pairs: int,
     already_truncated: bool = False,
     *,
     first_only: bool = False,
 ) -> _Survey:
-    """Pairs x > y of the sorted points whose midpoint passes center_contains
-    and whose width is below 2*delta_max (any width when None), in sort_key
+    """Pairs x > y of the sorted points whose midpoint lies in centers and
+    whose width is below 2*delta_max (any width when None), in sort_key
     order. The scan stops after max_pairs candidates, marking the survey
     truncated, or at the first valid pair when first_only is set.
 
-    One loop serves both kinds of key: the lifted integers of
-    _lift_rationals when the points share one sqrt2 part, the exact points
-    otherwise. On integers the width cap is its ceiling (an integer width is
-    at least a real cap exactly when it is at least the cap's ceiling), each
-    midpoint is built once from the integer sum, and (X_j - X_i, X_j, X_i)
-    orders pairs as sort_key does."""
+    One loop serves both kinds of key: the lifted integers X_k of
+    _lift_rationals (points X_k/L + c*sqrt2) when the points share one sqrt2
+    part, the exact points otherwise. On integers the width cap is its
+    ceiling (an integer width is at least a real cap exactly when it is at
+    least the cap's ceiling), and (X_j - X_i, X_j, X_i) orders pairs as
+    sort_key does. The midpoint is (X_i + X_j)/(2L) + c*sqrt2, so when the
+    centers are an interval union it lies in a piece exactly when the
+    integer S = X_i + X_j lies in that piece's range from _sum_ranges: each
+    end compares S with 2L*(end - c*sqrt2), whose floor and ceiling are
+    exact, so no midpoint is built. Other centers get one midpoint per
+    candidate (built once from the integer sum when lifted) and their own
+    contains."""
     lifted = _lift_rationals(pts)
     if lifted is None:
         keys = pts
         cap = None if delta_max is None else 2 * delta_max
 
-        def mid(i: int, j: int) -> QuadExt:
-            return (pts[i] + pts[j]) / 2
+        def inside(i: int, j: int) -> bool:
+            return centers.contains((pts[i] + pts[j]) / 2)
 
     else:
         keys, den, c = lifted
         cap = None if delta_max is None else exact_ceil(2 * den * delta_max)
-        # (X_i + X_j)/(2L) + c*sqrt2 over the one denominator 2L*c.den
-        c_den = c.denominator
-        irr, mid_den = 2 * den * c.numerator, 2 * den * c_den
+        if isinstance(centers, IntervalUnion):
+            los, his = _sum_ranges(centers.pieces, den, c)
 
-        def mid(i: int, j: int) -> QuadExt:
-            return _reduced((keys[i] + keys[j]) * c_den, irr, mid_den)
+            def inside(i: int, j: int) -> bool:
+                s = keys[i] + keys[j]
+                k = bisect.bisect_right(los, s) - 1
+                return k >= 0 and s <= his[k]
+
+        else:
+            # (X_i + X_j)/(2L) + c*sqrt2 over the one denominator 2L*c.den
+            c_den = c.denominator
+            irr, mid_den = 2 * den * c.numerator, 2 * den * c_den
+
+            def inside(i: int, j: int) -> bool:
+                mid = _reduced((keys[i] + keys[j]) * c_den, irr, mid_den)
+                return centers.contains(mid)
 
     found = []
     checked = 0
@@ -381,7 +439,7 @@ def _pairs_from_points(
                 truncated = True
                 stop = True
                 break
-            if center_contains(mid(i, j)):
+            if inside(i, j):
                 found.append((x - y, x, y, j, i))
                 if first_only:
                     stop = True
@@ -390,8 +448,32 @@ def _pairs_from_points(
             break
     found.sort()
     index = [(j, i) for *_, j, i in found]
-    pairs = [SymmetricPair(pts[j], pts[i]) for j, i in index]
-    return _Survey(pairs, checked, truncated, index)
+    return _Survey(
+        checked, truncated, index, pts, None if lifted is None else lifted[:2]
+    )
+
+
+def _survey_entries(
+    survey: _Survey, vals: Sequence[QuadExt]
+) -> tuple[list[tuple], tuple[int, int, Sequence[QuadExt]] | None]:
+    """The challenge entries of the surveyed pairs in survey order (scale
+    ascending), for _sup_rows, with the lift that reads them.
+
+    When the points and the values both lift, each pair gives the integers
+    (X_j - X_i, |V_j - V_i|, j, i), that is 2L*h and L_v*osc with the
+    positions of x and y, and the lift is (L, L_v, points). Otherwise each
+    gives the exact (h, osc, x, y) and the lift is None."""
+    pts = survey.points
+    lv = None if survey.lift is None else _lift_rationals(vals)
+    if lv is None:
+        return [
+            ((pts[j] - pts[i]) / 2, abs(vals[j] - vals[i]), pts[j], pts[i])
+            for j, i in survey.index
+        ], None
+    keys, den = survey.lift
+    vk = lv[0]
+    entries = [(keys[j] - keys[i], abs(vk[j] - vk[i]), j, i) for j, i in survey.index]
+    return entries, (den, lv[1], pts)
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +618,10 @@ def modulus_profile(
         return ModulusProfile(notion, rows, len(pts), sampled, en_trunc)
     center_dom = centers if centers is not None else ambient
     survey = _pairs_from_points(
-        pts, center_dom.contains, config.delta_schedule[0], config.max_pairs, en_trunc
+        pts, center_dom, config.delta_schedule[0], config.max_pairs, en_trunc
     )
-    entries = [
-        (p.h, abs(vals[j] - vals[i]), p.x, p.y)
-        for p, (j, i) in zip(survey.pairs, survey.index)
-    ]
-    rows = _sup_rows(entries, config.delta_schedule, survey.truncated)
+    entries, lift = _survey_entries(survey, vals)
+    rows = _sup_rows(entries, config.delta_schedule, survey.truncated, lift)
     return ModulusProfile(notion, rows, len(pts), sampled, survey.truncated)
 
 
@@ -551,24 +630,35 @@ def modulus_profile(
 
 
 def _sup_rows(
-    entries: Sequence[tuple[QuadExt, ...]],
+    entries: Sequence[tuple],
     schedule: tuple[QuadExt, ...],
     truncated: bool = False,
+    lift: tuple[int, int, Sequence[QuadExt]] | None = None,
 ) -> list[tuple[QuadExt, OscillationResult]]:
     """Oscillation sup at every schedule delta over challenge entries
     (scale, osc, x, y), or (scale, osc) when no witness pair is wanted,
     sorted by scale ascending. Each row counts the entries with scale below
-    delta and names the pair of the earliest entry that reaches their sup."""
+    delta and names the pair of the earliest entry that reaches their sup.
+
+    With lift = (L, L_v, points) the entries are the integers (W, O, j, i)
+    of _survey_entries, W = 2L*h and O = L_v*osc. Then h < delta exactly
+    when W < ceil(2L*delta), and only each row's sup O/L_v and its pair
+    (points[j], points[i]) become exact numbers."""
     rows = []
     best = wit = None
     i = 0
     for delta in reversed(schedule):
-        end = bisect.bisect_left(entries, delta, i, key=lambda e: e[0])
+        cut = delta if lift is None else exact_ceil(2 * lift[0] * delta)
+        end = bisect.bisect_left(entries, cut, i, key=lambda e: e[0])
         for k in range(i, end):
             if best is None or entries[k][1] > best:
                 best, wit = entries[k][1], entries[k][2:] or None
         i = end
-        rows.append((delta, OscillationResult(best, wit, i, truncated)))
+        value, pair = best, wit
+        if lift is not None and best is not None:
+            value = QuadExt(Fraction(best, lift[1]))
+            pair = (lift[2][wit[0]], lift[2][wit[1]])
+        rows.append((delta, OscillationResult(value, pair, i, truncated)))
     rows.reverse()
     return rows
 
@@ -884,12 +974,12 @@ def _usc_family(
     if not en_truncated and 0 < all_pairs <= config.max_pairs:
         survey = _pairs_from_points(
             pts,
-            ambient.contains,
+            ambient,
             None,
             config.max_pairs,
             first_only=const_regions is not None,
         )
-        if not survey.pairs:
+        if not survey.index:
             return _midpoint_free_verdict(
                 "USC",
                 _resolution(
@@ -909,11 +999,10 @@ def _usc_family(
         return _open_verdict(
             "USC", res, "pair budget too small for a symmetric sweep at this resolution"
         )
-    entries = [
-        (p.h, abs(vals[j] - vals[i]), p.x, p.y)
-        for p, (j, i) in zip(survey.pairs, survey.index)
-    ]
-    return _sweep_verdict("USC", entries, config, res, survey.truncated, en_truncated)
+    entries, lift = _survey_entries(survey, vals)
+    return _sweep_verdict(
+        "USC", entries, config, res, survey.truncated, en_truncated, lift
+    )
 
 
 def _usc_const_sweep(
@@ -974,15 +1063,16 @@ def _usc_const_sweep(
 
 def _sweep_verdict(
     notion: str,
-    entries: list[tuple[QuadExt, QuadExt, QuadExt, QuadExt]],
+    entries: list[tuple],
     config: AnalysisConfig,
     res: dict,
     pairs_truncated: bool,
     en_truncated: bool,
+    lift: tuple[int, int, Sequence[QuadExt]] | None = None,
 ) -> Verdict:
-    """Flat-modulus verdict over (scale, osc, x, y) challenge entries sorted
-    by scale."""
-    rows = _sup_rows(entries, config.delta_schedule)
+    """Flat-modulus verdict over challenge entries sorted by scale, read as
+    _sup_rows reads them."""
+    rows = _sup_rows(entries, config.delta_schedule, lift=lift)
     flat = _flat_row(rows)
     if flat is not None:
         if notion == "UC":
@@ -1005,7 +1095,7 @@ def _sweep_verdict(
             return _midpoint_free_verdict(
                 notion, res, 0, "no valid challenge exists at any scale"
             )
-        if all(e[1].sign() == 0 for e in entries):
+        if all(e[1] == 0 for e in entries):
             return _zero_verdict(
                 notion, res, len(entries), "every valid pair oscillates by exactly zero"
             )

@@ -26,6 +26,10 @@ from functools import lru_cache
 from .errors import DomainError, InapplicableError
 from .exactnum import SQRT2, ZERO, QuadExt, _reduced, as_quadext, int_ratio
 
+# entries kept by each per-parameter cache (prime sieves, staircase tables),
+# so a long-lived process holds a bounded number of them
+_CACHE_SIZE = 32
+
 
 def exact_floor(x: QuadExt) -> int:
     """Largest integer <= x = (a + b*sqrt2)/d, as (a + floor(b*sqrt2)) // d."""
@@ -132,7 +136,7 @@ class IntegerWindow(Domain):
         return f"integers in [{self.lo}, {self.hi}]"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _odd_primes_up_to(n: int) -> tuple[int, ...]:
     if n < 3:
         return ()
@@ -144,7 +148,7 @@ def _odd_primes_up_to(n: int) -> tuple[int, ...]:
     return tuple(p for p in range(3, n + 1) if sieve[p])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _odd_prime_set(n: int) -> frozenset[int]:
     return frozenset(_odd_primes_up_to(n))
 
@@ -318,6 +322,15 @@ class IntervalPiece:
         da, db = ln.a * lo.d, ln.b * lo.d
         return [_reduced(a0 + da * k, b0 + db * k, den) for k in sorted(ks)]
 
+    def grid_size(self, exponent: int) -> int:
+        """len(self.grid(exponent)), without building the grid. An open end
+        drops one point of the equispaced run and adds the 10 - min(exponent,
+        10) points of its approach run that the equispaced run lacks."""
+        if self.is_degenerate:
+            return 1
+        open_ends = (not self.lo_closed) + (not self.hi_closed)
+        return 2**exponent + 1 + open_ends * (9 - min(exponent, 10))
+
     def describe(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
@@ -404,7 +417,7 @@ def merge_interval_components(pieces) -> MergeResult:
     return MergeResult(comp_pieces, gaps, tuple(glued))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def staircase_breakpoints(variant: str, blocks: int) -> tuple[Fraction, ...]:
     """Endpoints a_1 <= a_2 <= ... <= a_{2*blocks} of the staircase blocks.
 
@@ -433,7 +446,7 @@ def staircase_breakpoints(variant: str, blocks: int) -> tuple[Fraction, ...]:
     return tuple(pts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _staircase_pieces(variant: str, blocks: int) -> tuple[IntervalPiece, ...]:
     bp = staircase_breakpoints(variant, blocks)
     return tuple(
@@ -442,7 +455,7 @@ def _staircase_pieces(variant: str, blocks: int) -> tuple[IntervalPiece, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _staircase_los(variant: str, blocks: int) -> tuple[QuadExt, ...]:
     return tuple(p.lo for p in _staircase_pieces(variant, blocks))
 

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -46,6 +47,8 @@ from symcont.analysis import (
     _ordered,
     _pairs_from_points,
     _probe_points,
+    _sup_rows,
+    _survey_entries,
     _uc_rows,
     _window_scan_exact,
 )
@@ -97,6 +100,19 @@ class TestConfig:
         assert AnalysisConfig(grid_exponent=16).grid_exponent == 16
         with pytest.raises(ConfigurationError, match="at most 16"):
             AnalysisConfig(grid_exponent=17)
+
+    def test_probe_points_capped(self):
+        # 8 unit pieces at exponent 14 would build 8 * (2**14 + 1) = 131 080 points
+        union = IntervalUnion(
+            tuple(IntervalPiece(qx(2 * k), qx(2 * k + 1)) for k in range(8))
+        )
+        config = AnalysisConfig(grid_exponent=14, max_pairs=1000)
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="131080 points exceeds the limit"):
+            modulus_profile(union, Identity(), config, "uc")
+        assert time.perf_counter() - start < 0.25
+        # the usc survey samples at its own capped exponent, 8 * (2**7 + 1) points
+        assert modulus_profile(union, Identity(), config, "usc").points == 8 * 129
 
     def test_schedule_coercion(self):
         cfg = AnalysisConfig(delta_schedule=(Fraction(1, 2), Fraction(1, 4)))
@@ -650,6 +666,48 @@ def survey_cases(draw):
     return pts, centers, delta_max, max_pairs, draw(st.booleans())
 
 
+@st.composite
+def union_center_cases(draw):
+    """Points sharing one sqrt2 part c*sqrt2 (c = 0 for rational points),
+    values sharing one, and an interval union of centers: pieces with every
+    closure, touching or apart, some degenerate, whose ends are survey
+    midpoints (so a midpoint lands on an open or a closed end) or drawn
+    numbers with any sqrt2 part (so the integer bounds are irrational)."""
+    c = draw(st.sampled_from(_IRRS))
+    rats = draw(st.lists(_RATS, min_size=2, max_size=12, unique=True))
+    pts = sorted(QuadExt(r, c) for r in rats)
+    mids = [(x + y) / 2 for k, y in enumerate(pts) for x in pts[k + 1 :]]
+    ends = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(mids),
+                st.builds(QuadExt, _RATS, st.sampled_from(_IRRS)),
+            ),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    ends = sorted(set(ends))
+    pieces = []
+    k = 0
+    while k + 1 < len(ends):
+        lo, hi = ends[k], ends[k + 1]
+        touching = bool(pieces) and pieces[-1].hi == lo and pieces[-1].hi_closed
+        if draw(st.integers(0, 3)) == 0 and not touching:
+            pieces.append(IntervalPiece(lo, lo))
+        else:
+            lo_closed = draw(st.booleans()) and not touching
+            pieces.append(IntervalPiece(lo, hi, lo_closed, draw(st.booleans())))
+        # a step of 1 starts the next piece where this one ends
+        k += draw(st.sampled_from((1, 2)))
+    if not pieces:
+        pieces.append(IntervalPiece(ends[0], ends[0]))
+    v_irr = draw(st.sampled_from(_IRRS))
+    v_rats = draw(st.lists(_RATS, min_size=len(pts), max_size=len(pts)))
+    vals = [QuadExt(r, v_irr) for r in v_rats]
+    return pts, vals, IntervalUnion(tuple(pieces))
+
+
 def _exact_only():
     """Route every lift to the exact path, as for points with mixed sqrt2 parts."""
     return mock.patch.object(analysis, "_lift_rationals", return_value=None)
@@ -660,7 +718,7 @@ class TestIntegerPaths:
     @given(survey_cases())
     def test_survey_lifted_matches_exact(self, case):
         pts, centers, delta_max, max_pairs, first_only = case
-        args = (pts, centers.contains, delta_max, max_pairs)
+        args = (pts, centers, delta_max, max_pairs)
         got = _pairs_from_points(*args, first_only=first_only)
         with _exact_only():
             exact = _pairs_from_points(*args, first_only=first_only)
@@ -682,6 +740,46 @@ class TestIntegerPaths:
                 key=SymmetricPair.sort_key,
             )
             assert (got.pairs, got.candidates_checked) == (want, len(within))
+
+    @settings(max_examples=200, deadline=None)
+    @given(union_center_cases(), st.data())
+    def test_union_membership_and_sup_rows_match_exact(self, case, data):
+        pts, vals, centers = case
+        widths = [x - y for k, y in enumerate(pts) for x in pts[k + 1 :]]
+        delta_max = data.draw(
+            st.one_of(st.none(), st.sampled_from(widths).map(lambda w: w / 2))
+        )
+        got = _pairs_from_points(pts, centers, delta_max, 10**6)
+        with _exact_only():
+            exact = _pairs_from_points(pts, centers, delta_max, 10**6)
+        assert exact.lift is None and got.lift is not None
+        assert got == exact
+        want = sorted(
+            (
+                SymmetricPair(x, y)
+                for k, y in enumerate(pts)
+                for x in pts[k + 1 :]
+                if (delta_max is None or x - y < 2 * delta_max)
+                and centers.contains((x + y) / 2)
+            ),
+            key=SymmetricPair.sort_key,
+        )
+        assert got.pairs == want
+        # the sup table on integer entries against the one on exact entries,
+        # at surveyed half-widths (h < delta is strict there), just above
+        # them, and at unrelated rational and sqrt2 scales
+        entries, lift = _survey_entries(got, vals)
+        assert lift is not None
+        with _exact_only():
+            exact_entries, exact_lift = _survey_entries(exact, vals)
+        assert exact_lift is None
+        halves = data.draw(st.lists(st.sampled_from(widths), min_size=1, max_size=3))
+        deltas = {qx(Fraction(1, 3)), SQRT2 / 7, qx(9)}
+        for w in halves:
+            deltas.update((w / 2, w / 2 + SQRT2 / 10**6))
+        schedule = tuple(sorted(deltas, reverse=True))
+        rows = _sup_rows(entries, schedule, False, lift)
+        assert rows == _sup_rows(exact_entries, schedule)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -729,7 +827,9 @@ class TestIntegerPaths:
             for lo_closed in (True, False):
                 for hi_closed in (True, False):
                     piece = IntervalPiece(lo, hi, lo_closed, hi_closed)
-                    assert piece.grid(e) == self.sorted_set_grid(piece, e), (piece, e)
+                    grid = piece.grid(e)
+                    assert grid == self.sorted_set_grid(piece, e), (piece, e)
+                    assert piece.grid_size(e) == len(grid), (piece, e)
 
 
 def _pointwise_uc_rows(ambient, f, config):
@@ -781,8 +881,8 @@ class TestTileValues:
 
 
 class TestProbeCounts:
-    """The sampled probe hashes no exact number and tests membership only
-    for survey midpoints."""
+    """The sampled probe hashes no exact number, and its usc survey tests
+    interval-union membership on integers and builds no pair object."""
 
     @staticmethod
     def two_piece_case(shift):
@@ -804,6 +904,7 @@ class TestProbeCounts:
             (QuadExt, "__hash__"),
             (IntervalUnion, "contains"),
             (IntervalPiece, "contains"),
+            (SymmetricPair, "__post_init__"),
         ):
             original = getattr(cls, name)
 
@@ -831,7 +932,9 @@ class TestProbeCounts:
         assert counts == Counter()
         usc = modulus_profile(ambient, f, config, "usc")
         assert counts["QuadExt.__hash__"] == 0
-        assert 0 < counts["IntervalUnion.contains"] <= counts["candidates"]
+        assert counts["candidates"] > 0
+        assert counts["IntervalUnion.contains"] == counts["IntervalPiece.contains"] == 0
+        assert counts["SymmetricPair.__post_init__"] == 0
         monkeypatch.undo()
         # the counted profiles are the ones pointwise evaluation gives
         assert uc.rows == _pointwise_uc_rows(ambient, f, config)

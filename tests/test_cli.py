@@ -232,6 +232,19 @@ class TestModuli:
         assert proc.returncode == 2
         assert "grid exponent must be at most 16" in proc.stderr
 
+    def test_probe_above_cap_exits_2(self, tmp_path):
+        pieces = [{"lo": 2 * k, "hi": 2 * k + 1} for k in range(8)]
+        spec = {
+            "domain": {"type": "IntervalUnion", "pieces": pieces},
+            "function": {"formula": "Identity"},
+            "config": {"gridExponent": 14},
+        }
+        path = tmp_path / "pieces.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("moduli", str(path), "--notion", "uc", timeout=10)
+        assert proc.returncode == 2
+        assert "131080 points exceeds the limit of 100000" in proc.stderr
+
 
 class TestUsage:
     def test_no_command(self):

@@ -22,6 +22,7 @@ from symcont import (
     merge_interval_components,
     staircase_breakpoints,
 )
+from symcont import domains
 from symcont.analysis import _pairs_from_points
 from symcont.domains import SymmetricPair, exact_ceil, exact_floor
 
@@ -127,6 +128,24 @@ class TestOddPrimeReciprocals:
 
     def test_not_scale_complete(self):
         assert not OddPrimeReciprocals(100, with_zero=True).scale_complete
+
+
+class TestParameterCaches:
+    def test_caches_stay_bounded(self):
+        # 40 distinct parameters each: a long-lived process keeps at most
+        # maxsize sieves and staircase tables
+        for n in range(100, 140):
+            assert OddPrimeReciprocals(n).contains(qx(Fraction(1, 3)))
+            assert Staircase("B", n).contains(qx(0))
+        for cache in (
+            domains._odd_primes_up_to,
+            domains._odd_prime_set,
+            domains.staircase_breakpoints,
+            domains._staircase_pieces,
+            domains._staircase_los,
+        ):
+            info = cache.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 class TestNaturalReciprocals:
@@ -413,9 +432,7 @@ def survey_pairs(ambient, *, centers=None, delta_max=None, max_pairs, enum_limit
     against `centers` (the ambient itself by default)."""
     en = ambient.enumerate(enum_limit)
     center_dom = ambient if centers is None else centers
-    return _pairs_from_points(
-        en.points, center_dom.contains, delta_max, max_pairs, en.truncated
-    )
+    return _pairs_from_points(en.points, center_dom, delta_max, max_pairs, en.truncated)
 
 
 class TestSymmetricPairs:
