@@ -666,6 +666,10 @@ def survey_cases(draw):
     return pts, centers, delta_max, max_pairs, draw(st.booleans())
 
 
+# twelfths in [-4, 4]: denominators 1, 2, 3, 4, 6 and 12, cheap to draw
+_TWELFTHS = st.integers(-48, 48).map(lambda n: Fraction(n, 12))
+
+
 @st.composite
 def union_center_cases(draw):
     """Points sharing one sqrt2 part c*sqrt2 (c = 0 for rational points),
@@ -674,20 +678,16 @@ def union_center_cases(draw):
     midpoints (so a midpoint lands on an open or a closed end) or drawn
     numbers with any sqrt2 part (so the integer bounds are irrational)."""
     c = draw(st.sampled_from(_IRRS))
-    rats = draw(st.lists(_RATS, min_size=2, max_size=12, unique=True))
+    rats = draw(st.lists(_TWELFTHS, min_size=2, max_size=12, unique=True))
     pts = sorted(QuadExt(r, c) for r in rats)
     mids = [(x + y) / 2 for k, y in enumerate(pts) for x in pts[k + 1 :]]
-    ends = draw(
-        st.lists(
-            st.one_of(
-                st.sampled_from(mids),
-                st.builds(QuadExt, _RATS, st.sampled_from(_IRRS)),
-            ),
-            min_size=2,
-            max_size=8,
-        )
-    )
-    ends = sorted(set(ends))
+    ends = set()
+    for _ in range(draw(st.integers(2, 8))):
+        if draw(st.booleans()):
+            ends.add(mids[draw(st.integers(0, len(mids) - 1))])
+        else:
+            ends.add(QuadExt(draw(_TWELFTHS), draw(st.sampled_from(_IRRS))))
+    ends = sorted(ends)
     pieces = []
     k = 0
     while k + 1 < len(ends):
@@ -699,11 +699,11 @@ def union_center_cases(draw):
             lo_closed = draw(st.booleans()) and not touching
             pieces.append(IntervalPiece(lo, hi, lo_closed, draw(st.booleans())))
         # a step of 1 starts the next piece where this one ends
-        k += draw(st.sampled_from((1, 2)))
+        k += draw(st.integers(1, 2))
     if not pieces:
         pieces.append(IntervalPiece(ends[0], ends[0]))
     v_irr = draw(st.sampled_from(_IRRS))
-    v_rats = draw(st.lists(_RATS, min_size=len(pts), max_size=len(pts)))
+    v_rats = draw(st.lists(_TWELFTHS, min_size=len(pts), max_size=len(pts)))
     vals = [QuadExt(r, v_irr) for r in v_rats]
     return pts, vals, IntervalUnion(tuple(pieces))
 
@@ -746,9 +746,8 @@ class TestIntegerPaths:
     def test_union_membership_and_sup_rows_match_exact(self, case, data):
         pts, vals, centers = case
         widths = [x - y for k, y in enumerate(pts) for x in pts[k + 1 :]]
-        delta_max = data.draw(
-            st.one_of(st.none(), st.sampled_from(widths).map(lambda w: w / 2))
-        )
+        pick = st.integers(0, len(widths) - 1)
+        delta_max = widths[data.draw(pick)] / 2 if data.draw(st.booleans()) else None
         got = _pairs_from_points(pts, centers, delta_max, 10**6)
         with _exact_only():
             exact = _pairs_from_points(pts, centers, delta_max, 10**6)
@@ -773,10 +772,9 @@ class TestIntegerPaths:
         with _exact_only():
             exact_entries, exact_lift = _survey_entries(exact, vals)
         assert exact_lift is None
-        halves = data.draw(st.lists(st.sampled_from(widths), min_size=1, max_size=3))
         deltas = {qx(Fraction(1, 3)), SQRT2 / 7, qx(9)}
-        for w in halves:
-            deltas.update((w / 2, w / 2 + SQRT2 / 10**6))
+        for k in data.draw(st.lists(pick, min_size=1, max_size=3)):
+            deltas.update((widths[k] / 2, widths[k] / 2 + SQRT2 / 10**6))
         schedule = tuple(sorted(deltas, reverse=True))
         rows = _sup_rows(entries, schedule, False, lift)
         assert rows == _sup_rows(exact_entries, schedule)
