@@ -3,7 +3,10 @@ do not reach: family sweeps that only run when an earlier rule stays silent,
 a staircase whose cross-block oscillation decays, junctions whose owned value
 breaks away from matching limits, and reciprocal pieces ending at 0 from
 either side, and the subset-anchored scan when it proves the notion or runs
-out of its pair budget. Sampled usc profiles pin the survey's membership
+out of its pair budget. Family scans are pinned on a sqrt2-shifted set,
+on points with mixed sqrt2 parts, under a schedule with irrational deltas,
+with three constant regions and, for the subset-anchored scan, on a
+truncated enumeration. Sampled usc profiles pin the survey's membership
 test at open, touching and irrational piece ends, on sqrt2-shifted grids,
 and with values whose sqrt2 parts differ.
 
@@ -71,6 +74,74 @@ def _positive_rationals_indicator():
         )
     )
     return ambient, f, AnalysisConfig()
+
+
+def _alternate(points):
+    """Values 1 and 0 on alternate points, by zero-slope affine pieces."""
+    return Piecewise(
+        (
+            FuncPiece(FinitePoints(points[1::2]), Affine(0, 1)),
+            FuncPiece(FinitePoints(points[::2]), Affine(0, 0)),
+        )
+    )
+
+
+def _shifted_alternating():
+    """{sqrt2 + 1/n : n <= 30} and sqrt2 listed up to enum_limit 25, so the
+    finite set goes through the family pipeline on lifted points with a
+    nonzero sqrt2 part; C is refuted at the generic branch's anchor sqrt2."""
+    pts = tuple(SQRT2 + p for p in NaturalReciprocals(30).enumerate(100).points)
+    return FinitePoints(pts), _alternate(pts), AnalysisConfig(enum_limit=25)
+
+
+def _mixed_sqrt2_indicator():
+    """The indicator of [0, 3/2] on rationals of denominator <= 12 in
+    [-1, 3/2] together with sqrt2, so the points keep exact keys."""
+    ambient = TruncatedRationals(12, -1, Fraction(3, 2), adjoin_sqrt2=True)
+    upper = TruncatedRationals(12, 0, Fraction(3, 2), adjoin_sqrt2=True)
+    f = Piecewise((FuncPiece(upper, Const(1)), FuncPiece(ambient, Const(0))))
+    return ambient, f, AnalysisConfig()
+
+
+def _irrational_schedule():
+    """1/2**j interleaved with sqrt2/2**(j + 1): thresholds of irrational
+    deltas over the lifted points are exact ceilings."""
+    schedule = []
+    for j in range(8):
+        schedule += [qx(Fraction(1, 2**j)), SQRT2 / 2 ** (j + 1)]
+    nr = NaturalReciprocals(30)
+    f = _alternate(nr.enumerate(100).points)
+    return nr, f, AnalysisConfig(delta_schedule=tuple(schedule))
+
+
+def _three_constant_regions():
+    """Values 1, 2 and 0 on every third point of {1/n : n <= 30} and 0."""
+    nr = NaturalReciprocals(30)
+    pts = nr.enumerate(100).points
+    f = Piecewise(
+        (
+            FuncPiece(FinitePoints(pts[1::3]), Const(1)),
+            FuncPiece(FinitePoints(pts[2::3]), Const(2)),
+            FuncPiece(nr, Const(0)),
+        )
+    )
+    return nr, f, AnalysisConfig()
+
+
+def _shifted_indicator_truncated():
+    """The indicator of x > sqrt2 on sqrt2 + (rationals of denominator <= 8
+    in [-1, 1]), listed up to enum_limit 30 (up to sqrt2 + 1/3), anchored at
+    sqrt2, sqrt2 + 1/6 and sqrt2 + 7/8, which lies past the listing."""
+    pts = tuple(SQRT2 + p for p in TruncatedRationals(8, -1, 1).enumerate(100).points)
+    ambient = FinitePoints(pts)
+    f = Piecewise(
+        (
+            FuncPiece(FinitePoints(tuple(p for p in pts if p > SQRT2)), Const(1)),
+            FuncPiece(ambient, Const(0)),
+        )
+    )
+    anchors = (SQRT2, SQRT2 + qx(Fraction(1, 6)), SQRT2 + qx(Fraction(7, 8)))
+    return ambient, f, FinitePoints(anchors), AnalysisConfig(enum_limit=30)
 
 
 def _union(*pieces):
@@ -181,6 +252,30 @@ CASES = {
         ("refuted", "interval_decision"),
         "7df653a063c47cfd7bd5aef2abd20d846be600b4bb883c6a5b41295d37654472",
     ),
+    "c_generic_flat_anchor_sqrt2_shifted": (
+        _shifted_alternating,
+        "C",
+        ("refuted", "flat_modulus"),
+        "ff6dcdf3c46f7db595208f7c02500831054277fd13bf92cbdc1cd5b029abcb2d",
+    ),
+    "sc_flat_anchor_mixed_sqrt2_points": (
+        _mixed_sqrt2_indicator,
+        "SC",
+        ("refuted", "flat_modulus"),
+        "bbc94ee4d3363db8b05d7659a0944bdfb316b80d494508b6f78da1ce77496bf3",
+    ),
+    "irrational_schedule_deltas": (
+        _irrational_schedule,
+        "C",
+        ("refuted", "flat_modulus"),
+        "d255efe1d216e3a4994bc729de749c171f8fca16d62a8b86740b65b3e7c0a311",
+    ),
+    "c_three_constant_regions": (
+        _three_constant_regions,
+        "C",
+        ("refuted", "flat_modulus"),
+        "4a84b790c41f8b5c8df246546f7071ea5c8805e686c4234fa04a0c7d67cd9382",
+    ),
     "reciprocal_open_end_below_zero_open": (
         lambda: _reciprocal_on(Fraction(-1, 2), 0, False, False),
         "UC",
@@ -229,6 +324,12 @@ WRT_SUBSET_CASES = {
         ("no_violation", "flat_modulus", "truncation"),
         4,
         "a7f647153b538c1a33132596f9772e1571b24daa5506dace6d14d6c68b30d13b",
+    ),
+    "truncated_enumeration_sqrt2_shifted": (
+        _shifted_indicator_truncated,
+        ("refuted", "flat_modulus", "truncation"),
+        11,
+        "705c5297c1f57c444dd6b69c3b18958b6890105a835ff87a7a2f783cbcd040bc",
     ),
 }
 
