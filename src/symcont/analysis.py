@@ -657,7 +657,7 @@ def _sup_rows(
         value, pair = best, wit
         if lift is not None and best is not None:
             value = QuadExt(Fraction(best, lift[1]))
-            pair = (lift[2][wit[0]], lift[2][wit[1]])
+            pair = wit and (lift[2][wit[0]], lift[2][wit[1]])
         rows.append((delta, OscillationResult(value, pair, i, truncated)))
     rows.reverse()
     return rows
@@ -756,12 +756,15 @@ def _discrete_classify(
                 "unavailable; treated as a resolution-limited model"
             )
         return verdicts
-    gap = ambient.min_gap(config.enum_limit)
+    # the smallest adjacent difference, as Domain.min_gap finds it, from the
+    # enumeration at hand
+    pts = en.points
+    gap = min((b - a for a, b in itertools.pairwise(pts)), default=None)
     cert = {
         "kind": "uniformly_discrete",
         "gap": _fmt(gap) if gap is not None else None,
     }
-    res = _resolution(config, points=len(en.points), enumeration_truncated=False)
+    res = _resolution(config, points=len(pts), enumeration_truncated=False)
     note = (
         "every point is isolated by the minimum gap, so any function on the "
         "set satisfies all four notions"
@@ -788,15 +791,15 @@ def _discrete_classify(
 
 def _region_groups(
     pts: Sequence[QuadExt],
-    vals: Sequence[QuadExt],
     const_regions: list[tuple[Domain | None, QuadExt]],
-) -> list[tuple[list[QuadExt], QuadExt]]:
-    """Partition points by the first constant region that contains them."""
-    groups: list[list[QuadExt]] = [[] for _ in const_regions]
-    for p in pts:
+) -> list[tuple[list[int], QuadExt]]:
+    """Partition point positions by the first constant region that contains
+    the point; each group's positions ascend with the points."""
+    groups: list[list[int]] = [[] for _ in const_regions]
+    for k, p in enumerate(pts):
         for gi, (region, _) in enumerate(const_regions):
             if region is None or region.contains(p):
-                groups[gi].append(p)
+                groups[gi].append(k)
                 break
     return [
         (groups[gi], value)
@@ -805,63 +808,75 @@ def _region_groups(
     ]
 
 
-def _nearest_distance(sorted_pts: list[QuadExt], a: QuadExt) -> QuadExt | None:
-    """Distance from a to the nearest point of the list, excluding a itself."""
-    i = bisect.bisect_left(sorted_pts, a)
-    best: QuadExt | None = None
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < len(sorted_pts):
-            d = abs(sorted_pts[j] - a)
-            if d.sign() == 0:
-                continue
-            if best is None or d < best:
-                best = d
-    return best
-
-
 def _cross_region_pairs(
     pts: Sequence[QuadExt],
-    vals: Sequence[QuadExt],
     const_regions: list[tuple[Domain | None, QuadExt]],
 ) -> tuple[int, Iterator[tuple[QuadExt, QuadExt, QuadExt]]]:
     """Piecewise-constant reduction: pairs inside one region oscillate by
     exactly zero, so only pairs across regions with distinct values matter.
     Returns their count and a lazy listing of them as (x, y, osc), x > y."""
-    groups = _region_groups(pts, vals, const_regions)
+    groups = _region_groups(pts, const_regions)
     cross = [
         (g, h) for i, g in enumerate(groups) for h in groups[i + 1 :] if g[1] != h[1]
     ]
     total = sum(len(g[0]) * len(h[0]) for g, h in cross)
 
     def pairs() -> Iterator[tuple[QuadExt, QuadExt, QuadExt]]:
-        for (gpts, gval), (hpts, hval) in cross:
+        for (gidx, gval), (hidx, hval) in cross:
             osc = abs(gval - hval)
-            for u in gpts:
-                for w in hpts:
+            for u in (pts[k] for k in gidx):
+                for w in (pts[k] for k in hidx):
                     yield (u, w, osc) if u > w else (w, u, osc)
 
     return total, pairs()
 
 
-def _anchor_window(
-    pts: Sequence[QuadExt], idx: int, schedule: tuple[QuadExt, ...]
-) -> tuple[QuadExt, QuadExt] | None:
-    """Largest and smallest schedule delta above the distance from pts[idx]
-    to its nearest neighbor (the scale below which the model cannot show any
-    challenger at all), or None when fewer than two such deltas exist."""
-    a = pts[idx]
-    gaps = []
-    if idx > 0:
-        gaps.append(a - pts[idx - 1])
-    if idx + 1 < len(pts):
-        gaps.append(pts[idx + 1] - a)
-    if not gaps:
-        return None
-    gap = min(gaps)
-    eff = [d for d in schedule if d > gap]
-    if len(eff) < 2:
-        return None
-    return eff[0], eff[-1]
+def _family_keys(
+    pts: Sequence[QuadExt], vals: Sequence[QuadExt]
+) -> tuple[Sequence, Sequence, int | None, int | None]:
+    """(point keys, value keys, L, L_v) for the per-anchor scans.
+
+    When the points and the values both share one sqrt2 part, the keys are
+    the lifted integers of _lift_rationals, pts[k] = X_k/L + c*sqrt2 and
+    vals[k] = V_k/L_v + c_v*sqrt2; otherwise they are the exact numbers and
+    L = L_v = None. Either way keys keep the order and the equalities of
+    the numbers, and a difference of keys is the difference of the numbers
+    times L (times L_v for values), so one scan serves both kinds."""
+    lx = _lift_rationals(pts)
+    lv = None if lx is None else _lift_rationals(vals)
+    if lv is None:
+        return pts, vals, None, None
+    return lx[0], lv[0], lx[1], lv[1]
+
+
+def _exact_value(v, den: int | None) -> QuadExt:
+    """The number whose value key (a difference of value keys) is v."""
+    return v if den is None else QuadExt(Fraction(v, den))
+
+
+def _anchor_windows(
+    keys: Sequence, den: int | None, schedule: tuple[QuadExt, ...]
+) -> tuple[list, list[int | None]]:
+    """The distance threshold of every schedule delta, and per anchor the
+    index of its smallest effective delta, or None when it has fewer than two.
+
+    A delta is effective at an anchor when it exceeds the distance to the
+    anchor's nearest neighbor (the scale below which the model cannot show
+    any challenger at all). The schedule decreases, so the effective deltas
+    are a prefix and the window always starts at schedule[0]. Each anchor
+    counts the thresholds above its gap by bisection. On exact keys the
+    threshold of delta is delta; on lifted integers it is ceil(L*delta), as
+    an integer distance G is below delta exactly when G < ceil(L*delta)."""
+    thr = list(schedule) if den is None else [exact_ceil(den * d) for d in schedule]
+    if len(keys) < 2:
+        return thr, [None] * len(keys)
+    neg = [-t for t in thr]  # ascending
+    gaps = [b - a for a, b in itertools.pairwise(keys)]
+    windows: list[int | None] = []
+    for gap in map(min, [gaps[0]] + gaps, gaps + [gaps[-1]]):
+        count = bisect.bisect_left(neg, -gap)
+        windows.append(count - 1 if count >= 2 else None)
+    return thr, windows
 
 
 def _anchor_witness(flat: list[tuple[QuadExt, QuadExt]]) -> tuple[QuadExt, dict]:
@@ -878,13 +893,17 @@ def _anchor_witness(flat: list[tuple[QuadExt, QuadExt]]) -> tuple[QuadExt, dict]
 
 
 def _per_point_c(
-    ambient: Domain,
     pts: tuple[QuadExt, ...],
     vals: list[QuadExt],
     config: AnalysisConfig,
     en_truncated: bool,
     const_regions: list[tuple[Domain | None, QuadExt]] | None,
 ) -> Verdict:
+    """Per-anchor scan of |f(x) - f(a)| over the points x near each anchor a,
+    on the keys of _family_keys. A piecewise-constant f only needs the
+    nearest point of each other constant region, found by bisection in that
+    region's keys; any other f scans outward from the anchor and stops at the
+    first point at distance at least the largest delta (the keys ascend)."""
     n = len(pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
     if const_regions is None and n * n > config.max_pairs:
@@ -895,52 +914,67 @@ def _per_point_c(
             "points for a non-constant piecewise function",
         )
 
-    groups = None if const_regions is None else _region_groups(pts, vals, const_regions)
-    zero = QuadExt.of(0)
+    if const_regions is None:
+        keys, vkeys, den, vden = _family_keys(pts, vals)
+    else:
+        groups = _region_groups(pts, const_regions)
+        # the region values lift with the point values, so a jump is a
+        # difference of value keys
+        keys, vkeys, den, vden = _family_keys(pts, [*vals, *(v for _, v in groups)])
+        group_keys = [
+            ([keys[k] for k in idx], vkeys[n + g]) for g, (idx, _) in enumerate(groups)
+        ]
+    thr, windows = _anchor_windows(keys, den, config.delta_schedule)
+    big = thr[0]
     flat: list[tuple[QuadExt, QuadExt]] = []  # (anchor, jump)
-    for idx, a in enumerate(pts):
-        window = _anchor_window(pts, idx, config.delta_schedule)
-        if window is None:
+    for idx, w in enumerate(windows):
+        if w is None:
             continue
-        big, small = window
-        va = vals[idx]
-        if groups is not None:
-            cross = []
-            for gpts, gval in groups:
-                if gval == va:
+        small = thr[w]
+        a, va = keys[idx], vkeys[idx]
+        m_big = m_small = 0
+        if const_regions is not None:
+            for gk, gv in group_keys:
+                if gv == va:
                     continue
-                dg = _nearest_distance(gpts, a)
-                if dg is not None:
-                    cross.append((dg, abs(gval - va)))
-            if not cross:
-                continue
-            m_big = max((o for d, o in cross if d < big), default=zero)
-            m_small = max((o for d, o in cross if d < small), default=zero)
-        else:
-            m_big = m_small = zero
-            for k in range(n):
-                if k == idx:
+                i = bisect.bisect_left(gk, a)
+                j = i + 1 if i < len(gk) and gk[i] == a else i
+                dists = ([a - gk[i - 1]] if i else []) + ([gk[j] - a] if j < len(gk) else [])
+                if not dists:
                     continue
-                dist = abs(pts[k] - a)
-                if dist >= big:
-                    continue
-                osc = abs(vals[k] - va)
-                if osc > m_big:
+                dist, osc = min(dists), abs(gv - va)
+                if dist < big and osc > m_big:
                     m_big = osc
                 if dist < small and osc > m_small:
                     m_small = osc
-        if m_small == m_big and m_big.sign() > 0:
-            flat.append((a, m_big))
+        else:
+            for side in (range(idx - 1, -1, -1), range(idx + 1, n)):
+                for k in side:
+                    dist = abs(keys[k] - a)
+                    if not dist < big:
+                        break
+                    osc = abs(vkeys[k] - va)
+                    if osc > m_big:
+                        m_big = osc
+                    if dist < small and osc > m_small:
+                        m_small = osc
+        if m_small == m_big and m_big > 0:
+            flat.append((pts[idx], _exact_value(m_big, vden)))
 
     if flat:
         anchor, witness = _anchor_witness(flat)
         idx = bisect.bisect_left(pts, anchor)
+        a, va = keys[idx], vkeys[idx]
         entries = sorted(
-            (abs(p - anchor), abs(v - vals[idx]))
-            for k, (p, v) in enumerate(zip(pts, vals))
-            if k != idx
+            (abs(x - a), abs(v - va)) for k, (x, v) in enumerate(zip(keys, vkeys)) if k != idx
         )
-        witness["profile"] = _profile_rows_json(_sup_rows(entries, config.delta_schedule))
+        lift = None
+        if den is not None:
+            # _sup_rows reads a lifted scale as 2L times the distance
+            entries = [(2 * d, o) for d, o in entries]
+            lift = (den, vden, pts)
+        rows = _sup_rows(entries, config.delta_schedule, lift=lift)
+        witness["profile"] = _profile_rows_json(rows)
         return _flat_verdict(
             "C",
             res,
@@ -1015,7 +1049,7 @@ def _usc_const_sweep(
 ) -> Verdict:
     """Symmetric sweep over the cross-region pairs only; the effective deltas
     are the scales at which such pairs exist."""
-    total, cross = _cross_region_pairs(pts, vals, const_regions)
+    total, cross = _cross_region_pairs(pts, const_regions)
     res = _resolution(
         config,
         points=len(pts),
@@ -1133,7 +1167,7 @@ def _uc_family(
             ],
         )
     if const_regions is not None:
-        total, cross = _cross_region_pairs(pts, vals, const_regions)
+        total, cross = _cross_region_pairs(pts, const_regions)
         if total > config.max_pairs:
             return _open_verdict("UC", res, "cross-region pair count exceeds the pair budget")
         entries = sorted((x - y, osc, x, y) for x, y, osc in cross)
@@ -1165,61 +1199,60 @@ def _uc_family(
 
 
 def _mirror_walk(
-    pts: Sequence[QuadExt], start: int, a: QuadExt
-) -> Iterator[tuple[QuadExt, QuadExt, QuadExt]]:
-    """(h, x, y) for the sorted points x = pts[start], pts[start + 1], ...
-    with h = x - a and the mirror y = a - h, until a mirror falls below the
-    lowest point."""
-    lo = pts[0]
-    for k in range(start, len(pts)):
-        x = pts[k]
-        h = x - a
+    keys: Sequence, start: int, a, pos: dict
+) -> Iterator[tuple[object, int, int | None]]:
+    """(h, k, i) for the sorted keys x = keys[k], k = start, start + 1, ...
+    with h = x - a, the mirror y = a - h and i its position in keys (None
+    when y is not listed), until a mirror falls below the lowest key.
+
+    The listed points lie in the ambient set, so a listed mirror is a member.
+    An enumeration lists the least points of its set in ascending order, so
+    a member between the lowest listed point and a listed x is listed too:
+    the lookup decides membership without calling contains."""
+    lo = keys[0]
+    for k in range(start, len(keys)):
+        h = keys[k] - a
         y = a - h
         if y < lo:
             return
-        yield h, x, y
+        yield h, k, pos.get(y)
 
 
 def _sc_family(
-    ambient: Domain,
     pts: tuple[QuadExt, ...],
     vals: list[QuadExt],
     config: AnalysisConfig,
     en_truncated: bool,
 ) -> Verdict:
-    """Per-anchor mirror scan: the mirrored oscillation must be the same
-    positive value across the anchor's whole effective delta window to
-    refute."""
+    """Per-anchor mirror scan on the keys of _family_keys: the mirrored
+    oscillation must be the same positive value across the anchor's whole
+    effective delta window to refute."""
     n = len(pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
     if n * (n - 1) // 2 > config.max_pairs:
         return _open_verdict("SC", res, "pair budget too small for a per-anchor mirror scan")
-    val_of = dict(zip(pts, vals))
+    keys, vkeys, den, vden = _family_keys(pts, vals)
+    thr, windows = _anchor_windows(keys, den, config.delta_schedule)
+    big = thr[0]
+    pos = {k: i for i, k in enumerate(keys)}
     flat: list[tuple[QuadExt, QuadExt]] = []
-    for idx, a in enumerate(pts):
-        window = _anchor_window(pts, idx, config.delta_schedule)
-        if window is None:
+    for idx, w in enumerate(windows):
+        if w is None:
             continue
-        big, small = window
-        m_big: QuadExt | None = None
-        m_small: QuadExt | None = None
-        for h, x, y in _mirror_walk(pts, idx + 1, a):
-            if h >= big:
+        small = thr[w]
+        m_big = m_small = None
+        for h, k, i in _mirror_walk(keys, idx + 1, keys[idx], pos):
+            if not h < big:
                 break
-            if not ambient.contains(y):
+            if i is None:
                 continue
-            osc = abs(val_of[x] - val_of[y])
+            osc = abs(vkeys[k] - vkeys[i])
             if m_big is None or osc > m_big:
                 m_big = osc
             if h < small and (m_small is None or osc > m_small):
                 m_small = osc
-        if (
-            m_big is not None
-            and m_small is not None
-            and m_small == m_big
-            and m_big.sign() > 0
-        ):
-            flat.append((a, m_big))
+        if m_big is not None and m_small == m_big and m_big > 0:
+            flat.append((pts[idx], _exact_value(m_big, vden)))
     if flat:
         return _flat_verdict(
             "SC",
@@ -1240,7 +1273,7 @@ def _family_classify(
     pts = en.points
     vals = [evaluate(f, p) for p in pts]
     const_regions = piecewise_const_regions(f)
-    c_v = _per_point_c(ambient, pts, vals, config, en.truncated, const_regions)
+    c_v = _per_point_c(pts, vals, config, en.truncated, const_regions)
     usc_v = _usc_family(ambient, pts, vals, config, en.truncated, const_regions)
     uc_v = _uc_family(ambient, pts, vals, config, en.truncated, const_regions, c_v)
     if c_v.status == "proven" or usc_v.status == "proven":
@@ -1250,7 +1283,7 @@ def _family_classify(
             "scan skipped; an implication settles this notion",
         )
     else:
-        sc_v = _sc_family(ambient, pts, vals, config, en.truncated)
+        sc_v = _sc_family(pts, vals, config, en.truncated)
     return {"C": c_v, "UC": uc_v, "SC": sc_v, "USC": usc_v}
 
 
@@ -1879,28 +1912,41 @@ def check_wrt_subset(
                 f"subset point {format_quadext(b)} lies outside the ambient set"
             )
     pts = en_a.points
-    val_of = {p: evaluate(f, p) for p in pts}
+    n = len(pts)
+    # the anchors lift with the points, so every mirror is a key
+    keys, vkeys, den, vden = _family_keys(
+        pts + en_b.points, [evaluate(f, p) for p in pts]
+    )
+    keys, anchors = keys[:n], keys[n:]
+    pos = {k: i for i, k in enumerate(keys)}
     truncated = en_a.truncated or en_b.truncated
-    entries: list[tuple[QuadExt, QuadExt, QuadExt, QuadExt]] = []
+    entries: list[tuple] = []
     checked = 0
-    for a in en_b.points:
-        for h, x, y in _mirror_walk(pts, bisect.bisect_right(pts, a), a):
+    for b in anchors:
+        for h, k, i in _mirror_walk(keys, bisect.bisect_right(keys, b), b, pos):
             checked += 1
             if checked > config.max_pairs:
                 break
-            if ambient.contains(y):
-                entries.append((h, abs(val_of[x] - val_of[y]), x, y))
+            if i is not None:
+                entries.append((h, abs(vkeys[k] - vkeys[i]), k, i))
         if checked > config.max_pairs:
             truncated = True
             break
     entries.sort()
+    lift = None
+    if den is None:
+        entries = [(h, o, pts[k], pts[i]) for h, o, k, i in entries]
+    else:
+        # _sup_rows reads a lifted scale as 2L times the half-width
+        entries = [(2 * h, o, k, i) for h, o, k, i in entries]
+        lift = (den, vden, pts)
     res = _resolution(
         config,
         points=len(pts),
         enumeration_truncated=truncated,
         pairs_checked=checked,
     )
-    v = _sweep_verdict("USC_wrt_B", entries, config, res, truncated, truncated)
+    v = _sweep_verdict("USC_wrt_B", entries, config, res, truncated, truncated, lift)
     if v.status == "proven" and v.method == "midpoint_free":
         v.notes = ["no symmetric challenge is centered on the subset at any scale"]
         v.certificate["pairs_checked"] = checked

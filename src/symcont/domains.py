@@ -62,6 +62,14 @@ class Domain:
         raise NotImplementedError
 
     def enumerate(self, limit: int) -> Enumeration:
+        """The first `limit` points of the set's listing, which is strictly
+        ascending, and whether the set has more.
+
+        So enumerate(k) is a prefix of enumerate(m) for k <= m, every listed
+        point satisfies contains, and when the set has a least point the
+        listing starts from the bottom: a member between two listed points
+        is listed. The family scans rely on this to find mirrors among the
+        listed points without calling contains."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -96,14 +104,8 @@ class FinitePoints(Domain):
         return FinitePoints(points)
 
     def contains(self, x: QuadExt) -> bool:
-        lo, hi = 0, len(self.points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.points[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.points) and self.points[lo] == x
+        i = bisect.bisect_left(self.points, x)
+        return i < len(self.points) and self.points[i] == x
 
     def enumerate(self, limit: int) -> Enumeration:
         return Enumeration(self.points[:limit], truncated=len(self.points) > limit)
@@ -210,6 +212,31 @@ class NaturalReciprocals(Domain):
         return base + (", with 0" if self.with_zero else "")
 
 
+def _farey_bracket(x: QuadExt, n: int) -> tuple[int, int, int, int]:
+    """Neighbours a/b <= x < c/d in the Farey sequence of order n over the
+    whole line, by a Stern-Brocot descent from floor(x) and floor(x) + 1 that
+    takes each run of steps to one side in one move, so it ends after
+    O(log n) moves. Each move keeps b*c - a*d == 1."""
+    a = exact_floor(x)
+    b, c, d = 1, a + 1, 1
+    while b + d <= n:
+        if a + c <= x * (b + d):
+            # mediant <= x: a/b moves right to (a + k*c)/(b + k*d), the
+            # largest k with that fraction <= x
+            k = exact_floor((x * b - a) / (c - x * d))
+            k = min(k, (n - b) // d)
+            a, b = a + k * c, b + k * d
+        else:
+            # mediant > x: c/d moves left to (c + k*a)/(d + k*b), the
+            # largest k with that fraction > x
+            k = (n - d) // b
+            r = x * b - a
+            if r.sign() > 0:
+                k = min(k, exact_ceil((c - x * d) / r) - 1)
+            c, d = c + k * a, d + k * b
+    return a, b, c, d
+
+
 @dataclass(frozen=True)
 class TruncatedRationals(Domain):
     """Reduced rationals p/q with q <= max_denominator inside [lo, hi].
@@ -243,14 +270,25 @@ class TruncatedRationals(Domain):
         return self._sqrt2_in_range() and x == SQRT2
 
     def enumerate(self, limit: int) -> Enumeration:
-        pts: list[QuadExt] = [SQRT2] if self._sqrt2_in_range() else []
-        for q in range(1, self.max_denominator + 1):
-            p_lo = exact_ceil(self.lo * q)
-            p_hi = exact_floor(self.hi * q)
-            for p in range(p_lo, p_hi + 1):
-                if math.gcd(p, q) == 1:
-                    pts.append(QuadExt(Fraction(p, q)))
-        pts.sort()
+        """Walks the Farey sequence of order max_denominator (every reduced
+        fraction with that bound on its denominator, over the whole line)
+        from its least term >= lo by the next-term recurrence, and stops
+        after limit + 1 terms or past hi, so the work grows with limit rather
+        than with the size of the set. sqrt2 is then put in its place."""
+        n = self.max_denominator
+        last_p, last_q = _farey_bracket(self.hi, n)[:2]
+        a, b, c, d = _farey_bracket(self.lo, n)
+        if a * self.lo.d != self.lo.a * b or self.lo.b:
+            # a/b < lo: the walk starts at the next term c/d
+            k = (n + b) // d
+            a, b, c, d = c, d, k * c - a, k * d - b
+        pts: list[QuadExt] = []
+        while len(pts) <= limit and a * last_q <= last_p * b:
+            pts.append(_reduced(a, 0, b))
+            k = (n + b) // d
+            a, b, c, d = c, d, k * c - a, k * d - b
+        if self._sqrt2_in_range():
+            bisect.insort(pts, SQRT2)
         return Enumeration(tuple(pts[:limit]), truncated=len(pts) > limit)
 
     def describe(self) -> str:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symcont import (
     SQRT2,
@@ -46,13 +46,17 @@ from symcont.analysis import (
     Verdict,
     _ordered,
     _pairs_from_points,
+    _per_point_c,
     _probe_points,
+    _sc_family,
     _sup_rows,
     _survey_entries,
     _uc_rows,
     _window_scan_exact,
 )
 from symcont.domains import SymmetricPair
+from symcont.exactnum import format_quadext
+from symcont.functions import piecewise_const_regions
 from symcont.zoo import build_example, ex_3_5_member, indicator_with_zero
 
 from conftest import (
@@ -708,6 +712,166 @@ def union_center_cases(draw):
     return pts, vals, IntervalUnion(tuple(pieces))
 
 
+# eighths in [-2, 2]: dense enough that many points have listed mirrors
+_EIGHTHS = st.integers(-16, 16).map(lambda n: Fraction(n, 8))
+_VALUE_POOL = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2))
+
+
+@st.composite
+def family_cases(draw):
+    """A finite ambient set listed up to enum_limit (maybe truncated), f
+    constant, zero-slope affine or the identity on up to three regions, a
+    subset of anchors (some maybe past the listing), and a schedule whose
+    deltas include point distances (ties with a gap or, as the largest
+    delta, with the scan stop), just above them and irrational ones. Points are rational, share one sqrt2
+    part or mix them; values likewise."""
+    kind = draw(st.sampled_from(("rational", "shared", "mixed")))
+    rats = draw(st.lists(_EIGHTHS, min_size=1, max_size=14, unique=True))
+    if kind == "mixed":
+        irrs = draw(st.lists(st.sampled_from(_IRRS), min_size=len(rats), max_size=len(rats)))
+    else:
+        irrs = [Fraction(0) if kind == "rational" else draw(st.sampled_from(_IRRS[1:]))] * len(rats)
+    pts = sorted({QuadExt(r, i) for r, i in zip(rats, irrs)})
+    ambient = FinitePoints(tuple(pts))
+    formula = draw(st.sampled_from(("const", "affine", "identity")))
+    v_kind = draw(st.sampled_from(("rational", "shared", "mixed")))
+    v_irr = draw(st.sampled_from(_IRRS[1:])) if v_kind == "shared" else Fraction(0)
+    groups = draw(st.lists(st.integers(0, 2), min_size=len(pts), max_size=len(pts)))
+    pieces = []
+    for g in sorted(set(groups)):
+        value = QuadExt(draw(st.sampled_from(_VALUE_POOL)), v_irr)
+        if v_kind == "mixed" and draw(st.booleans()):
+            value = value + SQRT2
+        region = FinitePoints(tuple(p for p, h in zip(pts, groups) if h == g))
+        pieces.append(FuncPiece(region, Const(value) if formula == "const" else Affine(0, value)))
+    f = Identity() if formula == "identity" else Piecewise(tuple(pieces))
+    limit = draw(st.integers(1, len(pts)))
+    anchors = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=4))
+    dists = sorted({x - y for k, y in enumerate(pts) for x in pts[k + 1 :]})
+    deltas = {qx(4), qx(Fraction(1, 3)), SQRT2 / draw(st.integers(2, 40))}
+    # a sparse schedule leaves some anchors without a window; a dense one
+    # puts an edge just above every gap, so each side's gap matters
+    dense = draw(st.booleans())
+    for d in dists if dense else draw(st.lists(st.sampled_from(dists), max_size=5)) if dists else ():
+        deltas.update((d, d / 2, d + SQRT2 / 10**6))
+    if dists and draw(st.booleans()):
+        # the largest delta equal to a distance: the outward scan stops there
+        top = draw(st.sampled_from(dists))
+        deltas = {d for d in deltas if d < top} | {top}
+    config = AnalysisConfig(
+        delta_schedule=tuple(sorted(deltas, reverse=True)),
+        enum_limit=limit,
+        max_pairs=draw(st.sampled_from((10**6, 4, 30, 80))),
+    )
+    return ambient, f, FinitePoints(tuple(anchors)), config
+
+
+def _family_example(points, values, schedule):
+    """A family case with one zero-slope affine piece per point, anchored at
+    the first point."""
+    pts = tuple(qx(p) for p in points)
+    f = Piecewise(
+        tuple(FuncPiece(FinitePoints.of(p), Affine(0, v)) for p, v in zip(pts, values))
+    )
+    config = AnalysisConfig(delta_schedule=tuple(schedule))
+    return FinitePoints(pts), f, FinitePoints(pts[:1]), config
+
+
+def _family_verdicts(ambient, f, subset, config):
+    """The JSON of the C, SC and subset-anchored verdicts."""
+    en = ambient.enumerate(config.enum_limit)
+    vals = [evaluate(f, p) for p in en.points]
+    c = _per_point_c(en.points, vals, config, en.truncated, piecewise_const_regions(f))
+    sc = _sc_family(en.points, vals, config, en.truncated)
+    wrt = check_wrt_subset(ambient, f, subset, config)
+    return [v.to_json() for v in (c, sc, wrt)]
+
+
+def _brute_window(pts, idx, schedule):
+    """(largest, smallest) schedule delta above the distance from pts[idx]
+    to the nearest other point, or None when fewer than two are."""
+    near = [abs(p - pts[idx]) for k, p in enumerate(pts) if k != idx]
+    eff = [d for d in schedule if near and d > min(near)]
+    return (eff[0], eff[-1]) if len(eff) >= 2 else None
+
+
+def _brute_rows(entries, schedule):
+    """Profile rows over (scale, osc) entries: the sup and count below each delta."""
+    rows = []
+    for d in schedule:
+        below = [o for h, o, *_ in entries if h < d]
+        rows.append(
+            {
+                "delta": format_quadext(d),
+                "omega": format_quadext(max(below)) if below else None,
+                "challenges": len(below),
+            }
+        )
+    return rows
+
+
+def _brute_c(pts, vals, schedule):
+    """Flat anchors (anchor, jump) by an all-pairs scan, and the witness
+    anchor's profile rows."""
+    flat = []
+    for idx, a in enumerate(pts):
+        window = _brute_window(pts, idx, schedule)
+        if window is None:
+            continue
+        near = [(abs(p - a), abs(v - vals[idx])) for p, v in zip(pts, vals) if p != a]
+        m_big = max((o for d, o in near if d < window[0]), default=qx(0))
+        m_small = max((o for d, o in near if d < window[1]), default=qx(0))
+        if m_small == m_big and m_big > 0:
+            flat.append((a, m_big))
+    if not flat:
+        return flat, None
+    jump = max(j for _, j in flat)
+    anchor = min(a for a, j in flat if j == jump)
+    va = vals[pts.index(anchor)]
+    entries = [(abs(p - anchor), abs(v - va)) for p, v in zip(pts, vals) if p != anchor]
+    return flat, _brute_rows(entries, schedule)
+
+
+def _brute_sc(ambient, pts, vals, schedule):
+    """Flat anchors (anchor, jump) over mirror pairs found by contains."""
+    val_of = dict(zip(pts, vals))
+    flat = []
+    for idx, a in enumerate(pts):
+        window = _brute_window(pts, idx, schedule)
+        if window is None:
+            continue
+        mirrors = [
+            (x - a, abs(val_of[x] - val_of[2 * a - x]))
+            for x in pts
+            if a < x and x - a < window[0] and 2 * a - x >= pts[0] and ambient.contains(2 * a - x)
+        ]
+        if not mirrors:
+            continue
+        m_big = max(o for _, o in mirrors)
+        m_small = max((o for h, o in mirrors if h < window[1]), default=None)
+        if m_small == m_big and m_big > 0:
+            flat.append((a, m_big))
+    return flat
+
+
+def _brute_wrt(ambient, pts, vals, anchors, max_pairs):
+    """Mirror entries (h, osc, x, y) around each anchor found by contains, the
+    mirrors checked and whether the pair budget ran out."""
+    val_of = dict(zip(pts, vals))
+    entries, checked = [], 0
+    for b in anchors:
+        for x in (p for p in pts if p > b):
+            y = 2 * b - x
+            if y < pts[0]:
+                break
+            checked += 1
+            if checked > max_pairs:
+                return entries, checked, True
+            if ambient.contains(y):
+                entries.append((x - b, abs(val_of[x] - val_of[y]), x, y))
+    return sorted(entries), checked, False
+
+
 def _exact_only():
     """Route every lift to the exact path, as for points with mixed sqrt2 parts."""
     return mock.patch.object(analysis, "_lift_rationals", return_value=None)
@@ -794,6 +958,103 @@ class TestIntegerPaths:
             best, idx, count = _window_scan_exact(pts, vals, delta)
             wit = None if idx is None else _ordered(pts[idx[0]], pts[idx[1]])
             assert (res.value, res.witness, res.challenges) == (best, wit, count)
+
+    @settings(max_examples=300, deadline=None)
+    @given(family_cases())
+    # a gap just below an irrational delta: ceil, not floor, of L*delta
+    @example(_family_example((0, Fraction(1, 8), Fraction(1, 2)), (0, 1, 2), (1, Fraction(1, 2) + SQRT2 / 10**6)))
+    # a gap equal to a delta, which is then not effective
+    @example(_family_example((0, Fraction(1, 8), Fraction(1, 2)), (0, 2, 1), (1, Fraction(1, 2), Fraction(1, 8))))
+    # a left gap below the right one
+    @example(_family_example((0, Fraction(1, 8), 1), (2, 0, 1), (2, Fraction(1, 2))))
+    # a point at exactly the largest delta, which the scan must not reach
+    @example(_family_example((0, Fraction(1, 8), 1), (0, 1, 2), (1, Fraction(1, 2))))
+    def test_family_scans_match_exact_and_brute_force(self, case):
+        ambient, f, subset, config = case
+        got = _family_verdicts(*case)
+        with _exact_only():
+            assert got == _family_verdicts(*case)
+        c, sc, wrt = got
+        schedule = config.delta_schedule
+        en = ambient.enumerate(config.enum_limit)
+        pts, n = list(en.points), len(en.points)
+        vals = [evaluate(f, p) for p in pts]
+
+        if piecewise_const_regions(f) is None and n * n > config.max_pairs:
+            assert c["status"] == "no_violation"
+        else:
+            flat, rows = _brute_c(pts, vals, schedule)
+            assert c["status"] == ("refuted" if flat else "no_violation")
+            if flat:
+                jump = max(j for _, j in flat)
+                anchor = min(a for a, j in flat if j == jump)
+                assert c["witness"] == {
+                    "kind": "anchor",
+                    "anchor": format_quadext(anchor),
+                    "jump": format_quadext(jump),
+                    "flat_anchor_count": len(flat),
+                    "profile": rows,
+                }
+
+        if n * (n - 1) // 2 <= config.max_pairs:
+            flat = _brute_sc(ambient, pts, vals, schedule)
+            assert sc["status"] == ("refuted" if flat else "no_violation")
+            if flat:
+                jump = max(j for _, j in flat)
+                assert sc["witness"]["anchor"] == format_quadext(
+                    min(a for a, j in flat if j == jump)
+                )
+                assert sc["witness"]["flat_anchor_count"] == len(flat)
+
+        if subset == ambient:
+            return
+        b_en = subset.enumerate(config.enum_limit)
+        entries, checked, over = _brute_wrt(ambient, pts, vals, b_en.points, config.max_pairs)
+        truncated = en.truncated or b_en.truncated or over
+        assert wrt["resolution"]["pairs_checked"] == checked
+        rows = _brute_rows(entries, schedule)
+        effective = [r for r in rows if r["challenges"]]
+        if len(effective) >= 2 and effective[0]["omega"] == effective[-1]["omega"] != "0":
+            assert wrt["status"] == "refuted"
+            assert wrt["witness"]["profile"] == rows
+            sup = parse_quadext(effective[-1]["omega"])
+            bottom = parse_quadext(effective[-1]["delta"])
+            x, y = next((x, y) for h, o, x, y in entries if h < bottom and o == sup)
+            assert (wrt["witness"]["x"], wrt["witness"]["y"]) == (
+                format_quadext(x),
+                format_quadext(y),
+            )
+        elif not truncated and not entries:
+            assert (wrt["status"], wrt["method"]) == ("proven", "midpoint_free")
+        elif not truncated and all(o == 0 for _, o, *_ in entries):
+            assert (wrt["status"], wrt["method"]) == ("proven", "exhaustive_enumeration")
+        else:
+            assert wrt["status"] == "no_violation"
+
+    def test_family_mirror_scans_call_no_contains(self, monkeypatch):
+        """On lifted points the mirror walks look mirrors up among the listed
+        points: _sc_family calls no contains, and check_wrt_subset calls it
+        only to check that each anchor lies in the ambient set."""
+        calls = Counter()
+        for cls in (FinitePoints, NaturalReciprocals, UnionOf):
+            original = cls.contains
+
+            def counted(self, x, _orig=original):
+                calls[type(self).__name__] += 1
+                return _orig(self, x)
+
+            monkeypatch.setattr(cls, "contains", counted)
+        shifted = FinitePoints(tuple(SQRT2 + qx(Fraction(k, 8)) for k in range(-12, 13)))
+        for ambient in (NaturalReciprocals(40), shifted):
+            pts = ambient.enumerate(100).points
+            vals = [evaluate(Affine(2, 1), p) for p in pts]
+            calls.clear()
+            _sc_family(pts, vals, FAST, False)
+            assert calls == Counter()
+            anchors = FinitePoints(pts[3:9])
+            w = check_wrt_subset(ambient, Affine(2, 1), anchors, FAST)
+            assert w.resolution["pairs_checked"] > 0
+            assert sum(calls.values()) == len(anchors.points)
 
     @staticmethod
     def sorted_set_grid(piece, exponent):

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -216,6 +217,85 @@ class TestTruncatedRationals:
         pts = d.enumerate(1000).points
         i = pts.index(SQRT2)
         assert pts[i - 1] < SQRT2 < pts[i + 1]
+
+    @staticmethod
+    def sorted_listing(d, limit):
+        """The listing as first built: every reduced fraction in range,
+        sqrt2 when adjoined, sorted, then cut at limit."""
+        pts = [SQRT2] if d.adjoin_sqrt2 and d.lo <= SQRT2 <= d.hi else []
+        for q in range(1, d.max_denominator + 1):
+            for p in range(exact_ceil(d.lo * q), exact_floor(d.hi * q) + 1):
+                if math.gcd(p, q) == 1:
+                    pts.append(qx(Fraction(p, q)))
+        pts.sort()
+        return tuple(pts[:limit]), len(pts) > limit
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ends=st.lists(
+            st.tuples(
+                st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                st.sampled_from((Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(1, 3))),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        n=st.integers(1, 24),
+        limit=st.sampled_from((1, 2, 3, 7, 40, 10**5)),
+        adjoin=st.booleans(),
+    )
+    def test_farey_walk_matches_sorted_listing(self, ends, n, limit, adjoin):
+        lo, hi = sorted(qx(r, i) for r, i in ends)
+        d = TruncatedRationals(n, lo, hi, adjoin_sqrt2=adjoin)
+        en = d.enumerate(limit)
+        assert (en.points, en.truncated) == self.sorted_listing(d, limit)
+
+    def test_work_follows_the_limit(self):
+        start = time.perf_counter()
+        en = TruncatedRationals(800, 0, 1).enumerate(20)
+        assert time.perf_counter() - start < 0.25
+        assert en.points[:3] == (qx(0), qx(Fraction(1, 800)), qx(Fraction(1, 799)))
+        assert len(en.points) == 20 and en.truncated
+
+
+ENUMERABLE = {
+    "finite_points": FinitePoints.of(qx(-1), SQRT2, qx(Fraction(1, 3)), qx(0)),
+    "integer_window": IntegerWindow(-3, 4),
+    "natural_reciprocals": NaturalReciprocals(9),
+    "natural_reciprocals_no_zero": NaturalReciprocals(9, with_zero=False),
+    "odd_prime_reciprocals": OddPrimeReciprocals(30),
+    "odd_prime_reciprocals_no_zero": OddPrimeReciprocals(30, with_zero=False),
+    "truncated_rationals": TruncatedRationals(6, qx(-1), SQRT2),
+    "truncated_rationals_sqrt2": TruncatedRationals(6, qx(-1), qx(2), adjoin_sqrt2=True),
+    "degenerate_union": IntervalUnion(
+        (IntervalPiece(qx(2), qx(2)), IntervalPiece(SQRT2, SQRT2), IntervalPiece(qx(0), qx(0)))
+    ),
+    "union_of": UnionOf(
+        (
+            NaturalReciprocals(8),
+            FinitePoints.of(SQRT2, qx(Fraction(1, 2)), qx(-2)),
+            TruncatedRationals(4, qx(0), qx(1)),
+        )
+    ),
+}
+
+
+class TestEnumerationContract:
+    """enumerate lists strictly ascending members, and enumerate(k) is the
+    first k points of the full listing, truncated exactly when more exist."""
+
+    @pytest.mark.parametrize("name", sorted(ENUMERABLE))
+    def test_prefix_of_ascending_listing(self, name):
+        d = ENUMERABLE[name]
+        full = d.enumerate(10**4)
+        assert not full.truncated
+        pts = full.points
+        assert all(a < b for a, b in zip(pts, pts[1:]))
+        assert all(d.contains(p) for p in pts)
+        for k in range(1, len(pts) + 2):
+            en = d.enumerate(k)
+            assert en.points == pts[:k]
+            assert en.truncated == (len(pts) > k)
 
 
 class TestIntervals:
