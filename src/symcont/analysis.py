@@ -815,17 +815,19 @@ def _cross_region_pairs(
     """Piecewise-constant reduction: pairs inside one region oscillate by
     exactly zero, so only pairs across regions with distinct values matter.
     Returns their count and a lazy listing of them as (x, y, osc), x > y."""
-    groups = _region_groups(pts, const_regions)
+    groups = [
+        ([pts[k] for k in idx], value) for idx, value in _region_groups(pts, const_regions)
+    ]
     cross = [
         (g, h) for i, g in enumerate(groups) for h in groups[i + 1 :] if g[1] != h[1]
     ]
     total = sum(len(g[0]) * len(h[0]) for g, h in cross)
 
     def pairs() -> Iterator[tuple[QuadExt, QuadExt, QuadExt]]:
-        for (gidx, gval), (hidx, hval) in cross:
+        for (gpts, gval), (hpts, hval) in cross:
             osc = abs(gval - hval)
-            for u in (pts[k] for k in gidx):
-                for w in (pts[k] for k in hidx):
+            for u in gpts:
+                for w in hpts:
                     yield (u, w, osc) if u > w else (w, u, osc)
 
     return total, pairs()
