@@ -875,6 +875,7 @@ def _anchor_windows(
     neg = [-t for t in thr]  # ascending
     gaps = [b - a for a, b in itertools.pairwise(keys)]
     windows: list[int | None] = []
+    # the gap to the nearer neighbor; an end point has one neighbor
     for gap in map(min, [gaps[0]] + gaps, gaps + [gaps[-1]]):
         count = bisect.bisect_left(neg, -gap)
         windows.append(count - 1 if count >= 2 else None)
@@ -937,14 +938,14 @@ def _per_point_c(
         m_big = m_small = 0
         if const_regions is not None:
             for gk, gv in group_keys:
+                # f(a) is the value of a's own region, so a is in no group
+                # scanned here; a missing neighbor counts as out of reach
                 if gv == va:
                     continue
                 i = bisect.bisect_left(gk, a)
-                j = i + 1 if i < len(gk) and gk[i] == a else i
-                dists = ([a - gk[i - 1]] if i else []) + ([gk[j] - a] if j < len(gk) else [])
-                if not dists:
-                    continue
-                dist, osc = min(dists), abs(gv - va)
+                left = a - gk[i - 1] if i else big
+                right = gk[i] - a if i < len(gk) else big
+                dist, osc = min(left, right), abs(gv - va)
                 if dist < big and osc > m_big:
                     m_big = osc
                 if dist < small and osc > m_small:
