@@ -62,14 +62,13 @@ class Domain:
         raise NotImplementedError
 
     def enumerate(self, limit: int) -> Enumeration:
-        """The first `limit` points of the set's listing, which is strictly
-        ascending, and whether the set has more.
+        """The first `limit` points of the set in strictly ascending order,
+        and whether the set has more.
 
         So enumerate(k) is a prefix of enumerate(m) for k <= m, every listed
-        point satisfies contains, and when the set has a least point the
-        listing starts from the bottom: a member between two listed points
-        is listed. The family scans rely on this to find mirrors among the
-        listed points without calling contains."""
+        point satisfies contains, and a member lying between two listed
+        points is listed. The family scans rely on the last property to find
+        mirrors among the listed points without calling contains."""
         raise NotImplementedError
 
     def describe(self) -> str:

@@ -723,14 +723,17 @@ def family_cases(draw):
     constant, zero-slope affine or the identity on up to three regions, a
     subset of anchors (some maybe past the listing), and a schedule whose
     deltas include point distances (ties with a gap or, as the largest
-    delta, with the scan stop), just above them and irrational ones. Points are rational, share one sqrt2
-    part or mix them; values likewise."""
+    delta, with the scan stop), just above them and irrational ones. Points
+    are rational, share one sqrt2 part or mix them; values likewise."""
     kind = draw(st.sampled_from(("rational", "shared", "mixed")))
     rats = draw(st.lists(_EIGHTHS, min_size=1, max_size=14, unique=True))
+    n = len(rats)
     if kind == "mixed":
-        irrs = draw(st.lists(st.sampled_from(_IRRS), min_size=len(rats), max_size=len(rats)))
+        irrs = draw(st.lists(st.sampled_from(_IRRS), min_size=n, max_size=n))
+    elif kind == "shared":
+        irrs = [draw(st.sampled_from(_IRRS[1:]))] * n
     else:
-        irrs = [Fraction(0) if kind == "rational" else draw(st.sampled_from(_IRRS[1:]))] * len(rats)
+        irrs = [Fraction(0)] * n
     pts = sorted({QuadExt(r, i) for r, i in zip(rats, irrs)})
     ambient = FinitePoints(tuple(pts))
     formula = draw(st.sampled_from(("const", "affine", "identity")))
@@ -743,27 +746,32 @@ def family_cases(draw):
         if v_kind == "mixed" and draw(st.booleans()):
             value = value + SQRT2
         region = FinitePoints(tuple(p for p, h in zip(pts, groups) if h == g))
-        pieces.append(FuncPiece(region, Const(value) if formula == "const" else Affine(0, value)))
+        fm = Const(value) if formula == "const" else Affine(0, value)
+        pieces.append(FuncPiece(region, fm))
     f = Identity() if formula == "identity" else Piecewise(tuple(pieces))
     limit = draw(st.integers(1, len(pts)))
     anchors = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=4))
     dists = sorted({x - y for k, y in enumerate(pts) for x in pts[k + 1 :]})
     deltas = {qx(4), qx(Fraction(1, 3)), SQRT2 / draw(st.integers(2, 40))}
-    # a sparse schedule leaves some anchors without a window; a dense one
-    # puts an edge just above every gap, so each side's gap matters
-    dense = draw(st.booleans())
-    for d in dists if dense else draw(st.lists(st.sampled_from(dists), max_size=5)) if dists else ():
-        deltas.update((d, d / 2, d + SQRT2 / 10**6))
-    if dists and draw(st.booleans()):
-        # the largest delta equal to a distance: the outward scan stops there
-        top = draw(st.sampled_from(dists))
-        deltas = {d for d in deltas if d < top} | {top}
+    if dists:
+        # a sparse schedule leaves some anchors without a window; a dense
+        # one puts an edge just above every gap, so each side's gap matters
+        dense = draw(st.booleans())
+        for d in dists if dense else draw(st.lists(st.sampled_from(dists), max_size=5)):
+            deltas.update((d, d / 2, d + SQRT2 / 10**6))
+        if draw(st.booleans()):
+            # the largest delta equal to a distance: the outward scan stops there
+            top = draw(st.sampled_from(dists))
+            deltas = {d for d in deltas if d < top} | {top}
     config = AnalysisConfig(
         delta_schedule=tuple(sorted(deltas, reverse=True)),
         enum_limit=limit,
         max_pairs=draw(st.sampled_from((10**6, 4, 30, 80))),
     )
     return ambient, f, FinitePoints(tuple(anchors)), config
+
+
+_8TH, _HALF = Fraction(1, 8), Fraction(1, 2)
 
 
 def _family_example(points, values, schedule):
@@ -843,7 +851,7 @@ def _brute_sc(ambient, pts, vals, schedule):
         mirrors = [
             (x - a, abs(val_of[x] - val_of[2 * a - x]))
             for x in pts
-            if a < x and x - a < window[0] and 2 * a - x >= pts[0] and ambient.contains(2 * a - x)
+            if a < x < a + window[0] and pts[0] <= 2 * a - x and ambient.contains(2 * a - x)
         ]
         if not mirrors:
             continue
@@ -961,14 +969,14 @@ class TestIntegerPaths:
 
     @settings(max_examples=300, deadline=None)
     @given(family_cases())
-    # a gap just below an irrational delta: ceil, not floor, of L*delta
-    @example(_family_example((0, Fraction(1, 8), Fraction(1, 2)), (0, 1, 2), (1, Fraction(1, 2) + SQRT2 / 10**6)))
+    # a distance just below an irrational delta: ceil, not floor, of L*delta
+    @example(_family_example((0, _8TH, _HALF), (0, 1, 2), (1, _HALF + SQRT2 / 10**6)))
     # a gap equal to a delta, which is then not effective
-    @example(_family_example((0, Fraction(1, 8), Fraction(1, 2)), (0, 2, 1), (1, Fraction(1, 2), Fraction(1, 8))))
+    @example(_family_example((0, _8TH, _HALF), (0, 2, 1), (1, _HALF, _8TH)))
     # a left gap below the right one
-    @example(_family_example((0, Fraction(1, 8), 1), (2, 0, 1), (2, Fraction(1, 2))))
+    @example(_family_example((0, _8TH, 1), (2, 0, 1), (2, _HALF)))
     # a point at exactly the largest delta, which the scan must not reach
-    @example(_family_example((0, Fraction(1, 8), 1), (0, 1, 2), (1, Fraction(1, 2))))
+    @example(_family_example((0, _8TH, 1), (0, 1, 2), (1, _HALF)))
     def test_family_scans_match_exact_and_brute_force(self, case):
         ambient, f, subset, config = case
         got = _family_verdicts(*case)
