@@ -5,7 +5,8 @@ breaks away from matching limits, and reciprocal pieces ending at 0 from
 either side, and the subset-anchored scan when it proves the notion or runs
 out of its pair budget. Family scans are pinned on a sqrt2-shifted set,
 on points with mixed sqrt2 parts, under a schedule with irrational deltas,
-with three constant regions and, for the subset-anchored scan, on a
+with three constant regions, with overlapping regions that repeat a
+value (first match decides) and, for the subset-anchored scan, on a
 truncated enumeration. Sampled usc profiles pin the survey's membership
 test at open, touching and irrational piece ends, on sqrt2-shifted grids,
 and with values whose sqrt2 parts differ.
@@ -126,6 +127,22 @@ def _three_constant_regions():
         )
     )
     return nr, f, AnalysisConfig()
+
+
+def _overlapping_regions(**config):
+    """1 on rationals of denominator <= 12 in [0, 1], 0 on those in
+    [-3/4, 1/2] and 1 again on the whole ambient set [-1, 1] as a catch-all:
+    the first matching region decides [0, 1/2], and two regions share the
+    value 1."""
+    ambient = TruncatedRationals(12, -1, 1)
+    f = Piecewise(
+        (
+            FuncPiece(TruncatedRationals(12, 0, 1), Const(1)),
+            FuncPiece(TruncatedRationals(12, Fraction(-3, 4), Fraction(1, 2)), Const(0)),
+            FuncPiece(ambient, Const(1)),
+        )
+    )
+    return ambient, f, AnalysisConfig(**config)
 
 
 def _shifted_indicator_truncated():
@@ -275,6 +292,18 @@ CASES = {
         "C",
         ("refuted", "flat_modulus"),
         "4a84b790c41f8b5c8df246546f7071ea5c8805e686c4234fa04a0c7d67cd9382",
+    ),
+    "overlapping_regions_repeated_value": (
+        _overlapping_regions,
+        "USC",
+        ("refuted", "flat_modulus"),
+        "8fc3f27fa866d4555cfa95180afda890636723e164c1fe34d0685f0bba08a7a0",
+    ),
+    "overlapping_regions_repeated_value_truncated": (
+        lambda: _overlapping_regions(enum_limit=20),
+        "USC",
+        ("refuted", "flat_modulus"),
+        "2bf39bd9d3062d314dd01ed44a2889853d2eb5fd55d38b82c69b99734b850c7f",
     ),
     "reciprocal_open_end_below_zero_open": (
         lambda: _reciprocal_on(Fraction(-1, 2), 0, False, False),
