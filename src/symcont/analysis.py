@@ -61,7 +61,7 @@ from .functions import (
     evaluate,
     formula_eval,
     one_sided_limits,
-    piecewise_const_regions,
+    is_piecewise_constant,
     sup_abs_diff,
     tile_formulas,
 )
@@ -694,21 +694,6 @@ def _profile_rows_json(
     return out
 
 
-def _uc_witness(
-    flat: OscillationResult, rows: list[tuple[QuadExt, OscillationResult]]
-) -> dict:
-    """The witness of a flat uniform modulus: the flat row's pair (no
-    midpoint, which UC does not constrain) and the whole profile."""
-    wx, wy = flat.witness
-    return {
-        "kind": "pair",
-        "x": format_quadext(wx),
-        "y": format_quadext(wy),
-        "osc": format_quadext(flat.value),
-        "profile": _profile_rows_json(rows),
-    }
-
-
 # ---------------------------------------------------------------------------
 # classification pipelines
 
@@ -789,50 +774,6 @@ def _discrete_classify(
 # -- family (resolution-limited enumerable) pipeline ------------------------
 
 
-def _region_groups(
-    pts: Sequence[QuadExt],
-    const_regions: list[tuple[Domain | None, QuadExt]],
-) -> list[tuple[list[int], QuadExt]]:
-    """Partition point positions by the first constant region that contains
-    the point; each group's positions ascend with the points."""
-    groups: list[list[int]] = [[] for _ in const_regions]
-    for k, p in enumerate(pts):
-        for gi, (region, _) in enumerate(const_regions):
-            if region is None or region.contains(p):
-                groups[gi].append(k)
-                break
-    return [
-        (groups[gi], value)
-        for gi, (_, value) in enumerate(const_regions)
-        if groups[gi]
-    ]
-
-
-def _cross_region_pairs(
-    pts: Sequence[QuadExt],
-    const_regions: list[tuple[Domain | None, QuadExt]],
-) -> tuple[int, Iterator[tuple[QuadExt, QuadExt, QuadExt]]]:
-    """Piecewise-constant reduction: pairs inside one region oscillate by
-    exactly zero, so only pairs across regions with distinct values matter.
-    Returns their count and a lazy listing of them as (x, y, osc), x > y."""
-    groups = [
-        ([pts[k] for k in idx], value) for idx, value in _region_groups(pts, const_regions)
-    ]
-    cross = [
-        (g, h) for i, g in enumerate(groups) for h in groups[i + 1 :] if g[1] != h[1]
-    ]
-    total = sum(len(g[0]) * len(h[0]) for g, h in cross)
-
-    def pairs() -> Iterator[tuple[QuadExt, QuadExt, QuadExt]]:
-        for (gpts, gval), (hpts, hval) in cross:
-            osc = abs(gval - hval)
-            for u in gpts:
-                for w in hpts:
-                    yield (u, w, osc) if u > w else (w, u, osc)
-
-    return total, pairs()
-
-
 def _family_keys(
     pts: Sequence[QuadExt], vals: Sequence[QuadExt]
 ) -> tuple[Sequence, Sequence, int | None, int | None]:
@@ -900,16 +841,17 @@ def _per_point_c(
     vals: list[QuadExt],
     config: AnalysisConfig,
     en_truncated: bool,
-    const_regions: list[tuple[Domain | None, QuadExt]] | None,
+    groups: list[list[int]] | None,
 ) -> Verdict:
     """Per-anchor scan of |f(x) - f(a)| over the points x near each anchor a,
-    on the keys of _family_keys. A piecewise-constant f only needs the
-    nearest point of each other constant region, found by bisection in that
-    region's keys; any other f scans outward from the anchor and stops at the
-    first point at distance at least the largest delta (the keys ascend)."""
+    on the keys of _family_keys. A piecewise-constant f, given as the point
+    positions of each value group, only needs the nearest point of each other
+    value group, found by bisection in that group's keys; any other f scans
+    outward from the anchor and stops at the first point at distance at
+    least the largest delta (the keys ascend)."""
     n = len(pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
-    if const_regions is None and n * n > config.max_pairs:
+    if groups is None and n * n > config.max_pairs:
         return _open_verdict(
             "C",
             res,
@@ -917,16 +859,9 @@ def _per_point_c(
             "points for a non-constant piecewise function",
         )
 
-    if const_regions is None:
-        keys, vkeys, den, vden = _family_keys(pts, vals)
-    else:
-        groups = _region_groups(pts, const_regions)
-        # the region values lift with the point values, so a jump is a
-        # difference of value keys
-        keys, vkeys, den, vden = _family_keys(pts, [*vals, *(v for _, v in groups)])
-        group_keys = [
-            ([keys[k] for k in idx], vkeys[n + g]) for g, (idx, _) in enumerate(groups)
-        ]
+    keys, vkeys, den, vden = _family_keys(pts, vals)
+    if groups is not None:
+        group_keys = [([keys[k] for k in idx], vkeys[idx[0]]) for idx in groups]
     thr, windows = _anchor_windows(keys, den, config.delta_schedule)
     big = thr[0]
     flat: list[tuple[QuadExt, QuadExt]] = []  # (anchor, jump)
@@ -936,10 +871,10 @@ def _per_point_c(
         small = thr[w]
         a, va = keys[idx], vkeys[idx]
         m_big = m_small = 0
-        if const_regions is not None:
+        if groups is not None:
             for gk, gv in group_keys:
-                # f(a) is the value of a's own region, so a is in no group
-                # scanned here; a missing neighbor counts as out of reach
+                # a's own group is the one with value f(a), so a is in no
+                # group scanned here; a missing neighbor counts as out of reach
                 if gv == va:
                     continue
                 i = bisect.bisect_left(gk, a)
@@ -997,7 +932,7 @@ def _usc_family(
     vals: list[QuadExt],
     config: AnalysisConfig,
     en_truncated: bool,
-    const_regions: list[tuple[Domain | None, QuadExt]] | None,
+    groups: list[list[int]] | None,
 ) -> Verdict:
     n = len(pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
@@ -1014,7 +949,7 @@ def _usc_family(
             ambient,
             None,
             config.max_pairs,
-            first_only=const_regions is not None,
+            first_only=groups is not None,
         )
         if not survey.index:
             return _midpoint_free_verdict(
@@ -1030,8 +965,8 @@ def _usc_family(
                 "no symmetric challenge exists at any scale",
             )
 
-    if const_regions is not None:
-        return _usc_const_sweep(ambient, pts, vals, config, en_truncated, const_regions)
+    if groups is not None:
+        return _usc_const_sweep(ambient, pts, vals, config, en_truncated, groups)
     if survey is None:
         return _open_verdict(
             "USC", res, "pair budget too small for a symmetric sweep at this resolution"
@@ -1048,11 +983,13 @@ def _usc_const_sweep(
     vals: list[QuadExt],
     config: AnalysisConfig,
     en_truncated: bool,
-    const_regions: list[tuple[Domain | None, QuadExt]],
+    groups: list[list[int]],
 ) -> Verdict:
-    """Symmetric sweep over the cross-region pairs only; the effective deltas
-    are the scales at which such pairs exist."""
-    total, cross = _cross_region_pairs(pts, const_regions)
+    """Symmetric sweep over the pairs across value groups only (pairs inside
+    one group oscillate by exactly zero); the effective deltas are the
+    scales at which such pairs exist."""
+    cross = list(itertools.combinations(groups, 2))
+    total = sum(len(g) * len(h) for g, h in cross)
     res = _resolution(
         config,
         points=len(pts),
@@ -1061,9 +998,16 @@ def _usc_const_sweep(
     )
     if total > config.max_pairs:
         return _open_verdict("USC", res, "cross-region pair count exceeds the pair budget")
-    entries = sorted(
-        ((x - y) / 2, osc, x, y) for x, y, osc in cross if ambient.contains((x + y) / 2)
-    )
+    entries = []
+    for g, h in cross:
+        osc = abs(vals[g[0]] - vals[h[0]])
+        for i in g:
+            for j in h:
+                # the points ascend, so the later position is x > y
+                x, y = pts[max(i, j)], pts[min(i, j)]
+                if ambient.contains((x + y) / 2):
+                    entries.append(((x - y) / 2, osc, x, y))
+    entries.sort()
     if not entries:
         if en_truncated:
             return _open_verdict(
@@ -1112,14 +1056,11 @@ def _sweep_verdict(
     rows = _sup_rows(entries, config.delta_schedule, lift=lift)
     flat = _flat_row(rows)
     if flat is not None:
-        if notion == "UC":
-            witness = _uc_witness(flat, rows)
-        else:
-            witness = {
-                "kind": "pair",
-                "profile": _profile_rows_json(rows),
-                **_pair_json(*flat.witness, flat.value),
-            }
+        witness = {
+            "kind": "pair",
+            "profile": _profile_rows_json(rows),
+            **_pair_json(*flat.witness, flat.value),
+        }
         return _flat_verdict(
             notion,
             res,
@@ -1142,12 +1083,11 @@ def _sweep_verdict(
 
 
 def _uc_family(
-    ambient: Domain,
     pts: tuple[QuadExt, ...],
     vals: list[QuadExt],
     config: AnalysisConfig,
     en_truncated: bool,
-    const_regions: list[tuple[Domain | None, QuadExt]] | None,
+    piecewise_constant: bool,
     c_verdict: Verdict,
 ) -> Verdict:
     n = len(pts)
@@ -1169,24 +1109,29 @@ def _uc_family(
                 "uniformly continuous"
             ],
         )
-    if const_regions is not None:
-        total, cross = _cross_region_pairs(pts, const_regions)
-        if total > config.max_pairs:
-            return _open_verdict("UC", res, "cross-region pair count exceeds the pair budget")
-        entries = sorted((x - y, osc, x, y) for x, y, osc in cross)
-        if not entries and not en_truncated:
-            return _zero_verdict(
-                "UC", res, total, "all points carry the same value within reach"
-            )
-        return _sweep_verdict("UC", entries, config, res, False, en_truncated)
-    # generic sweep via sliding windows, one linear pass per delta
+    # sliding windows, one linear pass per delta
     rows = _uc_rows(pts, vals, config.delta_schedule, en_truncated)
-    flat = _flat_row(rows)
+    if piecewise_constant:
+        # pairs of one value oscillate by zero at every scale, so the deltas
+        # at which the model can show a jump are those with a pair of two
+        # values below them: the rows with a positive sup
+        flat = _flat_row([r for r in rows if r[1].challenges and r[1].value.sign() > 0])
+    else:
+        flat = _flat_row(rows)
     if flat is not None:
+        # the flat row's pair, with no midpoint, which UC does not constrain
+        wx, wy = flat.witness
+        witness = {
+            "kind": "pair",
+            "x": format_quadext(wx),
+            "y": format_quadext(wy),
+            "osc": format_quadext(flat.value),
+            "profile": _profile_rows_json(rows),
+        }
         return _flat_verdict(
             "UC",
             res,
-            _uc_witness(flat, rows),
+            witness,
             "pair oscillation stays at the same positive level at every "
             "effective delta down to the model floor",
         )
@@ -1275,10 +1220,16 @@ def _family_classify(
     en = ambient.enumerate(config.enum_limit)
     pts = en.points
     vals = [evaluate(f, p) for p in pts]
-    const_regions = piecewise_const_regions(f)
-    c_v = _per_point_c(pts, vals, config, en.truncated, const_regions)
-    usc_v = _usc_family(ambient, pts, vals, config, en.truncated, const_regions)
-    uc_v = _uc_family(ambient, pts, vals, config, en.truncated, const_regions, c_v)
+    groups = None
+    if is_piecewise_constant(f):
+        # positions by value: pairs inside one group oscillate by zero
+        by_value: dict[QuadExt, list[int]] = {}
+        for k, v in enumerate(vals):
+            by_value.setdefault(v, []).append(k)
+        groups = list(by_value.values())
+    c_v = _per_point_c(pts, vals, config, en.truncated, groups)
+    usc_v = _usc_family(ambient, pts, vals, config, en.truncated, groups)
+    uc_v = _uc_family(pts, vals, config, en.truncated, groups is not None, c_v)
     if c_v.status == "proven" or usc_v.status == "proven":
         sc_v = _open_verdict(
             "SC",

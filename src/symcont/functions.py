@@ -209,20 +209,12 @@ def describe_function(f: FuncSpec) -> str:
     return "(" + sym.join(describe_function(g) for g in f.operands) + ")"
 
 
-def piecewise_const_regions(
-    f: FuncSpec,
-) -> list[tuple[Domain | None, QuadExt]] | None:
-    """Per-region constant values when f is piecewise constant, else None.
-
-    A bare constant yields a single entry with region None (everywhere).
-    """
-    if isinstance(f, Const):
-        return [(None, f.value)]
-    if isinstance(f, Piecewise) and all(
-        isinstance(fp.formula, Const) for fp in f.pieces
-    ):
-        return [(fp.region, fp.formula.value) for fp in f.pieces]
-    return None
+def is_piecewise_constant(f: FuncSpec) -> bool:
+    """True when f is a constant or a piecewise spec of constants."""
+    return isinstance(f, Const) or (
+        isinstance(f, Piecewise)
+        and all(isinstance(fp.formula, Const) for fp in f.pieces)
+    )
 
 
 def tile_formulas(

@@ -46,7 +46,6 @@ from symcont.analysis import (
     Verdict,
     _ordered,
     _pairs_from_points,
-    _per_point_c,
     _probe_points,
     _sc_family,
     _sup_rows,
@@ -56,7 +55,7 @@ from symcont.analysis import (
 )
 from symcont.domains import SymmetricPair
 from symcont.exactnum import format_quadext
-from symcont.functions import piecewise_const_regions
+from symcont.functions import is_piecewise_constant
 from symcont.zoo import build_example, ex_3_5_member, indicator_with_zero
 
 from conftest import (
@@ -434,7 +433,7 @@ class TestWitnessVerification:
 class TestCrossRegionUcWitness:
     def test_flat_refutation_names_the_pair(self):
         """Points valued 0 and 1 whose cross gaps shrink with n refute UC by
-        the cross-region sweep; the reciprocal part keeps the union off the
+        the window scan; the reciprocal part keeps the union off the
         uniformly discrete pipeline."""
         zeros, ones = [], []
         for n in range(2, 9):
@@ -462,6 +461,55 @@ class TestCrossRegionUcWitness:
         assert x - y == qx(Fraction(1, 8**3) - Fraction(2, 8**5))
         assert v.witness["osc"] == "1"
         assert verify_witness(ambient, f, v) == []
+
+
+class TestPiecewiseConstantFamily:
+    @staticmethod
+    def even_odd(n):
+        """{1/k : 1 <= k <= n} with f(1/k) = 1 for even k and 0 for odd k (a
+        catch-all region), listed in full; with n = 800 there are 160 000
+        pairs across the two values."""
+        ambient = NaturalReciprocals(n, with_zero=False)
+        pts = ambient.enumerate(n).points
+        even = FinitePoints(tuple(p for p in pts if p.rat.denominator % 2 == 0))
+        f = Piecewise((FuncPiece(even, Const(1)), FuncPiece(ambient, Const(0))))
+        return ambient, f, pts
+
+    def test_uc_window_scan_on_many_cross_pairs(self):
+        """UC on a piecewise-constant f runs the one window scan per delta,
+        whose work grows with the points, not with the cross pairs."""
+        _, f, pts = self.even_odd(800)
+        vals = [evaluate(f, p) for p in pts]
+        c_open = Verdict("C", "no_violation", "flat_modulus", "truncation")
+        start = time.perf_counter()
+        v = analysis._uc_family(pts, vals, AnalysisConfig(), False, True, c_open)
+        elapsed = time.perf_counter() - start
+        assert (v.status, v.method) == ("refuted", "flat_modulus")
+        assert (v.witness["x"], v.witness["y"], v.witness["osc"]) == ("1/799", "1/800", "1")
+        assert elapsed < 0.5, elapsed
+
+    def test_value_groups_call_no_contains(self, monkeypatch):
+        """The family pipeline groups the points by their evaluated values:
+        it calls the regions' contains only to evaluate f, once per listed
+        point."""
+        calls = Counter()
+        original = FinitePoints.contains
+
+        def counted(self, x):
+            calls[self] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(FinitePoints, "contains", counted)
+        ambient, f, pts = self.even_odd(40)
+        config = AnalysisConfig(enum_limit=30)
+        for p in pts[:30]:
+            evaluate(f, p)
+        evaluation = Counter(calls)
+        assert sum(evaluation.values()) == 30
+        calls.clear()
+        verdicts = analysis._family_classify(ambient, f, config)
+        assert verdicts["USC"].status == "refuted"
+        assert calls == evaluation
 
 
 class TestOscillationScans:
@@ -720,8 +768,9 @@ _VALUE_POOL = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1, 2))
 @st.composite
 def family_cases(draw):
     """A finite ambient set listed up to enum_limit (maybe truncated), f
-    constant, zero-slope affine or the identity on up to three regions, a
-    subset of anchors (some maybe past the listing), and a schedule whose
+    constant, zero-slope affine or the identity on up to three regions (or
+    on overlapping regions before a catch-all on the whole set), a subset of
+    anchors (some maybe past the listing), and a schedule whose
     deltas include point distances (ties with a gap or, as the largest
     delta, with the scan stop), just above them and irrational ones. Points
     are rational, share one sqrt2 part or mix them; values likewise."""
@@ -740,12 +789,22 @@ def family_cases(draw):
     v_kind = draw(st.sampled_from(("rational", "shared", "mixed")))
     v_irr = draw(st.sampled_from(_IRRS[1:])) if v_kind == "shared" else Fraction(0)
     groups = draw(st.lists(st.integers(0, 2), min_size=len(pts), max_size=len(pts)))
+    regions = [
+        FinitePoints(tuple(p for p, h in zip(pts, groups) if h == g))
+        for g in sorted(set(groups))
+    ]
+    if draw(st.booleans()):
+        # the last region is the whole ambient set; the ones before it may
+        # overlap, so the first region listing a point decides its value
+        subset = st.lists(st.sampled_from(pts), min_size=1, unique=True)
+        overlapping = draw(st.integers(0, 2))
+        regions = [FinitePoints(tuple(draw(subset))) for _ in range(overlapping)]
+        regions.append(ambient)
     pieces = []
-    for g in sorted(set(groups)):
+    for region in regions:
         value = QuadExt(draw(st.sampled_from(_VALUE_POOL)), v_irr)
         if v_kind == "mixed" and draw(st.booleans()):
             value = value + SQRT2
-        region = FinitePoints(tuple(p for p, h in zip(pts, groups) if h == g))
         fm = Const(value) if formula == "const" else Affine(0, value)
         pieces.append(FuncPiece(region, fm))
     f = Identity() if formula == "identity" else Piecewise(tuple(pieces))
@@ -774,25 +833,26 @@ def family_cases(draw):
 _8TH, _HALF = Fraction(1, 8), Fraction(1, 2)
 
 
-def _family_example(points, values, schedule):
-    """A family case with one zero-slope affine piece per point, anchored at
-    the first point."""
+def _family_example(points, values, schedule, formula=lambda v: Affine(0, v)):
+    """A family case with one piece per point, zero-slope affine unless
+    another formula is given, anchored at the first point."""
     pts = tuple(qx(p) for p in points)
     f = Piecewise(
-        tuple(FuncPiece(FinitePoints.of(p), Affine(0, v)) for p, v in zip(pts, values))
+        tuple(FuncPiece(FinitePoints.of(p), formula(v)) for p, v in zip(pts, values))
     )
     config = AnalysisConfig(delta_schedule=tuple(schedule))
     return FinitePoints(pts), f, FinitePoints(pts[:1]), config
 
 
 def _family_verdicts(ambient, f, subset, config):
-    """The JSON of the C, SC and subset-anchored verdicts."""
+    """The JSON of the C, UC, SC and subset-anchored verdicts of the family
+    pipeline (C and UC with the value groups of a piecewise-constant f)."""
     en = ambient.enumerate(config.enum_limit)
     vals = [evaluate(f, p) for p in en.points]
-    c = _per_point_c(en.points, vals, config, en.truncated, piecewise_const_regions(f))
+    verdicts = analysis._family_classify(ambient, f, config)
     sc = _sc_family(en.points, vals, config, en.truncated)
     wrt = check_wrt_subset(ambient, f, subset, config)
-    return [v.to_json() for v in (c, sc, wrt)]
+    return [v.to_json() for v in (verdicts["C"], verdicts["UC"], sc, wrt)]
 
 
 def _brute_window(pts, idx, schedule):
@@ -977,18 +1037,23 @@ class TestIntegerPaths:
     @example(_family_example((0, _8TH, 1), (2, 0, 1), (2, _HALF)))
     # a point at exactly the largest delta, which the scan must not reach
     @example(_family_example((0, _8TH, 1), (0, 1, 2), (1, _HALF)))
+    # pairs of one value closer than any pair of two values: UC on this
+    # piecewise-constant f reads only the rows with a positive sup
+    @example(
+        _family_example((0, _8TH, 1, 1 + _8TH), (0, 0, 1, 1), (4, 2, _HALF / 2), Const)
+    )
     def test_family_scans_match_exact_and_brute_force(self, case):
         ambient, f, subset, config = case
         got = _family_verdicts(*case)
         with _exact_only():
             assert got == _family_verdicts(*case)
-        c, sc, wrt = got
+        c, uc, sc, wrt = got
         schedule = config.delta_schedule
         en = ambient.enumerate(config.enum_limit)
         pts, n = list(en.points), len(en.points)
         vals = [evaluate(f, p) for p in pts]
 
-        if piecewise_const_regions(f) is None and n * n > config.max_pairs:
+        if not is_piecewise_constant(f) and n * n > config.max_pairs:
             assert c["status"] == "no_violation"
         else:
             flat, rows = _brute_c(pts, vals, schedule)
@@ -1003,6 +1068,26 @@ class TestIntegerPaths:
                     "flat_anchor_count": len(flat),
                     "profile": rows,
                 }
+
+        if c["status"] != "refuted":
+            pairs = [
+                (x - y, abs(vals[j] - vals[i]))
+                for i, y in enumerate(pts)
+                for j, x in enumerate(pts[i + 1 :], i + 1)
+            ]
+            rows = _brute_rows(pairs, schedule)
+            # for a piecewise-constant f only the rows with a pair of two
+            # values (a positive sup) are scales at which a jump can show
+            shown = [
+                r
+                for r in rows
+                if r["challenges"] and not (is_piecewise_constant(f) and r["omega"] == "0")
+            ]
+            flat = len(shown) >= 2 and shown[0]["omega"] == shown[-1]["omega"] != "0"
+            assert (uc["status"] == "refuted") == flat
+            if flat:
+                assert uc["witness"]["osc"] == shown[-1]["omega"]
+                assert uc["witness"]["profile"] == rows
 
         if n * (n - 1) // 2 <= config.max_pairs:
             flat = _brute_sc(ambient, pts, vals, schedule)

@@ -38,9 +38,10 @@ from symcont import (
     TruncatedRationals,
     check_wrt_subset,
     classify,
+    evaluate,
     modulus_profile,
 )
-from symcont.analysis import NOTIONS
+from symcont.analysis import NOTIONS, _uc_rows
 
 from conftest import qx
 
@@ -219,25 +220,25 @@ CASES = {
         lambda: (NaturalReciprocals(30), Const(2), AnalysisConfig()),
         "UC",
         ("proven", "exhaustive_enumeration"),
-        "e94d1699e1af24ffb5300331bc902f4036b716dab87e2eb2a55851274c305446",
+        "1f7c7f51ed72508334a3b326d54aa3a0dfe23ebc8583a38bb0aa56b5f3c8e903",
     ),
     "uc_cross_region_decays": (
         _indicator_of_one,
         "UC",
         ("no_violation", "flat_modulus"),
-        "2b4d0b06dd49677ce1ddbc60adc242641d43f713a08afca93a423f5e92731e09",
+        "6bc1f92cf887c22abe09898fa3a718dd9f15ead31c609c7b3cf7ef364b884ad5",
     ),
     "cross_region_over_budget": (
         lambda: _indicator_of_one(max_pairs=10),
         "USC",
         ("no_violation", "flat_modulus"),
-        "3c1e4b9ea02ce0fb286bd777d7943f8c007390ce94af0d500e9882cdb515c3a2",
+        "1daa953addf3771659100f8f0d82782ec44187979707bf7a316296b65b1a9b1d",
     ),
     "cross_region_none_listed": (
         lambda: _indicator_of_one(enum_limit=5),
         "USC",
         ("no_violation", "flat_modulus"),
-        "2967d40c3303ac337c88e675ee2554ceb1a5afacdbbe3c43373140904b11a3ba",
+        "063ef6f8498a4d2be5d945f4e64e087c8f3191eab8a61ae895546da98f72db20",
     ),
     "staircase_cross_block_decays": (
         lambda: (Staircase("B", 6), Identity(), AnalysisConfig()),
@@ -327,6 +328,39 @@ def test_verdict_json_pinned(name):
     got = json.loads(text)[notion]
     assert (got["status"], got["method"]) == expected
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+@pytest.mark.parametrize(
+    "name",
+    (
+        "uc_single_region",
+        "uc_cross_region_decays",
+        "cross_region_over_budget",
+        "cross_region_none_listed",
+    ),
+)
+def test_piecewise_constant_uc_rows_match_all_pairs(name):
+    """UC on these piecewise-constant cases reads the window scan's rows:
+    each row's sup, pair count and witness against every listed pair."""
+    ambient, f, config = CASES[name][0]()
+    en = ambient.enumerate(config.enum_limit)
+    pts = en.points
+    vals = [evaluate(f, p) for p in pts]
+    pairs = [
+        (x, y, abs(vals[j] - vals[i]))
+        for i, y in enumerate(pts)
+        for j, x in enumerate(pts[i + 1 :], i + 1)
+    ]
+    for delta, res in _uc_rows(pts, vals, config.delta_schedule, en.truncated):
+        below = [(x, y, o) for x, y, o in pairs if x - y < delta]
+        assert res.challenges == len(below)
+        if below:
+            assert res.value == max(o for *_, o in below)
+            # only a positive sup's pair can reach a verdict, as a flat witness
+            if res.value.sign() > 0:
+                assert (*res.witness, res.value) in below
+        else:
+            assert res.value is res.witness is None
 
 
 # name -> (ambient, function, subset, config, (status, method, scope),
