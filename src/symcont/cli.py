@@ -14,6 +14,7 @@ identical runs stay byte-identical on standard output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import replace
@@ -159,7 +160,10 @@ def _cmd_moduli(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; every main call
+    parses with it."""
     parser = argparse.ArgumentParser(
         prog="symcont",
         description="classify exact functions by pointwise, uniform, "

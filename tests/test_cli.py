@@ -245,6 +245,20 @@ class TestModuli:
         assert proc.returncode == 2
         assert "131080 points exceeds the limit of 100000" in proc.stderr
 
+    def test_staircase_blocks_above_cap_exits_2(self, tmp_path):
+        spec = {
+            "domain": {"type": "Staircase", "variant": "A", "blocks": 10**6},
+            "function": {"formula": "Identity"},
+        }
+        path = tmp_path / "stairs.json"
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        proc = run_cli("analyze", str(path), timeout=10)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2
+        assert "domain.blocks: at most 1000 blocks" in proc.stderr
+        assert elapsed < 5
+
 
 class TestUsage:
     def test_no_command(self):
