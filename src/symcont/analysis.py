@@ -376,13 +376,11 @@ def _pairs_from_points(
     delta_max: QuadExt | None,
     max_pairs: int,
     already_truncated: bool = False,
-    *,
-    first_only: bool = False,
 ) -> _Survey:
     """Pairs x > y of the sorted points whose midpoint lies in centers and
     whose width is below 2*delta_max (any width when None), in sort_key
     order. The scan stops after max_pairs candidates, marking the survey
-    truncated, or at the first valid pair when first_only is set.
+    truncated.
 
     One loop serves both kinds of key: the lifted integers X_k of
     _lift_rationals (points X_k/L + c*sqrt2) when the points share one sqrt2
@@ -426,28 +424,22 @@ def _pairs_from_points(
 
     found = []
     checked = 0
-    truncated = already_truncated
     for j in range(1, len(keys)):
         x = keys[j]
-        stop = False
         for i in range(j - 1, -1, -1):
             y = keys[i]
             if cap is not None and x - y >= cap:
                 break
             checked += 1
             if checked > max_pairs:
-                truncated = True
-                stop = True
                 break
             if inside(i, j):
                 found.append((x - y, x, y, j, i))
-                if first_only:
-                    stop = True
-                    break
-        if stop:
+        if checked > max_pairs:
             break
     found.sort()
     index = [(j, i) for *_, j, i in found]
+    truncated = already_truncated or checked > max_pairs
     return _Survey(
         checked, truncated, index, pts, None if lifted is None else lifted[:2]
     )
@@ -461,7 +453,7 @@ def _survey_entries(
 
     When the points and the values both lift, each pair gives the integers
     (X_j - X_i, |V_j - V_i|, j, i), that is 2L*h and L_v*osc with the
-    positions of x and y, and the lift is (L, L_v, points). Otherwise each
+    positions of x and y, and the lift is (2L, L_v, points). Otherwise each
     gives the exact (h, osc, x, y) and the lift is None."""
     pts = survey.points
     lv = None if survey.lift is None else _lift_rationals(vals)
@@ -473,7 +465,7 @@ def _survey_entries(
     keys, den = survey.lift
     vk = lv[0]
     entries = [(keys[j] - keys[i], abs(vk[j] - vk[i]), j, i) for j, i in survey.index]
-    return entries, (den, lv[1], pts)
+    return entries, (2 * den, lv[1], pts)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +510,8 @@ def _window_scan(
 ) -> tuple[object | None, tuple[int, int] | None, int]:
     """Max oscillation of vals over index pairs with keys[j] - keys[i] < width
     (keys ascending), by one pass with monotone deques of the window's max and
-    min; works alike on ints and on exact numbers."""
+    min; works alike on ints and on exact numbers. Both deques of a window of
+    equal values hold only its newest point, named with the one before it."""
     maxd: deque[int] = deque()
     mind: deque[int] = deque()
     left = 0
@@ -543,7 +536,7 @@ def _window_scan(
             osc = vals[maxd[0]] - vals[mind[0]]
             if best is None or osc > best:
                 best = osc
-                best_idx = (maxd[0], mind[0])
+                best_idx = (maxd[0], mind[0]) if osc != 0 else (r, r - 1)
     return best, best_idx, pairs
 
 
@@ -633,31 +626,34 @@ def _sup_rows(
     entries: Sequence[tuple],
     schedule: tuple[QuadExt, ...],
     truncated: bool = False,
-    lift: tuple[int, int, Sequence[QuadExt]] | None = None,
+    lift: tuple[int | None, int | None, Sequence[QuadExt]] | None = None,
 ) -> list[tuple[QuadExt, OscillationResult]]:
     """Oscillation sup at every schedule delta over challenge entries
     (scale, osc, x, y), or (scale, osc) when no witness pair is wanted,
     sorted by scale ascending. Each row counts the entries with scale below
     delta and names the pair of the earliest entry that reaches their sup.
 
-    With lift = (L, L_v, points) the entries are the integers (W, O, j, i)
-    of _survey_entries, W = 2L*h and O = L_v*osc. Then h < delta exactly
-    when W < ceil(2L*delta), and only each row's sup O/L_v and its pair
-    (points[j], points[i]) become exact numbers."""
+    With lift = (M, L_v, points) the entries are keys (S, O, j, i) of the
+    pair (points[j], points[i]). On integer keys S = M*scale and O = L_v*osc,
+    so scale < delta exactly when S < ceil(M*delta), and only each row's sup
+    O/L_v and its pair become exact numbers; M = L_v = None marks exact keys,
+    the scale and the osc themselves."""
     rows = []
     best = wit = None
     i = 0
+    scale_den, osc_den, points = lift or (None, None, None)
     for delta in reversed(schedule):
-        cut = delta if lift is None else exact_ceil(2 * lift[0] * delta)
+        cut = delta if scale_den is None else exact_ceil(scale_den * delta)
         end = bisect.bisect_left(entries, cut, i, key=lambda e: e[0])
         for k in range(i, end):
             if best is None or entries[k][1] > best:
                 best, wit = entries[k][1], entries[k][2:] or None
         i = end
         value, pair = best, wit
-        if lift is not None and best is not None:
-            value = QuadExt(Fraction(best, lift[1]))
-            pair = wit and (lift[2][wit[0]], lift[2][wit[1]])
+        if osc_den is not None and best is not None:
+            value = QuadExt(Fraction(best, osc_den))
+        if points is not None and wit is not None:
+            pair = (points[wit[0]], points[wit[1]])
         rows.append((delta, OscillationResult(value, pair, i, truncated)))
     rows.reverse()
     return rows
@@ -774,10 +770,29 @@ def _discrete_classify(
 # -- family (resolution-limited enumerable) pipeline ------------------------
 
 
-def _family_keys(
-    pts: Sequence[QuadExt], vals: Sequence[QuadExt]
-) -> tuple[Sequence, Sequence, int | None, int | None]:
-    """(point keys, value keys, L, L_v) for the per-anchor scans.
+@dataclass
+class _FamilyKeys:
+    """A family's listed points with the keys of the points and of their
+    values, lifted once by _family_keys for every family scan."""
+
+    pts: tuple[QuadExt, ...]
+    keys: Sequence
+    vkeys: Sequence
+    den: int | None
+    vden: int | None
+
+    @cached_property
+    def pos(self) -> dict:
+        """Each point key's position, for finding mirrors among the listed points."""
+        return {k: i for i, k in enumerate(self.keys)}
+
+    def value(self, v) -> QuadExt:
+        """The number whose value key (a difference of value keys) is v."""
+        return v if self.vden is None else QuadExt(Fraction(v, self.vden))
+
+
+def _family_keys(pts: tuple[QuadExt, ...], vals: Sequence[QuadExt]) -> _FamilyKeys:
+    """The point keys, value keys, L and L_v of the listed points.
 
     When the points and the values both share one sqrt2 part, the keys are
     the lifted integers of _lift_rationals, pts[k] = X_k/L + c*sqrt2 and
@@ -788,13 +803,8 @@ def _family_keys(
     lx = _lift_rationals(pts)
     lv = None if lx is None else _lift_rationals(vals)
     if lv is None:
-        return pts, vals, None, None
-    return lx[0], lv[0], lx[1], lv[1]
-
-
-def _exact_value(v, den: int | None) -> QuadExt:
-    """The number whose value key (a difference of value keys) is v."""
-    return v if den is None else QuadExt(Fraction(v, den))
+        return _FamilyKeys(pts, pts, vals, None, None)
+    return _FamilyKeys(pts, lx[0], lv[0], lx[1], lv[1])
 
 
 def _anchor_windows(
@@ -837,8 +847,8 @@ def _anchor_witness(flat: list[tuple[QuadExt, QuadExt]]) -> tuple[QuadExt, dict]
 
 
 def _per_point_c(
-    pts: tuple[QuadExt, ...],
-    vals: list[QuadExt],
+    fk: _FamilyKeys,
+    anchor_windows: tuple[list, list[int | None]],
     config: AnalysisConfig,
     en_truncated: bool,
     groups: list[list[int]] | None,
@@ -849,6 +859,7 @@ def _per_point_c(
     value group, found by bisection in that group's keys; any other f scans
     outward from the anchor and stops at the first point at distance at
     least the largest delta (the keys ascend)."""
+    pts = fk.pts
     n = len(pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
     if groups is None and n * n > config.max_pairs:
@@ -859,10 +870,10 @@ def _per_point_c(
             "points for a non-constant piecewise function",
         )
 
-    keys, vkeys, den, vden = _family_keys(pts, vals)
+    keys, vkeys = fk.keys, fk.vkeys
     if groups is not None:
         group_keys = [([keys[k] for k in idx], vkeys[idx[0]]) for idx in groups]
-    thr, windows = _anchor_windows(keys, den, config.delta_schedule)
+    thr, windows = anchor_windows
     big = thr[0]
     flat: list[tuple[QuadExt, QuadExt]] = []  # (anchor, jump)
     for idx, w in enumerate(windows):
@@ -897,21 +908,18 @@ def _per_point_c(
                     if dist < small and osc > m_small:
                         m_small = osc
         if m_small == m_big and m_big > 0:
-            flat.append((pts[idx], _exact_value(m_big, vden)))
+            flat.append((pts[idx], fk.value(m_big)))
 
     if flat:
         anchor, witness = _anchor_witness(flat)
         idx = bisect.bisect_left(pts, anchor)
         a, va = keys[idx], vkeys[idx]
         entries = sorted(
-            (abs(x - a), abs(v - va)) for k, (x, v) in enumerate(zip(keys, vkeys)) if k != idx
+            (abs(x - a), abs(v - va), k, idx)
+            for k, (x, v) in enumerate(zip(keys, vkeys))
+            if k != idx
         )
-        lift = None
-        if den is not None:
-            # _sup_rows reads a lifted scale as 2L times the distance
-            entries = [(2 * d, o) for d, o in entries]
-            lift = (den, vden, pts)
-        rows = _sup_rows(entries, config.delta_schedule, lift=lift)
+        rows = _sup_rows(entries, config.delta_schedule, lift=(fk.den, fk.vden, pts))
         witness["profile"] = _profile_rows_json(rows)
         return _flat_verdict(
             "C",
@@ -927,60 +935,51 @@ def _per_point_c(
 
 
 def _usc_family(
-    ambient: Domain,
-    pts: tuple[QuadExt, ...],
-    vals: list[QuadExt],
+    fk: _FamilyKeys,
     config: AnalysisConfig,
     en_truncated: bool,
     groups: list[list[int]] | None,
 ) -> Verdict:
-    n = len(pts)
+    n = len(fk.pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
     all_pairs = n * (n - 1) // 2
 
-    # rule: a complete pair scan finding no valid symmetric pair proves the
-    # notion vacuously (no challenge can ever form below any delta); the
-    # piecewise-constant sweep enumerates its own pairs, so for it the scan
-    # stops at the first valid pair
-    survey = None
+    # rule: on a complete listing, a pair's midpoint is a member exactly when
+    # it is listed, so a mirror walk around every listed point that finds no
+    # listed mirror proves the notion vacuously (no challenge can ever form
+    # below any delta); the piecewise-constant sweep lists its own pairs, so
+    # for it the walk stops at the first listed mirror
+    entries = None
     if not en_truncated and 0 < all_pairs <= config.max_pairs:
-        survey = _pairs_from_points(
-            pts,
-            ambient,
-            None,
-            config.max_pairs,
-            first_only=groups is not None,
-        )
-        if not survey.index:
+        if groups is None:
+            entries, _, cut = _mirror_entries(fk, fk.keys, config.max_pairs)
+            found = bool(entries)
+        else:
+            found = any(
+                i is not None
+                for k, a in enumerate(fk.keys)
+                for _, _, i in _mirror_walk(fk.keys, k + 1, a, fk.pos)
+            )
+        if not found:
             return _midpoint_free_verdict(
                 "USC",
-                _resolution(
-                    config,
-                    points=n,
-                    enumeration_truncated=False,
-                    pairs_checked=all_pairs,
-                ),
+                {**res, "pairs_checked": all_pairs},
                 all_pairs,
                 "no pair of domain points has its midpoint in the domain, so "
                 "no symmetric challenge exists at any scale",
             )
 
     if groups is not None:
-        return _usc_const_sweep(ambient, pts, vals, config, en_truncated, groups)
-    if survey is None:
+        return _usc_const_sweep(fk, config, en_truncated, groups)
+    if entries is None:
         return _open_verdict(
             "USC", res, "pair budget too small for a symmetric sweep at this resolution"
         )
-    entries, lift = _survey_entries(survey, vals)
-    return _sweep_verdict(
-        "USC", entries, config, res, survey.truncated, en_truncated, lift
-    )
+    return _sweep_verdict("USC", entries, fk, config, res, cut)
 
 
 def _usc_const_sweep(
-    ambient: Domain,
-    pts: tuple[QuadExt, ...],
-    vals: list[QuadExt],
+    fk: _FamilyKeys,
     config: AnalysisConfig,
     en_truncated: bool,
     groups: list[list[int]],
@@ -991,22 +990,23 @@ def _usc_const_sweep(
     cross = list(itertools.combinations(groups, 2))
     total = sum(len(g) * len(h) for g, h in cross)
     res = _resolution(
-        config,
-        points=len(pts),
-        enumeration_truncated=en_truncated,
-        pairs_checked=total,
+        config, points=len(fk.pts), enumeration_truncated=en_truncated, pairs_checked=total
     )
     if total > config.max_pairs:
         return _open_verdict("USC", res, "cross-region pair count exceeds the pair budget")
+    keys, vkeys = fk.keys, fk.vkeys
+    # a member between two listed points is listed, so a pair's midpoint is a
+    # member exactly when the sum of their keys is a doubled listed key
+    doubled = {2 * a: m for m, a in enumerate(keys)}
     entries = []
-    for g, h in cross:
-        osc = abs(vals[g[0]] - vals[h[0]])
+    for g, other in cross:
+        osc = abs(vkeys[g[0]] - vkeys[other[0]])
         for i in g:
-            for j in h:
-                # the points ascend, so the later position is x > y
-                x, y = pts[max(i, j)], pts[min(i, j)]
-                if ambient.contains((x + y) / 2):
-                    entries.append(((x - y) / 2, osc, x, y))
+            for j in other:
+                m = doubled.get(keys[i] + keys[j])
+                if m is not None:
+                    # the points ascend, so the later position is x > y
+                    entries.append((abs(keys[i] - keys[m]), osc, max(i, j), min(i, j)))
     entries.sort()
     if not entries:
         if en_truncated:
@@ -1023,7 +1023,7 @@ def _usc_const_sweep(
             "every cross-region pair has its midpoint outside the domain, so "
             "the symmetric modulus vanishes identically",
         )
-    rows = _sup_rows(entries, config.delta_schedule)
+    rows = _sup_rows(entries, config.delta_schedule, lift=(fk.den, fk.vden, fk.pts))
     flat = _flat_row(rows)
     if flat is not None:
         return _flat_verdict(
@@ -1045,15 +1045,14 @@ def _usc_const_sweep(
 def _sweep_verdict(
     notion: str,
     entries: list[tuple],
+    fk: _FamilyKeys,
     config: AnalysisConfig,
     res: dict,
-    pairs_truncated: bool,
-    en_truncated: bool,
-    lift: tuple[int, int, Sequence[QuadExt]] | None = None,
+    truncated: bool,
 ) -> Verdict:
-    """Flat-modulus verdict over challenge entries sorted by scale, read as
-    _sup_rows reads them."""
-    rows = _sup_rows(entries, config.delta_schedule, lift=lift)
+    """Flat-modulus verdict over the key entries of _mirror_entries;
+    truncated when the listing or the mirror walk was."""
+    rows = _sup_rows(entries, config.delta_schedule, lift=(fk.den, fk.vden, fk.pts))
     flat = _flat_row(rows)
     if flat is not None:
         witness = {
@@ -1068,7 +1067,7 @@ def _sweep_verdict(
             "oscillation stays at the same positive level at every effective "
             "delta down to the model floor",
         )
-    if not pairs_truncated and not en_truncated:
+    if not truncated:
         if not entries:
             return _midpoint_free_verdict(
                 notion, res, 0, "no valid challenge exists at any scale"
@@ -1166,30 +1165,51 @@ def _mirror_walk(
         yield h, k, pos.get(y)
 
 
+def _mirror_entries(
+    fk: _FamilyKeys, anchors: Sequence, max_pairs: int
+) -> tuple[list[tuple], int, bool]:
+    """The key entries (h, osc, k, i) of the listed mirror pairs around each
+    anchor key, sorted, with the mirrors checked and whether the walk stopped
+    after max_pairs of them. h is the half-width key keys[k] - b, osc the
+    value key distance, and k, i the positions of x and its mirror y."""
+    keys, vkeys = fk.keys, fk.vkeys
+    walks = (_mirror_walk(keys, bisect.bisect_right(keys, b), b, fk.pos) for b in anchors)
+    entries: list[tuple] = []
+    checked = 0
+    for h, k, i in itertools.chain.from_iterable(walks):
+        checked += 1
+        if checked > max_pairs:
+            break
+        if i is not None:
+            entries.append((h, abs(vkeys[k] - vkeys[i]), k, i))
+    entries.sort()
+    return entries, checked, checked > max_pairs
+
+
 def _sc_family(
-    pts: tuple[QuadExt, ...],
-    vals: list[QuadExt],
+    fk: _FamilyKeys,
+    anchor_windows: tuple[list, list[int | None]],
     config: AnalysisConfig,
     en_truncated: bool,
 ) -> Verdict:
     """Per-anchor mirror scan on the keys of _family_keys: the mirrored
     oscillation must be the same positive value across the anchor's whole
     effective delta window to refute."""
+    pts = fk.pts
     n = len(pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
     if n * (n - 1) // 2 > config.max_pairs:
         return _open_verdict("SC", res, "pair budget too small for a per-anchor mirror scan")
-    keys, vkeys, den, vden = _family_keys(pts, vals)
-    thr, windows = _anchor_windows(keys, den, config.delta_schedule)
+    keys, vkeys = fk.keys, fk.vkeys
+    thr, windows = anchor_windows
     big = thr[0]
-    pos = {k: i for i, k in enumerate(keys)}
     flat: list[tuple[QuadExt, QuadExt]] = []
     for idx, w in enumerate(windows):
         if w is None:
             continue
         small = thr[w]
         m_big = m_small = None
-        for h, k, i in _mirror_walk(keys, idx + 1, keys[idx], pos):
+        for h, k, i in _mirror_walk(keys, idx + 1, keys[idx], fk.pos):
             if not h < big:
                 break
             if i is None:
@@ -1200,7 +1220,7 @@ def _sc_family(
             if h < small and (m_small is None or osc > m_small):
                 m_small = osc
         if m_big is not None and m_small == m_big and m_big > 0:
-            flat.append((pts[idx], _exact_value(m_big, vden)))
+            flat.append((pts[idx], fk.value(m_big)))
     if flat:
         return _flat_verdict(
             "SC",
@@ -1220,15 +1240,17 @@ def _family_classify(
     en = ambient.enumerate(config.enum_limit)
     pts = en.points
     vals = [evaluate(f, p) for p in pts]
+    fk = _family_keys(pts, vals)
+    windows = _anchor_windows(fk.keys, fk.den, config.delta_schedule)
     groups = None
     if is_piecewise_constant(f):
         # positions by value: pairs inside one group oscillate by zero
-        by_value: dict[QuadExt, list[int]] = {}
-        for k, v in enumerate(vals):
+        by_value: dict[object, list[int]] = {}
+        for k, v in enumerate(fk.vkeys):
             by_value.setdefault(v, []).append(k)
         groups = list(by_value.values())
-    c_v = _per_point_c(pts, vals, config, en.truncated, groups)
-    usc_v = _usc_family(ambient, pts, vals, config, en.truncated, groups)
+    c_v = _per_point_c(fk, windows, config, en.truncated, groups)
+    usc_v = _usc_family(fk, config, en.truncated, groups)
     uc_v = _uc_family(pts, vals, config, en.truncated, groups is not None, c_v)
     if c_v.status == "proven" or usc_v.status == "proven":
         sc_v = _open_verdict(
@@ -1237,7 +1259,7 @@ def _family_classify(
             "scan skipped; an implication settles this notion",
         )
     else:
-        sc_v = _sc_family(pts, vals, config, en.truncated)
+        sc_v = _sc_family(fk, windows, config, en.truncated)
     return {"C": c_v, "UC": uc_v, "SC": sc_v, "USC": usc_v}
 
 
@@ -1868,39 +1890,14 @@ def check_wrt_subset(
     pts = en_a.points
     n = len(pts)
     # the anchors lift with the points, so every mirror is a key
-    keys, vkeys, den, vden = _family_keys(
-        pts + en_b.points, [evaluate(f, p) for p in pts]
-    )
-    keys, anchors = keys[:n], keys[n:]
-    pos = {k: i for i, k in enumerate(keys)}
-    truncated = en_a.truncated or en_b.truncated
-    entries: list[tuple] = []
-    checked = 0
-    for b in anchors:
-        for h, k, i in _mirror_walk(keys, bisect.bisect_right(keys, b), b, pos):
-            checked += 1
-            if checked > config.max_pairs:
-                break
-            if i is not None:
-                entries.append((h, abs(vkeys[k] - vkeys[i]), k, i))
-        if checked > config.max_pairs:
-            truncated = True
-            break
-    entries.sort()
-    lift = None
-    if den is None:
-        entries = [(h, o, pts[k], pts[i]) for h, o, k, i in entries]
-    else:
-        # _sup_rows reads a lifted scale as 2L times the half-width
-        entries = [(2 * h, o, k, i) for h, o, k, i in entries]
-        lift = (den, vden, pts)
+    both = _family_keys(pts + en_b.points, [evaluate(f, p) for p in pts])
+    fk = replace(both, pts=pts, keys=both.keys[:n])
+    entries, checked, cut = _mirror_entries(fk, both.keys[n:], config.max_pairs)
+    truncated = en_a.truncated or en_b.truncated or cut
     res = _resolution(
-        config,
-        points=len(pts),
-        enumeration_truncated=truncated,
-        pairs_checked=checked,
+        config, points=n, enumeration_truncated=truncated, pairs_checked=checked
     )
-    v = _sweep_verdict("USC_wrt_B", entries, config, res, truncated, truncated, lift)
+    v = _sweep_verdict("USC_wrt_B", entries, fk, config, res, truncated)
     if v.status == "proven" and v.method == "midpoint_free":
         v.notes = ["no symmetric challenge is centered on the subset at any scale"]
         v.certificate["pairs_checked"] = checked

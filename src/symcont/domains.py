@@ -67,8 +67,9 @@ class Domain:
 
         So enumerate(k) is a prefix of enumerate(m) for k <= m, every listed
         point satisfies contains, and a member lying between two listed
-        points is listed. The family scans rely on the last property to find
-        mirrors among the listed points without calling contains."""
+        points is listed. The family scans (SC, USC and USC wrt a subset)
+        rely on the last property to find mirrors and midpoints among the
+        listed points without calling contains."""
         raise NotImplementedError
 
     def describe(self) -> str:

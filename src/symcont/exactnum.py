@@ -237,10 +237,12 @@ class QuadExt(_Coords):
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self) -> int:
-        # the hashes of the rational coordinates keep set and dict layouts as before
+        # a rational equals the int or Fraction of its value, so it hashes as
+        # that; an irrational equals only a QuadExt, and its coordinates are
+        # canonical. No output iterates a set or dict of QuadExt in hash order.
         if self.b == 0:
             return hash(self.a) if self.d == 1 else hash(self.rat)
-        return hash((self.rat, self.irr))
+        return hash((self.a, self.b, self.d))
 
     def __float__(self) -> float:
         return self.a / self.d + self.b / self.d * math.sqrt(2.0)

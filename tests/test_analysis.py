@@ -467,12 +467,13 @@ class TestPiecewiseConstantFamily:
     @staticmethod
     def even_odd(n):
         """{1/k : 1 <= k <= n} with f(1/k) = 1 for even k and 0 for odd k (a
-        catch-all region), listed in full; with n = 800 there are 160 000
-        pairs across the two values."""
+        catch-all region listing every point, so evaluating f calls no
+        contains of the ambient set), listed in full; with n = 800 there are
+        160 000 pairs across the two values."""
         ambient = NaturalReciprocals(n, with_zero=False)
         pts = ambient.enumerate(n).points
         even = FinitePoints(tuple(p for p in pts if p.rat.denominator % 2 == 0))
-        f = Piecewise((FuncPiece(even, Const(1)), FuncPiece(ambient, Const(0))))
+        f = Piecewise((FuncPiece(even, Const(1)), FuncPiece(FinitePoints(pts), Const(0))))
         return ambient, f, pts
 
     def test_uc_window_scan_on_many_cross_pairs(self):
@@ -488,28 +489,57 @@ class TestPiecewiseConstantFamily:
         assert (v.witness["x"], v.witness["y"], v.witness["osc"]) == ("1/799", "1/800", "1")
         assert elapsed < 0.5, elapsed
 
+    def test_usc_cross_pairs_looked_up_among_listed_keys(self):
+        """The cross-pair sweep finds each midpoint among the doubled listed
+        keys; with 160 000 cross pairs it took 0.33-0.52 s on 2 vCPUs when
+        each midpoint went through the ambient set's contains."""
+        _, f, pts = self.even_odd(800)
+        vals = [evaluate(f, p) for p in pts]
+        groups = [
+            [k for k, v in enumerate(vals) if v == 1],
+            [k for k, v in enumerate(vals) if v == 0],
+        ]
+        start = time.perf_counter()
+        v = analysis._usc_family(
+            analysis._family_keys(pts, vals), AnalysisConfig(), False, groups
+        )
+        elapsed = time.perf_counter() - start
+        assert (v.status, v.method) == ("refuted", "flat_modulus")
+        assert (v.witness["x"], v.witness["y"], v.witness["midpoint"]) == (
+            "1/741",
+            "1/780",
+            "1/760",
+        )
+        assert v.witness["osc"] == "1"
+        assert v.witness["profile"][0]["challenges"] == 324
+        assert elapsed < 0.2, elapsed
+
     def test_value_groups_call_no_contains(self, monkeypatch):
-        """The family pipeline groups the points by their evaluated values:
-        it calls the regions' contains only to evaluate f, once per listed
-        point."""
+        """The family pipeline groups the points by their evaluated values and
+        answers every midpoint from the listing: it calls the regions'
+        contains only as one evaluation of each listed point does, and the
+        ambient set's contains never."""
         calls = Counter()
-        original = FinitePoints.contains
+        for cls in (FinitePoints, NaturalReciprocals):
+            original = cls.contains
 
-        def counted(self, x):
-            calls[self] += 1
-            return original(self, x)
+            def counted(self, x, _orig=original):
+                calls[self] += 1
+                return _orig(self, x)
 
-        monkeypatch.setattr(FinitePoints, "contains", counted)
+            monkeypatch.setattr(cls, "contains", counted)
         ambient, f, pts = self.even_odd(40)
-        config = AnalysisConfig(enum_limit=30)
-        for p in pts[:30]:
-            evaluate(f, p)
-        evaluation = Counter(calls)
-        assert sum(evaluation.values()) == 30
-        calls.clear()
-        verdicts = analysis._family_classify(ambient, f, config)
-        assert verdicts["USC"].status == "refuted"
-        assert calls == evaluation
+        # listed in full, the set takes the midpoint-free walk as well
+        for limit in (30, 40):
+            calls.clear()
+            for p in pts[:limit]:
+                evaluate(f, p)
+            evaluation = Counter(calls)
+            calls.clear()
+            verdicts = analysis._family_classify(ambient, f, AnalysisConfig(enum_limit=limit))
+            assert verdicts["USC"].status == "refuted"
+            assert calls == evaluation
+            assert calls[ambient] == 0
 
 
 class TestOscillationScans:
@@ -554,6 +584,17 @@ class TestOscillationScans:
                 res = uc_oscillation(dom, f, delta, FAST)
                 expect, _ = self.brute_uc(pts, vals, delta)
                 assert res.value == expect
+
+    def test_zero_row_names_two_points(self):
+        """A row whose sup is 0 names two distinct points closer than its
+        delta, on the integer scan and on the exact one."""
+        config = AnalysisConfig(delta_schedule=(qx(1),))
+        ambient = NaturalReciprocals(5)
+        lifted = modulus_profile(ambient, Const(1), config, "uc").rows[0][1]
+        with _exact_only():
+            exact = modulus_profile(ambient, Const(1), config, "uc").rows[0][1]
+        for res in (lifted, exact):
+            assert (res.value, res.witness) == (qx(0), (qx(Fraction(1, 5)), qx(0)))
 
     def test_sym_scan_matches_brute_force(self):
         rng = random.Random(23)
@@ -715,7 +756,7 @@ def survey_cases(draw):
     else:
         delta_max = None
     max_pairs = draw(st.sampled_from((10**6, 0, 1, 3, 7)))
-    return pts, centers, delta_max, max_pairs, draw(st.booleans())
+    return pts, centers, delta_max, max_pairs
 
 
 # twelfths in [-4, 4]: denominators 1, 2, 3, 4, 6 and 12, cheap to draw
@@ -808,7 +849,8 @@ def family_cases(draw):
         fm = Const(value) if formula == "const" else Affine(0, value)
         pieces.append(FuncPiece(region, fm))
     f = Identity() if formula == "identity" else Piecewise(tuple(pieces))
-    limit = draw(st.integers(1, len(pts)))
+    # the whole set half the time: the complete-listing rules need it
+    limit = len(pts) if draw(st.booleans()) else draw(st.integers(1, len(pts)))
     anchors = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=4))
     dists = sorted({x - y for k, y in enumerate(pts) for x in pts[k + 1 :]})
     deltas = {qx(4), qx(Fraction(1, 3)), SQRT2 / draw(st.integers(2, 40))}
@@ -844,15 +886,23 @@ def _family_example(points, values, schedule, formula=lambda v: Affine(0, v)):
     return FinitePoints(pts), f, FinitePoints(pts[:1]), config
 
 
+def _sc(pts, vals, config, truncated):
+    """The SC family scan run on its own, on the keys the pipeline gives it."""
+    fk = analysis._family_keys(pts, vals)
+    windows = analysis._anchor_windows(fk.keys, fk.den, config.delta_schedule)
+    return _sc_family(fk, windows, config, truncated)
+
+
 def _family_verdicts(ambient, f, subset, config):
-    """The JSON of the C, UC, SC and subset-anchored verdicts of the family
-    pipeline (C and UC with the value groups of a piecewise-constant f)."""
+    """The JSON of the C, UC, SC, subset-anchored and USC verdicts of the
+    family pipeline (C, UC and USC with the value groups of a
+    piecewise-constant f)."""
     en = ambient.enumerate(config.enum_limit)
     vals = [evaluate(f, p) for p in en.points]
     verdicts = analysis._family_classify(ambient, f, config)
-    sc = _sc_family(en.points, vals, config, en.truncated)
+    sc = _sc(en.points, vals, config, en.truncated)
     wrt = check_wrt_subset(ambient, f, subset, config)
-    return [v.to_json() for v in (verdicts["C"], verdicts["UC"], sc, wrt)]
+    return [v.to_json() for v in (verdicts["C"], verdicts["UC"], sc, wrt, verdicts["USC"])]
 
 
 def _brute_window(pts, idx, schedule):
@@ -949,15 +999,12 @@ class TestIntegerPaths:
     @settings(max_examples=200, deadline=None)
     @given(survey_cases())
     def test_survey_lifted_matches_exact(self, case):
-        pts, centers, delta_max, max_pairs, first_only = case
-        args = (pts, centers, delta_max, max_pairs)
-        got = _pairs_from_points(*args, first_only=first_only)
+        pts, centers, delta_max, max_pairs = case
+        got = _pairs_from_points(*case)
         with _exact_only():
-            exact = _pairs_from_points(*args, first_only=first_only)
+            exact = _pairs_from_points(*case)
         assert got == exact
         assert [(p.x, p.y) for p in got.pairs] == [(pts[j], pts[i]) for j, i in got.index]
-        if first_only:
-            return
         # brute force over every pair below the width cap
         within = [
             (x, y)
@@ -1042,12 +1089,17 @@ class TestIntegerPaths:
     @example(
         _family_example((0, _8TH, 1, 1 + _8TH), (0, 0, 1, 1), (4, 2, _HALF / 2), Const)
     )
+    # USC: mirror pairs around 1/4 and 1/2 whose oscillation decays, then one
+    # that stays flat, then only zero oscillations
+    @example(_family_example((0, _8TH, _8TH * 2, _HALF, 1), (0, 1, 2, 4, 8), (2, _HALF, _8TH)))
+    @example(_family_example((0, _8TH * 2, _HALF, 1), (0, 1, 0, 1), (2, _HALF, _8TH)))
+    @example(_family_example((0, _8TH * 2, _HALF, 1), (3, 3, 3, 3), (2, _HALF, _8TH)))
     def test_family_scans_match_exact_and_brute_force(self, case):
         ambient, f, subset, config = case
         got = _family_verdicts(*case)
         with _exact_only():
             assert got == _family_verdicts(*case)
-        c, uc, sc, wrt = got
+        c, uc, sc, wrt, usc = got
         schedule = config.delta_schedule
         en = ambient.enumerate(config.enum_limit)
         pts, n = list(en.points), len(en.points)
@@ -1099,6 +1151,47 @@ class TestIntegerPaths:
                 )
                 assert sc["witness"]["flat_anchor_count"] == len(flat)
 
+        # USC: every listed pair whose midpoint the ambient set contains
+        sym = sorted(
+            ((x - y) / 2, abs(vals[j] - vals[i]), x, y)
+            for i, y in enumerate(pts)
+            for j, x in enumerate(pts[i + 1 :], i + 1)
+            if ambient.contains((x + y) / 2)
+        )
+        all_pairs = n * (n - 1) // 2
+        cross_total = sum(vals[i] != vals[j] for i in range(n) for j in range(i))
+        if not en.truncated and 0 < all_pairs <= config.max_pairs and not sym:
+            assert (usc["status"], usc["method"]) == ("proven", "midpoint_free")
+            assert usc["certificate"]["pairs_checked"] == all_pairs
+        elif is_piecewise_constant(f) and cross_total > config.max_pairs:
+            assert usc["status"] == "no_violation"
+            assert usc["notes"] == ["cross-region pair count exceeds the pair budget"]
+        elif not is_piecewise_constant(f) and (
+            en.truncated or not 0 < all_pairs <= config.max_pairs
+        ):
+            # no complete mirror walk within the pair budget
+            assert usc["status"] == "no_violation"
+        else:
+            if is_piecewise_constant(f):
+                # pairs of one value oscillate by zero and are not listed
+                sym = [e for e in sym if e[1] != 0]
+            rows = _brute_rows(sym, schedule)
+            effective = [r for r in rows if r["challenges"]]
+            if len(effective) >= 2 and effective[0]["omega"] == effective[-1]["omega"] != "0":
+                assert usc["status"] == "refuted"
+                assert usc["witness"]["profile"] == rows
+                sup = parse_quadext(effective[-1]["omega"])
+                bottom = parse_quadext(effective[-1]["delta"])
+                x, y = next((x, y) for h, o, x, y in sym if h < bottom and o == sup)
+                assert (usc["witness"]["x"], usc["witness"]["y"]) == (
+                    format_quadext(x),
+                    format_quadext(y),
+                )
+            elif not en.truncated and all(o == 0 for _, o, *_ in sym):
+                assert (usc["status"], usc["method"]) == ("proven", "exhaustive_enumeration")
+            else:
+                assert usc["status"] == "no_violation"
+
         if subset == ambient:
             return
         b_en = subset.enumerate(config.enum_limit)
@@ -1142,7 +1235,7 @@ class TestIntegerPaths:
             pts = ambient.enumerate(100).points
             vals = [evaluate(Affine(2, 1), p) for p in pts]
             calls.clear()
-            _sc_family(pts, vals, FAST, False)
+            _sc(pts, vals, FAST, False)
             assert calls == Counter()
             anchors = FinitePoints(pts[3:9])
             w = check_wrt_subset(ambient, Affine(2, 1), anchors, FAST)

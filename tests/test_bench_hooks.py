@@ -47,6 +47,8 @@ def test_tracer_hooks_count_and_restore():
         classify(NaturalReciprocals(30, with_zero=False), Identity(), AnalysisConfig())
         union = IntervalUnion((IntervalPiece(qx(0), qx(1)),))
         modulus_profile(union, Identity(), AnalysisConfig(grid_exponent=5), "uc")
+        # the family pipeline surveys no pairs; a sampled usc profile does
+        modulus_profile(union, Identity(), AnalysisConfig(grid_exponent=5), "usc")
     counts = tracer.counts
     assert counts["analysis.survey_candidates"] > 0
     assert counts["analysis.survey_pairs"] > 0

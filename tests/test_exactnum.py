@@ -387,6 +387,10 @@ class TestKernelDifferential:
                 assert x == int(q) and hash(x) == hash(int(q))
         else:
             assert x != x.rat and x.rat != x
+            # an equal irrational reached by other arithmetic hashes alike
+            twin = (x * 3 - 1) / 3 + QuadExt(Fraction(1, 3))
+            assert twin == x and hash(twin) == hash(x)
+            assert QuadExt(x.rat, x.irr) in {x} and x + 1 not in {x}
 
     @settings(max_examples=200, deadline=None)
     @given(coordinates)
