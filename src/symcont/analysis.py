@@ -36,6 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 from .domains import (
     Domain,
+    Enumeration,
     IntervalPiece,
     IntervalUnion,
     Staircase,
@@ -57,6 +58,7 @@ from .functions import (
     Reciprocal,
     SideLimit,
     _analytic_pieces,
+    _as_affine,
     describe_function,
     evaluate,
     formula_eval,
@@ -79,6 +81,12 @@ GRID_EXPONENT_MAX = 16
 # GRID_EXPONENT_MAX fits, while many pieces at a large exponent exit 2 before
 # any point is built instead of growing with the piece count
 PROBE_POINTS_MAX = 100_000
+
+# largest common denominator L, in bits, over which numbers are lifted to
+# integer keys: each key holds about as many bits as L, and the L of a
+# listing of reciprocals grows with the listing, so past this the exact
+# numbers serve as keys instead
+LIFT_BITS_MAX = 4096
 
 
 def default_delta_schedule() -> tuple[QuadExt, ...]:
@@ -267,16 +275,18 @@ def _midpoint_free_verdict(
 
 def _probe_points(
     domain: Domain, config: AnalysisConfig, *, for_pairs: bool
-) -> tuple[
-    tuple[QuadExt, ...], list[tuple[IntervalPiece, list[QuadExt]]] | None, bool
-]:
+) -> tuple[Sequence[QuadExt], list[tuple[IntervalPiece, list[int], int]] | None, bool]:
     """(points, runs, enumeration_truncated), points ascending.
 
     An enumerable domain is listed and has no runs (None). A continuum is
-    sampled: runs pairs each analytic piece with its grid. The pieces are
-    sorted and pairwise disjoint (two pieces sharing an endpoint leave it
-    open on one side), so the runs concatenate into the sorted points. A
-    probe of more than PROBE_POINTS_MAX points raises ConfigurationError."""
+    sampled: runs holds (piece, ks, n) for each analytic piece, whose grid is
+    lo + (length/n)*k over the integers k of ks (IntervalPiece.grid_indices).
+    The pieces are sorted and pairwise disjoint (two pieces sharing an
+    endpoint leave it open on one side), so the runs concatenate into the
+    sorted points. When the pieces share one sqrt2 part and have rational
+    lengths, the points are the integer keys X_lo + k*S of _index_keys, and
+    no point is built until it is read; otherwise each piece's grid is built.
+    A probe of more than PROBE_POINTS_MAX points raises ConfigurationError."""
     if domain.enumerable:
         en = domain.enumerate(config.enum_limit)
         return en.points, None, en.truncated
@@ -290,28 +300,38 @@ def _probe_points(
             f"sampled probe of {size} points exceeds the limit of "
             f"{PROBE_POINTS_MAX}: lower the grid exponent or the piece count"
         )
-    runs = [(piece, piece.grid(exponent)) for piece in pieces]
-    pts = tuple(itertools.chain.from_iterable(run for _, run in runs))
+    runs = [(piece, *piece.grid_indices(exponent)) for piece in pieces]
+    pts = None
+    if all(p.length.is_rational() for p in pieces):
+        pts = _index_keys(
+            [(p.lo, Fraction(p.length.a, p.length.d * n), ks) for p, ks, n in runs]
+        )
+    if pts is None:
+        pts = tuple(itertools.chain.from_iterable(p.grid(exponent) for p in pieces))
     return pts, runs, False
 
 
 def _probe_values(
     f: FuncSpec,
     pts: Sequence[QuadExt],
-    runs: list[tuple[IntervalPiece, list[QuadExt]]] | None,
-) -> list[QuadExt]:
+    runs: list[tuple[IntervalPiece, list[int], int]] | None,
+) -> Sequence[QuadExt]:
     """f at every probe point.
 
-    A sampled probe is evaluated run by run with the formula owning each
-    piece (a constant without any arithmetic) when Piecewise first-match
-    cannot tell the points of one piece apart: f is a bare formula, or every
-    region of f is an interval union of ambient pieces. The pieces are
-    disjoint, so a point of piece P lies in a region exactly when the region
-    lists P, and the first region listing P owns the whole run. Pieces are
-    compared by tuple membership, which hashes no endpoint. Every other
-    probe is evaluated point by point."""
+    A sampled probe is valued run by run with the formula owning each piece
+    when Piecewise first-match cannot tell the points of one piece apart: f
+    is a bare formula, or every region of f is an interval union of ambient
+    pieces. The pieces are disjoint, so a point of piece P lies in a region
+    exactly when the region lists P, and the first region listing P owns
+    the whole run. Pieces are compared by tuple membership, which hashes no
+    endpoint. When the points are integer keys and every owner is affine
+    (Const, Identity or Affine) with a rational change slope*step per grid
+    step, the values are integer keys too: f(lo) + (slope*step)*k over the
+    run's k, by _index_keys, and neither a point nor a value is built.
+    Otherwise each run's formula is evaluated at its points (a constant
+    without any arithmetic), and every other probe point by point."""
     owners: list[Formula | None] | None = None
-    pieces = () if runs is None else tuple(p for p, _ in runs)
+    pieces = () if runs is None else tuple(p for p, _, _ in runs)
     if runs is not None and isinstance(f, Formula):
         owners = [f] * len(pieces)
     elif runs is not None and isinstance(f, Piecewise) and all(
@@ -325,13 +345,28 @@ def _probe_values(
         ]
     if owners is None or None in owners:
         return [evaluate(f, p) for p in pts]
-    vals: list[QuadExt] = []
-    for (_, run), fm in zip(runs, owners):
-        if isinstance(fm, Const):
-            vals += [fm.value] * len(run)
+    if isinstance(pts, _LiftedNumbers):
+        progressions = []
+        for (piece, ks, n), fm in zip(runs, owners):
+            aff = _as_affine(fm)
+            dv = None if aff is None else aff.slope * piece.length / n
+            if dv is None or not dv.is_rational():
+                break
+            progressions.append((aff.slope * piece.lo + aff.intercept, dv.rat, ks))
         else:
-            vals += [formula_eval(fm, x) for x in run]
-    return vals
+            vals = _index_keys(progressions)
+            if vals is not None:
+                return vals
+    out: list[QuadExt] = []
+    start = 0
+    for (_, ks, _), fm in zip(runs, owners):
+        stop = start + len(ks)
+        if isinstance(fm, Const):
+            out += [fm.value] * len(ks)
+        else:
+            out += [formula_eval(fm, pts[k]) for k in range(start, stop)]
+        start = stop
+    return out
 
 
 @dataclass
@@ -458,6 +493,8 @@ def _survey_entries(
     pts = survey.points
     lv = None if survey.lift is None else _lift_rationals(vals)
     if lv is None:
+        # probe points given by their keys are built once, not once per pair
+        pts = tuple(pts)
         return [
             ((pts[j] - pts[i]) / 2, abs(vals[j] - vals[i]), pts[j], pts[i])
             for j, i in survey.index
@@ -486,23 +523,73 @@ def sym_oscillation(
     return modulus_profile(ambient, f, config, "usc", centers=centers).rows[0][1]
 
 
+class _LiftedNumbers(Sequence):
+    """The numbers X_k/L + c*sqrt2 of integer keys X_k over one denominator
+    L and one sqrt2 coefficient c, each built only when it is read. A
+    sampled probe gives its points and values this way, and _lift_rationals
+    hands the keys back without looking at any number."""
+
+    def __init__(self, keys: list[int], den: int, shift: Fraction) -> None:
+        self.keys, self.den, self.shift = keys, den, shift
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, k: int) -> QuadExt:
+        # X/L + c*sqrt2 over the one denominator L*c.den
+        c = self.shift
+        return _reduced(
+            self.keys[k] * c.denominator, c.numerator * self.den, self.den * c.denominator
+        )
+
+
 def _lift_rationals(
     xs: Sequence[QuadExt],
 ) -> tuple[list[int], int, Fraction] | None:
     """Integers X_k, a common denominator L and one sqrt2 coefficient c with
     xs[k] = X_k/L + c*sqrt2, or None when the numbers do not share one sqrt2
-    part. L is the lcm of the denominators. The shared offset c*sqrt2 drops
-    out of every difference (X_j - X_i)/L, so widths, window thresholds and
-    oscillations run on integers for rational sets and for sqrt2-shifted
-    ones alike; a midpoint is (X_i + X_j)/(2L) + c*sqrt2."""
+    part or L passes LIFT_BITS_MAX bits. L is the lcm of the denominators.
+    The shared offset c*sqrt2 drops out of every difference (X_j - X_i)/L,
+    so widths, window thresholds and oscillations run on integers for
+    rational sets and for sqrt2-shifted ones alike; a midpoint is
+    (X_i + X_j)/(2L) + c*sqrt2. Numbers given by their keys
+    (_LiftedNumbers) are their own lift."""
+    if isinstance(xs, _LiftedNumbers):
+        return xs.keys, xs.den, xs.shift
     if not xs:
         return [], 1, Fraction(0)
     b0, d0 = xs[0].b, xs[0].d
     for x in xs:
         if x.b * d0 != b0 * x.d:
             return None
-    den = lcm(*(x.d for x in xs))
+    den = 1
+    for x in xs:
+        if den % x.d:
+            den = lcm(den, x.d)
+            if den.bit_length() > LIFT_BITS_MAX:
+                return None
     return [x.a * (den // x.d) for x in xs], den, Fraction(b0, d0)
+
+
+def _index_keys(
+    runs: Sequence[tuple[QuadExt, Fraction, list[int]]],
+) -> _LiftedNumbers | None:
+    """The numbers v0 + dv*k of every run (v0, dv, ks), for k over ks, as
+    integer keys V0 + D*k over one L (V0 = L*rat(v0), D = L*dv), or None
+    when the v0 do not share one sqrt2 part or L passes LIFT_BITS_MAX bits.
+    A grid point lo + step*k and an affine value f(lo) + (slope*step)*k are
+    both such runs."""
+    v = runs[0][0]
+    if any(x.b * v.d != v.b * x.d for x, _, _ in runs):
+        return None
+    den = lcm(*(x.d for x, _, _ in runs), *(dv.denominator for _, dv, _ in runs))
+    if den.bit_length() > LIFT_BITS_MAX:
+        return None
+    keys: list[int] = []
+    for x, dv, ks in runs:
+        x0, step = x.a * (den // x.d), dv.numerator * (den // dv.denominator)
+        keys += [x0 + step * k for k in ks]
+    return _LiftedNumbers(keys, den, Fraction(v.b, v.d))
 
 
 def _window_scan(
@@ -541,42 +628,40 @@ def _window_scan(
 
 
 def _window_scan_int(
-    xi: list[int], vi: list[int], thr_num: int, thr_den: int
+    xi: Sequence[int], vi: Sequence[int], thr: int
 ) -> tuple[int | None, tuple[int, int] | None, int]:
-    """Max oscillation over pairs with (x_j - x_i) < thr_num/thr_den."""
-    return _window_scan([x * thr_den for x in xi], vi, thr_num)
+    """_window_scan on integer keys: pairs with x_j - x_i < thr, where
+    thr = ceil(L*delta), as an integer distance is below L*delta exactly
+    when it is below that ceiling."""
+    return _window_scan(xi, vi, thr)
 
 
 def _window_scan_exact(
     xs: Sequence[QuadExt], vs: Sequence[QuadExt], delta: QuadExt
 ) -> tuple[QuadExt | None, tuple[int, int] | None, int]:
+    """_window_scan on exact numbers: pairs with x_j - x_i < delta."""
     return _window_scan(xs, vs, delta)
 
 
 def _uc_rows(
-    xs: Sequence[QuadExt],
-    vs: Sequence[QuadExt],
-    schedule: tuple[QuadExt, ...],
-    truncated: bool,
+    fk: _FamilyKeys, schedule: tuple[QuadExt, ...], truncated: bool
 ) -> list[tuple[QuadExt, OscillationResult]]:
     """Oscillation sup over pairs with |x - y| below each schedule delta, by
-    one window scan per delta (on integers when the points share one sqrt2
-    part, the values share one, and delta is rational); the witness is
-    ordered x > y."""
-    lx, lv = _lift_rationals(xs), _lift_rationals(vs)
+    one window scan per delta over the keys of fk (_family_keys): on integer
+    keys at the threshold ceil(L*delta), for rational and irrational deltas
+    alike, on exact keys at delta. Only each row's sup and its witness pair
+    become exact numbers; the points ascend, so the later position is x > y."""
     rows = []
     for delta in schedule:
-        if lx is not None and lv is not None and delta.is_rational():
-            thr = delta.rat * lx[1]
-            best, idx, pairs = _window_scan_int(
-                lx[0], lv[0], thr.numerator, thr.denominator
-            )
-            if best is not None:
-                best = QuadExt(Fraction(best, lv[1]))
+        if fk.den is None:
+            best, idx, pairs = _window_scan_exact(fk.keys, fk.vkeys, delta)
         else:
-            best, idx, pairs = _window_scan_exact(xs, vs, delta)
-        wit = None if idx is None else _ordered(xs[idx[0]], xs[idx[1]])
-        rows.append((delta, OscillationResult(best, wit, pairs, truncated)))
+            best, idx, pairs = _window_scan_int(
+                fk.keys, fk.vkeys, exact_ceil(fk.den * delta)
+            )
+        value = None if best is None else fk.value(best)
+        wit = None if idx is None else (fk.pts[max(idx)], fk.pts[min(idx)])
+        rows.append((delta, OscillationResult(value, wit, pairs, truncated)))
     return rows
 
 
@@ -607,7 +692,7 @@ def modulus_profile(
     sampled = runs is not None
     vals = _probe_values(f, pts, runs)
     if notion == "uc":
-        rows = _uc_rows(pts, vals, config.delta_schedule, en_trunc)
+        rows = _uc_rows(_family_keys(pts, vals), config.delta_schedule, en_trunc)
         return ModulusProfile(notion, rows, len(pts), sampled, en_trunc)
     center_dom = centers if centers is not None else ambient
     survey = _pairs_from_points(
@@ -730,7 +815,7 @@ def _discrete_classify(
 ) -> dict[str, Verdict]:
     en = ambient.enumerate(config.enum_limit)
     if en.truncated:
-        verdicts = _family_classify(ambient, f, config)
+        verdicts = _family_classify(ambient, f, config, en)
         for v in verdicts.values():
             v.notes.append(
                 "enumeration hit enum_limit, so the isolation argument is "
@@ -772,10 +857,11 @@ def _discrete_classify(
 
 @dataclass
 class _FamilyKeys:
-    """A family's listed points with the keys of the points and of their
-    values, lifted once by _family_keys for every family scan."""
+    """A family's listed points, or a sampled probe's points, with the keys
+    of the points and of their values, lifted once by _family_keys for every
+    scan."""
 
-    pts: tuple[QuadExt, ...]
+    pts: Sequence[QuadExt]
     keys: Sequence
     vkeys: Sequence
     den: int | None
@@ -791,8 +877,8 @@ class _FamilyKeys:
         return v if self.vden is None else QuadExt(Fraction(v, self.vden))
 
 
-def _family_keys(pts: tuple[QuadExt, ...], vals: Sequence[QuadExt]) -> _FamilyKeys:
-    """The point keys, value keys, L and L_v of the listed points.
+def _family_keys(pts: Sequence[QuadExt], vals: Sequence[QuadExt]) -> _FamilyKeys:
+    """The point keys, value keys, L and L_v of the listed or sampled points.
 
     When the points and the values both share one sqrt2 part, the keys are
     the lifted integers of _lift_rationals, pts[k] = X_k/L + c*sqrt2 and
@@ -803,6 +889,8 @@ def _family_keys(pts: tuple[QuadExt, ...], vals: Sequence[QuadExt]) -> _FamilyKe
     lx = _lift_rationals(pts)
     lv = None if lx is None else _lift_rationals(vals)
     if lv is None:
+        # numbers given by their keys are built once here for the exact scans
+        pts, vals = tuple(pts), tuple(vals)
         return _FamilyKeys(pts, pts, vals, None, None)
     return _FamilyKeys(pts, lx[0], lv[0], lx[1], lv[1])
 
@@ -1082,14 +1170,13 @@ def _sweep_verdict(
 
 
 def _uc_family(
-    pts: tuple[QuadExt, ...],
-    vals: list[QuadExt],
+    fk: _FamilyKeys,
     config: AnalysisConfig,
     en_truncated: bool,
     piecewise_constant: bool,
     c_verdict: Verdict,
 ) -> Verdict:
-    n = len(pts)
+    n = len(fk.pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
     if c_verdict.status == "refuted":
         return Verdict(
@@ -1109,7 +1196,7 @@ def _uc_family(
             ],
         )
     # sliding windows, one linear pass per delta
-    rows = _uc_rows(pts, vals, config.delta_schedule, en_truncated)
+    rows = _uc_rows(fk, config.delta_schedule, en_truncated)
     if piecewise_constant:
         # pairs of one value oscillate by zero at every scale, so the deltas
         # at which the model can show a jump are those with a pair of two
@@ -1235,9 +1322,12 @@ def _sc_family(
 
 
 def _family_classify(
-    ambient: Domain, f: FuncSpec, config: AnalysisConfig
+    ambient: Domain, f: FuncSpec, config: AnalysisConfig, en: Enumeration | None = None
 ) -> dict[str, Verdict]:
-    en = ambient.enumerate(config.enum_limit)
+    """The family pipeline on the listing en of the ambient set (listed here
+    when not given)."""
+    if en is None:
+        en = ambient.enumerate(config.enum_limit)
     pts = en.points
     vals = [evaluate(f, p) for p in pts]
     fk = _family_keys(pts, vals)
@@ -1251,7 +1341,7 @@ def _family_classify(
         groups = list(by_value.values())
     c_v = _per_point_c(fk, windows, config, en.truncated, groups)
     usc_v = _usc_family(fk, config, en.truncated, groups)
-    uc_v = _uc_family(pts, vals, config, en.truncated, groups is not None, c_v)
+    uc_v = _uc_family(fk, config, en.truncated, groups is not None, c_v)
     if c_v.status == "proven" or usc_v.status == "proven":
         sc_v = _open_verdict(
             "SC",

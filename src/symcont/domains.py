@@ -331,20 +331,17 @@ class IntervalPiece:
             return False
         return True
 
-    def grid(self, exponent: int) -> list[QuadExt]:
-        """Exact sample grid, ascending: 2**exponent + 1 equispaced points
-        including the closed endpoints; an open endpoint is replaced by a run
-        of points approaching it at length/2**m, m = 1..10.
+    def grid_indices(self, exponent: int) -> tuple[list[int], int]:
+        """(ks, n): the grid of `grid(exponent)` is lo + (length/n)*k over the
+        ascending integers k of ks.
 
-        Every point is lo + (length / 2**N) * k for an integer k, with
-        N = max(exponent, 10) so that the open-end runs land on integers too:
-        the equispaced run is k = 0, 2**(N - exponent), ..., 2**N, an open
-        low end drops k = 0 and adds k = 2**(N - m), and an open high end
-        drops k = 2**N and adds k = 2**N - 2**(N - m). The integers k are
-        sorted and deduplicated, and each point is built once from its k.
-        """
+        n = 2**N with N = max(exponent, 10) so that the open-end runs land on
+        integers too: the equispaced run is k = 0, 2**(N - exponent), ...,
+        2**N, an open low end drops k = 0 and adds k = 2**(N - m), and an open
+        high end drops k = 2**N and adds k = 2**N - 2**(N - m), m = 1..10. A
+        degenerate piece is the one point k = 0 (n = 1)."""
         if self.is_degenerate:
-            return [self.lo]
+            return [0], 1
         top = max(exponent, 10)
         n = 2**top
         ks = set(range(0, n + 1, 2 ** (top - exponent)))
@@ -354,11 +351,19 @@ class IntervalPiece:
         if not self.hi_closed:
             ks.discard(n)
             ks.update(n - 2 ** (top - m) for m in range(1, 11))
+        return sorted(ks), n
+
+    def grid(self, exponent: int) -> list[QuadExt]:
+        """Exact sample grid, ascending: 2**exponent + 1 equispaced points
+        including the closed endpoints; an open endpoint is replaced by a run
+        of points approaching it at length/2**m, m = 1..10. The points are
+        those of grid_indices, each built once from its k."""
+        ks, n = self.grid_indices(exponent)
         # lo + length*k/n over one denominator, reduced once per point
         lo, ln = self.lo, self.length
         a0, b0, den = lo.a * ln.d * n, lo.b * ln.d * n, lo.d * ln.d * n
         da, db = ln.a * lo.d, ln.b * lo.d
-        return [_reduced(a0 + da * k, b0 + db * k, den) for k in sorted(ks)]
+        return [_reduced(a0 + da * k, b0 + db * k, den) for k in ks]
 
     def grid_size(self, exponent: int) -> int:
         """len(self.grid(exponent)), without building the grid. An open end

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -21,6 +22,7 @@ from symcont import (
     IntegerWindow,
     IntervalPiece,
     IntervalUnion,
+    Monomial,
     NaturalReciprocals,
     Piecewise,
     QuadExt,
@@ -40,7 +42,7 @@ from symcont import (
     verify_refuting_sequence,
     verify_witness,
 )
-from symcont import analysis
+from symcont import analysis, exactnum, functions
 from symcont.analysis import (
     NOTIONS,
     Verdict,
@@ -142,6 +144,22 @@ class TestDiscreteClassify:
         v = classify(FinitePoints.of(qx(7)), Const(3), FAST)["C"]
         assert v.status == "proven" and v.certificate["gap"] is None
 
+    def test_truncated_listing_enumerated_once(self, monkeypatch):
+        """A listing cut at enum_limit goes on to the family pipeline,
+        which reads it instead of listing the set again."""
+        calls = []
+        enumerate_window = IntegerWindow.enumerate
+
+        def counted(self, limit):
+            calls.append(limit)
+            return enumerate_window(self, limit)
+
+        monkeypatch.setattr(IntegerWindow, "enumerate", counted)
+        config = AnalysisConfig(enum_limit=2000)
+        verdicts = classify(IntegerWindow(0, 10**6), Identity(), config)
+        assert calls == [2000]
+        assert verdicts["UC"].resolution["enumeration_truncated"]
+
 
 class TestFamilyPipeline:
     def test_indicator_usc_refuted(self):
@@ -173,6 +191,23 @@ class TestFamilyPipeline:
         for v in classify(ambient, f, FAST).values():
             if v.status == "proven":
                 assert v.certificate is not None
+
+
+    def test_lift_bounded_on_long_reciprocal_listing(self):
+        """The 5 000 least reciprocals of NaturalReciprocals(10**4) have a
+        common denominator of about 14 000 bits; past LIFT_BITS_MAX the
+        family scans keep exact keys, where integer keys of that many bits
+        each peaked at about 50 MB."""
+        schedule = (qx(1), qx(Fraction(1, 2**20)))
+        config = AnalysisConfig(enum_limit=5000, delta_schedule=schedule)
+        tracemalloc.start()
+        try:
+            verdicts = classify(NaturalReciprocals(10**4), Identity(), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6, peak
+        assert {v.status for v in verdicts.values()} == {"no_violation"}
 
 
 class TestIntervalPipeline:
@@ -483,7 +518,9 @@ class TestPiecewiseConstantFamily:
         vals = [evaluate(f, p) for p in pts]
         c_open = Verdict("C", "no_violation", "flat_modulus", "truncation")
         start = time.perf_counter()
-        v = analysis._uc_family(pts, vals, AnalysisConfig(), False, True, c_open)
+        v = analysis._uc_family(
+            analysis._family_keys(pts, vals), AnalysisConfig(), False, True, c_open
+        )
         elapsed = time.perf_counter() - start
         assert (v.status, v.method) == ("refuted", "flat_modulus")
         assert (v.witness["x"], v.witness["y"], v.witness["osc"]) == ("1/799", "1/800", "1")
@@ -1068,7 +1105,7 @@ class TestIntegerPaths:
         if widths:
             deltas.update(data.draw(st.lists(st.sampled_from(widths), max_size=4)))
         schedule = tuple(sorted(deltas, reverse=True))
-        rows = _uc_rows(pts, vals, schedule, False)
+        rows = _uc_rows(analysis._family_keys(pts, vals), schedule, False)
         for delta, res in rows:
             best, idx, count = _window_scan_exact(pts, vals, delta)
             wit = None if idx is None else _ordered(pts[idx[0]], pts[idx[1]])
@@ -1278,9 +1315,12 @@ class TestIntegerPaths:
 
 
 def _pointwise_uc_rows(ambient, f, config):
-    """uc rows from values found by evaluate at every probe point."""
-    pts = _probe_points(ambient, config, for_pairs=False)[0]
-    return _uc_rows(pts, [evaluate(f, p) for p in pts], config.delta_schedule, False)
+    """uc rows on the points of every piece's grid, each valued by evaluate
+    and lifted as a listing is."""
+    pieces = analysis._analytic_pieces(ambient)
+    pts = tuple(x for piece in pieces for x in piece.grid(config.grid_exponent))
+    vals = [evaluate(f, p) for p in pts]
+    return _uc_rows(analysis._family_keys(pts, vals), config.delta_schedule, False)
 
 
 class TestTileValues:
@@ -1383,6 +1423,123 @@ class TestProbeCounts:
         monkeypatch.undo()
         # the counted profiles are the ones pointwise evaluation gives
         assert uc.rows == _pointwise_uc_rows(ambient, f, config)
+        pointwise = lambda f, pts, runs: [evaluate(f, p) for p in pts]  # noqa: E731
+        with mock.patch.object(analysis, "_probe_values", pointwise):
+            assert modulus_profile(ambient, f, config, "usc") == usc
+
+    @pytest.mark.parametrize("shift", [qx(0), SQRT2 - 1], ids=["rational", "sqrt2"])
+    def test_affine_uc_profile_builds_no_grid_point(self, monkeypatch, shift):
+        """A uc profile on a union of constant and affine pieces takes its
+        point and value keys from the grid indices: no formula is evaluated,
+        and the exact numbers built grow with the rows, not with the grid."""
+        ambient, f = self.two_piece_case(shift)
+        config = AnalysisConfig(grid_exponent=9)
+        counts = Counter()
+        make = exactnum._make
+
+        def counted_make(*args):
+            counts["QuadExt"] += 1
+            return make(*args)
+
+        def counted_eval(fm, x, _orig=functions.formula_eval):
+            counts["formula_eval"] += 1
+            return _orig(fm, x)
+
+        monkeypatch.setattr(exactnum, "_make", counted_make)
+        for module in (analysis, functions):
+            monkeypatch.setattr(module, "formula_eval", counted_eval)
+        prof = modulus_profile(ambient, f, config, "uc")
+        monkeypatch.undo()
+        rows = len(config.delta_schedule)
+        assert prof.points > 1000
+        assert counts["formula_eval"] == 0
+        # per row: the sup, the witness pair and the threshold ceil(L*delta)
+        assert 0 < counts["QuadExt"] <= 6 * rows + 12, counts
+        assert prof.rows == _pointwise_uc_rows(ambient, f, config)
+
+
+@st.composite
+def sampled_unions(draw):
+    """An interval union of one to three pieces, a function on it and a
+    config, for the sampled probe. Piece ends are rational, share one sqrt2
+    part, or carry mixed sqrt2 parts; lengths are rational, zero (a
+    degenerate piece) or irrational; ends are open or closed; pieces leave
+    gaps or touch. Each piece is owned by a Const (rational or sqrt2
+    value), Identity or Affine with a rational slope, which take the index
+    path, or by an Affine with an irrational slope or a Monomial, which
+    fall back to evaluation; f is one bare formula or one region per piece."""
+    kind = draw(st.sampled_from(("rational", "shared", "mixed")))
+    shift = Fraction(0) if kind == "rational" else draw(st.sampled_from(_IRRS[1:]))
+    lo = QuadExt(draw(_RATS), shift)
+    pieces = []
+    for k in range(draw(st.integers(1, 3))):
+        lo_closed = draw(st.booleans())
+        if k:
+            prev = pieces[-1]
+            if draw(st.booleans()) and not prev.is_degenerate:
+                # touching: the shared end belongs to one side at most
+                lo, lo_closed = prev.hi, lo_closed and not prev.hi_closed
+            else:
+                gap = QuadExt(draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2), 1))))
+                if kind == "mixed":
+                    gap += QuadExt(0, draw(st.sampled_from(_IRRS))) / 8
+                lo = prev.hi + gap
+        length = draw(st.sampled_from((0, Fraction(1, 4), Fraction(1, 2), 1, SQRT2 / 2)))
+        if length == 0 and not lo_closed:
+            length = Fraction(1, 2)
+        hi_closed = draw(st.booleans()) or length == 0
+        pieces.append(IntervalPiece(lo, lo + length, lo_closed, hi_closed))
+    value = st.builds(QuadExt, _RATS, st.sampled_from(_IRRS))
+    formulas = st.one_of(
+        st.builds(Const, value),
+        st.just(Identity()),
+        st.builds(Affine, st.builds(QuadExt, _RATS), value),
+        st.builds(Affine, st.just(SQRT2), value),
+        st.just(Monomial(2)),
+    )
+    if draw(st.booleans()):
+        f = draw(formulas)
+    else:
+        f = Piecewise(
+            tuple(FuncPiece(IntervalUnion((p,)), draw(formulas)) for p in pieces)
+        )
+    deltas = draw(
+        st.lists(
+            st.sampled_from(
+                (qx(2), qx(1), SQRT2 / 2, qx(Fraction(1, 2)), qx(Fraction(1, 8)),
+                 SQRT2 / 16, qx(Fraction(1, 64)))
+            ),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    config = AnalysisConfig(
+        delta_schedule=tuple(sorted(deltas, reverse=True)),
+        grid_exponent=draw(st.integers(1, 4)),
+    )
+    return IntervalUnion(tuple(pieces)), f, config
+
+
+class TestIndexProbe:
+    """The sampled probe's keys from the grid indices against the grid
+    points and against values found by evaluate at every point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sampled_unions())
+    def test_profiles_match_pointwise(self, case):
+        ambient, f, config = case
+        pts = _probe_points(ambient, config, for_pairs=False)[0]
+        grid = tuple(x for p in ambient.pieces for x in p.grid(config.grid_exponent))
+        assert tuple(pts) == grid
+        shared = len({p.lo.irr for p in ambient.pieces}) == 1
+        rational = all(p.length.is_rational() for p in ambient.pieces)
+        lifted = shared and rational and not ambient.enumerable
+        assert isinstance(pts, analysis._LiftedNumbers) == lifted
+        assert modulus_profile(ambient, f, config, "uc").rows == _pointwise_uc_rows(
+            ambient, f, config
+        )
+        usc = modulus_profile(ambient, f, config, "usc")
         pointwise = lambda f, pts, runs: [evaluate(f, p) for p in pts]  # noqa: E731
         with mock.patch.object(analysis, "_probe_values", pointwise):
             assert modulus_profile(ambient, f, config, "usc") == usc

@@ -9,7 +9,11 @@ with three constant regions, with overlapping regions that repeat a
 value (first match decides) and, for the subset-anchored scan, on a
 truncated enumeration. Sampled usc profiles pin the survey's membership
 test at open, touching and irrational piece ends, on sqrt2-shifted grids,
-and with values whose sqrt2 parts differ.
+and with values whose sqrt2 parts differ. Sampled uc profiles, with their
+witnesses, pin the keys taken from the grid indices and the cases that
+build every point: pieces of irrational length, and owners whose values
+are not integer keys (a monomial, an irrational slope, mixed sqrt2 parts),
+under a schedule with irrational deltas.
 
 Each case pins the sha256 of the JSON of all four verdicts (of the one
 subset-anchored verdict, of the one profile), so any change to a witness, a
@@ -31,6 +35,7 @@ from symcont import (
     Identity,
     IntervalPiece,
     IntervalUnion,
+    Monomial,
     NaturalReciprocals,
     Piecewise,
     Reciprocal,
@@ -41,7 +46,7 @@ from symcont import (
     evaluate,
     modulus_profile,
 )
-from symcont.analysis import NOTIONS, _uc_rows
+from symcont.analysis import NOTIONS, _family_keys, _uc_rows
 
 from conftest import qx
 
@@ -351,7 +356,8 @@ def test_piecewise_constant_uc_rows_match_all_pairs(name):
         for i, y in enumerate(pts)
         for j, x in enumerate(pts[i + 1 :], i + 1)
     ]
-    for delta, res in _uc_rows(pts, vals, config.delta_schedule, en.truncated):
+    rows = _uc_rows(_family_keys(pts, vals), config.delta_schedule, en.truncated)
+    for delta, res in rows:
         below = [(x, y, o) for x, y, o in pairs if x - y < delta]
         assert res.challenges == len(below)
         if below:
@@ -486,5 +492,77 @@ def test_usc_profile_json_pinned(name):
         ambient, f, AnalysisConfig(grid_exponent=5), "usc", centers=centers
     )
     assert profile.sampled and any(res.challenges for _, res in profile.rows)
+    text = json.dumps(profile.to_json(), indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def _irrational_length():
+    """[0, sqrt2) and [3/2 + sqrt2, 3 + sqrt2]: the grid points of the first
+    piece carry mixed sqrt2 parts."""
+    left = IntervalPiece(qx(0), SQRT2, True, False)
+    right = IntervalPiece(SQRT2 + qx(Fraction(3, 2)), qx(3) + SQRT2)
+    f = _piecewise((left, Affine(qx(2), qx(1))), (right, Const(1)))
+    return _union(left, right), f, None
+
+
+def _fallback_owners():
+    """Rational pieces owned by x**2, by sqrt2*x and by a constant."""
+    left = IntervalPiece(qx(0), qx(1), True, False)
+    mid = IntervalPiece(qx(1), qx(2))
+    right = IntervalPiece(qx(Fraction(5, 2)), qx(3), False, True)
+    f = _piecewise(
+        (left, Monomial(2)), (mid, Affine(SQRT2, qx(0))), (right, Const(qx(Fraction(1, 3))))
+    )
+    return _union(left, mid, right), f, None
+
+
+# name -> (ambient, function, None), sha256 of the uc profile JSON
+UC_PROFILE_CASES = {
+    "open_low_and_high_ends": (
+        _open_ends,
+        "1e49fd9dda490e3b8a54b1ed2aaf2b2e1f64c20b4bf7c23d994e65cd5f2c8670",
+    ),
+    "sqrt2_shifted_union": (
+        _sqrt2_shifted,
+        "144aeea41720267ecd52672c68e38f901d4f9c921cf63fa916825de67dcd26f7",
+    ),
+    "touching_open_closed_ends": (
+        _touching_pieces,
+        "8544f0553ff33fb672405c870216ef4cd76b589b1c45ca2a6656409fa20f2010",
+    ),
+    "mixed_sqrt2_values": (
+        _mixed_sqrt2_values,
+        "2ad2caa4583212b570de016934378b5e8588db59997d51147efbd5f10f8e307a",
+    ),
+    "irrational_length": (
+        _irrational_length,
+        "2c2ea520ce7d0a6c15d1329bc9c090dc40b1ba5c14c0ae7fc127950115ca2890",
+    ),
+    "fallback_owners": (
+        _fallback_owners,
+        "76f49b20d413d73b1ac6c97503e147e41d747d46636d2800d335491d2173154c",
+    ),
+}
+
+# rational and irrational deltas, decreasing
+UC_PROFILE_SCHEDULE = (
+    qx(1),
+    SQRT2 / 2,
+    qx(Fraction(1, 2)),
+    SQRT2 / 8,
+    qx(Fraction(1, 8)),
+    qx(Fraction(1, 32)),
+    SQRT2 / 64,
+    qx(Fraction(1, 256)),
+)
+
+
+@pytest.mark.parametrize("name", sorted(UC_PROFILE_CASES))
+def test_uc_profile_json_pinned(name):
+    build, digest = UC_PROFILE_CASES[name]
+    ambient, f, _ = build()
+    config = AnalysisConfig(delta_schedule=UC_PROFILE_SCHEDULE, grid_exponent=5)
+    profile = modulus_profile(ambient, f, config, "uc")
+    assert profile.sampled and all(res.witness for _, res in profile.rows)
     text = json.dumps(profile.to_json(), indent=1)
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
