@@ -20,6 +20,7 @@ import time
 from dataclasses import replace
 
 from .analysis import (
+    DELTA_SCHEDULE_MAX,
     AnalysisConfig,
     check_consistency,
     check_wrt_subset,
@@ -27,7 +28,7 @@ from .analysis import (
     modulus_profile,
     verify_witness,
 )
-from .errors import SymcontError
+from .errors import ParseError, SymcontError
 from .exactnum import parse_quadext
 from .functions import describe_function
 from .report import (
@@ -58,9 +59,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _apply_overrides(config: AnalysisConfig, args: argparse.Namespace) -> AnalysisConfig:
     changes: dict = {}
     if args.delta_schedule is not None:
-        changes["delta_schedule"] = tuple(
-            parse_quadext(part.strip()) for part in args.delta_schedule.split(",")
-        )
+        parts = args.delta_schedule.split(",")
+        if len(parts) > DELTA_SCHEDULE_MAX:
+            raise ParseError(f"--delta-schedule: at most {DELTA_SCHEDULE_MAX} entries")
+        changes["delta_schedule"] = tuple(parse_quadext(part.strip()) for part in parts)
     if args.grid_exponent is not None:
         changes["grid_exponent"] = args.grid_exponent
     if args.max_pairs is not None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -241,7 +242,7 @@ class QuadExt(_Coords):
         # that; an irrational equals only a QuadExt, and its coordinates are
         # canonical. No output iterates a set or dict of QuadExt in hash order.
         if self.b == 0:
-            return hash(self.a) if self.d == 1 else hash(self.rat)
+            return hash(self.a) if self.d == 1 else _rational_hash(self.a, self.d)
         return hash((self.a, self.b, self.d))
 
     def __float__(self) -> float:
@@ -252,6 +253,23 @@ class QuadExt(_Coords):
 
     def __repr__(self) -> str:
         return f"QuadExt({self.rat!r}, {self.irr!r})"
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+def _rational_hash(a: int, d: int) -> int:
+    """``hash(Fraction(a, d))`` for ``a/d`` in lowest terms with ``d > 0``."""
+    try:
+        dinv = pow(d, -1, _HASH_MODULUS)
+    except ValueError:
+        # d is a multiple of the modulus: Fraction hashes such values as inf
+        h = _HASH_INF
+    else:
+        h = hash(hash(abs(a)) * dinv)
+    h = h if a >= 0 else -h
+    return -2 if h == -1 else h
 
 
 ZERO = QuadExt()
@@ -290,46 +308,63 @@ def midpoint(x: QuadExt, y: QuadExt) -> QuadExt:
     return (x + y) / 2
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for ``d > 0``."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def format_quadext(x: QuadExt) -> str:
     """Render exactly: ``p/q`` when rational, else ``a + b*sqrt2`` / ``a - b*sqrt2``."""
-    if x.b == 0:
-        return str(x.rat)
-    op = "+" if x.b > 0 else "-"
-    return f"{x.rat} {op} {abs(x.irr)}*sqrt2"
+    a, b, d = x.a, x.b, x.d
+    if b == 0:
+        # the coordinates are in lowest terms with d > 0, as str(Fraction) wants
+        return str(a) if d == 1 else f"{a}/{d}"
+    op = "+" if b > 0 else "-"
+    return f"{_ratio_text(a, d)} {op} {_ratio_text(abs(b), d)}*sqrt2"
 
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_PATTERNS = (
-    # a + b*sqrt2  (b unsigned; the operator carries the sign)
-    re.compile(rf"^(?P<a>{_RAT})\s*(?P<op>[+-])\s*(?P<b>\d+(?:/\d+)?)\s*\*\s*sqrt2$"),
-    # b*sqrt2 with no rational part
-    re.compile(rf"^(?P<b>{_RAT})\s*\*\s*sqrt2$"),
-    # bare sqrt2, optionally signed
-    re.compile(r"^(?P<op>[+-]?)\s*sqrt2$"),
-    # plain rational
-    re.compile(rf"^(?P<a>{_RAT})$"),
+# The accepted forms, after surrounding whitespace is stripped, with p, q, r,
+# s unsigned digit strings:
+#   [+-]p[/q]                        a rational
+#   [+-]p[/q] * sqrt2                a multiple of sqrt2
+#   [+-]p[/q] (+|-) r[/s] * sqrt2    both parts; the coefficient is required
+#                                    and the operator carries its sign
+#   [+-] sqrt2                       sqrt2 itself, optionally signed
+# Whitespace may stand around the operator and the "*" and after a sign
+# before sqrt2, nowhere else.
+_NUMBER = re.compile(
+    r"(?:(?P<p>[+-]?\d+)(?:/(?P<q>\d+))?"
+    r"(?:\s*(?P<op>[+-])\s*(?P<r>\d+)(?:/(?P<s>\d+))?\s*\*\s*sqrt2"
+    r"|\s*(?P<times>\*)\s*sqrt2)?"
+    r"|(?P<sign>[+-]?)\s*sqrt2)"
 )
 
 
 def parse_quadext(text: str) -> QuadExt:
     """Inverse of :func:`format_quadext`, tolerant of extra whitespace."""
-    s = text.strip()
-    for pat in _PATTERNS:
-        m = pat.match(s)
-        if m is None:
-            continue
-        groups = m.groupdict()
-        try:
-            a = Fraction(groups["a"]) if groups.get("a") else Fraction(0)
-            if groups.get("b") is not None:
-                b = Fraction(groups["b"])
-            elif "sqrt2" in pat.pattern:
-                b = Fraction(1)
-            else:
-                b = Fraction(0)
-        except ZeroDivisionError as exc:
-            raise ParseError(f"zero denominator in {text!r}") from exc
-        if groups.get("op") == "-":
-            b = -b
-        return QuadExt(a, b)
-    raise ParseError(f"not an exact number: {text!r}")
+    m = _NUMBER.fullmatch(text.strip())
+    if m is None:
+        raise ParseError(f"not an exact number: {text!r}")
+    p, q, op, r, s, times, sign = m.groups()
+    if p is None:
+        return _make(0, -1 if sign == "-" else 1, 1)
+    a = int(p)
+    q = int(q) if q is not None else 1
+    if r is None:
+        if q == 0:
+            raise ParseError(f"zero denominator in {text!r}")
+        if times is None:
+            return _reduced(a, 0, q)
+        return _reduced(0, a, q)
+    b = int(r)
+    s = int(s) if s is not None else 1
+    if q == 0 or s == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    if op == "-":
+        b = -b
+    d = math.lcm(q, s)
+    return _reduced(a * (d // q), b * (d // s), d)

@@ -20,8 +20,23 @@ OddPrimeReciprocals, NaturalReciprocals, TruncatedRationals, IntervalUnion,
 Staircase, UnionOf. Function objects are a bare formula ({"formula": ...}),
 a Piecewise, or a Combined. Numbers must be integers or exact strings such
 as "3/4" or "1 + 1/2*sqrt2"; floats are rejected to keep every certificate
-exact. Unknown keys are rejected everywhere. A Staircase takes at most
-STAIRCASE_BLOCKS_MAX blocks.
+exact. With p, q, r, s unsigned decimal digit strings and surrounding
+whitespace ignored, a number string is one of
+
+    [+-]p[/q]                       a rational
+    [+-]p[/q]*sqrt2                 a rational multiple of sqrt2
+    [+-]p[/q] + r[/s]*sqrt2         both parts, also with "-" for "+"; the
+                                    coefficient r[/s] is required, so
+                                    "1 + sqrt2" is rejected
+    [+-]sqrt2                       sqrt2, optionally signed
+
+with optional whitespace around the operator and the "*" and between a
+sign and sqrt2, and no zero denominator (exactnum.parse_quadext). Unknown
+keys are rejected everywhere. A Staircase takes at most STAIRCASE_BLOCKS_MAX
+(1 000) blocks, an OddPrimeReciprocals at most MAX_PRIME_MAX (10**6) as its
+maxPrime, a Monomial at most MONOMIAL_DEGREE_MAX (64) as its n, and a
+deltaSchedule at most analysis.DELTA_SCHEDULE_MAX (64) entries; larger
+values exit 2.
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .analysis import AnalysisConfig
+from .analysis import DELTA_SCHEDULE_MAX, AnalysisConfig
 from .domains import (
     Domain,
     FinitePoints,
@@ -64,6 +79,17 @@ from .functions import (
 # for more blocks exits 2.
 STAIRCASE_BLOCKS_MAX = 1000
 
+# OddPrimeReciprocals sieves every integer up to maxPrime into a bytearray of
+# that many bytes: 1 MB and 0.05 s at 10**6 (2-vCPU Xeon, Python 3.11), while
+# 10**10 would ask for 10 GB, so a spec asking for a larger bound exits 2.
+MAX_PRIME_MAX = 10**6
+
+# x**n over points with a sqrt2 part grows by n times their bit length:
+# classify(TruncatedRationals(20, 1, 4, adjoin_sqrt2=True), Monomial(n)) took
+# 1.4 s at n = 64 and 29 s at n = 1000 (same machine), and 10**5 did not end
+# within 20 s, so a spec asking for a higher degree exits 2.
+MONOMIAL_DEGREE_MAX = 64
+
 
 @dataclass
 class ParsedSpec:
@@ -82,13 +108,17 @@ def _require_keys(obj: dict, where: str, required: set[str], optional: set[str] 
         raise ParseError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _number(value: object, where: str) -> QuadExt:
-    if isinstance(value, bool):
-        raise ParseError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, int):
-        return QuadExt.of(value)
+def _number(value: object, where: str, index: int | None = None) -> QuadExt:
+    """``value`` as an exact number. An error names it by ``where``, followed
+    by ``[index]`` for a list entry; that text is built only on error."""
     if isinstance(value, str):
         return parse_quadext(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return QuadExt(value)
+    if index is not None:
+        where = f"{where}[{index}]"
+    if isinstance(value, bool):
+        raise ParseError(f"{where}: expected a number, got a boolean")
     if isinstance(value, float):
         raise ParseError(
             f"{where}: floats are not exact; write the value as a string "
@@ -128,12 +158,11 @@ def parse_domain(obj: object, where: str = "domain") -> Domain:
         raise ParseError(f"{where}: needs a 'type' string")
     if kind == "FinitePoints":
         _require_keys(d, where, {"type", "points"})
-        pts = _list(d["points"], f"{where}.points")
+        pw = f"{where}.points"
+        pts = _list(d["points"], pw)
         if not pts:
-            raise ParseError(f"{where}.points: needs at least one point")
-        return FinitePoints(
-            tuple(_number(p, f"{where}.points[{i}]") for i, p in enumerate(pts))
-        )
+            raise ParseError(f"{pw}: needs at least one point")
+        return FinitePoints(tuple(_number(p, pw, i) for i, p in enumerate(pts)))
     if kind == "IntegerWindow":
         _require_keys(d, where, {"type", "lo", "hi"})
         return IntegerWindow(
@@ -141,9 +170,11 @@ def parse_domain(obj: object, where: str = "domain") -> Domain:
         )
     if kind == "OddPrimeReciprocals":
         _require_keys(d, where, {"type", "maxPrime", "withZero"})
+        max_prime = _integer(d["maxPrime"], f"{where}.maxPrime")
+        if max_prime > MAX_PRIME_MAX:
+            raise ParseError(f"{where}.maxPrime: at most {MAX_PRIME_MAX}")
         return OddPrimeReciprocals(
-            _integer(d["maxPrime"], f"{where}.maxPrime"),
-            with_zero=_flag(d["withZero"], f"{where}.withZero"),
+            max_prime, with_zero=_flag(d["withZero"], f"{where}.withZero")
         )
     if kind == "NaturalReciprocals":
         _require_keys(d, where, {"type", "maxN", "withZero"})
@@ -216,7 +247,10 @@ def parse_formula(obj: object, where: str) -> Formula:
         return Reciprocal()
     if kind == "Monomial":
         _require_keys(d, where, {"formula", "n"})
-        return Monomial(_integer(d["n"], f"{where}.n"))
+        degree = _integer(d["n"], f"{where}.n")
+        if degree > MONOMIAL_DEGREE_MAX:
+            raise ParseError(f"{where}.n: at most {MONOMIAL_DEGREE_MAX}")
+        return Monomial(degree)
     raise ParseError(f"{where}: unknown formula {kind!r}")
 
 
@@ -273,10 +307,11 @@ def parse_config(obj: object, where: str = "config") -> AnalysisConfig:
     )
     kwargs: dict = {}
     if "deltaSchedule" in d:
-        sched = _list(d["deltaSchedule"], f"{where}.deltaSchedule")
-        kwargs["delta_schedule"] = tuple(
-            _number(v, f"{where}.deltaSchedule[{i}]") for i, v in enumerate(sched)
-        )
+        sw = f"{where}.deltaSchedule"
+        sched = _list(d["deltaSchedule"], sw)
+        if len(sched) > DELTA_SCHEDULE_MAX:
+            raise ParseError(f"{sw}: at most {DELTA_SCHEDULE_MAX} entries")
+        kwargs["delta_schedule"] = tuple(_number(v, sw, i) for i, v in enumerate(sched))
     if "gridExponent" in d:
         kwargs["grid_exponent"] = _integer(d["gridExponent"], f"{where}.gridExponent")
     if "maxPairs" in d:

@@ -259,6 +259,71 @@ class TestModuli:
         assert "domain.blocks: at most 1000 blocks" in proc.stderr
         assert elapsed < 5
 
+    def test_max_prime_above_cap_exits_2(self, tmp_path):
+        # 10**10 would ask the sieve for a 10 GB bytearray
+        spec = {
+            "domain": {"type": "OddPrimeReciprocals", "maxPrime": 10**10, "withZero": True},
+            "function": {"formula": "Identity"},
+        }
+        path = tmp_path / "primes.json"
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        proc = run_cli("analyze", str(path), timeout=10)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2
+        assert "domain.maxPrime: at most 1000000" in proc.stderr
+        assert elapsed < 5
+
+    def test_monomial_degree_above_cap_exits_2(self, tmp_path):
+        # x**100000 over sqrt2-adjoined rationals did not end within 20 s
+        spec = {
+            "domain": {"type": "TruncatedRationals", "maxDenominator": 5, "lo": 1,
+                       "hi": 2, "adjoinSqrt2": True},
+            "function": {"formula": "Monomial", "n": 10**5},
+        }
+        path = tmp_path / "monomial.json"
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        proc = run_cli("analyze", str(path), timeout=10)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2
+        assert "function.n: at most 64" in proc.stderr
+        assert elapsed < 5
+        spec["function"]["n"] = 64
+        path.write_text(json.dumps(spec))
+        code, _, _ = run_main("analyze", str(path))
+        assert code == 0
+
+    @pytest.mark.parametrize("where", ["flag", "spec"])
+    def test_delta_schedule_above_cap_exits_2(self, tmp_path, where):
+        # each schedule entry is one more profile row and window scan
+        def write(schedule):
+            spec = {
+                "domain": {"type": "IntegerWindow", "lo": 0, "hi": 5},
+                "function": {"formula": "Identity"},
+            }
+            flags = ["--delta-schedule", ",".join(schedule)]
+            if where == "spec":
+                spec["config"] = {"deltaSchedule": schedule}
+                flags = []
+            path = tmp_path / "window.json"
+            path.write_text(json.dumps(spec))
+            return str(path), flags
+
+        schedule = [f"1/{k}" for k in range(1, 66)]
+        path, flags = write(schedule)
+        start = time.perf_counter()
+        proc = run_cli("analyze", path, *flags, timeout=10)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2
+        name = "--delta-schedule" if where == "flag" else "config.deltaSchedule"
+        assert f"{name}: at most 64 entries" in proc.stderr
+        assert elapsed < 5
+        path, flags = write(schedule[:64])
+        code, out, _ = run_main("analyze", path, *flags, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["config"]["delta_schedule"][-1] == "1/64"
+
 
 class TestUsage:
     def test_no_command(self):

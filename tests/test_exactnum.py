@@ -4,6 +4,8 @@ import math
 import operator
 import pickle
 import random
+import re
+import sys
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -373,7 +375,7 @@ class TestKernelDifferential:
         assert exact_ceil(x) == -dec_floor(-x)
 
     @settings(max_examples=300, deadline=None)
-    @given(kernel_numbers)
+    @given(st.one_of(kernel_numbers, operands.map(as_quadext)))
     def test_representation(self, x):
         assert x.d > 0 and math.gcd(x.a, x.b, x.d) == 1
         assert QuadExt(x.rat, x.irr) == x
@@ -382,6 +384,7 @@ class TestKernelDifferential:
         if x.is_rational():
             q = x.rat
             assert x == q and q == x and hash(x) == hash(q)
+            assert format_quadext(x) == str(q)
             assert x != q + 1
             if q.denominator == 1:
                 assert x == int(q) and hash(x) == hash(int(q))
@@ -398,3 +401,152 @@ class TestKernelDifferential:
         x = QuadExt(q)
         assert x == q and hash(x) == hash(q) and x.irr == 0
         assert QuadExt.of(q) == x == as_quadext(q)
+
+
+# ---------------------------------------------------------------------------
+# the number parser against the four-pattern parser it replaced
+
+
+_ORACLE_RAT = r"[+-]?\d+(?:/\d+)?"
+_ORACLE_PATTERNS = (
+    re.compile(rf"^(?P<a>{_ORACLE_RAT})\s*(?P<op>[+-])\s*(?P<b>\d+(?:/\d+)?)\s*\*\s*sqrt2$"),
+    re.compile(rf"^(?P<b>{_ORACLE_RAT})\s*\*\s*sqrt2$"),
+    re.compile(r"^(?P<op>[+-]?)\s*sqrt2$"),
+    re.compile(rf"^(?P<a>{_ORACLE_RAT})$"),
+)
+
+
+def oracle_parse_quadext(text: str) -> QuadExt:
+    """The former parser: four patterns, numbers read through Fraction."""
+    s = text.strip()
+    for pat in _ORACLE_PATTERNS:
+        m = pat.match(s)
+        if m is None:
+            continue
+        groups = m.groupdict()
+        try:
+            a = Fraction(groups["a"]) if groups.get("a") else Fraction(0)
+            if groups.get("b") is not None:
+                b = Fraction(groups["b"])
+            elif "sqrt2" in pat.pattern:
+                b = Fraction(1)
+            else:
+                b = Fraction(0)
+        except ZeroDivisionError as exc:
+            raise ParseError(f"zero denominator in {text!r}") from exc
+        if groups.get("op") == "-":
+            b = -b
+        return QuadExt(a, b)
+    raise ParseError(f"not an exact number: {text!r}")
+
+
+NEAR_MISSES = (
+    "1 + sqrt2", "1 + -2*sqrt2", "3/-4", "1/0", "2 - 1/0*sqrt2", "+ sqrt2",
+    "1_000", "1/2*sqrt2 + 1", "0/0", "1 - 0/0*sqrt2", "1/2/3", "--1", "+-1",
+    "1 +* sqrt2", "sqrt 2", "SQRT2", "2sqrt2", "2*sqrt2*sqrt2", "1 + 2*sqrt2 + 3",
+    "1 2", "1 / 2", "- 3", "- sqrt2", "1\t+\t2*sqrt2", "\n3/4\n", "1\n+ 2*sqrt2",
+    "\u0661\u0662/\u0663", "\uff11 + \uff12*sqrt2", "\u00a01/2\u2003", "1/2*\u00a0sqrt2",
+    "1.5", "1e3", "0x10", "+0/7 - 0*sqrt2", "", " ", "sqrt2 + 1",
+)
+_DIGITS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=4),
+    st.sampled_from(["0", "00", "\u0661\u0662", "\uff17", "1_0", "\u0663"]),
+)
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\u00a0", "\u2003"])
+_SIGN = st.sampled_from(["", "", "+", "-"])
+
+
+@st.composite
+def _rational_text(draw):
+    out = draw(_SIGN) + draw(_DIGITS)
+    if draw(st.booleans()):
+        out += draw(st.sampled_from(["/", "/", " /", "/-"])) + draw(_DIGITS)
+    return out
+
+
+@st.composite
+def _number_text(draw):
+    kind = draw(st.integers(0, 3))
+    sp = draw(_SPACE)
+    times = sp + draw(st.sampled_from(["*", "*", "", "**"])) + sp + "sqrt2"
+    if kind == 0:
+        body = draw(_rational_text())
+    elif kind == 1:
+        body = draw(_rational_text()) + times
+    elif kind == 2:
+        coef = draw(st.one_of(_rational_text(), st.just("")))
+        body = (draw(_rational_text()) + sp + draw(st.sampled_from(["+", "-", "+-"]))
+                + draw(_SPACE) + coef + (times if coef or draw(st.booleans()) else sp + "sqrt2"))
+    else:
+        body = draw(_SIGN) + draw(_SPACE) + "sqrt2"
+    return draw(_SPACE) + body + draw(_SPACE)
+
+
+number_texts = st.one_of(
+    _number_text(),
+    st.sampled_from(NEAR_MISSES),
+    st.lists(st.sampled_from(["1", "2/3", "+", "-", "/", "*", "sqrt2", " ", "\t", "0"]),
+             max_size=7).map("".join),
+    st.text(max_size=8),
+)
+
+
+def parse_outcome(parse, text):
+    try:
+        x = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return "value", (x.a, x.b, x.d)
+
+
+class TestParserDifferential:
+    @settings(max_examples=1500, deadline=None)
+    @given(number_texts)
+    def test_same_numbers_and_messages(self, text):
+        assert parse_outcome(parse_quadext, text) == parse_outcome(oracle_parse_quadext, text)
+
+    def test_near_misses(self):
+        accepted = set()
+        for text in NEAR_MISSES:
+            outcome = parse_outcome(parse_quadext, text)
+            assert outcome == parse_outcome(oracle_parse_quadext, text)
+            if outcome[0] == "value":
+                accepted.add(text)
+        assert "1 + sqrt2" not in accepted and "1_000" not in accepted
+        assert parse_outcome(parse_quadext, "1/0") == (
+            "error", "zero denominator in '1/0'"
+        )
+
+
+# ---------------------------------------------------------------------------
+# the rational hash and text against Fraction's
+
+
+hash_fractions = st.one_of(
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)),
+    st.builds(
+        Fraction,
+        st.integers(-10**6, 10**6),
+        st.integers(1, 9).map(lambda k: k * sys.hash_info.modulus),
+    ),
+    st.sampled_from([Fraction(-1), Fraction(-2), Fraction(-1, sys.hash_info.modulus)]),
+)
+
+
+class TestRationalHashAndText:
+    @settings(max_examples=500, deadline=None)
+    @given(hash_fractions)
+    def test_matches_fraction(self, q):
+        x = QuadExt(q)
+        assert hash(x) == hash(q)
+        assert format_quadext(x) == str(x) == str(q)
+
+    def test_edge_values(self):
+        assert hash(QuadExt(-1)) == hash(Fraction(-1)) == -2
+        m = sys.hash_info.modulus
+        for q in (Fraction(1, m), Fraction(-3, 2 * m), Fraction(5, m * m)):
+            assert abs(hash(QuadExt(q))) == sys.hash_info.inf
+            assert hash(QuadExt(q)) == hash(q)
+        assert format_quadext(QuadExt(Fraction(-7, 1))) == "-7"
+        assert format_quadext(QuadExt(Fraction(-6, 4), Fraction(2, 4))) == "-3/2 + 1/2*sqrt2"

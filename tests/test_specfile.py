@@ -1,7 +1,17 @@
+import copy
+import io
 import json
+import os
+import random
+import signal
+import tempfile
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import symcont.exactnum
 
 from symcont import (
     SQRT2,
@@ -25,7 +35,9 @@ from symcont import (
     classify,
     parse_spec,
 )
-from symcont.specfile import parse_domain, parse_formula, parse_function
+from symcont.cli import main
+from symcont.errors import SymcontError
+from symcont.specfile import ParsedSpec, parse_domain, parse_formula, parse_function
 from symcont.zoo import build_example
 
 from conftest import qx
@@ -328,3 +340,224 @@ class TestParsedSpecMatchesCatalog:
         # the same construction down to 100 and must reach the same verdicts
         for notion, status in want.items():
             assert got[notion].status == status, notion
+
+
+class TestFractionFreeRequestPath:
+    """Spec numbers and the default config are built from integers: the
+    former path built about four Fractions per number and 21 QuadExts per
+    AnalysisConfig()."""
+
+    def test_rational_points_build_no_fraction(self, monkeypatch):
+        built = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(symcont.exactnum, "Fraction", CountingFraction)
+        rng = random.Random(12)
+        points = [f"{rng.randint(-10**6, 10**6)}/{rng.randint(1, 999)}" for _ in range(1000)]
+        spec = parse_spec(
+            dumps(
+                {
+                    "domain": {"type": "FinitePoints", "points": points},
+                    "function": {"formula": "Identity"},
+                }
+            )
+        )
+        assert built == []
+        want = sorted({Fraction(p) for p in points})
+        assert [(x.a, x.b, x.d) for x in spec.domain.points] == [
+            (q.numerator, 0, q.denominator) for q in want
+        ]
+
+    def test_default_config_builds_no_quadext(self, monkeypatch):
+        built = []
+        make = symcont.exactnum._make
+
+        def counting_make(a, b, d):
+            built.append((a, b, d))
+            return make(a, b, d)
+
+        monkeypatch.setattr(symcont.exactnum, "_make", counting_make)
+        cfg = AnalysisConfig()
+        assert built == []
+        assert cfg.delta_schedule == tuple(qx(Fraction(1, 2**j)) for j in range(21))
+        assert AnalysisConfig(seed=3).delta_schedule is cfg.delta_schedule
+
+
+# ---------------------------------------------------------------------------
+# fuzz: mutated spec documents give a ParsedSpec or a SymcontError, and the
+# CLI exits 0, 1 or 2 without a traceback, promptly
+
+
+FUZZ_BASES = (
+    PRIME_INDICATOR_SPEC,
+    {
+        "domain": {"type": "FinitePoints", "points": [0, "1/2", "-3/4", "1 + 1/2*sqrt2"]},
+        "function": {"formula": "Affine", "m": "2", "c": "-1/3"},
+        "subsetB": {"type": "FinitePoints", "points": [0]},
+        "config": {"deltaSchedule": ["1/2", "1/8"], "enumLimit": 40, "seed": 1},
+    },
+    {
+        "domain": {"type": "IntervalUnion", "pieces": [
+            {"lo": "1/2", "hi": 1, "hiClosed": False}, {"lo": "sqrt2", "hi": 2}]},
+        "function": {"formula": "Reciprocal"},
+        "config": {"gridExponent": 4, "maxPairs": 500, "outputFormat": "json"},
+    },
+    {
+        "domain": {"type": "UnionOf", "parts": [
+            {"type": "NaturalReciprocals", "maxN": 30, "withZero": True},
+            {"type": "TruncatedRationals", "maxDenominator": 5, "lo": 1, "hi": 2,
+             "adjoinSqrt2": True}]},
+        "function": {"type": "Combined", "op": "add", "operands": [
+            {"formula": "Monomial", "n": 2},
+            {"type": "Combined", "op": "scale", "alpha": "3/2",
+             "operands": [{"formula": "Const", "c": "1 - 1*sqrt2"}]}]},
+    },
+    {
+        "domain": {"type": "IntegerWindow", "lo": -2, "hi": 2},
+        "function": {"type": "Piecewise", "pieces": [
+            {"region": {"type": "IntegerWindow", "lo": -2, "hi": 0},
+             "formula": {"formula": "Identity"}},
+            {"region": {"type": "IntegerWindow", "lo": 1, "hi": 2},
+             "formula": {"formula": "Const", "c": "sqrt2"}}]},
+    },
+    {
+        "domain": {"type": "Staircase", "variant": "B", "blocks": 3},
+        "function": {"formula": "Identity"},
+    },
+)
+
+_SIGNS = st.sampled_from(["", "-", "+"])
+_VALID_NUMBERS = st.one_of(
+    st.integers(-3, 60),
+    st.builds("{}{}/{}".format, _SIGNS, st.integers(0, 99), st.integers(1, 9)),
+    st.builds("{}{} {} {}/{}*sqrt2".format, _SIGNS, st.integers(0, 9), st.sampled_from("+-"),
+              st.integers(0, 9), st.integers(1, 9)),
+    st.builds("{}{}*sqrt2".format, _SIGNS, st.integers(0, 9)),
+)
+_NUMBER_STRINGS = st.one_of(
+    st.sampled_from(["3/4", "-2", "sqrt2", "1 + sqrt2", "1/0", "2 - 1/3*sqrt2", "0.5", "", "x"]),
+    st.builds("{}{}/{}".format, _SIGNS, st.integers(0, 999), st.integers(0, 99)),
+)
+_KEYS = st.sampled_from(
+    ["type", "points", "lo", "hi", "maxPrime", "maxN", "withZero", "pieces", "region",
+     "formula", "operands", "op", "alpha", "variant", "blocks", "parts", "c", "m", "n",
+     "deltaSchedule", "enumLimit", "gridExponent", "hiClosed", "bogus", "MaxPrime"]
+)
+_TYPES = st.sampled_from(
+    ["FinitePoints", "IntegerWindow", "OddPrimeReciprocals", "NaturalReciprocals",
+     "TruncatedRationals", "IntervalUnion", "Staircase", "UnionOf", "Piecewise",
+     "Combined", "Const", "Identity", "Affine", "Reciprocal", "Monomial", "Nope"]
+)
+_SCALARS = st.one_of(
+    st.integers(-5, 300),
+    st.sampled_from([0, -1, 10**6, 10**6 + 1, 10**10, 2**70]),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.booleans(),
+    st.none(),
+    _NUMBER_STRINGS,
+    _TYPES,
+    st.just([]),
+    st.just({}),
+)
+
+
+def _paths(node):
+    """Every (container, key) location in a JSON tree."""
+    out = []
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        out.append((node, key))
+        if isinstance(child, (dict, list)):
+            out.extend(_paths(child))
+    return out
+
+
+@st.composite
+def mutated_specs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        paths = _paths(doc)
+        if not paths:
+            break
+        node, key = draw(st.sampled_from(paths))
+        kind = draw(st.sampled_from(
+            ["drop", "rename", "replace", "copy"] + ["nest"] * 2 + ["renumber"] * 4
+        ))
+        if kind == "renumber":
+            if type(node[key]) in (int, str) and key not in ("type", "formula", "op"):
+                node[key] = draw(_VALID_NUMBERS)
+        elif kind == "drop":
+            del node[key]
+        elif kind == "rename" and isinstance(node, dict):
+            node[draw(_KEYS)] = node.pop(key)
+        elif kind == "nest" and isinstance(node[key], dict):
+            inner = node[key]
+            if "formula" in inner or inner.get("type") in ("Piecewise", "Combined"):
+                node[key] = draw(st.sampled_from([
+                    {"type": "Combined", "op": "sub", "operands": [inner, inner]},
+                    {"type": "Combined", "op": "div", "operands": [inner]},
+                    {"type": "Piecewise", "pieces": [
+                        {"region": {"type": "IntegerWindow", "lo": 0, "hi": 3},
+                         "formula": inner}]},
+                ]))
+            else:
+                node[key] = {"type": "UnionOf", "parts": [inner, copy.deepcopy(inner)]}
+        elif kind == "copy":
+            # a subtree moved where another kind of value belongs
+            other_node, other_key = draw(st.sampled_from(paths))
+            node[key] = copy.deepcopy(other_node[other_key])
+        else:
+            node[key] = draw(_SCALARS)
+    return doc
+
+
+class _TooSlow(Exception):
+    pass
+
+
+@contextmanager
+def _time_bound(seconds):
+    def on_alarm(signum, frame):
+        raise _TooSlow(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSpecFuzz:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(mutated_specs())
+    def test_report_or_message(self, doc):
+        text = json.dumps(doc)
+        with _time_bound(5):
+            try:
+                assert isinstance(parse_spec(text), ParsedSpec)
+            except SymcontError:
+                pass
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "spec.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    # small resolution flags keep every example quick; the
+                    # spec's own config is still parsed and validated
+                    code = main(["analyze", path, "--enum-limit", "60",
+                                 "--grid-exponent", "4", "--max-pairs", "3000"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
