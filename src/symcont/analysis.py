@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import isqrt, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .domains import (
@@ -395,9 +395,10 @@ class _Survey:
     # (j, i): the positions of each pair's x and y among the surveyed points
     index: list[tuple[int, int]]
     points: Sequence[QuadExt]
-    # (X, L) with points[k] = X[k]/L + c*sqrt2, or None when the points do
-    # not share one sqrt2 part; the same points either way, so not compared
-    lift: tuple[list[int], int] | None = field(default=None, compare=False)
+    # the point keys and the key of 2*delta for each schedule delta (_keys);
+    # the same pairs on any kind of key, so not compared
+    keys: Sequence = field(compare=False)
+    cuts: list = field(compare=False)
 
     @cached_property
     def pairs(self) -> list[SymmetricPair]:
@@ -426,55 +427,54 @@ def _sum_ranges(
 
 def _pairs_from_points(
     pts: Sequence[QuadExt],
-    centers: Domain,
-    delta_max: QuadExt | None,
+    centers: Domain | None,
+    schedule: tuple[QuadExt, ...],
     max_pairs: int,
     already_truncated: bool = False,
 ) -> _Survey:
     """Pairs x > y of the sorted points whose midpoint lies in centers and
-    whose width is below 2*delta_max (any width when None), in sort_key
-    order. The scan stops after max_pairs candidates, marking the survey
-    truncated.
+    whose width is below 2*schedule[0] (any width for an empty schedule), in
+    sort_key order. The scan stops after max_pairs candidates, marking the
+    survey truncated.
 
-    One loop serves both kinds of key: the lifted integers X_k of
-    _lift_rationals (points X_k/L + c*sqrt2) when the points share one sqrt2
-    part, the exact points otherwise. On integers the width cap is its
-    ceiling (an integer width is at least a real cap exactly when it is at
-    least the cap's ceiling), and (X_j - X_i, X_j, X_i) orders pairs as
-    sort_key does. The midpoint is (X_i + X_j)/(2L) + c*sqrt2, so when the
-    centers are an interval union it lies in a piece exactly when the
-    integer S = X_i + X_j lies in that piece's range from _sum_ranges: each
-    end compares S with 2L*(end - c*sqrt2), whose floor and ceiling are
-    exact, so no midpoint is built. Other centers get one midpoint per
-    candidate (built once from the integer sum when lifted) and their own
-    contains."""
-    lifted = _lift_rationals(pts)
-    if lifted is None:
-        keys = pts
-        cap = None if delta_max is None else 2 * delta_max
+    One loop serves every kind of key of _keys, which also gives the key of
+    2*delta for each schedule delta (kept for _sup_rows; the first is the
+    width cap), and (X_j - X_i, X_j, X_i) orders pairs as sort_key does.
+    A midpoint is tested without building it in two cases:
+
+    * centers None: the points are the listing of the set whose members
+      count as midpoints. An enumeration lists the least points of its set
+      in ascending order, so a member between two listed points is listed,
+      and a midpoint is a member exactly when X_i + X_j is a doubled listed
+      key (as in _usc_const_sweep and _mirror_walk).
+    * interval-union centers and points X_k/L + c*sqrt2 (_lift_rationals):
+      the midpoint (X_i + X_j)/(2L) + c*sqrt2 lies in a piece exactly when
+      S = X_i + X_j lies in that piece's range from _sum_ranges, each end
+      being compared with 2L*(end - c*sqrt2), whose floor and ceiling are
+      exact.
+
+    Other centers get the midpoint of the two points and their own contains."""
+    keys, cuts = _keys(pts, [2 * d for d in schedule])
+    cap = cuts[0] if cuts else None
+    lifted = _lift_rationals(pts) if isinstance(centers, IntervalUnion) else None
+    if centers is None:
+        doubled = {2 * k for k in keys}
+
+        def inside(i: int, j: int) -> bool:
+            return keys[i] + keys[j] in doubled
+
+    elif lifted is not None:
+        los, his = _sum_ranges(centers.pieces, lifted[1], lifted[2])
+
+        def inside(i: int, j: int) -> bool:
+            s = keys[i] + keys[j]
+            k = bisect.bisect_right(los, s) - 1
+            return k >= 0 and s <= his[k]
+
+    else:
 
         def inside(i: int, j: int) -> bool:
             return centers.contains((pts[i] + pts[j]) / 2)
-
-    else:
-        keys, den, c = lifted
-        cap = None if delta_max is None else exact_ceil(2 * den * delta_max)
-        if isinstance(centers, IntervalUnion):
-            los, his = _sum_ranges(centers.pieces, den, c)
-
-            def inside(i: int, j: int) -> bool:
-                s = keys[i] + keys[j]
-                k = bisect.bisect_right(los, s) - 1
-                return k >= 0 and s <= his[k]
-
-        else:
-            # (X_i + X_j)/(2L) + c*sqrt2 over the one denominator 2L*c.den
-            c_den = c.denominator
-            irr, mid_den = 2 * den * c.numerator, 2 * den * c_den
-
-            def inside(i: int, j: int) -> bool:
-                mid = _reduced((keys[i] + keys[j]) * c_den, irr, mid_den)
-                return centers.contains(mid)
 
     found = []
     checked = 0
@@ -494,34 +494,23 @@ def _pairs_from_points(
     found.sort()
     index = [(j, i) for *_, j, i in found]
     truncated = already_truncated or checked > max_pairs
-    return _Survey(
-        checked, truncated, index, pts, None if lifted is None else lifted[:2]
-    )
+    return _Survey(checked, truncated, index, pts, keys, cuts)
 
 
 def _survey_entries(
     survey: _Survey, vals: Sequence[QuadExt]
-) -> tuple[list[tuple], tuple[int, int, Sequence[QuadExt]] | None]:
+) -> tuple[list[tuple], tuple[list, Sequence[QuadExt], Sequence[QuadExt]]]:
     """The challenge entries of the surveyed pairs in survey order (scale
     ascending), for _sup_rows, with the lift that reads them.
 
-    When the points and the values both lift, each pair gives the integers
-    (X_j - X_i, |V_j - V_i|, j, i), that is 2L*h and L_v*osc with the
-    positions of x and y, and the lift is (2L, L_v, points). Otherwise each
-    gives the exact (h, osc, x, y) and the lift is None."""
-    pts = survey.points
-    lv = None if survey.lift is None else _lift_rationals(vals)
-    if lv is None:
-        # probe points given by their keys are built once, not once per pair
-        pts = tuple(pts)
-        return [
-            ((pts[j] - pts[i]) / 2, abs(vals[j] - vals[i]), pts[j], pts[i])
-            for j, i in survey.index
-        ], None
-    keys, den = survey.lift
-    vk = lv[0]
+    Each pair gives the keys (X_j - X_i, |V_j - V_i|, j, i): the key of the
+    width 2h, the key of the oscillation (the values keyed by _keys) and the
+    positions of x and y. The lift holds the key of 2*delta for each
+    schedule delta, the points and the values."""
+    keys = survey.keys
+    vk = _keys(vals)[0]
     entries = [(keys[j] - keys[i], abs(vk[j] - vk[i]), j, i) for j, i in survey.index]
-    return entries, (2 * den, lv[1], pts)
+    return entries, (survey.cuts, survey.points, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +579,70 @@ def _lift_rationals(
     return [x.a * (den // x.d) for x in xs], den, Fraction(b0, d0)
 
 
+def _embed(
+    xs: Sequence[QuadExt], terms: Sequence[QuadExt] = ()
+) -> tuple[list[int], list[int]] | None:
+    """Integer keys phi(x) of any numbers of Q(sqrt2), and of the terms
+    (the distance thresholds), that keep the exact sign of every comparison
+    the scans make, or None when L passes LIFT_BITS_MAX bits.
+
+    Write x = (A + B*sqrt2)/L with L the lcm of the denominators of the
+    numbers and the terms, so a threshold delta is embedded exactly, not
+    rounded. Then phi(x) = A*2**P + B*s with s = isqrt(2 << 2*P), that is
+    floor(sqrt2*2**P), and phi is additive. Let H bound |A| and |B| over
+    the numbers and the terms. Every comparison of a scan is the sign of a
+    combination z = sum c_i*t_i of them with sum |c_i| <= 4: a window edge
+    x_r - x_l - T, an oscillation order (v_a - v_b) - (v_c - v_d), a mirror
+    2a - x - y, a midpoint x_i + x_j - 2x_m. So L*z = a + b*sqrt2 with
+    |a|, |b| <= 4H. If z != 0, a**2 - 2b**2 is a nonzero integer, hence
+    |a + b*sqrt2| >= 1/|a - b*sqrt2| >= 1/((1 + sqrt2)*4H), while
+    phi(z) = 2**P*(a + b*sqrt2) - b*e with 0 <= e < 1, an error below
+    |b| <= 4H. With P = 2*H.bit_length() + 6, 2**P >= 64*H**2 exceeds
+    (1 + sqrt2)*16*H**2, so |2**P*(a + b*sqrt2)| > 4H: phi(z) has the sign
+    of z, and is 0 only at z = 0. Equal numbers thus have equal keys, and
+    the keys serve as dictionary keys for mirrors and midpoints too."""
+    den = 1
+    for x in itertools.chain(xs, terms):
+        if den % x.d:
+            den = lcm(den, x.d)
+            if den.bit_length() > LIFT_BITS_MAX:
+                return None
+    rats, irrs = [], []
+    for x in itertools.chain(xs, terms):
+        m = den // x.d
+        rats.append(x.a * m)
+        irrs.append(x.b * m)
+    h = max(
+        max(rats, default=0), -min(rats, default=0), max(irrs, default=0), -min(irrs, default=0)
+    )
+    p = 2 * h.bit_length() + 6
+    s = isqrt(2 << 2 * p)
+    keys = [(a << p) + b * s if b else a << p for a, b in zip(rats, irrs)]
+    return keys[: len(xs)], keys[len(xs) :]
+
+
+def _keys(xs: Sequence[QuadExt], deltas: Sequence[QuadExt] = ()) -> tuple[Sequence, list]:
+    """Keys of the numbers xs, and the key of each delta as a distance
+    threshold: a difference of keys is below the key of delta exactly when
+    the difference of the numbers is below delta. Keys keep the order and
+    the equalities of the numbers, so one scan serves every kind:
+
+    * numbers sharing one sqrt2 part: the integers X_k of _lift_rationals,
+      a distance being (X_j - X_i)/L, with the threshold ceil(L*delta) (an
+      integer distance is below L*delta exactly when below its ceiling);
+    * any other numbers: the integers of _embed, with delta embedded too;
+    * when L passes LIFT_BITS_MAX bits: the numbers and the deltas."""
+    lifted = _lift_rationals(xs)
+    if lifted is not None:
+        keys, den, _ = lifted
+        return keys, [exact_ceil(den * d) for d in deltas]
+    embedded = _embed(xs, deltas)
+    if embedded is not None:
+        return embedded
+    # numbers given by their keys are built once here for the exact scans
+    return tuple(xs), list(deltas)
+
+
 def _index_keys(
     runs: Sequence[tuple[QuadExt, Fraction, list[int]]],
 ) -> _LiftedNumbers | None:
@@ -649,9 +702,8 @@ def _window_scan(
 def _window_scan_int(
     xi: Sequence[int], vi: Sequence[int], thr: int
 ) -> tuple[int | None, tuple[int, int] | None, int]:
-    """_window_scan on integer keys: pairs with x_j - x_i < thr, where
-    thr = ceil(L*delta), as an integer distance is below L*delta exactly
-    when it is below that ceiling."""
+    """_window_scan on integer keys: pairs with x_j - x_i < thr, the key of
+    a delta from _keys."""
     return _window_scan(xi, vi, thr)
 
 
@@ -662,24 +714,20 @@ def _window_scan_exact(
     return _window_scan(xs, vs, delta)
 
 
-def _uc_rows(
-    fk: _FamilyKeys, schedule: tuple[QuadExt, ...], truncated: bool
-) -> list[tuple[QuadExt, OscillationResult]]:
+def _uc_rows(fk: _FamilyKeys, truncated: bool) -> list[tuple[QuadExt, OscillationResult]]:
     """Oscillation sup over pairs with |x - y| below each schedule delta, by
-    one window scan per delta over the keys of fk (_family_keys): on integer
-    keys at the threshold ceil(L*delta), for rational and irrational deltas
-    alike, on exact keys at delta. Only each row's sup and its witness pair
-    become exact numbers; the points ascend, so the later position is x > y."""
+    one window scan per delta over the keys of fk (_family_keys) at the key
+    of delta. Only each row's sup, rebuilt from the values of its witness
+    pair, and that pair become exact numbers; the points ascend, so the
+    later position is x > y."""
     rows = []
-    for delta in schedule:
-        if fk.den is None:
-            best, idx, pairs = _window_scan_exact(fk.keys, fk.vkeys, delta)
-        else:
-            best, idx, pairs = _window_scan_int(
-                fk.keys, fk.vkeys, exact_ceil(fk.den * delta)
-            )
-        value = None if best is None else fk.value(best)
-        wit = None if idx is None else (fk.pts[max(idx)], fk.pts[min(idx)])
+    for delta, thr in zip(fk.schedule, fk.thr):
+        scan = _window_scan_exact if isinstance(thr, QuadExt) else _window_scan_int
+        _, idx, pairs = scan(fk.keys, fk.vkeys, thr)
+        value = wit = None
+        if idx is not None:
+            j, i = max(idx), min(idx)
+            value, wit = abs(fk.vals[j] - fk.vals[i]), (fk.pts[j], fk.pts[i])
         rows.append((delta, OscillationResult(value, wit, pairs, truncated)))
     return rows
 
@@ -711,11 +759,13 @@ def modulus_profile(
     sampled = runs is not None
     vals = _probe_values(f, pts, runs)
     if notion == "uc":
-        rows = _uc_rows(_family_keys(pts, vals), config.delta_schedule, en_trunc)
+        rows = _uc_rows(_family_keys(pts, vals, config.delta_schedule), en_trunc)
         return ModulusProfile(notion, rows, len(pts), sampled, en_trunc)
-    center_dom = centers if centers is not None else ambient
+    if centers is None and sampled:
+        centers = ambient
+    # no centers: the midpoints are answered from the listing of the ambient set
     survey = _pairs_from_points(
-        pts, center_dom, config.delta_schedule[0], config.max_pairs, en_trunc
+        pts, centers, config.delta_schedule, config.max_pairs, en_trunc
     )
     entries, lift = _survey_entries(survey, vals)
     rows = _sup_rows(entries, config.delta_schedule, survey.truncated, lift)
@@ -730,33 +780,31 @@ def _sup_rows(
     entries: Sequence[tuple],
     schedule: tuple[QuadExt, ...],
     truncated: bool = False,
-    lift: tuple[int | None, int | None, Sequence[QuadExt]] | None = None,
+    lift: tuple[list, Sequence[QuadExt], Sequence[QuadExt]] | None = None,
 ) -> list[tuple[QuadExt, OscillationResult]]:
     """Oscillation sup at every schedule delta over challenge entries
-    (scale, osc, x, y), or (scale, osc) when no witness pair is wanted,
-    sorted by scale ascending. Each row counts the entries with scale below
-    delta and names the pair of the earliest entry that reaches their sup.
+    (scale, osc, x, y) sorted by scale ascending. Each row counts the
+    entries with scale below delta and names the pair of the earliest entry
+    that reaches their sup.
 
-    With lift = (M, L_v, points) the entries are keys (S, O, j, i) of the
-    pair (points[j], points[i]). On integer keys S = M*scale and O = L_v*osc,
-    so scale < delta exactly when S < ceil(M*delta), and only each row's sup
-    O/L_v and its pair become exact numbers; M = L_v = None marks exact keys,
-    the scale and the osc themselves."""
+    With lift = (cuts, points, values) the entries are keys (S, O, j, i) of
+    the pair (points[j], points[i]): S is below cuts[k] exactly when the
+    scale is below schedule[k], and O orders the oscillations as the
+    numbers do. Each row's sup is rebuilt as |values[j] - values[i]| from
+    the positions of the pair that realizes it, on any kind of key."""
     rows = []
     best = wit = None
     i = 0
-    scale_den, osc_den, points = lift or (None, None, None)
-    for delta in reversed(schedule):
-        cut = delta if scale_den is None else exact_ceil(scale_den * delta)
+    cuts, points, values = (schedule, None, None) if lift is None else lift
+    for delta, cut in zip(reversed(schedule), reversed(cuts)):
         end = bisect.bisect_left(entries, cut, i, key=lambda e: e[0])
         for k in range(i, end):
             if best is None or entries[k][1] > best:
-                best, wit = entries[k][1], entries[k][2:] or None
+                best, wit = entries[k][1], entries[k][2:]
         i = end
         value, pair = best, wit
-        if osc_den is not None and best is not None:
-            value = QuadExt(Fraction(best, osc_den))
-        if points is not None and wit is not None:
+        if values is not None and wit is not None:
+            value = abs(values[wit[0]] - values[wit[1]])
             pair = (points[wit[0]], points[wit[1]])
         rows.append((delta, OscillationResult(value, pair, i, truncated)))
     rows.reverse()
@@ -876,60 +924,53 @@ def _discrete_classify(
 
 @dataclass
 class _FamilyKeys:
-    """A family's listed points, or a sampled probe's points, with the keys
-    of the points and of their values, lifted once by _family_keys for every
-    scan."""
+    """A family's listed points, or a sampled probe's points, and their
+    values, with the keys of both and the key of each schedule delta as a
+    distance threshold, made once by _family_keys for every scan."""
 
     pts: Sequence[QuadExt]
+    vals: Sequence[QuadExt]
     keys: Sequence
     vkeys: Sequence
-    den: int | None
-    vden: int | None
+    schedule: tuple[QuadExt, ...]
+    thr: list
 
     @cached_property
     def pos(self) -> dict:
         """Each point key's position, for finding mirrors among the listed points."""
         return {k: i for i, k in enumerate(self.keys)}
 
-    def value(self, v) -> QuadExt:
-        """The number whose value key (a difference of value keys) is v."""
-        return v if self.vden is None else QuadExt(Fraction(v, self.vden))
+    def sup_rows(self, entries: Sequence[tuple]) -> list[tuple[QuadExt, OscillationResult]]:
+        """_sup_rows over key entries (h, osc, j, i) whose scale h is a
+        distance of point keys."""
+        return _sup_rows(entries, self.schedule, lift=(self.thr, self.pts, self.vals))
 
 
-def _family_keys(pts: Sequence[QuadExt], vals: Sequence[QuadExt]) -> _FamilyKeys:
-    """The point keys, value keys, L and L_v of the listed or sampled points.
-
-    When the points and the values both share one sqrt2 part, the keys are
-    the lifted integers of _lift_rationals, pts[k] = X_k/L + c*sqrt2 and
-    vals[k] = V_k/L_v + c_v*sqrt2; otherwise they are the exact numbers and
-    L = L_v = None. Either way keys keep the order and the equalities of
-    the numbers, and a difference of keys is the difference of the numbers
-    times L (times L_v for values), so one scan serves both kinds."""
-    lx = _lift_rationals(pts)
-    lv = None if lx is None else _lift_rationals(vals)
-    if lv is None:
-        # numbers given by their keys are built once here for the exact scans
-        pts, vals = tuple(pts), tuple(vals)
-        return _FamilyKeys(pts, pts, vals, None, None)
-    return _FamilyKeys(pts, lx[0], lv[0], lx[1], lv[1])
+def _family_keys(
+    pts: Sequence[QuadExt], vals: Sequence[QuadExt], schedule: tuple[QuadExt, ...]
+) -> _FamilyKeys:
+    """The points and values with their keys and the key of every schedule
+    delta (_keys, the values keyed on their own). A difference of point keys
+    is below the key of delta exactly when the distance is below delta, and
+    value keys order and equate as the values do, so one scan serves every
+    kind of key; a reported number is rebuilt from the positions of the
+    pair that realizes it."""
+    keys, thr = _keys(pts, schedule)
+    return _FamilyKeys(pts, vals, keys, _keys(vals)[0], schedule, thr)
 
 
-def _anchor_windows(
-    keys: Sequence, den: int | None, schedule: tuple[QuadExt, ...]
-) -> tuple[list, list[int | None]]:
-    """The distance threshold of every schedule delta, and per anchor the
-    index of its smallest effective delta, or None when it has fewer than two.
+def _anchor_windows(keys: Sequence, thr: list) -> list[int | None]:
+    """Per anchor, the index of its smallest effective delta among the
+    thresholds thr (the keys of the schedule deltas, descending), or None
+    when it has fewer than two.
 
     A delta is effective at an anchor when it exceeds the distance to the
     anchor's nearest neighbor (the scale below which the model cannot show
     any challenger at all). The schedule decreases, so the effective deltas
     are a prefix and the window always starts at schedule[0]. Each anchor
-    counts the thresholds above its gap by bisection. On exact keys the
-    threshold of delta is delta; on lifted integers it is ceil(L*delta), as
-    an integer distance G is below delta exactly when G < ceil(L*delta)."""
-    thr = list(schedule) if den is None else [exact_ceil(den * d) for d in schedule]
+    counts the thresholds above its gap by bisection."""
     if len(keys) < 2:
-        return thr, [None] * len(keys)
+        return [None] * len(keys)
     neg = [-t for t in thr]  # ascending
     gaps = [b - a for a, b in itertools.pairwise(keys)]
     windows: list[int | None] = []
@@ -937,7 +978,7 @@ def _anchor_windows(
     for gap in map(min, [gaps[0]] + gaps, gaps + [gaps[-1]]):
         count = bisect.bisect_left(neg, -gap)
         windows.append(count - 1 if count >= 2 else None)
-    return thr, windows
+    return windows
 
 
 def _anchor_witness(flat: list[tuple[QuadExt, QuadExt]]) -> tuple[QuadExt, dict]:
@@ -955,7 +996,7 @@ def _anchor_witness(flat: list[tuple[QuadExt, QuadExt]]) -> tuple[QuadExt, dict]
 
 def _per_point_c(
     fk: _FamilyKeys,
-    anchor_windows: tuple[list, list[int | None]],
+    windows: list[int | None],
     config: AnalysisConfig,
     en_truncated: bool,
     groups: list[list[int]] | None,
@@ -977,10 +1018,9 @@ def _per_point_c(
             "points for a non-constant piecewise function",
         )
 
-    keys, vkeys = fk.keys, fk.vkeys
+    keys, vkeys, vals, thr = fk.keys, fk.vkeys, fk.vals, fk.thr
     if groups is not None:
-        group_keys = [([keys[k] for k in idx], vkeys[idx[0]]) for idx in groups]
-    thr, windows = anchor_windows
+        group_keys = [([keys[k] for k in idx], vkeys[idx[0]], idx[0]) for idx in groups]
     big = thr[0]
     flat: list[tuple[QuadExt, QuadExt]] = []  # (anchor, jump)
     for idx, w in enumerate(windows):
@@ -989,8 +1029,9 @@ def _per_point_c(
         small = thr[w]
         a, va = keys[idx], vkeys[idx]
         m_big = m_small = 0
+        at = idx  # the position realizing m_big
         if groups is not None:
-            for gk, gv in group_keys:
+            for gk, gv, g0 in group_keys:
                 # a's own group is the one with value f(a), so a is in no
                 # group scanned here; a missing neighbor counts as out of reach
                 if gv == va:
@@ -1000,7 +1041,7 @@ def _per_point_c(
                 right = gk[i] - a if i < len(gk) else big
                 dist, osc = min(left, right), abs(gv - va)
                 if dist < big and osc > m_big:
-                    m_big = osc
+                    m_big, at = osc, g0
                 if dist < small and osc > m_small:
                     m_small = osc
         else:
@@ -1011,11 +1052,11 @@ def _per_point_c(
                         break
                     osc = abs(vkeys[k] - va)
                     if osc > m_big:
-                        m_big = osc
+                        m_big, at = osc, k
                     if dist < small and osc > m_small:
                         m_small = osc
         if m_small == m_big and m_big > 0:
-            flat.append((pts[idx], fk.value(m_big)))
+            flat.append((pts[idx], abs(vals[at] - vals[idx])))
 
     if flat:
         anchor, witness = _anchor_witness(flat)
@@ -1026,7 +1067,7 @@ def _per_point_c(
             for k, (x, v) in enumerate(zip(keys, vkeys))
             if k != idx
         )
-        rows = _sup_rows(entries, config.delta_schedule, lift=(fk.den, fk.vden, pts))
+        rows = fk.sup_rows(entries)
         witness["profile"] = _profile_rows_json(rows)
         return _flat_verdict(
             "C",
@@ -1130,7 +1171,7 @@ def _usc_const_sweep(
             "every cross-region pair has its midpoint outside the domain, so "
             "the symmetric modulus vanishes identically",
         )
-    rows = _sup_rows(entries, config.delta_schedule, lift=(fk.den, fk.vden, fk.pts))
+    rows = fk.sup_rows(entries)
     flat = _flat_row(rows)
     if flat is not None:
         return _flat_verdict(
@@ -1159,7 +1200,7 @@ def _sweep_verdict(
 ) -> Verdict:
     """Flat-modulus verdict over the key entries of _mirror_entries;
     truncated when the listing or the mirror walk was."""
-    rows = _sup_rows(entries, config.delta_schedule, lift=(fk.den, fk.vden, fk.pts))
+    rows = fk.sup_rows(entries)
     flat = _flat_row(rows)
     if flat is not None:
         witness = {
@@ -1215,7 +1256,7 @@ def _uc_family(
             ],
         )
     # sliding windows, one linear pass per delta
-    rows = _uc_rows(fk, config.delta_schedule, en_truncated)
+    rows = _uc_rows(fk, en_truncated)
     if piecewise_constant:
         # pairs of one value oscillate by zero at every scale, so the deltas
         # at which the model can show a jump are those with a pair of two
@@ -1294,7 +1335,7 @@ def _mirror_entries(
 
 def _sc_family(
     fk: _FamilyKeys,
-    anchor_windows: tuple[list, list[int | None]],
+    windows: list[int | None],
     config: AnalysisConfig,
     en_truncated: bool,
 ) -> Verdict:
@@ -1306,8 +1347,7 @@ def _sc_family(
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
     if n * (n - 1) // 2 > config.max_pairs:
         return _open_verdict("SC", res, "pair budget too small for a per-anchor mirror scan")
-    keys, vkeys = fk.keys, fk.vkeys
-    thr, windows = anchor_windows
+    keys, vkeys, vals, thr = fk.keys, fk.vkeys, fk.vals, fk.thr
     big = thr[0]
     flat: list[tuple[QuadExt, QuadExt]] = []
     for idx, w in enumerate(windows):
@@ -1322,11 +1362,11 @@ def _sc_family(
                 continue
             osc = abs(vkeys[k] - vkeys[i])
             if m_big is None or osc > m_big:
-                m_big = osc
+                m_big, at = osc, (k, i)
             if h < small and (m_small is None or osc > m_small):
                 m_small = osc
         if m_big is not None and m_small == m_big and m_big > 0:
-            flat.append((pts[idx], fk.value(m_big)))
+            flat.append((pts[idx], abs(vals[at[0]] - vals[at[1]])))
     if flat:
         return _flat_verdict(
             "SC",
@@ -1349,8 +1389,8 @@ def _family_classify(
         en = ambient.enumerate(config.enum_limit)
     pts = en.points
     vals = [evaluate(f, p) for p in pts]
-    fk = _family_keys(pts, vals)
-    windows = _anchor_windows(fk.keys, fk.den, config.delta_schedule)
+    fk = _family_keys(pts, vals, config.delta_schedule)
+    windows = _anchor_windows(fk.keys, fk.thr)
     groups = None
     if is_piecewise_constant(f):
         # positions by value: pairs inside one group oscillate by zero
@@ -1999,7 +2039,9 @@ def check_wrt_subset(
     pts = en_a.points
     n = len(pts)
     # the anchors lift with the points, so every mirror is a key
-    both = _family_keys(pts + en_b.points, [evaluate(f, p) for p in pts])
+    both = _family_keys(
+        pts + en_b.points, [evaluate(f, p) for p in pts], config.delta_schedule
+    )
     fk = replace(both, pts=pts, keys=both.keys[:n])
     entries, checked, cut = _mirror_entries(fk, both.keys[n:], config.max_pairs)
     truncated = en_a.truncated or en_b.truncated or cut

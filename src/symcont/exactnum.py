@@ -344,6 +344,18 @@ _NUMBER = re.compile(
 )
 
 
+def _parse_int(digits: str) -> int:
+    """``int(digits)``, with a ParseError where the interpreter's limit on
+    int/str conversion refuses a number of too many digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"a number of {len(digits)} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def parse_quadext(text: str) -> QuadExt:
     """Inverse of :func:`format_quadext`, tolerant of extra whitespace."""
     m = _NUMBER.fullmatch(text.strip())
@@ -352,16 +364,16 @@ def parse_quadext(text: str) -> QuadExt:
     p, q, op, r, s, times, sign = m.groups()
     if p is None:
         return _make(0, -1 if sign == "-" else 1, 1)
-    a = int(p)
-    q = int(q) if q is not None else 1
+    a = _parse_int(p)
+    q = _parse_int(q) if q is not None else 1
     if r is None:
         if q == 0:
             raise ParseError(f"zero denominator in {text!r}")
         if times is None:
             return _reduced(a, 0, q)
         return _reduced(0, a, q)
-    b = int(r)
-    s = int(s) if s is not None else 1
+    b = _parse_int(r)
+    s = _parse_int(s) if s is not None else 1
     if q == 0 or s == 0:
         raise ParseError(f"zero denominator in {text!r}")
     if op == "-":

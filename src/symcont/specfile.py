@@ -31,8 +31,10 @@ whitespace ignored, a number string is one of
     [+-]sqrt2                       sqrt2, optionally signed
 
 with optional whitespace around the operator and the "*" and between a
-sign and sqrt2, and no zero denominator (exactnum.parse_quadext). Unknown
-keys are rejected everywhere. A Staircase takes at most STAIRCASE_BLOCKS_MAX
+sign and sqrt2, and no zero denominator (exactnum.parse_quadext). A number
+string or JSON integer of more digits than the interpreter converts between
+int and str (4 300 by default) is rejected. Unknown keys are rejected
+everywhere. A Staircase takes at most STAIRCASE_BLOCKS_MAX
 (1 000) blocks, an OddPrimeReciprocals at most MAX_PRIME_MAX (10**6) as its
 maxPrime, a Monomial at most MONOMIAL_DEGREE_MAX (64) as its n, and a
 deltaSchedule at most analysis.DELTA_SCHEDULE_MAX (64) entries; larger
@@ -42,6 +44,7 @@ values exit 2.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 from .analysis import DELTA_SCHEDULE_MAX, AnalysisConfig
@@ -349,6 +352,11 @@ def parse_spec(text: str) -> ParsedSpec:
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError:
+        # an integer literal past the interpreter's limit on int/str conversion
+        raise ParseError(
+            f"an integer exceeds the limit of {sys.get_int_max_str_digits()} digits"
         ) from None
     top = _obj(data, "spec")
     _require_keys(top, "spec", {"domain", "function"}, {"subsetB", "config"})

@@ -1,3 +1,4 @@
+import contextlib
 import random
 import time
 import tracemalloc
@@ -28,6 +29,7 @@ from symcont import (
     QuadExt,
     Reciprocal,
     RefutingSequence,
+    TruncatedRationals,
     UnionOf,
     apply_implications,
     check_consistency,
@@ -519,7 +521,11 @@ class TestPiecewiseConstantFamily:
         c_open = Verdict("C", "no_violation", "flat_modulus", "truncation")
         start = time.perf_counter()
         v = analysis._uc_family(
-            analysis._family_keys(pts, vals), AnalysisConfig(), False, True, c_open
+            analysis._family_keys(pts, vals, AnalysisConfig().delta_schedule),
+            AnalysisConfig(),
+            False,
+            True,
+            c_open,
         )
         elapsed = time.perf_counter() - start
         assert (v.status, v.method) == ("refuted", "flat_modulus")
@@ -538,7 +544,10 @@ class TestPiecewiseConstantFamily:
         ]
         start = time.perf_counter()
         v = analysis._usc_family(
-            analysis._family_keys(pts, vals), AnalysisConfig(), False, groups
+            analysis._family_keys(pts, vals, AnalysisConfig().delta_schedule),
+            AnalysisConfig(),
+            False,
+            groups,
         )
         elapsed = time.perf_counter() - start
         assert (v.status, v.method) == ("refuted", "flat_modulus")
@@ -781,6 +790,9 @@ def survey_cases(draw):
         tuple((pts[j] + pts[i]) / 2 for (j, i), keep in zip(pairs, picks) if keep)
         + (qx(0),)
     )
+    if draw(st.booleans()):
+        # no centers: the midpoints that count are the listed points
+        centers = None
     cap_kind = draw(st.sampled_from(("none", "pair", "rational", "sqrt2")))
     if cap_kind == "pair" and pairs:
         # a cap equal to a surveyed width tests the strict inequality
@@ -792,8 +804,9 @@ def survey_cases(draw):
         delta_max = SQRT2 / draw(st.integers(1, 16))
     else:
         delta_max = None
+    schedule = () if delta_max is None else (delta_max, delta_max / 3)
     max_pairs = draw(st.sampled_from((10**6, 0, 1, 3, 7)))
-    return pts, centers, delta_max, max_pairs
+    return pts, centers, schedule, max_pairs
 
 
 # twelfths in [-4, 4]: denominators 1, 2, 3, 4, 6 and 12, cheap to draw
@@ -801,15 +814,11 @@ _TWELFTHS = st.integers(-48, 48).map(lambda n: Fraction(n, 12))
 
 
 @st.composite
-def union_center_cases(draw):
-    """Points sharing one sqrt2 part c*sqrt2 (c = 0 for rational points),
-    values sharing one, and an interval union of centers: pieces with every
-    closure, touching or apart, some degenerate, whose ends are survey
-    midpoints (so a midpoint lands on an open or a closed end) or drawn
-    numbers with any sqrt2 part (so the integer bounds are irrational)."""
-    c = draw(st.sampled_from(_IRRS))
-    rats = draw(st.lists(_TWELFTHS, min_size=2, max_size=12, unique=True))
-    pts = sorted(QuadExt(r, c) for r in rats)
+def center_unions(draw, pts):
+    """An interval union of centers: pieces with every closure, touching or
+    apart, some degenerate, whose ends are midpoints of the points (so a
+    midpoint lands on an open or a closed end) or drawn numbers with any
+    sqrt2 part (so the integer bounds are irrational)."""
     mids = [(x + y) / 2 for k, y in enumerate(pts) for x in pts[k + 1 :]]
     ends = set()
     for _ in range(draw(st.integers(2, 8))):
@@ -832,10 +841,60 @@ def union_center_cases(draw):
         k += draw(st.integers(1, 2))
     if not pieces:
         pieces.append(IntervalPiece(ends[0], ends[0]))
+    return IntervalUnion(tuple(pieces))
+
+
+@st.composite
+def union_center_cases(draw):
+    """Points sharing one sqrt2 part c*sqrt2 (c = 0 for rational points),
+    values sharing one, and an interval union of centers (center_unions)."""
+    c = draw(st.sampled_from(_IRRS))
+    rats = draw(st.lists(_TWELFTHS, min_size=2, max_size=12, unique=True))
+    pts = sorted(QuadExt(r, c) for r in rats)
     v_irr = draw(st.sampled_from(_IRRS))
     v_rats = draw(st.lists(_TWELFTHS, min_size=len(pts), max_size=len(pts)))
     vals = [QuadExt(r, v_irr) for r in v_rats]
-    return pts, vals, IntervalUnion(tuple(pieces))
+    return pts, vals, draw(center_unions(pts))
+
+
+# values from a small pool in three sqrt2 classes, so oscillations tie
+_MIXED_VALUES = tuple(
+    QuadExt(r, i)
+    for r in (Fraction(0), Fraction(1), Fraction(-1, 2))
+    for i in (Fraction(0), Fraction(1), Fraction(1, 3))
+)
+
+
+@st.composite
+def mixed_sqrt2_cases(draw):
+    """Points in two to four sqrt2 classes, values in several (with equal
+    oscillations), a schedule whose deltas include pair distances, half
+    distances (ties with a survey half-width) and numbers just above them,
+    survey centers that are the listing itself or an interval union with
+    open and closed ends at midpoints, and f constant or zero-slope affine
+    on each point."""
+    classes = draw(
+        st.lists(st.sampled_from(_IRRS + (Fraction(5, 7),)), min_size=2, max_size=4, unique=True)
+    )
+    rats = draw(st.lists(_TWELFTHS, min_size=2, max_size=10, unique=True))
+    # the first two points take two different classes, so the set mixes them
+    irrs = classes[:2] + draw(
+        st.lists(st.sampled_from(classes), min_size=len(rats) - 2, max_size=len(rats) - 2)
+    )
+    pts = sorted(QuadExt(r, i) for r, i in zip(rats, irrs))
+    vals = draw(st.lists(st.sampled_from(_MIXED_VALUES), min_size=len(pts), max_size=len(pts)))
+    dists = sorted({x - y for k, y in enumerate(pts) for x in pts[k + 1 :]})
+    deltas = {qx(9), SQRT2 / draw(st.integers(2, 40))}
+    for d in draw(st.lists(st.sampled_from(dists), min_size=1, max_size=4)):
+        deltas.update((d, d / 2, d + SQRT2 / 10**6))
+    if draw(st.booleans()):
+        # the largest delta at a pair distance: the scans stop there
+        top = draw(st.sampled_from(dists))
+        deltas = {d for d in deltas if d < top} | {top}
+    schedule = tuple(sorted(deltas, reverse=True))
+    centers = draw(center_unions(pts)) if draw(st.booleans()) else None
+    formula = draw(st.sampled_from((Const, lambda v: Affine(0, v))))
+    return pts, vals, schedule, centers, formula
 
 
 # eighths in [-2, 2]: dense enough that many points have listed mirrors
@@ -925,8 +984,8 @@ def _family_example(points, values, schedule, formula=lambda v: Affine(0, v)):
 
 def _sc(pts, vals, config, truncated):
     """The SC family scan run on its own, on the keys the pipeline gives it."""
-    fk = analysis._family_keys(pts, vals)
-    windows = analysis._anchor_windows(fk.keys, fk.den, config.delta_schedule)
+    fk = analysis._family_keys(pts, vals, config.delta_schedule)
+    windows = analysis._anchor_windows(fk.keys, fk.thr)
     return _sc_family(fk, windows, config, truncated)
 
 
@@ -1027,16 +1086,87 @@ def _brute_wrt(ambient, pts, vals, anchors, max_pairs):
     return sorted(entries), checked, False
 
 
+@contextlib.contextmanager
 def _exact_only():
-    """Route every lift to the exact path, as for points with mixed sqrt2 parts."""
-    return mock.patch.object(analysis, "_lift_rationals", return_value=None)
+    """Route every lift to the exact keys, as for a listing whose L passes
+    LIFT_BITS_MAX bits."""
+    with mock.patch.object(analysis, "_lift_rationals", return_value=None):
+        with mock.patch.object(analysis, "_embed", return_value=None):
+            yield
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _assert_signs_kept(xs, keys, deltas=(), thr=()):
+    """Every difference of keys, alone and less each threshold key, has the
+    sign of the difference of the numbers (less the delta)."""
+    for x, kx in zip(xs, keys):
+        for y, ky in zip(xs, keys):
+            assert _sign(ky - kx) == (y - x).sign(), (x, y)
+            for d, t in zip(deltas, thr):
+                assert _sign(ky - kx - t) == (y - x - d).sign(), (x, y, d)
+
+
+def _check_embedded_against_exact(pts, vals, schedule, centers, formula):
+    """On points and values with mixed sqrt2 parts every key is an integer
+    that keeps the signs the scans read, and the family verdicts, the uc
+    rows, the survey and its sup rows equal those on exact keys. f takes
+    formula(v) on each point."""
+    fk = analysis._family_keys(pts, vals, schedule)
+    assert all(type(k) is int for k in [*fk.keys, *fk.vkeys, *fk.thr])
+    _assert_signs_kept(pts, fk.keys, schedule, fk.thr)
+    _assert_signs_kept(vals, fk.vkeys)
+    survey = _pairs_from_points(pts, centers, schedule, 10**6)
+    _assert_signs_kept(pts, survey.keys, [2 * d for d in schedule], survey.cuts)
+    rows = _sup_rows(*_with_schedule(_survey_entries(survey, vals), schedule))
+    ambient, anchors = FinitePoints(tuple(pts)), FinitePoints(tuple(pts[:1]))
+    f = Piecewise(tuple(FuncPiece(FinitePoints.of(p), formula(v)) for p, v in zip(pts, vals)))
+    config = AnalysisConfig(delta_schedule=schedule)
+    verdicts = _family_verdicts(ambient, f, anchors, config)
+    with _exact_only():
+        exact_fk = analysis._family_keys(pts, vals, schedule)
+        exact = _pairs_from_points(pts, centers, schedule, 10**6)
+        exact_rows = _sup_rows(*_with_schedule(_survey_entries(exact, vals), schedule))
+        exact_verdicts = _family_verdicts(ambient, f, anchors, config)
+    assert isinstance(exact_fk.keys[0], QuadExt)
+    assert _uc_rows(fk, False) == _uc_rows(exact_fk, False)
+    assert (survey, rows) == (exact, exact_rows)
+    assert verdicts == exact_verdicts
+
+
+def _sqrt2_convergents(q_max):
+    """The convergents p/q of sqrt2 with q <= q_max: 1, 3/2, 7/5, 17/12, ..."""
+    out, p, q = [], 1, 1
+    while q <= q_max:
+        out.append(Fraction(p, q))
+        p, q = p + 2 * q, p + q
+    return out
+
+
+def _ex28(max_denominator):
+    """ex-2.8: Q in [0, 2] with sqrt2 adjoined, f = 1 on the rationals and
+    sqrt2 at sqrt2."""
+    ambient = TruncatedRationals(max_denominator, qx(0), qx(2), adjoin_sqrt2=True)
+    rationals = TruncatedRationals(max_denominator, qx(0), qx(2), adjoin_sqrt2=False)
+    f = Piecewise(
+        (FuncPiece(rationals, Const(qx(1))), FuncPiece(FinitePoints.of(SQRT2), Const(SQRT2)))
+    )
+    return ambient, f
+
+
+def _with_schedule(entries_and_lift, schedule):
+    """_sup_rows arguments for the survey entries and lift of _survey_entries."""
+    entries, lift = entries_and_lift
+    return entries, schedule, False, lift
 
 
 class TestIntegerPaths:
     @settings(max_examples=200, deadline=None)
     @given(survey_cases())
     def test_survey_lifted_matches_exact(self, case):
-        pts, centers, delta_max, max_pairs = case
+        pts, centers, schedule, max_pairs = case
         got = _pairs_from_points(*case)
         with _exact_only():
             exact = _pairs_from_points(*case)
@@ -1047,12 +1177,13 @@ class TestIntegerPaths:
             (x, y)
             for k, y in enumerate(pts)
             for x in pts[k + 1 :]
-            if delta_max is None or x - y < 2 * delta_max
+            if not schedule or x - y < 2 * schedule[0]
         ]
         assert got.truncated == (len(within) > max_pairs)
         if not got.truncated:
+            member = FinitePoints(tuple(pts)) if centers is None else centers
             want = sorted(
-                (SymmetricPair(x, y) for x, y in within if centers.contains((x + y) / 2)),
+                (SymmetricPair(x, y) for x, y in within if member.contains((x + y) / 2)),
                 key=SymmetricPair.sort_key,
             )
             assert (got.pairs, got.candidates_checked) == (want, len(within))
@@ -1063,37 +1194,98 @@ class TestIntegerPaths:
         pts, vals, centers = case
         widths = [x - y for k, y in enumerate(pts) for x in pts[k + 1 :]]
         pick = st.integers(0, len(widths) - 1)
-        delta_max = widths[data.draw(pick)] / 2 if data.draw(st.booleans()) else None
-        got = _pairs_from_points(pts, centers, delta_max, 10**6)
+        # surveyed half-widths (h < delta is strict there), just above them,
+        # and unrelated rational and sqrt2 scales; the largest delta, which
+        # caps the widths, is at a surveyed half-width half the time
+        deltas = {qx(Fraction(1, 3)), SQRT2 / 7, qx(9)}
+        for k in data.draw(st.lists(pick, min_size=1, max_size=3)):
+            deltas.update((widths[k] / 2, widths[k] / 2 + SQRT2 / 10**6))
+        if data.draw(st.booleans()):
+            top = widths[data.draw(pick)] / 2
+            deltas = {d for d in deltas if d < top} | {top}
+        schedule = tuple(sorted(deltas, reverse=True))
+        got = _pairs_from_points(pts, centers, schedule, 10**6)
         with _exact_only():
-            exact = _pairs_from_points(pts, centers, delta_max, 10**6)
-        assert exact.lift is None and got.lift is not None
+            exact = _pairs_from_points(pts, centers, schedule, 10**6)
+        assert all(type(k) is int for k in got.keys + got.cuts)
+        assert all(isinstance(k, QuadExt) for k in exact.keys + tuple(exact.cuts))
         assert got == exact
         want = sorted(
             (
                 SymmetricPair(x, y)
                 for k, y in enumerate(pts)
                 for x in pts[k + 1 :]
-                if (delta_max is None or x - y < 2 * delta_max)
-                and centers.contains((x + y) / 2)
+                if x - y < 2 * schedule[0] and centers.contains((x + y) / 2)
             ),
             key=SymmetricPair.sort_key,
         )
         assert got.pairs == want
-        # the sup table on integer entries against the one on exact entries,
-        # at surveyed half-widths (h < delta is strict there), just above
-        # them, and at unrelated rational and sqrt2 scales
-        entries, lift = _survey_entries(got, vals)
-        assert lift is not None
+        # the sup table on integer entries against the one on exact keys and
+        # the one on the exact (h, osc, x, y) of each pair
+        rows = _sup_rows(*_with_schedule(_survey_entries(got, vals), schedule))
         with _exact_only():
-            exact_entries, exact_lift = _survey_entries(exact, vals)
-        assert exact_lift is None
-        deltas = {qx(Fraction(1, 3)), SQRT2 / 7, qx(9)}
-        for k in data.draw(st.lists(pick, min_size=1, max_size=3)):
-            deltas.update((widths[k] / 2, widths[k] / 2 + SQRT2 / 10**6))
-        schedule = tuple(sorted(deltas, reverse=True))
-        rows = _sup_rows(entries, schedule, False, lift)
-        assert rows == _sup_rows(exact_entries, schedule)
+            exact_rows = _sup_rows(*_with_schedule(_survey_entries(exact, vals), schedule))
+        plain = [
+            ((pts[j] - pts[i]) / 2, abs(vals[j] - vals[i]), pts[j], pts[i])
+            for j, i in got.index
+        ]
+        assert rows == exact_rows == _sup_rows(plain, schedule)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_sqrt2_cases())
+    def test_mixed_sqrt2_keys_match_exact(self, case):
+        _check_embedded_against_exact(*case)
+
+    def test_pell_battery(self):
+        """Pell near-ties. Each convergent p/q of sqrt2 with q up to 10**6
+        next to sqrt2, with a delta at their distance: p/q - sqrt2 is about
+        1/q**2, while its key's coefficients are about q. And the pair
+        (0, 1/2) against the thresholds 1/2 -+ u with u = (sqrt2 - 1)**j: the
+        distance less the threshold is +-u, a unit whose coefficients grow
+        as (1 + sqrt2)**j although the points' stay below 2, so only a key
+        size bound that counts the thresholds keeps its sign (floor(sqrt2*2**P)
+        errs to the side of u for odd j)."""
+        for c in _sqrt2_convergents(10**6):
+            pts = sorted({qx(0), qx(c), SQRT2, qx(2)})
+            schedule = (qx(1), qx(Fraction(1, 2)), abs(SQRT2 - qx(c)))
+            ex28 = [SQRT2 if p == SQRT2 else qx(1) for p in pts]
+            _check_embedded_against_exact(pts, ex28, schedule, None, Const)
+            _check_embedded_against_exact(pts, pts, schedule, None, lambda v: Affine(0, v))
+        half, unit = qx(Fraction(1, 2)), SQRT2 - 1
+        pts = [qx(0), half, SQRT2]
+        u = qx(1)
+        for _ in range(16):
+            u = u * unit
+            schedule = (qx(1), half + u, half - u)
+            _check_embedded_against_exact(pts, [qx(1), qx(1), SQRT2], schedule, None, Const)
+            _check_embedded_against_exact(pts, pts, schedule, None, lambda v: Affine(0, v))
+
+    def test_ex28_listing_takes_integer_keys(self):
+        """ex-2.8 mixes the rationals of [0, 2] with sqrt2; its family keys,
+        value keys and thresholds are integers of the embedding."""
+        ambient, f = _ex28(40)
+        config = AnalysisConfig()
+        pts = ambient.enumerate(config.enum_limit).points
+        vals = [evaluate(f, p) for p in pts]
+        fk = analysis._family_keys(pts, vals, config.delta_schedule)
+        assert SQRT2 in pts and len(pts) > 900
+        assert all(type(k) is int for k in [*fk.keys, *fk.vkeys, *fk.thr])
+
+    def test_ex28_usc_profile_calls_no_ambient_contains(self, monkeypatch):
+        """The ex-2.8 survey answers every candidate midpoint from the
+        listing: 10**4 candidates, no contains call on the ambient set."""
+        ambient, f = _ex28(40)
+        calls = Counter()
+        original = TruncatedRationals.contains
+
+        def counted(self, x):
+            calls[self is ambient] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(TruncatedRationals, "contains", counted)
+        prof = modulus_profile(ambient, f, AnalysisConfig(max_pairs=10**4), "usc")
+        assert prof.truncated and prof.rows[0][1].challenges > 0
+        assert calls[True] == 0
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -1105,7 +1297,7 @@ class TestIntegerPaths:
         if widths:
             deltas.update(data.draw(st.lists(st.sampled_from(widths), max_size=4)))
         schedule = tuple(sorted(deltas, reverse=True))
-        rows = _uc_rows(analysis._family_keys(pts, vals), schedule, False)
+        rows = _uc_rows(analysis._family_keys(pts, vals, schedule), False)
         for delta, res in rows:
             best, idx, count = _window_scan_exact(pts, vals, delta)
             wit = None if idx is None else _ordered(pts[idx[0]], pts[idx[1]])
@@ -1320,7 +1512,7 @@ def _pointwise_uc_rows(ambient, f, config):
     pieces = analysis._analytic_pieces(ambient)
     pts = tuple(x for piece in pieces for x in piece.grid(config.grid_exponent))
     vals = [evaluate(f, p) for p in pts]
-    return _uc_rows(analysis._family_keys(pts, vals), config.delta_schedule, False)
+    return _uc_rows(analysis._family_keys(pts, vals, config.delta_schedule), False)
 
 
 class TestTileValues:

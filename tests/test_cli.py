@@ -197,6 +197,38 @@ class TestFarFromZero:
         assert "Traceback" not in proc.stderr
 
 
+class TestLongNumbers:
+    """A number of more digits than the interpreter converts between int and
+    str (4 300 by default) is a spec error, not a traceback."""
+
+    DIGITS = "7" * 5000
+
+    def run(self, tmp_path, domain_text: str):
+        path = tmp_path / "long.json"
+        path.write_text(
+            '{"domain": ' + domain_text + ', "function": {"formula": "Identity"}}'
+        )
+        return run_main("analyze", str(path))
+
+    def test_string_point_exits_2(self, tmp_path):
+        code, out, err = self.run(
+            tmp_path, '{"type": "FinitePoints", "points": ["1/' + self.DIGITS + '", "0"]}'
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "a number of 5000 digits exceeds the limit" in err
+        assert out == ""
+
+    def test_json_integer_exits_2(self, tmp_path):
+        code, out, err = self.run(
+            tmp_path, '{"type": "IntegerWindow", "lo": 0, "hi": ' + self.DIGITS + "}"
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "an integer exceeds the limit" in err
+        assert out == ""
+
+
 class TestModuli:
     def test_uc_table(self, prime_spec):
         code, out, _ = run_main("moduli", prime_spec, "--notion", "uc")

@@ -512,7 +512,8 @@ def survey_pairs(ambient, *, centers=None, delta_max=None, max_pairs, enum_limit
     against `centers` (the ambient itself by default)."""
     en = ambient.enumerate(enum_limit)
     center_dom = ambient if centers is None else centers
-    return _pairs_from_points(en.points, center_dom, delta_max, max_pairs, en.truncated)
+    schedule = () if delta_max is None else (delta_max,)
+    return _pairs_from_points(en.points, center_dom, schedule, max_pairs, en.truncated)
 
 
 class TestSymmetricPairs:

@@ -356,7 +356,7 @@ def test_piecewise_constant_uc_rows_match_all_pairs(name):
         for i, y in enumerate(pts)
         for j, x in enumerate(pts[i + 1 :], i + 1)
     ]
-    rows = _uc_rows(_family_keys(pts, vals), config.delta_schedule, en.truncated)
+    rows = _uc_rows(_family_keys(pts, vals, config.delta_schedule), en.truncated)
     for delta, res in rows:
         below = [(x, y, o) for x, y, o in pairs if x - y < delta]
         assert res.challenges == len(below)

@@ -428,7 +428,24 @@ FUZZ_BASES = (
         "domain": {"type": "Staircase", "variant": "B", "blocks": 3},
         "function": {"formula": "Identity"},
     },
+    # sqrt2 among rationals that approach it (convergents p/q), with a Pell
+    # unit as a delta: mixed sqrt2 parts and near-ties on the embedded keys
+    {
+        "domain": {"type": "FinitePoints",
+                   "points": [0, "1/2", "1393/985", "sqrt2", "3363/2378", "1 + 1/2*sqrt2", 2]},
+        "function": {"type": "Piecewise", "pieces": [
+            {"region": {"type": "FinitePoints", "points": ["sqrt2"]},
+             "formula": {"formula": "Const", "c": "sqrt2"}},
+            {"region": {"type": "FinitePoints",
+                        "points": [0, "1/2", "1393/985", "3363/2378", "1 + 1/2*sqrt2", 2]},
+             "formula": {"formula": "Const", "c": 1}}]},
+        "config": {"deltaSchedule": ["1", "3 - 2*sqrt2", "-7 + 5*sqrt2", "1/985"]},
+    },
 )
+
+# a JSON integer of more digits than the interpreter converts (4 300 by
+# default), put in place of this string after the document is dumped
+_LONG_INTEGER = "<long integer>"
 
 _SIGNS = st.sampled_from(["", "-", "+"])
 _VALID_NUMBERS = st.one_of(
@@ -437,10 +454,18 @@ _VALID_NUMBERS = st.one_of(
     st.builds("{}{} {} {}/{}*sqrt2".format, _SIGNS, st.integers(0, 9), st.sampled_from("+-"),
               st.integers(0, 9), st.integers(1, 9)),
     st.builds("{}{}*sqrt2".format, _SIGNS, st.integers(0, 9)),
+    # Pell near-ties: convergents of sqrt2 and units (sqrt2 - 1)**j
+    st.sampled_from(["99/70", "239/169", "8119/5741", "3 - 2*sqrt2", "-7 + 5*sqrt2",
+                     "17 - 12*sqrt2", "-41 + 29*sqrt2"]),
 )
 _NUMBER_STRINGS = st.one_of(
     st.sampled_from(["3/4", "-2", "sqrt2", "1 + sqrt2", "1/0", "2 - 1/3*sqrt2", "0.5", "", "x"]),
     st.builds("{}{}/{}".format, _SIGNS, st.integers(0, 999), st.integers(0, 99)),
+)
+# numbers of more digits than the interpreter converts
+_LONG_NUMBERS = st.sampled_from(
+    [_LONG_INTEGER, "1/" + "7" * 4400, "9" * 4301 + " - 1/3*sqrt2",
+     "1 + 1/" + "3" * 4301 + "*sqrt2"]
 )
 _KEYS = st.sampled_from(
     ["type", "points", "lo", "hi", "maxPrime", "maxN", "withZero", "pieces", "region",
@@ -485,11 +510,15 @@ def mutated_specs(draw):
             break
         node, key = draw(st.sampled_from(paths))
         kind = draw(st.sampled_from(
-            ["drop", "rename", "replace", "copy"] + ["nest"] * 2 + ["renumber"] * 4
+            ["drop", "rename", "replace", "copy", "long"] + ["nest"] * 2 + ["renumber"] * 4
         ))
+        numeric = type(node[key]) in (int, str) and key not in ("type", "formula", "op")
         if kind == "renumber":
-            if type(node[key]) in (int, str) and key not in ("type", "formula", "op"):
+            if numeric:
                 node[key] = draw(_VALID_NUMBERS)
+        elif kind == "long":
+            if numeric:
+                node[key] = draw(_LONG_NUMBERS)
         elif kind == "drop":
             del node[key]
         elif kind == "rename" and isinstance(node, dict):
@@ -541,7 +570,7 @@ class TestSpecFuzz:
     )
     @given(mutated_specs())
     def test_report_or_message(self, doc):
-        text = json.dumps(doc)
+        text = json.dumps(doc).replace(f'"{_LONG_INTEGER}"', "8" * 5000)
         with _time_bound(5):
             try:
                 assert isinstance(parse_spec(text), ParsedSpec)
