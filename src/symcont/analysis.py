@@ -719,11 +719,23 @@ def _uc_rows(fk: _FamilyKeys, truncated: bool) -> list[tuple[QuadExt, Oscillatio
     one window scan per delta over the keys of fk (_family_keys) at the key
     of delta. Only each row's sup, rebuilt from the values of its witness
     pair, and that pair become exact numbers; the points ascend, so the
-    later position is x > y."""
+    later position is x > y.
+
+    No pair is closer than the smallest gap between neighbouring keys, so a
+    delta whose key is at or below it gets the empty row without a scan.
+    The comparison is exact on every kind of key: a ceiling threshold and
+    a lifted gap are integers, an embedded gap less a threshold is a
+    combination of three terms (whose sign _embed keeps), and exact keys
+    are the numbers."""
+    keys = fk.keys
+    gap = min((b - a for a, b in itertools.pairwise(keys)), default=None)
     rows = []
     for delta, thr in zip(fk.schedule, fk.thr):
+        if gap is None or thr <= gap:
+            rows.append((delta, OscillationResult(None, None, 0, truncated)))
+            continue
         scan = _window_scan_exact if isinstance(thr, QuadExt) else _window_scan_int
-        _, idx, pairs = scan(fk.keys, fk.vkeys, thr)
+        _, idx, pairs = scan(keys, fk.vkeys, thr)
         value = wit = None
         if idx is not None:
             j, i = max(idx), min(idx)

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from .errors import ExactnessError, ParseError
+from .errors import ExactnessError, ParseError, SymcontError
 
 Rational = Fraction
 
@@ -318,13 +318,24 @@ def _ratio_text(n: int, d: int) -> str:
 
 
 def format_quadext(x: QuadExt) -> str:
-    """Render exactly: ``p/q`` when rational, else ``a + b*sqrt2`` / ``a - b*sqrt2``."""
+    """Render exactly: ``p/q`` when rational, else ``a + b*sqrt2`` / ``a - b*sqrt2``.
+
+    A coordinate of more digits than the interpreter converts from int to
+    str is a SymcontError, not a ValueError."""
     a, b, d = x.a, x.b, x.d
-    if b == 0:
-        # the coordinates are in lowest terms with d > 0, as str(Fraction) wants
-        return str(a) if d == 1 else f"{a}/{d}"
-    op = "+" if b > 0 else "-"
-    return f"{_ratio_text(a, d)} {op} {_ratio_text(abs(b), d)}*sqrt2"
+    try:
+        if b == 0:
+            # the coordinates are in lowest terms with d > 0, as str(Fraction) wants
+            return str(a) if d == 1 else f"{a}/{d}"
+        op = "+" if b > 0 else "-"
+        return f"{_ratio_text(a, d)} {op} {_ratio_text(abs(b), d)}*sqrt2"
+    except ValueError:
+        bits = max(abs(a), abs(b), d).bit_length()
+        raise SymcontError(
+            f"cannot render a number with a coordinate of about "
+            f"{math.ceil(bits * math.log10(2))} digits: the limit is "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 # The accepted forms, after surrounding whitespace is stripped, with p, q, r,

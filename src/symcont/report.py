@@ -2,19 +2,124 @@
 
 All reports are plain dicts with stable key order (insertion order), so JSON
 output is byte-identical across runs for fixed inputs, configuration, and
-seed. Numbers appear in exact form only.
+seed. Numbers appear in exact form only: an exact number is a string, and
+the only JSON numbers are ints (counts and config values).
+
+dump_json writes the bytes of ``json.dumps(report, indent=2) + "\n"``:
+every item of a dict or list on a line of its own, indented two spaces
+deeper than its container, with a comma ending each line that has a next
+item; ``": "`` after a key; ``{}`` and ``[]`` for empty containers; every
+string and key with ASCII escapes (``\\uXXXX`` for any other character);
+and one trailing newline. A report holds only str, int, bool, None, dict
+with str keys, list and tuple; anything else, a float or a subclass of int
+or str included, is a TypeError.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .analysis import AnalysisConfig, ModulusProfile, Verdict, NOTIONS
 from .exactnum import format_quadext
 
 
-def dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+class _Unwritable(Exception):
+    """A value dump_json does not write, with the keys and indices that lead
+    to it, innermost first."""
+
+    def __init__(self, value: object, key: bool = False) -> None:
+        self.value, self.key = value, key
+        self.path: list = []
+
+
+def dump_json(data: dict | list | tuple) -> str:
+    """The report as indented JSON (the module docstring gives the format).
+
+    The document is appended to one list piece by piece and joined once,
+    with every scalar written inline: with an indent, json.dumps runs its
+    pure-Python encoder, which takes twice as long or more."""
+    out: list[str] = []
+    try:
+        _write_container(data, out, "\n")
+    except _Unwritable as exc:
+        where = "$" + "".join(f"[{p!r}]" for p in reversed(exc.path))
+        raise TypeError(
+            f"cannot write {'the key ' if exc.key else ''}"
+            f"{type(exc.value).__name__} {exc.value!r} at {where} "
+            "as JSON: a report holds str, int, bool, None, dict with str keys, "
+            "list and tuple only"
+        ) from None
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_container(o: object, out: list[str], nl: str) -> None:
+    """Append the JSON of the dict, list or tuple o, whose first line is
+    already open and whose closing bracket goes after nl (a newline and the
+    indent of o's own line)."""
+    inner = nl + "  "
+    t = type(o)
+    if t is dict:
+        if not o:
+            out.append("{}")
+            return
+        lead, sep = "{" + inner, "," + inner
+        try:
+            for k, v in o.items():
+                if type(k) is not str:
+                    raise _Unwritable(k, key=True)
+                out.append(lead + _quote(k) + ": ")
+                lead = sep
+                t = type(v)
+                if t is str:
+                    out.append(_quote(v))
+                elif v is None:
+                    out.append("null")
+                elif v is True:
+                    out.append("true")
+                elif v is False:
+                    out.append("false")
+                elif t is int:
+                    out.append(int.__repr__(v))
+                elif t is dict or t is list or t is tuple:
+                    _write_container(v, out, inner)
+                else:
+                    raise _Unwritable(v)
+        except _Unwritable as exc:
+            exc.path.append(k)
+            raise
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not o:
+            out.append("[]")
+            return
+        lead, sep = "[" + inner, "," + inner
+        try:
+            for i, v in enumerate(o):
+                out.append(lead)
+                lead = sep
+                t = type(v)
+                if t is str:
+                    out.append(_quote(v))
+                elif v is None:
+                    out.append("null")
+                elif v is True:
+                    out.append("true")
+                elif v is False:
+                    out.append("false")
+                elif t is int:
+                    out.append(int.__repr__(v))
+                elif t is dict or t is list or t is tuple:
+                    _write_container(v, out, inner)
+                else:
+                    raise _Unwritable(v)
+        except _Unwritable as exc:
+            exc.path.append(i)
+            raise
+        out.append(nl + "]")
+    else:
+        raise _Unwritable(o)
 
 
 def config_json(config: AnalysisConfig) -> dict:

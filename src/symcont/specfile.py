@@ -165,7 +165,9 @@ def parse_domain(obj: object, where: str = "domain") -> Domain:
         pts = _list(d["points"], pw)
         if not pts:
             raise ParseError(f"{pw}: needs at least one point")
-        return FinitePoints(tuple(_number(p, pw, i) for i, p in enumerate(pts)))
+        # from a list: a tuple grown from a generator is resized, and the
+        # interpreter keeps the freed ones until a full collection
+        return FinitePoints(tuple([_number(p, pw, i) for i, p in enumerate(pts)]))
     if kind == "IntegerWindow":
         _require_keys(d, where, {"type", "lo", "hi"})
         return IntegerWindow(

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import random
 import time
 import tracemalloc
@@ -1296,12 +1297,41 @@ class TestIntegerPaths:
         deltas = {qx(Fraction(1, 3)), SQRT2 / 5, qx(8)}
         if widths:
             deltas.update(data.draw(st.lists(st.sampled_from(widths), max_size=4)))
+            # the smallest width, at which no row has a pair, and deltas
+            # just below and just above it
+            gap = min(widths)
+            eps = data.draw(st.sampled_from((qx(Fraction(1, 10**9)), SQRT2 / 10**9, gap / 10**6)))
+            deltas.update((gap, gap + eps, gap - eps if gap > eps else gap / 2))
         schedule = tuple(sorted(deltas, reverse=True))
         rows = _uc_rows(analysis._family_keys(pts, vals, schedule), False)
+        with _exact_only():
+            assert _uc_rows(analysis._family_keys(pts, vals, schedule), False) == rows
         for delta, res in rows:
             best, idx, count = _window_scan_exact(pts, vals, delta)
             wit = None if idx is None else _ordered(pts[idx[0]], pts[idx[1]])
             assert (res.value, res.witness, res.challenges) == (best, wit, count)
+
+    def test_uc_rows_scan_only_above_smallest_gap(self, monkeypatch):
+        """On a listing with the default schedule, a delta whose key is at
+        or below the smallest gap between listed keys gets its empty row
+        without a window scan."""
+        pts = NaturalReciprocals(60).enumerate(AnalysisConfig().enum_limit).points
+        vals = [evaluate(Identity(), p) for p in pts]
+        fk = analysis._family_keys(pts, vals, AnalysisConfig().delta_schedule)
+        gap = min(b - a for a, b in itertools.pairwise(fk.keys))
+        scanned = []
+        scan = analysis._window_scan_int
+
+        def counted(keys, vkeys, thr):
+            scanned.append(thr)
+            return scan(keys, vkeys, thr)
+
+        monkeypatch.setattr(analysis, "_window_scan_int", counted)
+        rows = _uc_rows(fk, False)
+        assert scanned == [t for t in fk.thr if t > gap]
+        assert 0 < len(scanned) < len(fk.thr)
+        for (_, res), t in zip(rows, fk.thr):
+            assert (res.challenges > 0) == (t > gap)
 
     @settings(max_examples=300, deadline=None)
     @given(family_cases())

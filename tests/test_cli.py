@@ -228,6 +228,27 @@ class TestLongNumbers:
         assert "an integer exceeds the limit" in err
         assert out == ""
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_long_result_exits_2(self, tmp_path, fmt):
+        """Two reciprocals of 2 500-digit integers each parse, but the
+        uniformly-discrete gap between them has about 5 000 digits."""
+        p = 10**2499 + 8_271_993
+        q = 3 * 10**2499 + 1_048_573
+        path = tmp_path / "long.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "domain": {"type": "FinitePoints", "points": [f"1/{p}", f"1/{q}"]},
+                    "function": {"formula": "Identity"},
+                }
+            )
+        )
+        code, out, err = run_main("analyze", str(path), "--format", fmt)
+        assert code == 2
+        assert err.startswith("error: cannot render a number")
+        assert "the limit is 4300 digits" in err
+        assert out == ""
+
 
 class TestModuli:
     def test_uc_table(self, prime_spec):
