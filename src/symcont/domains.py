@@ -24,7 +24,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, InapplicableError
-from .exactnum import SQRT2, ZERO, QuadExt, _reduced, as_quadext, int_ratio
+from .exactnum import (
+    SQRT2,
+    ZERO,
+    QuadExt,
+    _make,
+    _reduced,
+    as_quadext,
+    int_ratio,
+    order_key,
+)
 
 # entries kept by each per-parameter cache (prime sieves, staircase tables),
 # so a long-lived process holds a bounded number of them
@@ -41,6 +50,35 @@ def exact_floor(x: QuadExt) -> int:
 
 def exact_ceil(x: QuadExt) -> int:
     return -exact_floor(-x)
+
+
+def sorted_points(points) -> tuple[QuadExt, ...]:
+    """The distinct numbers among points, ascending.
+
+    Coordinates are canonical, so equal numbers share one ``(a, b, d)`` and
+    duplicates drop by that triple; the sort runs on ``order_key``."""
+    unique = {}
+    for p in points:
+        x = p if type(p) is QuadExt else as_quadext(p)
+        unique[x.a, x.b, x.d] = x
+    return tuple(sorted(unique.values(), key=order_key))
+
+
+def locate_piece(los, pieces, x) -> int:
+    """Index of the piece holding x among sorted disjoint pieces, or -1.
+
+    ``los`` holds the pieces' low ends. The last piece starting at or below x
+    is tested first, then the one before it: two pieces can meet at one
+    point, as (0, 1), [1, 1] and (1, 2] do at 1, and then x may sit in the
+    earlier one. No piece further back can hold x."""
+    i = bisect.bisect_right(los, x) - 1
+    if i < 0:
+        return -1
+    if pieces[i].contains(x):
+        return i
+    if i and pieces[i - 1].contains(x):
+        return i - 1
+    return -1
 
 
 @dataclass(frozen=True)
@@ -96,16 +134,19 @@ class FinitePoints(Domain):
     scale_complete = True
 
     def __post_init__(self) -> None:
-        pts = tuple(sorted({as_quadext(p) for p in self.points}))
+        pts = sorted_points(self.points)
         object.__setattr__(self, "points", pts)
+        # membership by coordinate triple, which is canonical
+        object.__setattr__(self, "_coords", frozenset((x.a, x.b, x.d) for x in pts))
 
     @staticmethod
     def of(*points) -> "FinitePoints":
         return FinitePoints(points)
 
     def contains(self, x: QuadExt) -> bool:
-        i = bisect.bisect_left(self.points, x)
-        return i < len(self.points) and self.points[i] == x
+        if type(x) is not QuadExt:
+            x = as_quadext(x)
+        return (x.a, x.b, x.d) in self._coords
 
     def enumerate(self, limit: int) -> Enumeration:
         return Enumeration(self.points[:limit], truncated=len(self.points) > limit)
@@ -174,7 +215,7 @@ class OddPrimeReciprocals(Domain):
     def enumerate(self, limit: int) -> Enumeration:
         primes = self._primes()
         pts: list[QuadExt] = [ZERO] if self.with_zero and limit > 0 else []
-        pts.extend(QuadExt.of(Fraction(1, p)) for p in primes[::-1][: limit - len(pts)])
+        pts.extend(_make(1, 0, p) for p in primes[::-1][: limit - len(pts)])
         total = len(primes) + self.with_zero
         return Enumeration(tuple(pts), truncated=total > limit)
 
@@ -203,7 +244,7 @@ class NaturalReciprocals(Domain):
     def enumerate(self, limit: int) -> Enumeration:
         pts: list[QuadExt] = [ZERO] if self.with_zero and limit > 0 else []
         stop = max(self.max_n - (limit - len(pts)), 0)
-        pts.extend(QuadExt.of(Fraction(1, n)) for n in range(self.max_n, stop, -1))
+        pts.extend(_make(1, 0, n) for n in range(self.max_n, stop, -1))
         total = self.max_n + self.with_zero
         return Enumeration(tuple(pts), truncated=total > limit)
 
@@ -323,13 +364,10 @@ class IntervalPiece:
         return self.hi - self.lo
 
     def contains(self, x: QuadExt) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+        if self.lo < x:
+            return x < self.hi or (self.hi_closed and x == self.hi)
+        # x <= lo, and lo <= hi
+        return self.lo_closed and x == self.lo
 
     def grid_indices(self, exponent: int) -> tuple[list[int], int]:
         """(ks, n): the grid of `grid(exponent)` is lo + (length/n)*k over the
@@ -396,6 +434,7 @@ class IntervalUnion(Domain):
                     f"overlapping pieces {prev.describe()} and {nxt.describe()}"
                 )
         object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "_los", tuple(p.lo for p in pieces))
 
     @property
     def enumerable(self) -> bool:
@@ -406,12 +445,12 @@ class IntervalUnion(Domain):
         return self.enumerable
 
     def contains(self, x: QuadExt) -> bool:
-        return any(p.contains(x) for p in self.pieces)
+        return locate_piece(self._los, self.pieces, x) >= 0
 
     def enumerate(self, limit: int) -> Enumeration:
         if not self.enumerable:
             raise InapplicableError("cannot enumerate a continuum of points")
-        pts = tuple(p.lo for p in self.pieces)
+        pts = self._los
         return Enumeration(pts[:limit], truncated=len(pts) > limit)
 
     def describe(self) -> str:
@@ -529,9 +568,8 @@ class Staircase(Domain):
         return tuple(bp[2 * i + 2] - bp[2 * i + 1] for i in range(self.blocks - 1))
 
     def contains(self, x: QuadExt) -> bool:
-        pieces = self.block_pieces()
-        i = bisect.bisect_right(_staircase_los(self.variant, self.blocks), x) - 1
-        return i >= 0 and pieces[i].contains(x)
+        los = _staircase_los(self.variant, self.blocks)
+        return locate_piece(los, self.block_pieces(), x) >= 0
 
     def enumerate(self, limit: int) -> Enumeration:
         raise InapplicableError("cannot enumerate a continuum of points")
@@ -562,13 +600,9 @@ class UnionOf(Domain):
     def enumerate(self, limit: int) -> Enumeration:
         if not self.enumerable:
             raise InapplicableError("cannot enumerate a continuum of points")
-        merged: set[QuadExt] = set()
-        truncated = False
-        for part in self.parts:
-            en = part.enumerate(limit)
-            truncated |= en.truncated
-            merged.update(en.points)
-        pts = tuple(sorted(merged))
+        listings = [part.enumerate(limit) for part in self.parts]
+        truncated = any(en.truncated for en in listings)
+        pts = sorted_points(itertools.chain.from_iterable(en.points for en in listings))
         return Enumeration(pts[:limit], truncated=truncated or len(pts) > limit)
 
     def describe(self) -> str:

@@ -14,6 +14,14 @@ The sign of ``a + b*sqrt(2)`` (integers) is decided without approximation:
   nonzero integers because sqrt(2) is irrational.
 
 ``x < y`` is that sign for ``(a1*d2 - a2*d1) + (b1*d2 - b2*d1)*sqrt(2)``.
+``_cmp`` computes it in one frame: it coerces the other operand (a QuadExt,
+an int or a Fraction) and takes the sign inline, so each of the four
+ordering operators costs one call. ``_sign`` serves ``sign()`` and ``abs``.
+
+``order_key(x)`` is ``(floor(x * 2**64), x)``: the floor is taken on integers
+as ``domains.exact_floor`` does (with ``isqrt``), never decreases as x grows,
+and so orders any two numbers whose floors differ by integer comparison
+alone; the rare equal floors fall back to the exact comparison of x.
 """
 
 from __future__ import annotations
@@ -87,12 +95,42 @@ def _sign(a: int, b: int) -> int:
     return -sb if aa > bb else sb
 
 
-def _cmp(x: QuadExt, y: QuadExt) -> int:
-    """Sign of ``x - y``, without building the difference."""
+def _cmp(x: QuadExt, other: object) -> int | None:
+    """Sign of ``x - other``, without building the difference; None when
+    other is not an exact number."""
+    t = type(other)
+    if t is QuadExt:
+        oa, ob, od = other.a, other.b, other.d
+    elif t is int:
+        oa, ob, od = other, 0, 1
+    elif isinstance(other, (int, Fraction)):
+        oa, ob, od = int(other.numerator), 0, int(other.denominator)
+    else:
+        return None
     d = x.d
-    if y.d == d:
-        return _sign(x.a - y.a, x.b - y.b)
-    return _sign(x.a * y.d - y.a * d, x.b * y.d - y.b * d)
+    if od == d:
+        a, b = x.a - oa, x.b - ob
+    else:
+        a, b = x.a * od - oa * d, x.b * od - ob * d
+    # the sign of a + b*sqrt2, as in _sign
+    if b == 0:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if a == 0 or (a > 0) == (b > 0):
+        return sb
+    aa = a * a
+    bb = 2 * b * b
+    if aa == bb:
+        raise ExactnessError(f"{a}**2 == 2*{b}**2 would make sqrt(2) rational")
+    return -sb if aa > bb else sb
+
+
+def _ratio(value: object) -> tuple[int, int]:
+    """Numerator and denominator in lowest terms of an int, a Fraction, or
+    anything ``Fraction`` accepts (a string, a float)."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return int(value.numerator), int(value.denominator)
 
 
 class QuadExt(_Coords):
@@ -103,10 +141,12 @@ class QuadExt(_Coords):
     def __new__(cls, rat: Fraction | int = 0, irr: Fraction | int = 0) -> QuadExt:
         if type(rat) is int and type(irr) is int:
             return _make(rat, irr, 1)
-        rat, irr = Fraction(rat), Fraction(irr)
-        d = math.lcm(rat.denominator, irr.denominator)
-        return _make(rat.numerator * (d // rat.denominator),
-                     irr.numerator * (d // irr.denominator), d)
+        p, q = _ratio(rat)
+        r, s = _ratio(irr)
+        if q == s:
+            return _make(p, r, q)
+        d = math.lcm(q, s)
+        return _make(p * (d // q), r * (d // s), d)
 
     @staticmethod
     def of(rat: Fraction | int | str, irr: Fraction | int | str = 0) -> QuadExt:
@@ -208,28 +248,20 @@ class QuadExt(_Coords):
     # -- comparison ---------------------------------------------------------
 
     def __lt__(self, other: object) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _cmp(self, o) < 0
+        c = _cmp(self, other)
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other: object) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _cmp(self, o) <= 0
+        c = _cmp(self, other)
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other: object) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _cmp(self, o) > 0
+        c = _cmp(self, other)
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other: object) -> bool:
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
-        return _cmp(self, o) >= 0
+        c = _cmp(self, other)
+        return NotImplemented if c is None else c >= 0
 
     def __eq__(self, other: object) -> bool:
         o = _coerce(other)
@@ -302,6 +334,22 @@ def int_ratio(x: QuadExt) -> tuple[int, int] | None:
 def compare(x: QuadExt, y: QuadExt) -> int:
     """-1, 0, or 1 according to the exact order of x and y."""
     return _cmp(as_quadext(x), as_quadext(y))
+
+
+_KEY_SHIFT = 64
+
+
+def order_key(x: QuadExt) -> tuple[int, QuadExt]:
+    """``(floor(x * 2**64), x)``, a sort key that orders as x does.
+
+    The floor is ``(a*2**64 + floor(b*2**64*sqrt2)) // d`` on integers, so
+    keys whose floors differ compare without a QuadExt operation."""
+    a, b = x.a << _KEY_SHIFT, x.b
+    if b:
+        # |B|*sqrt2 for B = b*2**64 is isqrt(2*B*B) plus a fraction in (0, 1)
+        m = math.isqrt(2 * b * b << 2 * _KEY_SHIFT)
+        a += m if b > 0 else -m - 1
+    return (a // x.d, x)
 
 
 def midpoint(x: QuadExt, y: QuadExt) -> QuadExt:

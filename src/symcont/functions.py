@@ -5,7 +5,8 @@ A function spec is one of:
 * a bare formula (constant, identity, affine, reciprocal, monomial), applied
   wherever the function is evaluated,
 * a piecewise spec mapping regions (domains) to formulas; the first region
-  containing a point owns it, or
+  containing a point owns it (found through an owner index, see
+  ``_OwnerIndex``), or
 * a combination (scale, add, sub, mul, div) of other specs.
 
 Everything evaluates inside Q(sqrt 2); no floats are involved.
@@ -13,10 +14,12 @@ Everything evaluates inside Q(sqrt 2); no floats are involved.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .domains import Domain, FinitePoints, IntervalPiece, IntervalUnion
+from .domains import Domain, FinitePoints, IntervalPiece, IntervalUnion, locate_piece
 from .errors import ConfigurationError, DomainError
 from .exactnum import ONE, QuadExt, as_quadext
 
@@ -128,6 +131,90 @@ class Piecewise:
         if not self.pieces:
             raise ConfigurationError("piecewise spec needs at least one piece")
 
+    @cached_property
+    def _owners(self) -> _OwnerIndex:
+        return _OwnerIndex(self.pieces)
+
+
+def _overlap(p: IntervalPiece, q: IntervalPiece) -> bool:
+    """Whether p and q share a point, for p.lo <= q.lo."""
+    return p.hi > q.lo or (p.hi == q.lo and p.hi_closed and q.lo_closed)
+
+
+class _OwnerIndex:
+    """The owner of a point among the regions of a piecewise spec: the first
+    region that contains it, found by exact keys instead of one ``contains``
+    per region.
+
+    * Regions whose type is exactly ``FinitePoints`` go into one map from a
+      point's coordinates ``(a, b, d)`` to the first such region holding it.
+    * Regions whose type is exactly ``IntervalUnion`` give their pieces,
+      sorted by low end and tagged with the region, located by
+      ``locate_piece``. When pieces of different regions overlap, those
+      regions are scanned instead, until the rest are disjoint.
+    * Every other region is scanned with ``contains``, in order: the ones
+      listed before the first indexed region (``lead``) by ``evaluate``
+      before it asks the index, the others (``rest``) only while their index
+      is below the owner the index found.
+
+    It holds regions and pieces, never a bound method, so it calls whatever
+    ``contains`` the classes carry at the time of the call.
+    """
+
+    __slots__ = ("size", "lead", "finite", "los", "pieces", "tags", "rest")
+
+    def __init__(self, func_pieces: tuple[FuncPiece, ...]) -> None:
+        regions = [fp.region for fp in func_pieces]
+        self.size = len(regions)
+        self.finite: dict[tuple[int, int, int], int] = {}
+        for i, region in enumerate(regions):
+            if type(region) is FinitePoints:
+                for x in region.points:
+                    self.finite.setdefault((x.a, x.b, x.d), i)
+        spans = sorted(
+            (
+                (p, i)
+                for i, region in enumerate(regions)
+                if type(region) is IntervalUnion
+                for p in region.pieces
+            ),
+            key=lambda t: (t[0].lo, t[0].hi),
+        )
+        while True:
+            # pieces of one region are disjoint, so a clash is between regions
+            clash = {
+                r for (p, i), (q, j) in itertools.pairwise(spans) if _overlap(p, q)
+                for r in (i, j)
+            }
+            if not clash:
+                break
+            spans = [t for t in spans if t[1] not in clash]
+        self.los = tuple(p.lo for p, _ in spans)
+        self.pieces = tuple(p for p, _ in spans)
+        self.tags = tuple(i for _, i in spans)
+        indexed = {i for i, region in enumerate(regions) if type(region) is FinitePoints}
+        indexed.update(self.tags)
+        first = min(indexed, default=self.size)
+        self.lead = func_pieces[:first]
+        self.rest = tuple(
+            (i, r) for i, r in enumerate(regions) if i > first and i not in indexed
+        )
+
+    def owner(self, x: QuadExt) -> int:
+        """Index of the first region past the lead that contains x, or the
+        region count when none does."""
+        best = self.finite.get((x.a, x.b, x.d), self.size)
+        if self.los:
+            j = locate_piece(self.los, self.pieces, x)
+            if j >= 0 and self.tags[j] < best:
+                best = self.tags[j]
+        for i, region in self.rest:
+            if i >= best:
+                break
+            if region.contains(x):
+                return i
+        return best
+
 
 _COMBINE_OPS = ("scale", "add", "sub", "mul", "div")
 
@@ -159,10 +246,17 @@ def evaluate(f: FuncSpec, x: QuadExt) -> QuadExt:
     if isinstance(f, Formula):
         return formula_eval(f, x)
     if isinstance(f, Piecewise):
-        for fp in f.pieces:
-            if fp.region.contains(x):
+        q = x if type(x) is QuadExt else as_quadext(x)
+        owners = f._owners
+        # the lead is scanned here, as by a plain first-match loop, so a
+        # leading family region costs no call into the index
+        for fp in owners.lead:
+            if fp.region.contains(q):
                 return formula_eval(fp.formula, x)
-        raise DomainError(f"{x} not covered by any piecewise region")
+        i = owners.owner(q)
+        if i == owners.size:
+            raise DomainError(f"{x} not covered by any piecewise region")
+        return formula_eval(f.pieces[i].formula, x)
     if isinstance(f, Combined):
         vals = [evaluate(g, x) for g in f.operands]
         if f.op == "scale":

@@ -15,14 +15,19 @@ import pytest
 from symcont import (
     Affine,
     Const,
+    DomainError,
     FinitePoints,
     FuncPiece,
     Identity,
+    IntervalUnion,
     Monomial,
     Piecewise,
     QuadExt,
+    Staircase,
+    UnionOf,
     evaluate,
 )
+from symcont.functions import formula_eval
 
 getcontext().prec = 60
 SQRT2_DEC = Decimal(2).sqrt()
@@ -97,6 +102,27 @@ def random_piecewise(rng, domain: FinitePoints) -> Piecewise:
             formula = Monomial(3)
         pieces.append(FuncPiece(FinitePoints(tuple(bucket)), formula))
     return Piecewise(tuple(pieces))
+
+
+def _member(region, x) -> bool:
+    """Membership by a linear scan of the pieces of interval unions and
+    staircases (as unions of them), so no bisection under test decides it."""
+    if isinstance(region, IntervalUnion):
+        return any(p.contains(x) for p in region.pieces)
+    if isinstance(region, Staircase):
+        return any(p.contains(x) for p in region.block_pieces())
+    if isinstance(region, UnionOf):
+        return any(_member(part, x) for part in region.parts)
+    return region.contains(x)
+
+
+def evaluate_by_scan(f: Piecewise, x: QuadExt) -> QuadExt:
+    """First match as a plain loop: the first region holding x owns it. The
+    oracle for ``evaluate``'s owner index."""
+    for fp in f.pieces:
+        if _member(fp.region, x):
+            return formula_eval(fp.formula, x)
+    raise DomainError(f"{x} not covered by any piecewise region")
 
 
 def brute_force_usc_status(domain: FinitePoints, f) -> str:

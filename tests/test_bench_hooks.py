@@ -4,6 +4,7 @@ their counters still see work and that every name is put back afterwards."""
 
 import importlib
 import sys
+from fractions import Fraction
 
 from symcont import (
     AnalysisConfig,
@@ -60,3 +61,32 @@ def test_tracer_hooks_count_and_restore():
     assert after.keys() == before.keys()
     moved = [key for key, value in before.items() if after[key] is not value]
     assert moved == []
+
+
+def test_tracer_counts_owner_index_evaluation_and_restores():
+    import symcont.functions
+    from symcont import Const, FuncPiece, Piecewise, Staircase
+    from symcont.zoo import staircase_function
+
+    stair = staircase_function(Staircase("A", 25))
+    # a leading family region is scanned through its class's contains
+    f = Piecewise((FuncPiece(NaturalReciprocals(4), Const(-1)),) + stair.pieces)
+    pts = [qx(1), qx(4), qx(Fraction(1, 3)), qx(Fraction(5, 2))]
+    expected = [symcont.functions.evaluate(f, p) for p in pts]
+    # the index is built lazily, on the first evaluation inside the block
+    f = Piecewise(f.pieces)
+    before = _bindings()
+    tracer = Tracer()
+    with instrument(tracer):
+        got = [symcont.functions.evaluate(f, p) for p in pts]
+    assert got == expected
+    assert tracer.calls("functions.evaluate") == len(pts)
+    assert tracer.totals["functions.evaluate"][0] == len(pts)
+    assert tracer.calls("domains.contains") == len(pts)
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []
+    # evaluating after the block reaches no wrapper held by the index
+    counts, totals = dict(tracer.counts), {k: list(v) for k, v in tracer.totals.items()}
+    assert [symcont.functions.evaluate(f, p) for p in pts] == expected
+    assert tracer.counts == counts and tracer.totals == totals

@@ -27,7 +27,7 @@ from symcont import domains
 from symcont.analysis import _pairs_from_points
 from symcont.domains import SymmetricPair, exact_ceil, exact_floor
 
-from conftest import qx
+from conftest import dec, qx
 
 
 class TestExactRounding:
@@ -586,3 +586,134 @@ def test_contains_iff_enumerated(fracs):
         assert d.contains(p)
     probe = qx(Fraction(17, 23))
     assert d.contains(probe) == (probe in pts)
+
+
+# ---------------------------------------------------------------------------
+# locating a point among sorted disjoint pieces, and keyed finite sets
+
+
+def _piece(lo, hi, lo_closed=True, hi_closed=True) -> IntervalPiece:
+    return IntervalPiece(as_q(lo), as_q(hi), lo_closed, hi_closed)
+
+
+def as_q(v) -> QuadExt:
+    return v if isinstance(v, QuadExt) else qx(v)
+
+
+# each case lists pieces that are disjoint but may touch
+LOCATE_CASES = {
+    "closed_then_open": (_piece(0, 1), _piece(1, 2, False, True)),
+    "open_point_open": (
+        _piece(0, 1, False, False),
+        _piece(1, 1),
+        _piece(1, 2, False, True),
+    ),
+    "open_ends": (_piece(0, 1, False, False), _piece(2, 3, False, False)),
+    "closed_ends_with_gaps": (_piece(-3, -2), _piece(0, 0), _piece(5, 7)),
+    "sqrt2_shifted": (
+        _piece(SQRT2 - 1, SQRT2, True, False),
+        _piece(SQRT2, SQRT2),
+        _piece(SQRT2, SQRT2 + 1, False, True),
+        _piece(SQRT2 + 2, SQRT2 + 3, False, False),
+    ),
+}
+
+
+def _locate_probes(pieces) -> list[QuadExt]:
+    """Every end, a point inside each piece, a point in each gap and points
+    outside on both sides."""
+    ends = sorted({e for p in pieces for e in (p.lo, p.hi)})
+    out = list(ends)
+    out += [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    out += [ends[0] - 1, ends[-1] + 1, ends[0] - Fraction(1, 10**9)]
+    return out
+
+
+class TestLocatePiece:
+    @pytest.mark.parametrize("name", sorted(LOCATE_CASES))
+    def test_matches_linear_scan(self, name):
+        pieces = tuple(sorted(LOCATE_CASES[name], key=lambda p: (p.lo, p.hi)))
+        los = [p.lo for p in pieces]
+        union = IntervalUnion(pieces)
+        for x in _locate_probes(pieces):
+            holders = [i for i, p in enumerate(pieces) if p.contains(x)]
+            assert len(holders) <= 1
+            assert domains.locate_piece(los, pieces, x) == (holders[0] if holders else -1)
+            assert union.contains(x) == bool(holders)
+
+    def test_touching_ends(self):
+        pieces = LOCATE_CASES["closed_then_open"]
+        assert domains.locate_piece([p.lo for p in pieces], pieces, qx(1)) == 0
+        pieces = LOCATE_CASES["open_point_open"]
+        assert domains.locate_piece([p.lo for p in pieces], pieces, qx(1)) == 1
+
+    def test_staircase_matches_linear_scan_at_ends(self):
+        stair = Staircase("B", 12)
+        pieces = stair.block_pieces()
+        for x in _locate_probes(pieces):
+            assert stair.contains(x) == any(p.contains(x) for p in pieces)
+
+
+@pytest.fixture
+def lt_calls(monkeypatch):
+    """Counts QuadExt.__lt__ calls while the test runs."""
+    calls = [0]
+    original = QuadExt.__lt__
+
+    def counting(self, other):
+        calls[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(QuadExt, "__lt__", counting)
+    return calls
+
+
+class TestKeyedPointSets:
+    def test_sorted_points_dedups_by_coordinates(self):
+        pts = [qx(Fraction(1, 2)), Fraction(1, 2), 0, qx(0), SQRT2, qx(0, 1), -1]
+        assert domains.sorted_points(pts) == (qx(-1), qx(0), qx(Fraction(1, 2)), SQRT2)
+
+    def test_union_enumerate_dedups_and_sorts(self):
+        u = UnionOf((NaturalReciprocals(4), FinitePoints.of(qx(Fraction(1, 2)), SQRT2, -1)))
+        assert u.enumerate(10).points == tuple(
+            qx(v) for v in (-1, 0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 1)
+        ) + (SQRT2,)
+
+    def test_build_and_contains_make_no_lt_call(self, lt_calls):
+        # distinct floors of x * 2**64: every pair is ordered by its key's int
+        raw = [qx(Fraction(k, 7), Fraction(k % 3 - 1, 5)) for k in range(-40, 40)]
+        d = FinitePoints(tuple(reversed(raw)))
+        assert lt_calls[0] == 0
+        assert list(d.points) == sorted(raw, key=dec)
+        assert all(d.contains(x) for x in raw)
+        assert not d.contains(qx(Fraction(1, 11)))
+        assert lt_calls[0] == 0
+
+    def test_contains_takes_ints_and_fractions(self):
+        d = FinitePoints.of(qx(2), qx(Fraction(1, 3)))
+        assert d.contains(2) and d.contains(Fraction(1, 3))
+        assert not d.contains(3) and not d.contains(Fraction(2, 3))
+
+
+def test_staircase_function_locates_each_point_in_two_piece_tests(monkeypatch):
+    from symcont import evaluate
+    from symcont.zoo import staircase_function
+
+    stair = Staircase("A", 25)
+    f = staircase_function(stair)
+    pieces = stair.block_pieces()
+    pts = _locate_probes(pieces)
+    pts = [x for x in pts if stair.contains(x)]
+    calls = [0]
+    original = IntervalPiece.contains
+
+    def counting(self, x):
+        calls[0] += 1
+        return original(self, x)
+
+    monkeypatch.setattr(IntervalPiece, "contains", counting)
+    for i, x in enumerate(pts):
+        calls[0] = 0
+        owner = next(k for k, p in enumerate(pieces) if original(p, x))
+        assert evaluate(f, x) == 2 * owner + 1
+        assert calls[0] <= 2, (i, x, calls[0])

@@ -30,6 +30,7 @@ from symcont import (
     parse_rational,
 )
 from symcont.domains import exact_ceil, exact_floor
+from symcont.exactnum import order_key
 
 from conftest import dec, qx
 
@@ -550,3 +551,88 @@ class TestRationalHashAndText:
             assert hash(QuadExt(q)) == hash(q)
         assert format_quadext(QuadExt(Fraction(-7, 1))) == "-7"
         assert format_quadext(QuadExt(Fraction(-6, 4), Fraction(2, 4))) == "-3/2 + 1/2*sqrt2"
+
+
+# ---------------------------------------------------------------------------
+# construction from ints, Fractions and strings; the one-frame comparison;
+# the sort key
+
+
+construction_args = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions(max_denominator=10**9),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**12)),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4).map(str),
+)
+
+
+class TestConstructionPath:
+    @settings(max_examples=300, deadline=None)
+    @given(construction_args, construction_args)
+    def test_matches_the_fraction_path(self, rat, irr):
+        x = QuadExt(rat, irr)
+        fr, fi = Fraction(rat), Fraction(irr)
+        d = math.lcm(fr.denominator, fi.denominator)
+        assert (x.a, x.b, x.d) == (
+            fr.numerator * (d // fr.denominator),
+            fi.numerator * (d // fi.denominator),
+            d,
+        )
+        assert x == QuadExt(fr, fi)
+        assert (x.rat, x.irr) == (fr, fi)
+        assert QuadExt(x.rat, x.irr) == x
+        assert QuadExt.of(rat) == QuadExt(fr)
+
+
+class TestOneFrameComparison:
+    def test_foreign_operand_is_not_implemented(self):
+        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(SQRT2, op)("1") is NotImplemented
+        with pytest.raises(TypeError):
+            SQRT2 < "1"
+
+
+def _pell_convergents(q_max: int) -> list[QuadExt]:
+    """The convergents p/q of sqrt2 with q <= q_max: 1/1, 3/2, 7/5, ..."""
+    out = []
+    p, q = 1, 1
+    while q <= q_max:
+        out.append(qx(Fraction(p, q)))
+        p, q = p + 2 * q, p + q
+    return out
+
+
+class TestOrderKey:
+    def _check(self, xs):
+        images = [dec(x) for x in xs]
+        assert len(set(images)) == len(xs), "the oracle must separate the inputs"
+        assert sorted(xs, key=order_key) == sorted(xs, key=dec)
+        for x in xs:
+            assert order_key(x)[0] == exact_floor(x * 2**64)
+
+    def test_pell_near_ties(self):
+        tiny = Fraction(1, 2**80)
+        xs = _pell_convergents(10**12) + [SQRT2, SQRT2 + tiny, SQRT2 - tiny]
+        # the last convergents sit within 2**-64 of sqrt2, so their floors
+        # tie with sqrt2's and the exact comparison breaks the tie
+        ties = [x for x in xs if x != SQRT2 and order_key(x)[0] == order_key(SQRT2)[0]]
+        assert len(ties) >= 3
+        self._check(xs)
+        random.Random(5).shuffle(xs)
+        self._check(xs)
+
+    def test_negative_numbers(self):
+        xs = [-x for x in _pell_convergents(10**12)] + [-SQRT2, qx(-1, -1), qx(0)]
+        xs += [qx(Fraction(-k, 7), Fraction(k % 5 - 2, 3)) for k in range(1, 40)]
+        self._check(list(dict.fromkeys(xs)))
+
+    def test_magnitudes_around_1e400(self):
+        big = 10**400
+        rng = random.Random(11)
+        xs = [
+            QuadExt(Fraction(rng.randint(-big, big), rng.randint(1, 50)),
+                    Fraction(rng.randint(-big, big), rng.randint(1, 50)))
+            for _ in range(60)
+        ]
+        xs += [qx(big), qx(-big), qx(big, big // 3), qx(big) / 7, qx(0, big)]
+        self._check(xs)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symcont import (
     SQRT2,
@@ -22,6 +22,8 @@ from symcont import (
     QuadExt,
     Reciprocal,
     Staircase,
+    TruncatedRationals,
+    UnionOf,
     bounded_on,
     describe_function,
     evaluate,
@@ -31,7 +33,7 @@ from symcont import (
 )
 from symcont.functions import formula_limit, rational_value, tile_formulas
 
-from conftest import qx
+from conftest import dec, evaluate_by_scan, qx
 
 
 def indicator_sqrt2() -> Piecewise:
@@ -110,6 +112,118 @@ class TestPiecewise:
         # second block starts at 5/2 and carries the value 3
         assert evaluate(f, qx(Fraction(5, 2))) == qx(3)
         assert evaluate(f, qx(1)) == qx(1)
+
+
+# ---------------------------------------------------------------------------
+# the owner index of evaluate against the first-match scan
+
+# few ends, so pieces of different regions often touch or overlap
+ENDS = sorted(
+    [qx(0), qx(Fraction(1, 2)), qx(1), SQRT2, qx(Fraction(3, 2)), qx(2), qx(3)], key=dec
+)
+PROBES = sorted(
+    set(ENDS)
+    | {(a + b) / 2 for a, b in zip(ENDS, ENDS[1:])}
+    | {qx(v) for v in (-1, 4, Fraction(1, 3), Fraction(1, 4), Fraction(3, 4), Fraction(5, 2))}
+    | {SQRT2 + Fraction(1, 100), SQRT2 - Fraction(1, 100), SQRT2 / 2}
+    | {qx(b) for v in "AB" for b in Staircase(v, 3).breakpoints()},
+    key=dec,
+)
+
+
+@st.composite
+def interval_unions(draw) -> IntervalUnion:
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        # short pieces, so that pieces of different regions touch more
+        # often than they overlap
+        i = draw(st.integers(0, len(ENDS) - 1))
+        j = min(i + draw(st.integers(0, 2)), len(ENDS) - 1)
+        if i == j:
+            pieces.append(IntervalPiece(ENDS[i], ENDS[i]))
+        else:
+            pieces.append(IntervalPiece(ENDS[i], ENDS[j], draw(st.booleans()), draw(st.booleans())))
+    try:
+        return IntervalUnion(tuple(pieces))
+    except DomainError:
+        # the pieces of one union overlap; keep the first alone
+        return IntervalUnion(pieces[:1])
+
+
+finite_regions = st.lists(st.sampled_from(PROBES), min_size=1, max_size=6).map(
+    lambda pts: FinitePoints(tuple(pts))
+)
+family_regions = st.one_of(
+    st.builds(NaturalReciprocals, st.integers(1, 5), st.booleans()),
+    st.builds(
+        lambda n, i, j, adjoin: TruncatedRationals(n, ENDS[min(i, j)], ENDS[max(i, j)], adjoin),
+        st.integers(1, 3),
+        st.integers(0, len(ENDS) - 1),
+        st.integers(0, len(ENDS) - 1),
+        st.booleans(),
+    ),
+    st.builds(lambda a, b: UnionOf((a, b)), finite_regions, st.builds(NaturalReciprocals, st.integers(1, 4))),
+    st.builds(lambda a, b: UnionOf((a, b)), interval_unions(), finite_regions),
+    st.builds(Staircase, st.sampled_from("AB"), st.integers(1, 3)),
+)
+regions = st.one_of(interval_unions(), finite_regions, interval_unions(), family_regions)
+
+
+@st.composite
+def piecewise_specs(draw) -> Piecewise:
+    """Mixed regions; region i carries a formula whose value names i."""
+    pieces = []
+    for i, region in enumerate(draw(st.lists(regions, min_size=1, max_size=6))):
+        formula = draw(st.sampled_from((Const(i), Affine(1, 10 * i))))
+        pieces.append(FuncPiece(region, formula))
+    return Piecewise(tuple(pieces))
+
+
+def _spec(*regions) -> Piecewise:
+    return Piecewise(tuple(FuncPiece(r, Const(i)) for i, r in enumerate(regions)))
+
+
+def _outcome(fn, f, x):
+    try:
+        return fn(f, x)
+    except DomainError:
+        return "uncovered"
+
+
+class TestOwnerIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(piecewise_specs())
+    # a point where a closed end meets an open one, in two regions
+    @example(_spec(IntervalUnion((IntervalPiece(0, 1),)),
+                   IntervalUnion((IntervalPiece(1, 2, False, True),))))
+    # a point held by two finite regions
+    @example(_spec(FinitePoints.of(1, 2), FinitePoints.of(2)))
+    # pieces of two regions overlap
+    @example(_spec(IntervalUnion((IntervalPiece(0, 2),)), IntervalUnion((IntervalPiece(1, 3),))))
+    # a family region after the indexed owner also holds the point
+    @example(_spec(FinitePoints.of(0), NaturalReciprocals(3)))
+    # a leading family region, then indexed and scanned regions
+    @example(_spec(TruncatedRationals(2, 0, 2), FinitePoints.of(SQRT2, 3),
+                   IntervalUnion((IntervalPiece(0, 1, False, False), IntervalPiece(1, 1),
+                                  IntervalPiece(1, 2, False, True))),
+                   UnionOf((FinitePoints.of(-1), NaturalReciprocals(4)))))
+    def test_matches_first_match_scan(self, f):
+        for x in PROBES:
+            expected = _outcome(evaluate_by_scan, f, x)
+            assert _outcome(evaluate, f, x) == expected, x
+            if x.is_rational():
+                assert _outcome(evaluate, f, x.rat) == expected, x
+                if x.d == 1:
+                    assert _outcome(evaluate, f, x.a) == expected, x
+
+    def test_uncovered_point_message(self):
+        f = _spec(FinitePoints.of(0), IntervalUnion((IntervalPiece(1, 2),)))
+        for x in (qx(Fraction(5, 2)), Fraction(5, 2), 3, SQRT2 / 2):
+            with pytest.raises(DomainError) as direct:
+                evaluate(f, x)
+            with pytest.raises(DomainError) as scanned:
+                evaluate_by_scan(f, x)
+            assert str(direct.value) == str(scanned.value) == f"{x} not covered by any piecewise region"
 
 
 class TestCombined:
