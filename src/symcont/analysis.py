@@ -61,7 +61,7 @@ from .functions import (
     _as_affine,
     describe_function,
     evaluate,
-    formula_eval,
+    evaluate_many,
     one_sided_limits,
     is_piecewise_constant,
     sup_abs_diff,
@@ -337,37 +337,34 @@ def _probe_values(
 ) -> Sequence[QuadExt]:
     """f at every probe point.
 
-    A sampled probe is valued run by run with the formula owning each piece
-    when Piecewise first-match cannot tell the points of one piece apart: f
+    When the points of a sampled probe are integer keys (_LiftedNumbers)
+    and Piecewise first-match cannot tell the points of one piece apart (f
     is a bare formula, or every region of f is an interval union of ambient
-    pieces. The pieces are disjoint, so a point of piece P lies in a region
-    exactly when the region lists P, and the first region listing P owns
-    the whole run. Pieces are compared by tuple membership, which hashes no
-    endpoint. When the points are integer keys and every owner is affine
-    (Const, Identity or Affine) with a rational change slope*step per grid
-    step, the values are integer keys too: f(lo) + (slope*step)*k over the
-    run's k, by _index_keys, and neither a point nor a value is built.
-    Otherwise each run's formula is evaluated at its points (a constant
-    without any arithmetic), and every other probe point by point."""
-    owners: list[Formula | None] | None = None
-    pieces = () if runs is None else tuple(p for p, _, _ in runs)
-    if runs is not None and isinstance(f, Formula):
-        owners = [f] * len(pieces)
-    elif runs is not None and isinstance(f, Piecewise) and all(
-        isinstance(fp.region, IntervalUnion)
-        and all(q in pieces for q in fp.region.pieces)
-        for fp in f.pieces
-    ):
-        owners = [
-            next((fp.formula for fp in f.pieces if p in fp.region.pieces), None)
-            for p in pieces
-        ]
-    if owners is None or None in owners:
-        return [evaluate(f, p) for p in pts]
+    pieces), each run is valued with the formula owning its piece. The
+    pieces are disjoint, so a point of piece P lies in a region exactly when
+    the region lists P, and the first region listing P owns the whole run;
+    pieces are compared by tuple membership, which hashes no endpoint. When
+    every owner is affine (Const, Identity or Affine) with a rational change
+    slope*step per grid step, the values are integer keys too: f(lo) +
+    (slope*step)*k over the run's k, by _index_keys, and neither a point nor
+    a value is built. Every other probe is valued by evaluate_many."""
     if isinstance(pts, _LiftedNumbers):
+        pieces = tuple(p for p, _, _ in runs)
+        owners: list[Formula | None] = [None] * len(pieces)
+        if isinstance(f, Formula):
+            owners = [f] * len(pieces)
+        elif isinstance(f, Piecewise) and all(
+            isinstance(fp.region, IntervalUnion)
+            and all(q in pieces for q in fp.region.pieces)
+            for fp in f.pieces
+        ):
+            owners = [
+                next((fp.formula for fp in f.pieces if p in fp.region.pieces), None)
+                for p in pieces
+            ]
         progressions = []
         for (piece, ks, n), fm in zip(runs, owners):
-            aff = _as_affine(fm)
+            aff = None if fm is None else _as_affine(fm)
             dv = None if aff is None else aff.slope * piece.length / n
             if dv is None or not dv.is_rational():
                 break
@@ -376,16 +373,7 @@ def _probe_values(
             vals = _index_keys(progressions)
             if vals is not None:
                 return vals
-    out: list[QuadExt] = []
-    start = 0
-    for (_, ks, _), fm in zip(runs, owners):
-        stop = start + len(ks)
-        if isinstance(fm, Const):
-            out += [fm.value] * len(ks)
-        else:
-            out += [formula_eval(fm, pts[k]) for k in range(start, stop)]
-        start = stop
-    return out
+    return evaluate_many(f, pts)
 
 
 @dataclass
@@ -1400,7 +1388,7 @@ def _family_classify(
     if en is None:
         en = ambient.enumerate(config.enum_limit)
     pts = en.points
-    vals = [evaluate(f, p) for p in pts]
+    vals = evaluate_many(f, pts)
     fk = _family_keys(pts, vals, config.delta_schedule)
     windows = _anchor_windows(fk.keys, fk.thr)
     groups = None
@@ -2052,7 +2040,7 @@ def check_wrt_subset(
     n = len(pts)
     # the anchors lift with the points, so every mirror is a key
     both = _family_keys(
-        pts + en_b.points, [evaluate(f, p) for p in pts], config.delta_schedule
+        pts + en_b.points, evaluate_many(f, pts), config.delta_schedule
     )
     fk = replace(both, pts=pts, keys=both.keys[:n])
     entries, checked, cut = _mirror_entries(fk, both.keys[n:], config.max_pairs)

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import DomainError, InapplicableError
 from .exactnum import (
@@ -81,6 +82,23 @@ def locate_piece(los, pieces, x) -> int:
     return -1
 
 
+def pieces_members(xs, idx, los, pieces) -> list[int]:
+    """The positions among idx whose points of the ascending listing xs lie
+    in one of the sorted disjoint pieces (low ends ``los``), ascending.
+
+    Each piece takes the run of positions ``IntervalPiece.span`` finds by
+    bisection, so the work grows with the piece count; with fewer candidates
+    than pieces, each candidate is located by ``locate_piece`` instead."""
+    if len(pieces) > len(idx):
+        return [k for k in idx if locate_piece(los, pieces, xs[k]) >= 0]
+    out: list[int] = []
+    for piece in pieces:
+        i, j = piece.span(xs)
+        if i < j:
+            out += idx[bisect.bisect_left(idx, i) : bisect.bisect_left(idx, j)]
+    return out
+
+
 @dataclass(frozen=True)
 class Enumeration:
     points: tuple[QuadExt, ...]
@@ -98,6 +116,13 @@ class Domain:
 
     def contains(self, x: QuadExt) -> bool:
         raise NotImplementedError
+
+    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
+        """The positions k among idx (ascending) with xs[k] in the set, for
+        points xs in ascending order: a batch ``contains``. Subclasses answer
+        it by bisecting xs or by integer tests on the coordinates."""
+        contains = self.contains
+        return [k for k in idx if contains(xs[k])]
 
     def enumerate(self, limit: int) -> Enumeration:
         """The first `limit` points of the set in strictly ascending order,
@@ -148,6 +173,10 @@ class FinitePoints(Domain):
             x = as_quadext(x)
         return (x.a, x.b, x.d) in self._coords
 
+    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
+        coords = self._coords
+        return [k for k in idx if ((x := xs[k]).a, x.b, x.d) in coords]
+
     def enumerate(self, limit: int) -> Enumeration:
         return Enumeration(self.points[:limit], truncated=len(self.points) > limit)
 
@@ -170,9 +199,15 @@ class IntegerWindow(Domain):
         r = int_ratio(x)
         return r is not None and r[1] == 1 and self.lo <= r[0] <= self.hi
 
+    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
+        lo, hi = self.lo, self.hi
+        return [
+            k for k in idx if (x := xs[k]).b == 0 and x.d == 1 and lo <= x.a <= hi
+        ]
+
     def enumerate(self, limit: int) -> Enumeration:
         count = self.hi - self.lo + 1
-        pts = tuple(QuadExt.of(self.lo + i) for i in range(min(count, limit)))
+        pts = tuple(_make(self.lo + i, 0, 1) for i in range(min(count, limit)))
         return Enumeration(pts, truncated=count > limit)
 
     def describe(self) -> str:
@@ -212,6 +247,15 @@ class OddPrimeReciprocals(Domain):
         r = int_ratio(x)
         return r is not None and r[0] == 1 and r[1] in _odd_prime_set(self.max_prime)
 
+    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
+        primes, zero = _odd_prime_set(self.max_prime), self.with_zero
+        return [
+            k
+            for k in idx
+            if (x := xs[k]).b == 0
+            and (x.d in primes if x.a == 1 else zero and x.a == 0)
+        ]
+
     def enumerate(self, limit: int) -> Enumeration:
         primes = self._primes()
         pts: list[QuadExt] = [ZERO] if self.with_zero and limit > 0 else []
@@ -240,6 +284,14 @@ class NaturalReciprocals(Domain):
             return self.with_zero
         r = int_ratio(x)
         return r is not None and r[0] == 1 and r[1] <= self.max_n
+
+    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
+        n, zero = self.max_n, self.with_zero
+        return [
+            k
+            for k in idx
+            if (x := xs[k]).b == 0 and (x.d <= n if x.a == 1 else zero and x.a == 0)
+        ]
 
     def enumerate(self, limit: int) -> Enumeration:
         pts: list[QuadExt] = [ZERO] if self.with_zero and limit > 0 else []
@@ -302,13 +354,25 @@ class TruncatedRationals(Domain):
     def _sqrt2_in_range(self) -> bool:
         return self.adjoin_sqrt2 and self.lo <= SQRT2 <= self.hi
 
+    def _has_coords(self, x: QuadExt) -> bool:
+        """The test of membership apart from the range: a rational of
+        denominator at most max_denominator, or sqrt2 when adjoined."""
+        if x.b == 0:
+            return x.d <= self.max_denominator
+        return self.adjoin_sqrt2 and x.a == 0 and x.b == 1 and x.d == 1
+
     def contains(self, x: QuadExt) -> bool:
-        if not (self.lo <= x <= self.hi):
-            return False
-        r = int_ratio(x)
-        if r is not None:
-            return r[1] <= self.max_denominator
-        return self._sqrt2_in_range() and x == SQRT2
+        return self._has_coords(x) and self.lo <= x <= self.hi
+
+    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
+        i = bisect.bisect_left(xs, self.lo)
+        j = bisect.bisect_right(xs, self.hi)
+        has = self._has_coords
+        return [
+            k
+            for k in idx[bisect.bisect_left(idx, i) : bisect.bisect_left(idx, j)]
+            if has(xs[k])
+        ]
 
     def enumerate(self, limit: int) -> Enumeration:
         """Walks the Farey sequence of order max_denominator (every reduced
@@ -325,7 +389,8 @@ class TruncatedRationals(Domain):
             a, b, c, d = c, d, k * c - a, k * d - b
         pts: list[QuadExt] = []
         while len(pts) <= limit and a * last_q <= last_p * b:
-            pts.append(_reduced(a, 0, b))
+            # Farey neighbours have b*c - a*d == 1, so a/b is in lowest terms
+            pts.append(_make(a, 0, b))
             k = (n + b) // d
             a, b, c, d = c, d, k * c - a, k * d - b
         if self._sqrt2_in_range():
@@ -368,6 +433,12 @@ class IntervalPiece:
             return x < self.hi or (self.hi_closed and x == self.hi)
         # x <= lo, and lo <= hi
         return self.lo_closed and x == self.lo
+
+    def span(self, xs: Sequence[QuadExt]) -> tuple[int, int]:
+        """(i, j): the points of the ascending xs in the piece are xs[i:j]."""
+        i = (bisect.bisect_left if self.lo_closed else bisect.bisect_right)(xs, self.lo)
+        j = (bisect.bisect_right if self.hi_closed else bisect.bisect_left)(xs, self.hi)
+        return i, j
 
     def grid_indices(self, exponent: int) -> tuple[list[int], int]:
         """(ks, n): the grid of `grid(exponent)` is lo + (length/n)*k over the
@@ -446,6 +517,9 @@ class IntervalUnion(Domain):
 
     def contains(self, x: QuadExt) -> bool:
         return locate_piece(self._los, self.pieces, x) >= 0
+
+    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
+        return pieces_members(xs, idx, self._los, self.pieces)
 
     def enumerate(self, limit: int) -> Enumeration:
         if not self.enumerable:
@@ -571,6 +645,10 @@ class Staircase(Domain):
         los = _staircase_los(self.variant, self.blocks)
         return locate_piece(los, self.block_pieces(), x) >= 0
 
+    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
+        los = _staircase_los(self.variant, self.blocks)
+        return pieces_members(xs, idx, los, self.block_pieces())
+
     def enumerate(self, limit: int) -> Enumeration:
         raise InapplicableError("cannot enumerate a continuum of points")
 
@@ -596,6 +674,13 @@ class UnionOf(Domain):
 
     def contains(self, x: QuadExt) -> bool:
         return any(p.contains(x) for p in self.parts)
+
+    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
+        # each part is asked only about the points no earlier part holds
+        hit: set[int] = set()
+        for part in self.parts:
+            hit.update(part.members(xs, [k for k in idx if k not in hit]))
+        return [k for k in idx if k in hit]
 
     def enumerate(self, limit: int) -> Enumeration:
         if not self.enumerable:

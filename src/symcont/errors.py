@@ -23,7 +23,3 @@ class ConfigurationError(SymcontError):
 
 class InapplicableError(SymcontError):
     """A check was asked about an object it is not defined for."""
-
-
-class WitnessError(SymcontError):
-    """A claimed witness or certificate failed exact re-verification."""

@@ -9,18 +9,20 @@ A function spec is one of:
   ``_OwnerIndex``), or
 * a combination (scale, add, sub, mul, div) of other specs.
 
-Everything evaluates inside Q(sqrt 2); no floats are involved.
+Everything evaluates inside Q(sqrt 2); no floats are involved. ``evaluate``
+takes one point; ``evaluate_many`` takes an ascending listing and finds each
+region's points in one batch (``Domain.members``).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .domains import Domain, FinitePoints, IntervalPiece, IntervalUnion, locate_piece
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, SymcontError
 from .exactnum import ONE, QuadExt, as_quadext
 
 
@@ -157,6 +159,10 @@ class _OwnerIndex:
       before it asks the index, the others (``rest``) only while their index
       is below the owner the index found.
 
+    ``owners`` answers the same question for a whole ascending listing, with
+    ``Domain.members`` in place of ``contains`` and a bisection of the listing
+    per indexed piece in place of ``locate_piece``.
+
     It holds regions and pieces, never a bound method, so it calls whatever
     ``contains`` the classes carry at the time of the call.
     """
@@ -215,6 +221,32 @@ class _OwnerIndex:
                 return i
         return best
 
+    def owners(self, xs: Sequence[QuadExt]) -> list[int]:
+        """The owner of each point of the ascending listing xs: the index of
+        the first region containing it, or the region count when none does."""
+        size = self.size
+        best = [size] * len(xs)
+        free = list(range(len(xs)))
+        for i, fp in enumerate(self.lead):
+            for k in fp.region.members(xs, free):
+                best[k] = i
+            free = [k for k in free if best[k] == size]
+        finite = self.finite
+        if finite:
+            for k in free:
+                x = xs[k]
+                best[k] = finite.get((x.a, x.b, x.d), size)
+        # a point the lead owns has best below every tag
+        for piece, tag in zip(self.pieces, self.tags):
+            i, j = piece.span(xs)
+            for k in range(i, j):
+                if tag < best[k]:
+                    best[k] = tag
+        for i, region in self.rest:
+            for k in region.members(xs, [k for k in free if best[k] > i]):
+                best[k] = i
+        return best
+
 
 _COMBINE_OPS = ("scale", "add", "sub", "mul", "div")
 
@@ -258,28 +290,73 @@ def evaluate(f: FuncSpec, x: QuadExt) -> QuadExt:
             raise DomainError(f"{x} not covered by any piecewise region")
         return formula_eval(f.pieces[i].formula, x)
     if isinstance(f, Combined):
-        vals = [evaluate(g, x) for g in f.operands]
-        if f.op == "scale":
-            return f.alpha * vals[0]
-        if f.op == "add":
-            out = vals[0]
-            for v in vals[1:]:
-                out = out + v
-            return out
-        if f.op == "sub":
-            out = vals[0]
-            for v in vals[1:]:
-                out = out - v
-            return out
-        if f.op == "mul":
-            out = vals[0]
-            for v in vals[1:]:
-                out = out * v
-            return out
-        num, den = vals
-        if den == 0:
-            raise DomainError("division by zero in combined spec")
-        return num / den
+        return _combine(f, [evaluate(g, x) for g in f.operands])
+    raise ConfigurationError(f"unknown function spec {f!r}")
+
+
+def _combine(f: Combined, vals: Sequence[QuadExt]) -> QuadExt:
+    """The value of f at a point from its operands' values there."""
+    if f.op == "scale":
+        return f.alpha * vals[0]
+    if f.op == "add":
+        out = vals[0]
+        for v in vals[1:]:
+            out = out + v
+        return out
+    if f.op == "sub":
+        out = vals[0]
+        for v in vals[1:]:
+            out = out - v
+        return out
+    if f.op == "mul":
+        out = vals[0]
+        for v in vals[1:]:
+            out = out * v
+        return out
+    num, den = vals
+    if den == 0:
+        raise DomainError("division by zero in combined spec")
+    return num / den
+
+
+def evaluate_many(f: FuncSpec, xs: Sequence[QuadExt]) -> list[QuadExt]:
+    """``[evaluate(f, x) for x in xs]`` for points xs in ascending order.
+
+    A piecewise spec gives each region the points no earlier region holds
+    (``_OwnerIndex.owners``); a constant owner fills its points without
+    arithmetic and the identity copies them. When some point fails, the
+    point-by-point loop runs instead, so the error is the one of the first
+    failing point."""
+    pts = xs if isinstance(xs, (list, tuple)) else list(xs)
+    try:
+        return _values(f, pts)
+    except SymcontError:
+        return [evaluate(f, x) for x in pts]
+
+
+def _values(f: FuncSpec, xs: Sequence[QuadExt]) -> list[QuadExt]:
+    """evaluate_many without the fallback: a failing point raises."""
+    if isinstance(f, Formula):
+        if isinstance(f, Const):
+            return [f.value] * len(xs)
+        if isinstance(f, Identity):
+            return list(xs)
+        return [formula_eval(f, x) for x in xs]
+    if isinstance(f, Piecewise):
+        groups: dict[int, list[int]] = {}
+        for k, i in enumerate(f._owners.owners(xs)):
+            groups.setdefault(i, []).append(k)
+        uncovered = groups.get(len(f.pieces))
+        if uncovered:
+            raise DomainError(f"{xs[uncovered[0]]} not covered by any piecewise region")
+        out: list[QuadExt] = [None] * len(xs)  # type: ignore[list-item]
+        for i, idx in groups.items():
+            for k, v in zip(idx, _values(f.pieces[i].formula, [xs[k] for k in idx])):
+                out[k] = v
+        return out
+    if isinstance(f, Combined):
+        cols = [_values(g, xs) for g in f.operands]
+        return [_combine(f, vals) for vals in zip(*cols)]
     raise ConfigurationError(f"unknown function spec {f!r}")
 
 
@@ -412,8 +489,8 @@ def bounded_on(f: FuncSpec, domain: Domain, *, enum_limit: int = 10**5) -> Bound
         en = domain.enumerate(enum_limit)
         best: QuadExt | None = None
         at: QuadExt | None = None
-        for p in en.points:
-            v = abs(evaluate(f, p))
+        for p, v in zip(en.points, evaluate_many(f, en.points)):
+            v = abs(v)
             if best is None or v > best:
                 best, at = v, p
         return BoundReport(best, at, False, en.truncated, "enumeration")
@@ -513,8 +590,3 @@ def _piece_sup_diff(fa: Formula, ga: Formula, piece: IntervalPiece) -> QuadExt:
         f"unsupported formula pair for exact sup on {piece.describe()}: "
         f"{formula_describe(fa)} vs {formula_describe(ga)}"
     )
-
-
-def rational_value(x: QuadExt) -> Fraction | None:
-    """The Fraction behind x when x is rational, else None."""
-    return x.rat if x.irr == 0 else None

@@ -42,7 +42,7 @@ from .domains import (
     staircase_breakpoints,
 )
 from .errors import ConfigurationError
-from .exactnum import SQRT2, QuadExt, format_quadext
+from .exactnum import ONE, SQRT2, ZERO, QuadExt, format_quadext
 from .functions import (
     Affine,
     Combined,
@@ -50,7 +50,6 @@ from .functions import (
     FuncPiece,
     FuncSpec,
     Identity,
-    Monomial,
     Piecewise,
     Reciprocal,
     describe_function,
@@ -162,20 +161,6 @@ def _interval(lo, hi, lo_closed=True, hi_closed=True) -> IntervalPiece:
     return IntervalPiece(QuadExt.of(lo), QuadExt.of(hi), lo_closed, hi_closed)
 
 
-def ex_3_5_member(degree: int) -> Piecewise:
-    """Member N of the sequence: x^N on [0, 1), constant 1 on [1, 2]."""
-    return Piecewise(
-        (
-            FuncPiece(
-                IntervalUnion((_interval(0, 1, True, False),)), Monomial(degree)
-            ),
-            FuncPiece(
-                IntervalUnion((_interval(1, 2, True, True),)), Const(QuadExt.of(1))
-            ),
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # entry builders
 
@@ -230,7 +215,7 @@ def _build_2_5(budget: Budget) -> list[ExampleCase]:
         RefutingSequence(
             "c",
             QuadExt.of(1),
-            lambda n: (QuadExt.of(Fraction(1, primes[n - 1])), QuadExt.of(0)),
+            lambda n: (ONE / primes[n - 1], ZERO),
             lambda n: QuadExt.of(1),
             anchor=QuadExt.of(0),
             n_max=len(primes),
@@ -261,7 +246,7 @@ def _build_2_7(budget: Budget) -> list[ExampleCase]:
         RefutingSequence(
             "usc",
             QuadExt.of(1),
-            lambda n: (QuadExt.of(Fraction(1, n)), QuadExt.of(0)),
+            lambda n: (ONE / n, ZERO),
             lambda n: QuadExt.of(1),
             n_max=budget.max_n // 2,
             label="pairs (1/n, 0) whose midpoints 1/(2n) stay in the set",
@@ -269,7 +254,7 @@ def _build_2_7(budget: Budget) -> list[ExampleCase]:
         RefutingSequence(
             "c",
             QuadExt.of(1),
-            lambda n: (QuadExt.of(Fraction(1, n)), QuadExt.of(0)),
+            lambda n: (ONE / n, ZERO),
             lambda n: QuadExt.of(1),
             anchor=QuadExt.of(0),
             n_max=budget.max_n,
@@ -413,7 +398,7 @@ def _build_3_3(budget: Budget) -> list[ExampleCase]:
         RefutingSequence(
             "c",
             QuadExt.of(3),
-            lambda n: (QuadExt.of(Fraction(1, primes[n - 1])), QuadExt.of(0)),
+            lambda n: (ONE / primes[n - 1], ZERO),
             lambda n: QuadExt.of(primes[n - 1]),
             anchor=QuadExt.of(0),
             n_max=len(primes),
@@ -512,8 +497,8 @@ def _build_3_6(budget: Budget) -> list[ExampleCase]:
 def _build_3_7(budget: Budget) -> list[ExampleCase]:
     recips = []
     for n in range(1, budget.max_n + 1):
-        recips.append(QuadExt.of(Fraction(1, n)))
-        recips.append(QuadExt.of(Fraction(-1, n)))
+        recips.append(ONE / n)
+        recips.append(ONE / -n)
     anchors = IntegerWindow(-5, 5)
     ambient = UnionOf((FinitePoints(tuple(recips)), anchors))
     f = Piecewise(
@@ -529,7 +514,7 @@ def _build_3_7(budget: Budget) -> list[ExampleCase]:
         RefutingSequence(
             "wrt_b",
             QuadExt.of(2),
-            lambda n: (QuadExt.of(Fraction(1, n)), QuadExt.of(Fraction(-1, n))),
+            lambda n: (ONE / n, ONE / -n),
             lambda n: QuadExt.of(2 * n),
             n_max=budget.max_n,
             label="pairs (1/n, -1/n) centered at the anchor 0",

@@ -19,6 +19,7 @@ from symcont import (
     FinitePoints,
     FuncPiece,
     Identity,
+    IntervalPiece,
     IntervalUnion,
     Monomial,
     Piecewise,
@@ -123,6 +124,25 @@ def evaluate_by_scan(f: Piecewise, x: QuadExt) -> QuadExt:
         if _member(fp.region, x):
             return formula_eval(fp.formula, x)
     raise DomainError(f"{x} not covered by any piecewise region")
+
+
+def rational_value(x: QuadExt) -> Fraction | None:
+    """The Fraction behind x when x is rational, else None."""
+    return x.rat if x.irr == 0 else None
+
+
+def ex_3_5_member(degree: int) -> Piecewise:
+    """Member N of the example 3.5 sequence: x^N on [0, 1), constant 1 on
+    [1, 2]."""
+    return Piecewise(
+        (
+            FuncPiece(
+                IntervalUnion((IntervalPiece(qx(0), qx(1), True, False),)),
+                Monomial(degree),
+            ),
+            FuncPiece(IntervalUnion((IntervalPiece(qx(1), qx(2)),)), Const(qx(1))),
+        )
+    )
 
 
 def brute_force_usc_status(domain: FinitePoints, f) -> str:

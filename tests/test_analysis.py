@@ -61,10 +61,11 @@ from symcont.analysis import (
 from symcont.domains import SymmetricPair
 from symcont.exactnum import format_quadext
 from symcont.functions import is_piecewise_constant
-from symcont.zoo import build_example, ex_3_5_member, indicator_with_zero
+from symcont.zoo import build_example, indicator_with_zero
 
 from conftest import (
     brute_force_usc_status,
+    ex_3_5_member,
     qx,
     random_piecewise,
     random_sparse_domain,
@@ -1288,6 +1289,43 @@ class TestIntegerPaths:
         assert prof.truncated and prof.rows[0][1].challenges > 0
         assert calls[True] == 0
 
+    def test_ex28_classify_values_its_listing_in_one_batch(self, monkeypatch):
+        """Classifying ex-2.8 values its listing by evaluate_many: inside the
+        family pipeline no TruncatedRationals.contains and no evaluate call
+        is made."""
+        ambient, f = _ex28(40)
+        calls = Counter()
+        inside = []
+
+        def counted(name, original):
+            def run(*args):
+                calls[name, bool(inside)] += 1
+                return original(*args)
+
+            return run
+
+        family = analysis._family_classify
+
+        def family_pipeline(*args):
+            inside.append(True)
+            try:
+                return family(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(
+            TruncatedRationals, "contains", counted("contains", TruncatedRationals.contains)
+        )
+        for module in (analysis, functions):
+            monkeypatch.setattr(module, "evaluate", counted("evaluate", functions.evaluate))
+        monkeypatch.setattr(
+            analysis, "_family_classify", counted("family", family_pipeline)
+        )
+        verdicts = classify(ambient, f, AnalysisConfig())
+        assert calls["family", False] == 1
+        assert calls["contains", True] == calls["evaluate", True] == 0
+        assert verdicts["C"].status == "refuted"
+
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_uc_rows_match_exact_window_scan(self, data):
@@ -1668,8 +1706,7 @@ class TestProbeCounts:
             return _orig(fm, x)
 
         monkeypatch.setattr(exactnum, "_make", counted_make)
-        for module in (analysis, functions):
-            monkeypatch.setattr(module, "formula_eval", counted_eval)
+        monkeypatch.setattr(functions, "formula_eval", counted_eval)
         prof = modulus_profile(ambient, f, config, "uc")
         monkeypatch.undo()
         rows = len(config.delta_schedule)

@@ -13,6 +13,7 @@ from symcont import (
     FinitePoints,
     FuncPiece,
     Identity,
+    IntegerWindow,
     IntervalPiece,
     IntervalUnion,
     Monomial,
@@ -27,13 +28,16 @@ from symcont import (
     bounded_on,
     describe_function,
     evaluate,
+    evaluate_many,
     one_sided_limits,
     scale,
     sup_abs_diff,
 )
-from symcont.functions import formula_limit, rational_value, tile_formulas
+from symcont import AnalysisConfig
+from symcont.analysis import _LiftedNumbers, _probe_points
+from symcont.functions import formula_limit, tile_formulas
 
-from conftest import dec, evaluate_by_scan, qx
+from conftest import dec, evaluate_by_scan, qx, rational_value
 
 
 def indicator_sqrt2() -> Piecewise:
@@ -224,6 +228,125 @@ class TestOwnerIndex:
             with pytest.raises(DomainError) as scanned:
                 evaluate_by_scan(f, x)
             assert str(direct.value) == str(scanned.value) == f"{x} not covered by any piecewise region"
+
+
+# ---------------------------------------------------------------------------
+# evaluate_many over an ascending listing against the point-by-point loop
+
+# every Domain class, IntegerWindow and OddPrimeReciprocals included
+all_regions = st.one_of(
+    regions,
+    st.builds(IntegerWindow, st.integers(-1, 1), st.integers(1, 4)),
+    st.builds(OddPrimeReciprocals, st.integers(1, 7), st.booleans()),
+)
+listings = st.lists(st.sampled_from(PROBES), unique=True, max_size=len(PROBES)).map(
+    lambda xs: sorted(xs, key=dec)
+)
+# the reciprocal fails at 0, a point many regions hold
+formulas = st.sampled_from(
+    (Const(7), Const(SQRT2), Identity(), Affine(2, -1), Monomial(2), Reciprocal())
+)
+
+
+@st.composite
+def mixed_specs(draw):
+    """A piecewise spec over regions that may overlap, so first match
+    decides, or a formula, or a Combined of two such specs."""
+
+    def piecewise():
+        pieces = [
+            FuncPiece(region, draw(formulas))
+            for region in draw(st.lists(all_regions, min_size=1, max_size=5))
+        ]
+        return Piecewise(tuple(pieces))
+
+    kind = draw(st.sampled_from(("piecewise", "formula", "combined")))
+    if kind == "formula":
+        return draw(formulas)
+    if kind == "piecewise":
+        return piecewise()
+    op = draw(st.sampled_from(("add", "sub", "mul", "div", "scale")))
+    if op == "scale":
+        return scale(piecewise(), Fraction(-3, 2))
+    return Combined(op, (piecewise(), draw(st.one_of(formulas, st.just(piecewise())))))
+
+
+def _many_outcome(fn):
+    """The values, or the type and message of the error raised."""
+    try:
+        return fn()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def _pointwise(f, xs):
+    return [evaluate(f, x) for x in xs]
+
+
+class TestEvaluateMany:
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_specs(), listings)
+    # a region after the owner also holds the point: first match keeps it
+    @example(_spec(TruncatedRationals(2, 0, 2), FinitePoints.of(1, SQRT2),
+                   IntervalUnion((IntervalPiece(0, 2),))), PROBES)
+    # a leading interval union, then a family region over the same points
+    @example(_spec(IntervalUnion((IntervalPiece(0, 1, False, True),)), NaturalReciprocals(4),
+                   UnionOf((IntegerWindow(0, 3), OddPrimeReciprocals(5)))), PROBES)
+    def test_matches_pointwise(self, f, xs):
+        expected = _many_outcome(lambda: _pointwise(f, xs))
+        assert _many_outcome(lambda: evaluate_many(f, xs)) == expected
+        assert _many_outcome(lambda: evaluate_many(f, tuple(xs))) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(all_regions, listings, st.data())
+    def test_members_match_contains(self, region, xs, data):
+        keep = data.draw(st.lists(st.booleans(), min_size=len(xs), max_size=len(xs)))
+        idx = [k for k, kept in enumerate(keep) if kept]
+        assert region.members(xs, idx) == [k for k in idx if region.contains(xs[k])]
+
+    @settings(max_examples=60, deadline=None)
+    @given(interval_unions(), mixed_specs(), st.integers(1, 4))
+    def test_sampled_points(self, ambient, f, exponent):
+        pts, runs, _ = _probe_points(ambient, AnalysisConfig(grid_exponent=exponent), for_pairs=False)
+        expected = _many_outcome(lambda: _pointwise(f, list(pts)))
+        assert _many_outcome(lambda: evaluate_many(f, pts)) == expected
+
+    def test_sampled_points_are_lifted(self):
+        ambient = IntervalUnion((IntervalPiece(0, 1), IntervalPiece(2, 3, False, True)))
+        pts, _, _ = _probe_points(ambient, AnalysisConfig(grid_exponent=4), for_pairs=False)
+        assert isinstance(pts, _LiftedNumbers)
+        f = _spec(IntervalUnion((IntervalPiece(0, Fraction(1, 2)),)), ambient)
+        assert evaluate_many(f, pts) == _pointwise(f, list(pts))
+
+    @pytest.mark.parametrize(
+        "f, xs, message",
+        [
+            # an uncovered point after a reciprocal at 0, and the other way round
+            (Piecewise((FuncPiece(IntegerWindow(-1, 1), Reciprocal()),)),
+             [qx(-1), qx(0), qx(2)], "reciprocal evaluated at 0"),
+            (Piecewise((FuncPiece(IntegerWindow(0, 1), Reciprocal()),)),
+             [qx(-1), qx(0), qx(2)], "-1 not covered by any piecewise region"),
+            # division by zero before an uncovered point, and after one
+            (Combined("div", (Piecewise((FuncPiece(IntegerWindow(-1, 1), Identity()),)),
+                              Identity())),
+             [qx(-1), qx(0), qx(2)], "division by zero in combined spec"),
+            (Combined("div", (Piecewise((FuncPiece(IntegerWindow(0, 1), Identity()),)),
+                              Identity())),
+             [qx(-1), qx(0), qx(2)], "-1 not covered by any piecewise region"),
+        ],
+    )
+    def test_first_failing_point_raises(self, f, xs, message):
+        for run in (lambda: evaluate_many(f, xs), lambda: _pointwise(f, xs)):
+            with pytest.raises(DomainError) as err:
+                run()
+            assert str(err.value) == message
+
+    def test_constant_owner_shares_its_value(self):
+        f = _spec(TruncatedRationals(3, 0, 2), FinitePoints.of(SQRT2))
+        pts = TruncatedRationals(3, 0, 2, adjoin_sqrt2=True).enumerate(100).points
+        vals = evaluate_many(f, pts)
+        assert vals == _pointwise(f, pts)
+        assert len({id(v) for v in vals if v == qx(0)}) == 1
 
 
 class TestCombined:
