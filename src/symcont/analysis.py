@@ -59,9 +59,9 @@ from .functions import (
     SideLimit,
     _analytic_pieces,
     _as_affine,
+    _evaluate_many,
     describe_function,
     evaluate,
-    evaluate_many,
     one_sided_limits,
     is_piecewise_constant,
     sup_abs_diff,
@@ -347,7 +347,7 @@ def _probe_values(
     every owner is affine (Const, Identity or Affine) with a rational change
     slope*step per grid step, the values are integer keys too: f(lo) +
     (slope*step)*k over the run's k, by _index_keys, and neither a point nor
-    a value is built. Every other probe is valued by evaluate_many."""
+    a value is built. Every other probe is valued by _evaluate_many."""
     if isinstance(pts, _LiftedNumbers):
         pieces = tuple(p for p, _, _ in runs)
         owners: list[Formula | None] = [None] * len(pieces)
@@ -373,7 +373,7 @@ def _probe_values(
             vals = _index_keys(progressions)
             if vals is not None:
                 return vals
-    return evaluate_many(f, pts)
+    return _evaluate_many(f, pts)
 
 
 @dataclass
@@ -1388,7 +1388,7 @@ def _family_classify(
     if en is None:
         en = ambient.enumerate(config.enum_limit)
     pts = en.points
-    vals = evaluate_many(f, pts)
+    vals = _evaluate_many(f, pts)
     fk = _family_keys(pts, vals, config.delta_schedule)
     windows = _anchor_windows(fk.keys, fk.thr)
     groups = None
@@ -2040,7 +2040,7 @@ def check_wrt_subset(
     n = len(pts)
     # the anchors lift with the points, so every mirror is a key
     both = _family_keys(
-        pts + en_b.points, evaluate_many(f, pts), config.delta_schedule
+        pts + en_b.points, _evaluate_many(f, pts), config.delta_schedule
     )
     fk = replace(both, pts=pts, keys=both.keys[:n])
     entries, checked, cut = _mirror_entries(fk, both.keys[n:], config.max_pairs)

@@ -32,7 +32,6 @@ from .exactnum import (
     _make,
     _reduced,
     as_quadext,
-    int_ratio,
     order_key,
 )
 
@@ -82,15 +81,10 @@ def locate_piece(los, pieces, x) -> int:
     return -1
 
 
-def pieces_members(xs, idx, los, pieces) -> list[int]:
+def pieces_members(xs, idx, pieces) -> list[int]:
     """The positions among idx whose points of the ascending listing xs lie
-    in one of the sorted disjoint pieces (low ends ``los``), ascending.
-
-    Each piece takes the run of positions ``IntervalPiece.span`` finds by
-    bisection, so the work grows with the piece count; with fewer candidates
-    than pieces, each candidate is located by ``locate_piece`` instead."""
-    if len(pieces) > len(idx):
-        return [k for k in idx if locate_piece(los, pieces, xs[k]) >= 0]
+    in one of the sorted disjoint pieces, ascending: each piece takes the run
+    of positions ``IntervalPiece.span`` finds by bisection."""
     out: list[int] = []
     for piece in pieces:
         i, j = piece.span(xs)
@@ -119,8 +113,9 @@ class Domain:
 
     def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
         """The positions k among idx (ascending) with xs[k] in the set, for
-        points xs in ascending order: a batch ``contains``. Subclasses answer
-        it by bisecting xs or by integer tests on the coordinates."""
+        points xs in ascending order: a batch ``contains``. Sets made of
+        ranges answer it by bisecting xs; the rest test each point's
+        coordinates in ``contains``."""
         contains = self.contains
         return [k for k in idx if contains(xs[k])]
 
@@ -173,10 +168,6 @@ class FinitePoints(Domain):
             x = as_quadext(x)
         return (x.a, x.b, x.d) in self._coords
 
-    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
-        coords = self._coords
-        return [k for k in idx if ((x := xs[k]).a, x.b, x.d) in coords]
-
     def enumerate(self, limit: int) -> Enumeration:
         return Enumeration(self.points[:limit], truncated=len(self.points) > limit)
 
@@ -196,14 +187,7 @@ class IntegerWindow(Domain):
             raise DomainError(f"empty integer window [{self.lo}, {self.hi}]")
 
     def contains(self, x: QuadExt) -> bool:
-        r = int_ratio(x)
-        return r is not None and r[1] == 1 and self.lo <= r[0] <= self.hi
-
-    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
-        lo, hi = self.lo, self.hi
-        return [
-            k for k in idx if (x := xs[k]).b == 0 and x.d == 1 and lo <= x.a <= hi
-        ]
+        return x.b == 0 and x.d == 1 and self.lo <= x.a <= self.hi
 
     def enumerate(self, limit: int) -> Enumeration:
         count = self.hi - self.lo + 1
@@ -242,19 +226,12 @@ class OddPrimeReciprocals(Domain):
         return _odd_primes_up_to(self.max_prime)
 
     def contains(self, x: QuadExt) -> bool:
-        if x == ZERO:
-            return self.with_zero
-        r = int_ratio(x)
-        return r is not None and r[0] == 1 and r[1] in _odd_prime_set(self.max_prime)
-
-    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
-        primes, zero = _odd_prime_set(self.max_prime), self.with_zero
-        return [
-            k
-            for k in idx
-            if (x := xs[k]).b == 0
-            and (x.d in primes if x.a == 1 else zero and x.a == 0)
-        ]
+        # a rational with numerator 0 is 0 itself, as coordinates are reduced
+        if x.b:
+            return False
+        if x.a == 1:
+            return x.d in _odd_prime_set(self.max_prime)
+        return x.a == 0 and self.with_zero
 
     def enumerate(self, limit: int) -> Enumeration:
         primes = self._primes()
@@ -280,18 +257,11 @@ class NaturalReciprocals(Domain):
             raise DomainError("max_n must be at least 1")
 
     def contains(self, x: QuadExt) -> bool:
-        if x == ZERO:
-            return self.with_zero
-        r = int_ratio(x)
-        return r is not None and r[0] == 1 and r[1] <= self.max_n
-
-    def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
-        n, zero = self.max_n, self.with_zero
-        return [
-            k
-            for k in idx
-            if (x := xs[k]).b == 0 and (x.d <= n if x.a == 1 else zero and x.a == 0)
-        ]
+        if x.b:
+            return False
+        if x.a == 1:
+            return x.d <= self.max_n
+        return x.a == 0 and self.with_zero
 
     def enumerate(self, limit: int) -> Enumeration:
         pts: list[QuadExt] = [ZERO] if self.with_zero and limit > 0 else []
@@ -519,7 +489,7 @@ class IntervalUnion(Domain):
         return locate_piece(self._los, self.pieces, x) >= 0
 
     def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
-        return pieces_members(xs, idx, self._los, self.pieces)
+        return pieces_members(xs, idx, self.pieces)
 
     def enumerate(self, limit: int) -> Enumeration:
         if not self.enumerable:
@@ -646,8 +616,7 @@ class Staircase(Domain):
         return locate_piece(los, self.block_pieces(), x) >= 0
 
     def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
-        los = _staircase_los(self.variant, self.blocks)
-        return pieces_members(xs, idx, los, self.block_pieces())
+        return pieces_members(xs, idx, self.block_pieces())
 
     def enumerate(self, limit: int) -> Enumeration:
         raise InapplicableError("cannot enumerate a continuum of points")

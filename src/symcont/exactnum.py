@@ -326,11 +326,6 @@ def as_quadext(value: object) -> QuadExt:
     return out
 
 
-def int_ratio(x: QuadExt) -> tuple[int, int] | None:
-    """``(numerator, denominator)`` in lowest terms when x is rational, else None."""
-    return (x.a, x.d) if x.b == 0 else None
-
-
 def compare(x: QuadExt, y: QuadExt) -> int:
     """-1, 0, or 1 according to the exact order of x and y."""
     return _cmp(as_quadext(x), as_quadext(y))

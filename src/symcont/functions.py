@@ -10,8 +10,8 @@ A function spec is one of:
 * a combination (scale, add, sub, mul, div) of other specs.
 
 Everything evaluates inside Q(sqrt 2); no floats are involved. ``evaluate``
-takes one point; ``evaluate_many`` takes an ascending listing and finds each
-region's points in one batch (``Domain.members``).
+takes one point; ``_evaluate_many`` takes an ascending listing and finds
+each region's points in one batch (``Domain.members``).
 """
 
 from __future__ import annotations
@@ -319,8 +319,11 @@ def _combine(f: Combined, vals: Sequence[QuadExt]) -> QuadExt:
     return num / den
 
 
-def evaluate_many(f: FuncSpec, xs: Sequence[QuadExt]) -> list[QuadExt]:
-    """``[evaluate(f, x) for x in xs]`` for points xs in ascending order.
+def _evaluate_many(f: FuncSpec, xs: Sequence[QuadExt]) -> list[QuadExt]:
+    """``[evaluate(f, x) for x in xs]`` for QuadExt points xs in strictly
+    ascending order, as ``Domain.enumerate`` and the probe listings give
+    them. The order is not checked: regions bisect xs, so points out of
+    order may be given to the wrong region.
 
     A piecewise spec gives each region the points no earlier region holds
     (``_OwnerIndex.owners``); a constant owner fills its points without
@@ -335,7 +338,7 @@ def evaluate_many(f: FuncSpec, xs: Sequence[QuadExt]) -> list[QuadExt]:
 
 
 def _values(f: FuncSpec, xs: Sequence[QuadExt]) -> list[QuadExt]:
-    """evaluate_many without the fallback: a failing point raises."""
+    """_evaluate_many without the fallback: a failing point raises."""
     if isinstance(f, Formula):
         if isinstance(f, Const):
             return [f.value] * len(xs)
@@ -489,7 +492,7 @@ def bounded_on(f: FuncSpec, domain: Domain, *, enum_limit: int = 10**5) -> Bound
         en = domain.enumerate(enum_limit)
         best: QuadExt | None = None
         at: QuadExt | None = None
-        for p, v in zip(en.points, evaluate_many(f, en.points)):
+        for p, v in zip(en.points, _evaluate_many(f, en.points)):
             v = abs(v)
             if best is None or v > best:
                 best, at = v, p

@@ -1290,7 +1290,7 @@ class TestIntegerPaths:
         assert calls[True] == 0
 
     def test_ex28_classify_values_its_listing_in_one_batch(self, monkeypatch):
-        """Classifying ex-2.8 values its listing by evaluate_many: inside the
+        """Classifying ex-2.8 values its listing by _evaluate_many: inside the
         family pipeline no TruncatedRationals.contains and no evaluate call
         is made."""
         ambient, f = _ex28(40)

@@ -28,14 +28,13 @@ from symcont import (
     bounded_on,
     describe_function,
     evaluate,
-    evaluate_many,
     one_sided_limits,
     scale,
     sup_abs_diff,
 )
 from symcont import AnalysisConfig
 from symcont.analysis import _LiftedNumbers, _probe_points
-from symcont.functions import formula_limit, tile_formulas
+from symcont.functions import _evaluate_many, formula_limit, tile_formulas
 
 from conftest import dec, evaluate_by_scan, qx, rational_value
 
@@ -231,7 +230,7 @@ class TestOwnerIndex:
 
 
 # ---------------------------------------------------------------------------
-# evaluate_many over an ascending listing against the point-by-point loop
+# _evaluate_many over an ascending listing against the point-by-point loop
 
 # every Domain class, IntegerWindow and OddPrimeReciprocals included
 all_regions = st.one_of(
@@ -294,8 +293,8 @@ class TestEvaluateMany:
                    UnionOf((IntegerWindow(0, 3), OddPrimeReciprocals(5)))), PROBES)
     def test_matches_pointwise(self, f, xs):
         expected = _many_outcome(lambda: _pointwise(f, xs))
-        assert _many_outcome(lambda: evaluate_many(f, xs)) == expected
-        assert _many_outcome(lambda: evaluate_many(f, tuple(xs))) == expected
+        assert _many_outcome(lambda: _evaluate_many(f, xs)) == expected
+        assert _many_outcome(lambda: _evaluate_many(f, tuple(xs))) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(all_regions, listings, st.data())
@@ -309,14 +308,14 @@ class TestEvaluateMany:
     def test_sampled_points(self, ambient, f, exponent):
         pts, runs, _ = _probe_points(ambient, AnalysisConfig(grid_exponent=exponent), for_pairs=False)
         expected = _many_outcome(lambda: _pointwise(f, list(pts)))
-        assert _many_outcome(lambda: evaluate_many(f, pts)) == expected
+        assert _many_outcome(lambda: _evaluate_many(f, pts)) == expected
 
     def test_sampled_points_are_lifted(self):
         ambient = IntervalUnion((IntervalPiece(0, 1), IntervalPiece(2, 3, False, True)))
         pts, _, _ = _probe_points(ambient, AnalysisConfig(grid_exponent=4), for_pairs=False)
         assert isinstance(pts, _LiftedNumbers)
         f = _spec(IntervalUnion((IntervalPiece(0, Fraction(1, 2)),)), ambient)
-        assert evaluate_many(f, pts) == _pointwise(f, list(pts))
+        assert _evaluate_many(f, pts) == _pointwise(f, list(pts))
 
     @pytest.mark.parametrize(
         "f, xs, message",
@@ -336,7 +335,7 @@ class TestEvaluateMany:
         ],
     )
     def test_first_failing_point_raises(self, f, xs, message):
-        for run in (lambda: evaluate_many(f, xs), lambda: _pointwise(f, xs)):
+        for run in (lambda: _evaluate_many(f, xs), lambda: _pointwise(f, xs)):
             with pytest.raises(DomainError) as err:
                 run()
             assert str(err.value) == message
@@ -344,7 +343,7 @@ class TestEvaluateMany:
     def test_constant_owner_shares_its_value(self):
         f = _spec(TruncatedRationals(3, 0, 2), FinitePoints.of(SQRT2))
         pts = TruncatedRationals(3, 0, 2, adjoin_sqrt2=True).enumerate(100).points
-        vals = evaluate_many(f, pts)
+        vals = _evaluate_many(f, pts)
         assert vals == _pointwise(f, pts)
         assert len({id(v) for v in vals if v == qx(0)}) == 1
 
