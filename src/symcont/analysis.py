@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .domains import (
@@ -380,17 +381,30 @@ def _probe_values(
 class _Survey:
     candidates_checked: int
     truncated: bool
-    # (j, i): the positions of each pair's x and y among the surveyed points
-    index: list[tuple[int, int]]
+    # (W, O, j, i) per surveyed pair x = points[j] > y = points[i]: the key
+    # of the width 2h and the key of the oscillation |f(x) - f(y)|, in
+    # sort_key order (W, then j)
+    entries: list[tuple]
     points: Sequence[QuadExt]
-    # the point keys and the key of 2*delta for each schedule delta (_keys);
-    # the same pairs on any kind of key, so not compared
-    keys: Sequence = field(compare=False)
-    cuts: list = field(compare=False)
+    values: Sequence[QuadExt]
+    schedule: tuple[QuadExt, ...]
+    # the key of 2*delta for each schedule delta, read against W
+    cuts: list
+
+    @property
+    def index(self) -> list[tuple[int, int]]:
+        """(j, i): the positions of each pair's x and y among the points."""
+        return [(j, i) for _, _, j, i in self.entries]
 
     @cached_property
     def pairs(self) -> list[SymmetricPair]:
         return [SymmetricPair(self.points[j], self.points[i]) for j, i in self.index]
+
+    def rows(self) -> list[tuple[QuadExt, OscillationResult]]:
+        """The sup rows of the surveyed pairs at every schedule delta."""
+        return _sup_rows(
+            self.entries, self.schedule, self.truncated, (self.cuts, self.points, self.values)
+        )
 
 
 def _sum_ranges(
@@ -413,92 +427,117 @@ def _sum_ranges(
     return los, his
 
 
+def _convex_runs(pieces: Sequence[IntervalPiece]) -> list[IntervalPiece]:
+    """The maximal intervals of a union of sorted disjoint pieces: a chain
+    of pieces, each meeting the next at an endpoint that one of the two
+    holds, is one interval. Two pieces that meet at an endpoint neither
+    holds leave a hole there and are two runs."""
+    runs: list[IntervalPiece] = []
+    for p in pieces:
+        last = runs[-1] if runs else None
+        if last is not None and last.hi == p.lo and (last.hi_closed or p.lo_closed):
+            runs[-1] = IntervalPiece(last.lo, p.hi, last.lo_closed, p.hi_closed)
+        else:
+            runs.append(p)
+    return runs
+
+
 def _pairs_from_points(
     pts: Sequence[QuadExt],
+    vals: Sequence[QuadExt],
     centers: Domain | None,
     schedule: tuple[QuadExt, ...],
     max_pairs: int,
     already_truncated: bool = False,
 ) -> _Survey:
-    """Pairs x > y of the sorted points whose midpoint lies in centers and
-    whose width is below 2*schedule[0] (any width for an empty schedule), in
-    sort_key order. The scan stops after max_pairs candidates, marking the
-    survey truncated.
+    """The challenge entries of the pairs x > y of the sorted points whose
+    midpoint lies in centers and whose width is below 2*schedule[0] (any
+    width for an empty schedule), vals holding f at each point. Candidates
+    run x ascending and, for each x, y descending from its neighbour; the
+    scan stops after max_pairs of them, marking the survey truncated.
 
     One loop serves every kind of key of _keys, which also gives the key of
-    2*delta for each schedule delta (kept for _sup_rows; the first is the
-    width cap), and (X_j - X_i, X_j, X_i) orders pairs as sort_key does.
-    A midpoint is tested without building it in two cases:
+    2*delta for each schedule delta (the first is the width cap). Each pair
+    found becomes its entry (X_j - X_i, |V_j - V_i|, j, i) in the loop, x
+    ascending, so one stable sort by the width key puts the entries in
+    sort_key order. Midpoints are decided inline:
 
+    * interval-union centers: the pieces form convex runs (_convex_runs),
+      and the points of one run are consecutive. A pair inside one run has
+      its midpoint in that run and takes no test; only pairs across runs,
+      or with a point outside every run, are tested.
+    * such a test on points X_k/L + c*sqrt2 (_lift_rationals): the midpoint
+      (X_i + X_j)/(2L) + c*sqrt2 lies in a run exactly when S = X_i + X_j
+      lies in that run's range from _sum_ranges, each end being compared
+      with 2L*(end - c*sqrt2), whose floor and ceiling are exact. The ranges
+      ascend and are disjoint, so S is inside exactly when an odd number of
+      the bounds lo, hi + 1 are at or below it; a point X_k lies in the run
+      whose range holds 2*X_k. On other points the test builds the midpoint
+      and asks centers.
     * centers None: the points are the listing of the set whose members
       count as midpoints. An enumeration lists the least points of its set
       in ascending order, so a member between two listed points is listed,
       and a midpoint is a member exactly when X_i + X_j is a doubled listed
       key (as in _usc_const_sweep and _mirror_walk).
-    * interval-union centers and points X_k/L + c*sqrt2 (_lift_rationals):
-      the midpoint (X_i + X_j)/(2L) + c*sqrt2 lies in a piece exactly when
-      S = X_i + X_j lies in that piece's range from _sum_ranges, each end
-      being compared with 2L*(end - c*sqrt2), whose floor and ceiling are
-      exact.
 
-    Other centers get the midpoint of the two points and their own contains."""
+    Any other centers get the midpoint of each pair and their own contains."""
     keys, cuts = _keys(pts, [2 * d for d in schedule])
+    vk = _keys(vals)[0]
+    n = len(keys)
     cap = cuts[0] if cuts else None
-    lifted = _lift_rationals(pts) if isinstance(centers, IntervalUnion) else None
+    # the first position of each point's run; a point outside every run, or
+    # any point when there are no runs, is its own start
+    start = list(range(n))
+    doubled = bounds = None
     if centers is None:
         doubled = {2 * k for k in keys}
+    elif isinstance(centers, IntervalUnion):
+        runs = _convex_runs(centers.pieces)
+        lifted = _lift_rationals(pts)
+        if lifted is not None:
+            los, his = _sum_ranges(runs, lifted[1], lifted[2])
+            bounds = [b for lo, hi in zip(los, his) for b in (lo, hi + 1)]
+            # X in a run when 2X is in its range: ceil(lo/2) <= X <= floor(hi/2)
+            spans = [
+                (bisect.bisect_left(keys, (lo + 1) // 2), bisect.bisect_right(keys, hi // 2))
+                for lo, hi in zip(los, his)
+            ]
+        else:
+            spans = [run.span(pts) for run in runs]
+        for a, b in spans:
+            start[a:b] = [a] * (b - a)
 
-        def inside(i: int, j: int) -> bool:
-            return keys[i] + keys[j] in doubled
-
-    elif lifted is not None:
-        los, his = _sum_ranges(centers.pieces, lifted[1], lifted[2])
-
-        def inside(i: int, j: int) -> bool:
-            s = keys[i] + keys[j]
-            k = bisect.bisect_right(los, s) - 1
-            return k >= 0 and s <= his[k]
-
-    else:
-
-        def inside(i: int, j: int) -> bool:
-            return centers.contains((pts[i] + pts[j]) / 2)
-
-    found = []
+    entries: list[tuple] = []
     checked = 0
-    for j in range(1, len(keys)):
-        x = keys[j]
-        for i in range(j - 1, -1, -1):
-            y = keys[i]
-            if cap is not None and x - y >= cap:
-                break
-            checked += 1
-            if checked > max_pairs:
-                break
-            if inside(i, j):
-                found.append((x - y, x, y, j, i))
-        if checked > max_pairs:
+    left = 0
+    for j in range(1, n):
+        x, v = keys[j], vk[j]
+        if cap is not None:
+            while x - keys[left] >= cap:
+                left += 1
+        lo = left
+        cut = j - lo > max_pairs - checked
+        if cut:
+            lo = j - (max_pairs - checked)
+        # y from lo up to j - 1; those in x's run need no test
+        a = start[j] if start[j] > lo else lo
+        entries += [(x - keys[i], abs(v - vk[i]), j, i) for i in range(a, j)]
+        if lo < a:
+            if doubled is not None:
+                hits = [i for i in range(lo, a) if x + keys[i] in doubled]
+            elif bounds is not None:
+                hits = [i for i in range(lo, a) if bisect.bisect_right(bounds, x + keys[i]) & 1]
+            else:
+                px = pts[j]
+                hits = [i for i in range(lo, a) if centers.contains((pts[i] + px) / 2)]
+            entries += [(x - keys[i], abs(v - vk[i]), j, i) for i in hits]
+        if cut:
+            checked = max_pairs + 1
             break
-    found.sort()
-    index = [(j, i) for *_, j, i in found]
+        checked += j - lo
+    entries.sort(key=itemgetter(0))
     truncated = already_truncated or checked > max_pairs
-    return _Survey(checked, truncated, index, pts, keys, cuts)
-
-
-def _survey_entries(
-    survey: _Survey, vals: Sequence[QuadExt]
-) -> tuple[list[tuple], tuple[list, Sequence[QuadExt], Sequence[QuadExt]]]:
-    """The challenge entries of the surveyed pairs in survey order (scale
-    ascending), for _sup_rows, with the lift that reads them.
-
-    Each pair gives the keys (X_j - X_i, |V_j - V_i|, j, i): the key of the
-    width 2h, the key of the oscillation (the values keyed by _keys) and the
-    positions of x and y. The lift holds the key of 2*delta for each
-    schedule delta, the points and the values."""
-    keys = survey.keys
-    vk = _keys(vals)[0]
-    entries = [(keys[j] - keys[i], abs(vk[j] - vk[i]), j, i) for j, i in survey.index]
-    return entries, (survey.cuts, survey.points, vals)
+    return _Survey(checked, truncated, entries, pts, vals, schedule, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -765,11 +804,9 @@ def modulus_profile(
         centers = ambient
     # no centers: the midpoints are answered from the listing of the ambient set
     survey = _pairs_from_points(
-        pts, centers, config.delta_schedule, config.max_pairs, en_trunc
+        pts, vals, centers, config.delta_schedule, config.max_pairs, en_trunc
     )
-    entries, lift = _survey_entries(survey, vals)
-    rows = _sup_rows(entries, config.delta_schedule, survey.truncated, lift)
-    return ModulusProfile(notion, rows, len(pts), sampled, survey.truncated)
+    return ModulusProfile(notion, survey.rows(), len(pts), sampled, survey.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -797,10 +834,12 @@ def _sup_rows(
     i = 0
     cuts, points, values = (schedule, None, None) if lift is None else lift
     for delta, cut in zip(reversed(schedule), reversed(cuts)):
-        end = bisect.bisect_left(entries, cut, i, key=lambda e: e[0])
-        for k in range(i, end):
-            if best is None or entries[k][1] > best:
-                best, wit = entries[k][1], entries[k][2:]
+        end = bisect.bisect_left(entries, cut, i, key=itemgetter(0))
+        if i < end:
+            # max gives the first entry of the slice with the largest osc
+            top = max(itertools.islice(entries, i, end), key=itemgetter(1))
+            if best is None or top[1] > best:
+                best, wit = top[1], top[2:]
         i = end
         value, pair = best, wit
         if values is not None and wit is not None:
@@ -947,16 +986,57 @@ class _FamilyKeys:
 
 
 def _family_keys(
-    pts: Sequence[QuadExt], vals: Sequence[QuadExt], schedule: tuple[QuadExt, ...]
+    pts: Sequence[QuadExt],
+    vals: Sequence[QuadExt],
+    schedule: tuple[QuadExt, ...],
+    groups: list[list[int]] | None = None,
 ) -> _FamilyKeys:
     """The points and values with their keys and the key of every schedule
     delta (_keys, the values keyed on their own). A difference of point keys
     is below the key of delta exactly when the distance is below delta, and
     value keys order and equate as the values do, so one scan serves every
     kind of key; a reported number is rebuilt from the positions of the
-    pair that realizes it."""
+    pair that realizes it.
+
+    Given groups, the positions of each distinct value, one value per group
+    is keyed and its key shared by the group. _keys takes L and H over the
+    same numbers either way, so the keys are the same integers."""
     keys, thr = _keys(pts, schedule)
-    return _FamilyKeys(pts, vals, keys, _keys(vals)[0], schedule, thr)
+    if groups is None:
+        vkeys = _keys(vals)[0]
+    else:
+        vkeys = [None] * len(vals)
+        for idx, key in zip(groups, _keys([vals[idx[0]] for idx in groups])[0]):
+            for k in idx:
+                vkeys[k] = key
+    return _FamilyKeys(pts, vals, keys, vkeys, schedule, thr)
+
+
+def _positions(xs: Iterable) -> dict:
+    """The positions of each distinct item of xs, by first occurrence."""
+    out: dict = {}
+    for k, x in enumerate(xs):
+        out.setdefault(x, []).append(k)
+    return out
+
+
+def _const_groups(f: FuncSpec, vals: Sequence[QuadExt]) -> list[list[int]] | None:
+    """The positions of each distinct value, in the order of first
+    occurrence, for a piecewise-constant f with at most half as many pieces
+    as values; None otherwise. Such an f gives each point the Const object
+    of its piece, so the positions are grouped by object, which hashes no
+    number, and the few objects with equal values are merged."""
+    if not is_piecewise_constant(f):
+        return None
+    if 2 * (1 if isinstance(f, Const) else len(f.pieces)) > len(vals):
+        return None
+    by_value: dict[QuadExt, list[list[int]]] = {}
+    for idx in _positions(map(id, vals)).values():
+        by_value.setdefault(vals[idx[0]], []).append(idx)
+    return [
+        idx[0] if len(idx) == 1 else sorted(itertools.chain.from_iterable(idx))
+        for idx in by_value.values()
+    ]
 
 
 def _anchor_windows(keys: Sequence, thr: list) -> list[int | None]:
@@ -1389,15 +1469,13 @@ def _family_classify(
         en = ambient.enumerate(config.enum_limit)
     pts = en.points
     vals = _evaluate_many(f, pts)
-    fk = _family_keys(pts, vals, config.delta_schedule)
+    # positions by value for a piecewise-constant f: pairs inside one group
+    # oscillate by zero
+    groups = _const_groups(f, vals)
+    fk = _family_keys(pts, vals, config.delta_schedule, groups)
+    if groups is None and is_piecewise_constant(f):
+        groups = list(_positions(fk.vkeys).values())
     windows = _anchor_windows(fk.keys, fk.thr)
-    groups = None
-    if is_piecewise_constant(f):
-        # positions by value: pairs inside one group oscillate by zero
-        by_value: dict[object, list[int]] = {}
-        for k, v in enumerate(fk.vkeys):
-            by_value.setdefault(v, []).append(k)
-        groups = list(by_value.values())
     c_v = _per_point_c(fk, windows, config, en.truncated, groups)
     usc_v = _usc_family(fk, config, en.truncated, groups)
     uc_v = _uc_family(fk, config, en.truncated, groups is not None, c_v)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from symcont import (
     SQRT2,
@@ -54,7 +54,6 @@ from symcont.analysis import (
     _probe_points,
     _sc_family,
     _sup_rows,
-    _survey_entries,
     _uc_rows,
     _window_scan_exact,
 )
@@ -195,6 +194,20 @@ class TestFamilyPipeline:
         for v in classify(ambient, f, FAST).values():
             if v.status == "proven":
                 assert v.certificate is not None
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the flat rule reads one mirror pair at both ends "
+        "of an anchor's window as a flat modulus",
+    )
+    def test_affine_on_truncated_eighths_refutes_nothing(self):
+        """An affine f is Lipschitz, so no notion may be refuted. On the 20
+        least of the eighths 0..3 SC is refuted at anchor 1/8, whose one
+        listed mirror pair gives the same sup at its largest and smallest
+        effective delta, and the implications then refute C, UC and USC."""
+        ambient = FinitePoints(tuple(qx(Fraction(k, 8)) for k in range(25)))
+        verdicts = classify(ambient, Affine(2, 1), AnalysisConfig(enum_limit=20))
+        assert [n for n, v in verdicts.items() if v.status == "refuted"] == []
 
 
     def test_lift_bounded_on_long_reciprocal_listing(self):
@@ -783,18 +796,34 @@ def exact_sets(draw, min_size=0, max_size=12, distinct=True):
     return sorted(set(out)) if distinct else out
 
 
+# values from a small pool in three sqrt2 classes, so oscillations tie
+_MIXED_VALUES = tuple(
+    QuadExt(r, i)
+    for r in (Fraction(0), Fraction(1), Fraction(-1, 2))
+    for i in (Fraction(0), Fraction(1), Fraction(1, 3))
+)
+
+
 @st.composite
 def survey_cases(draw):
+    """Points (rational, sharing one sqrt2 part or mixed), values, centers
+    (picked midpoints, none, or an interval union from center_unions), a
+    schedule whose first delta caps the widths, and a pair budget that
+    often ends inside a row."""
     pts = draw(exact_sets())
+    vals = draw(st.lists(st.sampled_from(_MIXED_VALUES), min_size=len(pts), max_size=len(pts)))
     pairs = [(j, i) for j in range(len(pts)) for i in range(j)]
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     centers = FinitePoints(
         tuple((pts[j] + pts[i]) / 2 for (j, i), keep in zip(pairs, picks) if keep)
         + (qx(0),)
     )
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("points", "none", "union")))
+    if kind == "none":
         # no centers: the midpoints that count are the listed points
         centers = None
+    elif kind == "union" and len(pts) >= 2:
+        centers = draw(center_unions(pts))
     cap_kind = draw(st.sampled_from(("none", "pair", "rational", "sqrt2")))
     if cap_kind == "pair" and pairs:
         # a cap equal to a surveyed width tests the strict inequality
@@ -807,8 +836,8 @@ def survey_cases(draw):
     else:
         delta_max = None
     schedule = () if delta_max is None else (delta_max, delta_max / 3)
-    max_pairs = draw(st.sampled_from((10**6, 0, 1, 3, 7)))
-    return pts, centers, schedule, max_pairs
+    max_pairs = draw(st.sampled_from((10**6, 0, 1, 3, 7)) | st.integers(0, len(pairs)))
+    return pts, vals, centers, schedule, max_pairs
 
 
 # twelfths in [-4, 4]: denominators 1, 2, 3, 4, 6 and 12, cheap to draw
@@ -849,22 +878,21 @@ def center_unions(draw, pts):
 @st.composite
 def union_center_cases(draw):
     """Points sharing one sqrt2 part c*sqrt2 (c = 0 for rational points),
-    values sharing one, and an interval union of centers (center_unions)."""
+    or now and then with mixed sqrt2 parts, values sharing one, an interval
+    union of centers (center_unions) and a pair budget, which may end
+    inside a row."""
     c = draw(st.sampled_from(_IRRS))
     rats = draw(st.lists(_TWELFTHS, min_size=2, max_size=12, unique=True))
-    pts = sorted(QuadExt(r, c) for r in rats)
+    irrs = [c] * len(rats)
+    if draw(st.integers(0, 3)) == 0:
+        irrs = draw(st.lists(st.sampled_from(_IRRS), min_size=len(rats), max_size=len(rats)))
+    pts = sorted({QuadExt(r, i) for r, i in zip(rats, irrs)})
     v_irr = draw(st.sampled_from(_IRRS))
     v_rats = draw(st.lists(_TWELFTHS, min_size=len(pts), max_size=len(pts)))
     vals = [QuadExt(r, v_irr) for r in v_rats]
-    return pts, vals, draw(center_unions(pts))
-
-
-# values from a small pool in three sqrt2 classes, so oscillations tie
-_MIXED_VALUES = tuple(
-    QuadExt(r, i)
-    for r in (Fraction(0), Fraction(1), Fraction(-1, 2))
-    for i in (Fraction(0), Fraction(1), Fraction(1, 3))
-)
+    n_pairs = len(pts) * (len(pts) - 1) // 2
+    max_pairs = draw(st.just(10**6) | st.integers(0, n_pairs))
+    return pts, vals, draw(center_unions(pts)), max_pairs
 
 
 @st.composite
@@ -1120,21 +1148,23 @@ def _check_embedded_against_exact(pts, vals, schedule, centers, formula):
     assert all(type(k) is int for k in [*fk.keys, *fk.vkeys, *fk.thr])
     _assert_signs_kept(pts, fk.keys, schedule, fk.thr)
     _assert_signs_kept(vals, fk.vkeys)
-    survey = _pairs_from_points(pts, centers, schedule, 10**6)
-    _assert_signs_kept(pts, survey.keys, [2 * d for d in schedule], survey.cuts)
-    rows = _sup_rows(*_with_schedule(_survey_entries(survey, vals), schedule))
+    # the survey's keys: the points and the key of 2*delta per delta
+    widths = [2 * d for d in schedule]
+    keys, cuts = analysis._keys(pts, widths)
+    _assert_signs_kept(pts, keys, widths, cuts)
+    survey = _pairs_from_points(pts, vals, centers, schedule, 10**6)
+    assert all(type(k) is int for e in survey.entries for k in e[:2])
     ambient, anchors = FinitePoints(tuple(pts)), FinitePoints(tuple(pts[:1]))
     f = Piecewise(tuple(FuncPiece(FinitePoints.of(p), formula(v)) for p, v in zip(pts, vals)))
     config = AnalysisConfig(delta_schedule=schedule)
     verdicts = _family_verdicts(ambient, f, anchors, config)
     with _exact_only():
         exact_fk = analysis._family_keys(pts, vals, schedule)
-        exact = _pairs_from_points(pts, centers, schedule, 10**6)
-        exact_rows = _sup_rows(*_with_schedule(_survey_entries(exact, vals), schedule))
+        exact = _pairs_from_points(pts, vals, centers, schedule, 10**6)
         exact_verdicts = _family_verdicts(ambient, f, anchors, config)
     assert isinstance(exact_fk.keys[0], QuadExt)
     assert _uc_rows(fk, False) == _uc_rows(exact_fk, False)
-    assert (survey, rows) == (exact, exact_rows)
+    assert (_survey_view(survey), survey.rows()) == (_survey_view(exact), exact.rows())
     assert verdicts == exact_verdicts
 
 
@@ -1158,42 +1188,105 @@ def _ex28(max_denominator):
     return ambient, f
 
 
-def _with_schedule(entries_and_lift, schedule):
-    """_sup_rows arguments for the survey entries and lift of _survey_entries."""
-    entries, lift = entries_and_lift
-    return entries, schedule, False, lift
+def _survey_view(survey):
+    """What a survey found, the same on every kind of key: its candidate
+    count, whether the budget cut it and the positions (j, i) of its pairs
+    in order."""
+    return survey.candidates_checked, survey.truncated, survey.index
+
+
+def _brute_survey(pts, member, schedule, max_pairs):
+    """_survey_view by brute force: the candidates below the width cap, x
+    ascending and y descending from its neighbour, the first max_pairs of
+    them tested by member.contains on their exact midpoint, the pairs
+    found in sort_key order."""
+    cands = [
+        (j, i)
+        for j in range(len(pts))
+        for i in range(j - 1, -1, -1)
+        if not schedule or pts[j] - pts[i] < 2 * schedule[0]
+    ]
+    found = [(j, i) for j, i in cands[:max_pairs] if member.contains((pts[j] + pts[i]) / 2)]
+    found.sort(key=lambda p: SymmetricPair(pts[p[0]], pts[p[1]]).sort_key())
+    return min(len(cands), max_pairs + 1), len(cands) > max_pairs, found
+
+
+def _check_survey(pts, vals, centers, schedule, max_pairs):
+    """The survey on integer keys against the one on exact keys and the
+    brute force over every candidate's exact midpoint, and its sup rows
+    against those of the exact entries (h, osc, x, y) of its pairs."""
+    got = _pairs_from_points(pts, vals, centers, schedule, max_pairs)
+    with _exact_only():
+        exact = _pairs_from_points(pts, vals, centers, schedule, max_pairs)
+    assert all(isinstance(k, QuadExt) for e in exact.entries for k in e[:2])
+    member = FinitePoints(tuple(pts)) if centers is None else centers
+    want = _brute_survey(pts, member, schedule, max_pairs)
+    assert _survey_view(got) == _survey_view(exact) == want
+    assert [(p.x, p.y) for p in got.pairs] == [(pts[j], pts[i]) for j, i in got.index]
+    plain = [
+        ((pts[j] - pts[i]) / 2, abs(vals[j] - vals[i]), pts[j], pts[i])
+        for j, i in got.index
+    ]
+    assert got.rows() == exact.rows() == _sup_rows(plain, schedule, got.truncated)
+    return got
+
+
+_H, _R2 = Fraction(1, 2), SQRT2
+# (points, pieces (lo, hi, lo_closed, hi_closed)) for the convex-run survey
+_UNION_RUN_CASES = {
+    # a shared end held by one side makes one run: (1/2, 3/2) has midpoint 1
+    "touch_held_left": ([0, _H, 1, 3 * _H, 2], [(0, 1), (1, 2, False, True)]),
+    "touch_held_right": ([0, _H, 1, 3 * _H, 2], [(0, 1, True, False), (1, 2)]),
+    # with both sides open the shared end is a hole
+    "touch_hole": (
+        [Fraction(1, 4), _H, 3 * _H, Fraction(7, 4)],
+        [(0, 1, False, False), (1, 2, False, False)],
+    ),
+    # a degenerate piece fills the hole, and the three make one run
+    "chain_through_point": (
+        [Fraction(1, 4), _H, 1, 3 * _H, Fraction(7, 4)],
+        [(0, 1, False, False), (1, 1), (1, 2, False, False)],
+    ),
+    # points before, between and after the pieces, two of them in one gap
+    "outside": (
+        [-1, -_H, _H, 3 * _H, 2, 5 * _H, 7 * _H, 9 * _H, 5],
+        [(0, 1), (3, 4)],
+    ),
+    # pairs across runs whose midpoint is in the middle piece or in a gap
+    "three_pieces": (
+        [0, _H, 1, 5 * _H, 7 * _H, 4, 9 * _H, 5],
+        [(0, 1), (2, 3, False, True), (4, 5)],
+    ),
+    "three_pieces_sqrt2": (
+        [x + _R2 for x in (0, _H, 1, 5 * _H, 7 * _H, 4, 9 * _H, 5)],
+        [(lo + _R2, hi + _R2, *c) for lo, hi, *c in [(0, 1), (2, 3, False, True), (4, 5)]],
+    ),
+    # rational points, ends with a sqrt2 part
+    "mixed_ends": (
+        [0, Fraction(1, 4), _H, 1, 3 * _H, 2, 5 * _H],
+        [(0, _R2 / 2), (_R2 / 2, 1, False, False), (1 + _R2 / 2, 2 * _R2)],
+    ),
+    # points with different sqrt2 parts: embedded keys, exact midpoints
+    "mixed_points": (
+        [0, _R2 / 4, _H, _R2 / 2, 1, 1 + _R2 / 4, 2, 1 + _R2],
+        [(0, 1, True, False), (1, 2, False, True), (_R2 + 1, _R2 + 2)],
+    ),
+}
 
 
 class TestIntegerPaths:
     @settings(max_examples=200, deadline=None)
     @given(survey_cases())
     def test_survey_lifted_matches_exact(self, case):
-        pts, centers, schedule, max_pairs = case
-        got = _pairs_from_points(*case)
-        with _exact_only():
-            exact = _pairs_from_points(*case)
-        assert got == exact
-        assert [(p.x, p.y) for p in got.pairs] == [(pts[j], pts[i]) for j, i in got.index]
-        # brute force over every pair below the width cap
-        within = [
-            (x, y)
-            for k, y in enumerate(pts)
-            for x in pts[k + 1 :]
-            if not schedule or x - y < 2 * schedule[0]
-        ]
-        assert got.truncated == (len(within) > max_pairs)
-        if not got.truncated:
-            member = FinitePoints(tuple(pts)) if centers is None else centers
-            want = sorted(
-                (SymmetricPair(x, y) for x, y in within if member.contains((x + y) / 2)),
-                key=SymmetricPair.sort_key,
-            )
-            assert (got.pairs, got.candidates_checked) == (want, len(within))
+        _check_survey(*case)
 
     @settings(max_examples=200, deadline=None)
     @given(union_center_cases(), st.data())
     def test_union_membership_and_sup_rows_match_exact(self, case, data):
-        pts, vals, centers = case
+        """_check_survey on interval unions of centers, with deltas at
+        surveyed half-widths; points sharing one sqrt2 part take integer
+        keys and integer midpoint ranges."""
+        pts, vals, centers, max_pairs = case
         widths = [x - y for k, y in enumerate(pts) for x in pts[k + 1 :]]
         pick = st.integers(0, len(widths) - 1)
         # surveyed half-widths (h < delta is strict there), just above them,
@@ -1206,32 +1299,23 @@ class TestIntegerPaths:
             top = widths[data.draw(pick)] / 2
             deltas = {d for d in deltas if d < top} | {top}
         schedule = tuple(sorted(deltas, reverse=True))
-        got = _pairs_from_points(pts, centers, schedule, 10**6)
-        with _exact_only():
-            exact = _pairs_from_points(pts, centers, schedule, 10**6)
-        assert all(type(k) is int for k in got.keys + got.cuts)
-        assert all(isinstance(k, QuadExt) for k in exact.keys + tuple(exact.cuts))
-        assert got == exact
-        want = sorted(
-            (
-                SymmetricPair(x, y)
-                for k, y in enumerate(pts)
-                for x in pts[k + 1 :]
-                if x - y < 2 * schedule[0] and centers.contains((x + y) / 2)
-            ),
-            key=SymmetricPair.sort_key,
-        )
-        assert got.pairs == want
-        # the sup table on integer entries against the one on exact keys and
-        # the one on the exact (h, osc, x, y) of each pair
-        rows = _sup_rows(*_with_schedule(_survey_entries(got, vals), schedule))
-        with _exact_only():
-            exact_rows = _sup_rows(*_with_schedule(_survey_entries(exact, vals), schedule))
-        plain = [
-            ((pts[j] - pts[i]) / 2, abs(vals[j] - vals[i]), pts[j], pts[i])
-            for j, i in got.index
-        ]
-        assert rows == exact_rows == _sup_rows(plain, schedule)
+        got = _check_survey(pts, vals, centers, schedule, max_pairs)
+        assert all(type(k) is int for e in got.entries for k in e[:2])
+
+    @pytest.mark.parametrize("max_pairs", [10**6, 4, 7])
+    @pytest.mark.parametrize("schedule", [(), (qx(Fraction(3, 2)), qx(Fraction(1, 4)))])
+    @pytest.mark.parametrize("case", sorted(_UNION_RUN_CASES))
+    def test_union_runs_match_brute_force(self, case, schedule, max_pairs):
+        """Hand-made unions for the convex runs: touching pieces, points
+        outside every piece, midpoints of pairs across runs in a third
+        piece or in a gap, sqrt2-shifted and mixed-sqrt2 ends and points.
+        Without a width cap, budgets 4 and 7 end inside the rows of x = the
+        fourth and the fifth point."""
+        pts, pieces = _UNION_RUN_CASES[case]
+        pts = sorted(exactnum.as_quadext(p) for p in pts)
+        vals = [qx(Fraction(k * k % 5, 2)) for k in range(len(pts))]
+        centers = IntervalUnion(tuple(IntervalPiece(*p) for p in pieces))
+        _check_survey(pts, vals, centers, schedule, max_pairs)
 
     @settings(max_examples=150, deadline=None)
     @given(mixed_sqrt2_cases())
@@ -1370,6 +1454,45 @@ class TestIntegerPaths:
         assert 0 < len(scanned) < len(fk.thr)
         for (_, res), t in zip(rows, fk.thr):
             assert (res.challenges > 0) == (t > gap)
+
+    @settings(max_examples=150, deadline=None)
+    @given(family_cases())
+    def test_const_groups_key_each_value_once(self, case):
+        """The value groups of a piecewise-constant f, formed on its Const
+        objects, are those formed on the values, and keying one value per
+        group gives every position the key _keys gives it among all values,
+        on integer and on exact keys."""
+        ambient, f, _, config = case
+        pts = ambient.enumerate(config.enum_limit).points
+        vals = functions._evaluate_many(f, pts)
+        groups = analysis._const_groups(f, vals)
+        pieces = 1 if isinstance(f, Const) else len(getattr(f, "pieces", pts))
+        if not is_piecewise_constant(f) or 2 * pieces > len(vals):
+            assert groups is None
+            return
+        assert groups == list(analysis._positions(vals).values())
+        for ctx in (contextlib.nullcontext(), _exact_only()):
+            with ctx:
+                want = analysis._family_keys(pts, vals, config.delta_schedule)
+                got = analysis._family_keys(pts, vals, config.delta_schedule, groups)
+            assert got.vkeys == list(want.vkeys)
+            assert [type(k) for k in got.vkeys] == [type(k) for k in want.vkeys]
+
+    def test_ex28_keys_two_values(self, monkeypatch):
+        """ex-2.8 lists 982 points and f takes two values there, so the
+        family pipeline keys the points and then two values."""
+        ambient, f = _ex28(40)
+        n = len(ambient.enumerate(AnalysisConfig().enum_limit).points)
+        keyed = []
+        keys = analysis._keys
+
+        def counted(xs, deltas=()):
+            keyed.append(len(xs))
+            return keys(xs, deltas)
+
+        monkeypatch.setattr(analysis, "_keys", counted)
+        classify(ambient, f, AnalysisConfig())
+        assert keyed == [n, 2]
 
     @settings(max_examples=300, deadline=None)
     @given(family_cases())
@@ -1802,3 +1925,91 @@ class TestIndexProbe:
         pointwise = lambda f, pts, runs: [evaluate(f, p) for p in pts]  # noqa: E731
         with mock.patch.object(analysis, "_probe_values", pointwise):
             assert modulus_profile(ambient, f, config, "usc") == usc
+
+
+def _moved_piece(p, a, s):
+    """The image of an interval piece under x -> a*x + s, a = 1 or -1."""
+    if a == 1:
+        return IntervalPiece(p.lo + s, p.hi + s, p.lo_closed, p.hi_closed)
+    return IntervalPiece(s - p.hi, s - p.lo, p.hi_closed, p.lo_closed)
+
+
+def _moved_formula(fm, a, s):
+    """fm composed with the inverse of x -> a*x + s: y -> fm(a*(y - s))."""
+    if isinstance(fm, Const):
+        return fm
+    if isinstance(fm, Identity):
+        return Affine(qx(a), -a * s)
+    if isinstance(fm, Affine):
+        return Affine(a * fm.slope, fm.intercept - a * fm.slope * s)
+    # an even monomial is unchanged by the reflection x -> -x
+    assert isinstance(fm, Monomial) and fm.degree % 2 == 0 and a == -1 and s == 0
+    return fm
+
+
+def _moved_case(ambient, f, a, s):
+    """The union and f moved by x -> a*x + s, f composed with the inverse map."""
+    moved = IntervalUnion(tuple(_moved_piece(p, a, s) for p in ambient.pieces))
+    if isinstance(f, Piecewise):
+        g = Piecewise(
+            tuple(
+                FuncPiece(
+                    IntervalUnion(tuple(_moved_piece(p, a, s) for p in fp.region.pieces)),
+                    _moved_formula(fp.formula, a, s),
+                )
+                for fp in f.pieces
+            )
+        )
+    else:
+        g = _moved_formula(f, a, s)
+    return moved, g
+
+
+def _formulas(f):
+    return [fp.formula for fp in f.pieces] if isinstance(f, Piecewise) else [f]
+
+
+class TestSampledProfileIsometries:
+    """The sampled usc and uc profiles are unchanged by the isometries of
+    the line: a shift by s in Q(sqrt2) and the reflection x -> -x, applied
+    to the union, with f composed with the inverse map. The probe grid moves
+    with its pieces, so the profile is the same whether the moved union takes
+    integer keys, embedded keys or exact numbers; on a coin flip the moved
+    profile runs on exact numbers (_exact_only)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sampled_unions(), st.builds(QuadExt, _TWELFTHS, st.sampled_from(_IRRS)), st.booleans()
+    )
+    def test_shift_moves_witnesses(self, case, s, exact):
+        ambient, f, config = case
+        assume(not any(isinstance(fm, Monomial) for fm in _formulas(f)))
+        moved, g = _moved_case(ambient, f, 1, s)
+        for notion in ("usc", "uc"):
+            rows = modulus_profile(ambient, f, config, notion).rows
+            with _exact_only() if exact else contextlib.nullcontext():
+                got = modulus_profile(moved, g, config, notion).rows
+            assert [(d, r.value, r.challenges) for d, r in got] == [
+                (d, r.value, r.challenges) for d, r in rows
+            ]
+            assert [r.witness for _, r in got] == [
+                None if r.witness is None else (r.witness[0] + s, r.witness[1] + s)
+                for _, r in rows
+            ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(sampled_unions(), st.booleans())
+    def test_reflection_keeps_omega_and_challenges(self, case, exact):
+        ambient, f, config = case
+        assume(
+            all(not isinstance(fm, Monomial) or fm.degree % 2 == 0 for fm in _formulas(f))
+        )
+        moved, g = _moved_case(ambient, f, -1, qx(0))
+        for notion in ("usc", "uc"):
+            profile = modulus_profile(ambient, f, config, notion)
+            with _exact_only() if exact else contextlib.nullcontext():
+                got = modulus_profile(moved, g, config, notion)
+            assert not profile.truncated and not got.truncated
+            assert [(d, r.value, r.challenges) for d, r in got.rows] == [
+                (d, r.value, r.challenges) for d, r in profile.rows
+            ]

@@ -51,8 +51,11 @@ def test_tracer_hooks_count_and_restore():
         # the family pipeline surveys no pairs; a sampled usc profile does
         modulus_profile(union, Identity(), AnalysisConfig(grid_exponent=5), "usc")
     counts = tracer.counts
-    assert counts["analysis.survey_candidates"] > 0
-    assert counts["analysis.survey_pairs"] > 0
+    # the tracer reads candidates_checked and len(pairs) of the survey: the
+    # 33 grid points of [0, 1] give 33*32/2 candidates below the width cap
+    # 2, and every midpoint lies in the piece
+    assert counts["analysis.survey_candidates"] == 528
+    assert counts["analysis.survey_pairs"] == 528
     assert counts["analysis.scan_pairs"] > 0
     assert counts["analysis.scan_int_calls"] > 0
     assert tracer.calls("analysis.per_point_c") == 1

@@ -509,11 +509,13 @@ class TestUnionOf:
 
 def survey_pairs(ambient, *, centers=None, delta_max=None, max_pairs, enum_limit):
     """The pair survey over the enumerated ambient set, midpoints tested
-    against `centers` (the ambient itself by default)."""
+    against `centers` (the ambient itself by default), f the identity."""
     en = ambient.enumerate(enum_limit)
     center_dom = ambient if centers is None else centers
     schedule = () if delta_max is None else (delta_max,)
-    return _pairs_from_points(en.points, center_dom, schedule, max_pairs, en.truncated)
+    return _pairs_from_points(
+        en.points, en.points, center_dom, schedule, max_pairs, en.truncated
+    )
 
 
 class TestSymmetricPairs:
