@@ -386,8 +386,6 @@ class _Survey:
     # sort_key order (W, then j)
     entries: list[tuple]
     points: Sequence[QuadExt]
-    values: Sequence[QuadExt]
-    schedule: tuple[QuadExt, ...]
     # the key of 2*delta for each schedule delta, read against W
     cuts: list
 
@@ -399,12 +397,6 @@ class _Survey:
     @cached_property
     def pairs(self) -> list[SymmetricPair]:
         return [SymmetricPair(self.points[j], self.points[i]) for j, i in self.index]
-
-    def rows(self) -> list[tuple[QuadExt, OscillationResult]]:
-        """The sup rows of the surveyed pairs at every schedule delta."""
-        return _sup_rows(
-            self.entries, self.schedule, self.truncated, (self.cuts, self.points, self.values)
-        )
 
 
 def _sum_ranges(
@@ -537,7 +529,7 @@ def _pairs_from_points(
         checked += j - lo
     entries.sort(key=itemgetter(0))
     truncated = already_truncated or checked > max_pairs
-    return _Survey(checked, truncated, entries, pts, vals, schedule, cuts)
+    return _Survey(checked, truncated, entries, pts, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +798,9 @@ def modulus_profile(
     survey = _pairs_from_points(
         pts, vals, centers, config.delta_schedule, config.max_pairs, en_trunc
     )
-    return ModulusProfile(notion, survey.rows(), len(pts), sampled, survey.truncated)
+    lift = (survey.cuts, pts, vals)
+    rows = _sup_rows(survey.entries, config.delta_schedule, survey.truncated, lift)
+    return ModulusProfile(notion, rows, len(pts), sampled, survey.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -834,12 +828,10 @@ def _sup_rows(
     i = 0
     cuts, points, values = (schedule, None, None) if lift is None else lift
     for delta, cut in zip(reversed(schedule), reversed(cuts)):
-        end = bisect.bisect_left(entries, cut, i, key=itemgetter(0))
-        if i < end:
-            # max gives the first entry of the slice with the largest osc
-            top = max(itertools.islice(entries, i, end), key=itemgetter(1))
-            if best is None or top[1] > best:
-                best, wit = top[1], top[2:]
+        end = bisect.bisect_left(entries, cut, i, key=lambda e: e[0])
+        for k in range(i, end):
+            if best is None or entries[k][1] > best:
+                best, wit = entries[k][1], entries[k][2:]
         i = end
         value, pair = best, wit
         if values is not None and wit is not None:
@@ -1022,13 +1014,11 @@ def _positions(xs: Iterable) -> dict:
 
 def _const_groups(f: FuncSpec, vals: Sequence[QuadExt]) -> list[list[int]] | None:
     """The positions of each distinct value, in the order of first
-    occurrence, for a piecewise-constant f with at most half as many pieces
-    as values; None otherwise. Such an f gives each point the Const object
-    of its piece, so the positions are grouped by object, which hashes no
-    number, and the few objects with equal values are merged."""
+    occurrence, for a piecewise-constant f; None otherwise. Such an f gives
+    each point the value object of its piece's Const, so the positions are
+    grouped by object, which hashes no number, and the objects with equal
+    values are merged."""
     if not is_piecewise_constant(f):
-        return None
-    if 2 * (1 if isinstance(f, Const) else len(f.pieces)) > len(vals):
         return None
     by_value: dict[QuadExt, list[list[int]]] = {}
     for idx in _positions(map(id, vals)).values():
@@ -1473,8 +1463,6 @@ def _family_classify(
     # oscillate by zero
     groups = _const_groups(f, vals)
     fk = _family_keys(pts, vals, config.delta_schedule, groups)
-    if groups is None and is_piecewise_constant(f):
-        groups = list(_positions(fk.vkeys).values())
     windows = _anchor_windows(fk.keys, fk.thr)
     c_v = _per_point_c(fk, windows, config, en.truncated, groups)
     usc_v = _usc_family(fk, config, en.truncated, groups)
