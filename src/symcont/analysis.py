@@ -389,14 +389,9 @@ class _Survey:
     # the key of 2*delta for each schedule delta, read against W
     cuts: list
 
-    @property
-    def index(self) -> list[tuple[int, int]]:
-        """(j, i): the positions of each pair's x and y among the points."""
-        return [(j, i) for _, _, j, i in self.entries]
-
     @cached_property
     def pairs(self) -> list[SymmetricPair]:
-        return [SymmetricPair(self.points[j], self.points[i]) for j, i in self.index]
+        return [SymmetricPair(self.points[j], self.points[i]) for *_, j, i in self.entries]
 
 
 def _sum_ranges(
@@ -782,24 +777,42 @@ def modulus_profile(
     *,
     centers: Domain | None = None,
 ) -> ModulusProfile:
-    """Oscillation sup at every schedule delta, computed in one pass."""
+    """Oscillation sup at every schedule delta, computed in one pass.
+
+    A usc profile counts every point of a listing but values and keys only
+    the prefix its survey reaches: it surveys the fewest points with more
+    than max_pairs candidates, growing the prefix eightfold (valuing only
+    the new points) while a survey of fewer than all points does not cut.
+    A cut survey reads no point past its cut, a listed midpoint lies
+    between its points (Domain.enumerate), keys of a prefix keep every
+    order and equality, and rows are rebuilt from positions, so the rows
+    are those of the whole listing. A survey that never cuts keys up to
+    15/7 times the points and reads its candidates once per round; f is
+    not evaluated past the reach."""
     config = config or AnalysisConfig()
     if notion not in ("uc", "usc"):
         raise ConfigurationError("modulus profile notion must be 'uc' or 'usc'")
     pts, runs, en_trunc = _probe_points(ambient, config, for_pairs=notion == "usc")
     sampled = runs is not None
-    vals = _probe_values(f, pts, runs)
+    schedule, cap = config.delta_schedule, config.max_pairs
     if notion == "uc":
-        rows = _uc_rows(_family_keys(pts, vals, config.delta_schedule), en_trunc)
+        vals = _probe_values(f, pts, runs)
+        # grouping a sampled probe's values by object would build every value
+        groups = None if sampled else _const_groups(f, vals)
+        rows = _uc_rows(_family_keys(pts, vals, schedule, groups), en_trunc)
         return ModulusProfile(notion, rows, len(pts), sampled, en_trunc)
     if centers is None and sampled:
         centers = ambient
-    # no centers: the midpoints are answered from the listing of the ambient set
-    survey = _pairs_from_points(
-        pts, vals, centers, config.delta_schedule, config.max_pairs, en_trunc
-    )
-    lift = (survey.cuts, pts, vals)
-    rows = _sup_rows(survey.entries, config.delta_schedule, survey.truncated, lift)
+    # a sampled probe's keys are index keys: it is surveyed whole
+    head = pts if sampled else pts[: (isqrt(8 * cap + 1) + 1) // 2 + 1]
+    vals = _probe_values(f, head, runs)
+    # no centers: the midpoints are answered from the listed prefix
+    survey = _pairs_from_points(head, vals, centers, schedule, cap, en_trunc)
+    while survey.candidates_checked <= cap and len(head) < len(pts):
+        head = pts[: 8 * len(head)]
+        vals += _evaluate_many(f, head[len(vals) :])
+        survey = _pairs_from_points(head, vals, centers, schedule, cap, en_trunc)
+    rows = _sup_rows(survey.entries, schedule, survey.truncated, (survey.cuts, head, vals))
     return ModulusProfile(notion, rows, len(pts), sampled, survey.truncated)
 
 
@@ -2176,51 +2189,41 @@ def verify_refuting_sequence(
     placement, strictly shrinking scale, and the exact oscillation values."""
     prev_scale: QuadExt | None = None
     limit = n_check if seq.n_max is None else min(n_check, seq.n_max)
+
+    def fail(problem: str) -> SequenceReport:
+        return SequenceReport(False, n_i - 1, f"term {n_i} {problem}")
+
     for n_i in range(1, limit + 1):
         x, y = (as_quadext(t) for t in seq.term(n_i))
         if not ambient.contains(x) or not ambient.contains(y):
-            return SequenceReport(False, n_i - 1, f"term {n_i} leaves the domain")
+            return fail("leaves the domain")
         osc = abs(evaluate(f, x) - evaluate(f, y))
         if osc != as_quadext(seq.claimed(n_i)):
-            return SequenceReport(
-                False, n_i - 1, f"term {n_i} oscillation differs from the claim"
-            )
+            return fail("oscillation differs from the claim")
         if osc < seq.epsilon:
-            return SequenceReport(
-                False, n_i - 1, f"term {n_i} oscillates below epsilon"
-            )
+            return fail("oscillates below epsilon")
         if seq.kind == "c":
             if seq.anchor is None or y != seq.anchor:
-                return SequenceReport(
-                    False, n_i - 1, f"term {n_i} does not pin the anchor"
-                )
+                return fail("does not pin the anchor")
             scale = abs(x - seq.anchor)
         elif seq.kind == "sc":
             if seq.anchor is None or x + y != 2 * seq.anchor:
-                return SequenceReport(
-                    False, n_i - 1, f"term {n_i} is not mirrored around the anchor"
-                )
+                return fail("is not mirrored around the anchor")
             scale = (x - y) / 2 if x > y else (y - x) / 2
         elif seq.kind == "usc":
             if not ambient.contains((x + y) / 2):
-                return SequenceReport(
-                    False, n_i - 1, f"term {n_i} midpoint leaves the domain"
-                )
+                return fail("midpoint leaves the domain")
             scale = abs(x - y) / 2
         elif seq.kind == "wrt_b":
             if centers is None or not centers.contains((x + y) / 2):
-                return SequenceReport(
-                    False, n_i - 1, f"term {n_i} midpoint leaves the center set"
-                )
+                return fail("midpoint leaves the center set")
             scale = abs(x - y) / 2
         else:  # uc
             scale = abs(x - y)
         if scale.sign() <= 0:
-            return SequenceReport(False, n_i - 1, f"term {n_i} has zero scale")
+            return fail("has zero scale")
         if prev_scale is not None and not scale < prev_scale:
-            return SequenceReport(
-                False, n_i - 1, f"term {n_i} scale fails to shrink strictly"
-            )
+            return fail("scale fails to shrink strictly")
         prev_scale = scale
     return SequenceReport(True, limit)
 
@@ -2260,15 +2263,11 @@ def verify_witness(
             if "osc" in t and osc != parse_quadext(t["osc"]):
                 issues.append("family term oscillation mismatch")
                 break
-    elif kind == "anchor":
+    elif kind in ("anchor", "approach"):
         a = parse_quadext(w["anchor"])
         if not ambient.contains(a):
             issues.append("witness anchor leaves the domain")
-    elif kind == "approach":
-        a = parse_quadext(w["anchor"])
-        if not ambient.contains(a):
-            issues.append("witness anchor leaves the domain")
-        else:
+        elif kind == "approach":
             fa = evaluate(f, a)
             for t in w.get("terms", []):
                 x = parse_quadext(t["x"])

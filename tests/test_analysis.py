@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -26,6 +27,7 @@ from symcont import (
     IntervalUnion,
     Monomial,
     NaturalReciprocals,
+    OddPrimeReciprocals,
     Piecewise,
     QuadExt,
     Reciprocal,
@@ -1193,7 +1195,12 @@ def _survey_view(survey):
     """What a survey found, the same on every kind of key: its candidate
     count, whether the budget cut it and the positions (j, i) of its pairs
     in order."""
-    return survey.candidates_checked, survey.truncated, survey.index
+    return survey.candidates_checked, survey.truncated, _pair_positions(survey)
+
+
+def _pair_positions(survey):
+    """The positions (j, i) of a survey's pairs, in the order of its entries."""
+    return [(j, i) for *_, j, i in survey.entries]
 
 
 def _survey_rows(survey, vals, schedule):
@@ -1229,11 +1236,9 @@ def _check_survey(pts, vals, centers, schedule, max_pairs):
     member = FinitePoints(tuple(pts)) if centers is None else centers
     want = _brute_survey(pts, member, schedule, max_pairs)
     assert _survey_view(got) == _survey_view(exact) == want
-    assert [(p.x, p.y) for p in got.pairs] == [(pts[j], pts[i]) for j, i in got.index]
-    plain = [
-        ((pts[j] - pts[i]) / 2, abs(vals[j] - vals[i]), pts[j], pts[i])
-        for j, i in got.index
-    ]
+    index = _pair_positions(got)
+    assert [(p.x, p.y) for p in got.pairs] == [(pts[j], pts[i]) for j, i in index]
+    plain = [((pts[j] - pts[i]) / 2, abs(vals[j] - vals[i]), pts[j], pts[i]) for j, i in index]
     rows = _survey_rows(got, vals, schedule)
     assert rows == _survey_rows(exact, vals, schedule) == _sup_rows(plain, schedule, got.truncated)
     return got
@@ -1487,7 +1492,7 @@ class TestIntegerPaths:
 
     def test_ex28_keys_two_values(self, monkeypatch):
         """ex-2.8 lists 982 points and f takes two values there, so the
-        family pipeline keys the points and then two values."""
+        family pipeline and a uc profile key the points and then two values."""
         ambient, f = _ex28(40)
         n = len(ambient.enumerate(AnalysisConfig().enum_limit).points)
         keyed = []
@@ -1499,6 +1504,9 @@ class TestIntegerPaths:
 
         monkeypatch.setattr(analysis, "_keys", counted)
         classify(ambient, f, AnalysisConfig())
+        assert keyed == [n, 2]
+        keyed.clear()
+        modulus_profile(ambient, f, AnalysisConfig(), "uc")
         assert keyed == [n, 2]
 
     @settings(max_examples=300, deadline=None)
@@ -1702,6 +1710,137 @@ class TestIntegerPaths:
                     grid = piece.grid(e)
                     assert grid == self.sorted_set_grid(piece, e), (piece, e)
                     assert piece.grid_size(e) == len(grid), (piece, e)
+
+
+def _whole_listing_profile(ambient, f, config, centers=None):
+    """The usc profile surveyed over every listed point and value, with the
+    sup rows rebuilt from the whole listing: the oracle of the prefix
+    survey of modulus_profile."""
+    en = ambient.enumerate(config.enum_limit)
+    pts, schedule = en.points, config.delta_schedule
+    vals = functions._evaluate_many(f, pts)
+    survey = _pairs_from_points(pts, vals, centers, schedule, config.max_pairs, en.truncated)
+    rows = _sup_rows(survey.entries, schedule, survey.truncated, (survey.cuts, pts, vals))
+    return analysis.ModulusProfile("usc", rows, len(pts), False, survey.truncated)
+
+
+def _count_probe_work(monkeypatch):
+    """Record, inside analysis, the points of every survey and the numbers
+    of every batch of values and of keys."""
+    seen = {"surveyed": [], "valued": [], "keyed": []}
+    survey, values, keys = analysis._pairs_from_points, analysis._evaluate_many, analysis._keys
+
+    def counted_survey(pts, *args):
+        seen["surveyed"].append(len(pts))
+        return survey(pts, *args)
+
+    def counted_values(f, xs):
+        seen["valued"].append(len(xs))
+        return values(f, xs)
+
+    def counted_keys(xs, deltas=()):
+        seen["keyed"].append(len(xs))
+        return keys(xs, deltas)
+
+    monkeypatch.setattr(analysis, "_pairs_from_points", counted_survey)
+    monkeypatch.setattr(analysis, "_evaluate_many", counted_values)
+    monkeypatch.setattr(analysis, "_keys", counted_keys)
+    return seen
+
+
+_PREFIX_LISTINGS = {
+    "finite": FinitePoints(
+        tuple(
+            sorted({qx(Fraction(k, 7)) for k in range(-40, 41)} | {SQRT2 / k for k in range(1, 12)})
+        )
+    ),
+    "integers": IntegerWindow(-60, 60),
+    "odd_primes": OddPrimeReciprocals(400),
+    "naturals": NaturalReciprocals(150),
+    "rationals_sqrt2": TruncatedRationals(12, qx(0), qx(2), adjoin_sqrt2=True),
+    "union": UnionOf(
+        (
+            IntegerWindow(-5, 5),
+            NaturalReciprocals(40),
+            FinitePoints.of(SQRT2, SQRT2 / 2, 3 - SQRT2),
+        )
+    ),
+}
+
+
+def _prefix_centers(pts):
+    """An interval union over the listing: two pieces meeting at a listed
+    point that neither holds, and a piece with sqrt2 ends."""
+    n = len(pts)
+    a, b, c = pts[n // 8], pts[n // 3], pts[n // 2]
+    return IntervalUnion(
+        (
+            IntervalPiece(a, b, True, False),
+            IntervalPiece(b, c, False, True),
+            IntervalPiece(c + SQRT2 / 64, c + SQRT2 / 16),
+        )
+    )
+
+
+class TestPrefixSurvey:
+    """A usc profile on a listing values and keys only the prefix its survey
+    reaches; it must equal the profile surveyed over the whole listing."""
+
+    @pytest.mark.parametrize("name", sorted(_PREFIX_LISTINGS))
+    def test_matches_whole_listing_survey(self, monkeypatch, name):
+        ambient = _PREFIX_LISTINGS[name]
+        pts = ambient.enumerate(FAST.enum_limit).points
+        n = len(pts)
+        # 0, 1, one below, at and above m(m - 1)/2 for m = 5 and 12, past n**2
+        budgets = [0, 1, *(t + d for t in (10, 66) for d in (-1, 0, 1)), 10**9]
+        # width caps 2, 1/16 and 2**-19, the last below every gap of most listings
+        schedules = (
+            FAST.delta_schedule,
+            (qx(Fraction(1, 32)), qx(Fraction(1, 256))),
+            (qx(Fraction(1, 2**20)),),
+        )
+        seen = _count_probe_work(monkeypatch)
+        rounds = []
+        for f, centers, schedule, max_pairs in itertools.product(
+            (Identity(), Affine(SQRT2, 1)), (None, _prefix_centers(pts)), schedules, budgets
+        ):
+            config = replace(FAST, delta_schedule=schedule, max_pairs=max_pairs)
+            seen["surveyed"].clear()
+            got = modulus_profile(ambient, f, config, "usc", centers=centers)
+            assert got == _whole_listing_profile(ambient, f, config, centers), (f, centers, config)
+            assert got.points == n
+            rounds.append(list(seen["surveyed"]))
+        # some survey cut a prefix short of the listing, and some grew
+        # through three or more rounds
+        assert any(r == [r[0]] and r[0] < n for r in rounds)
+        assert max(map(len, rounds)) >= 3
+
+    def test_ex28_values_only_the_surveyed_prefix(self, monkeypatch):
+        """ex-2.8 at max_pairs 800: 41 points hold more than 800 candidates
+        and the survey cuts inside them, so 41 of the 982 listed points are
+        valued and keyed, and the profile still counts 982."""
+        ambient, f = _ex28(40)
+        config = AnalysisConfig(max_pairs=800)
+        seen = _count_probe_work(monkeypatch)
+        prof = modulus_profile(ambient, f, config, "usc")
+        assert prof.points == 982 and prof.truncated
+        assert seen["surveyed"] == [41]
+        assert sum(seen["valued"]) <= 64 and max(seen["keyed"]) <= 64
+        assert prof == _whole_listing_profile(ambient, f, config)
+
+    def test_listing_without_candidates_grows_to_the_whole_listing(self, monkeypatch):
+        """Every gap of the integers is at least the width cap 2*delta = 1,
+        so no survey cuts: the prefix grows eightfold to the whole listing
+        and each point is valued once."""
+        ambient = IntegerWindow(0, 500)
+        config = AnalysisConfig(delta_schedule=(qx(Fraction(1, 2)),), max_pairs=0)
+        seen = _count_probe_work(monkeypatch)
+        prof = modulus_profile(ambient, Identity(), config, "usc")
+        assert seen["surveyed"] == [2, 16, 128, 501]
+        assert seen["valued"] == [2, 14, 112, 373]
+        assert prof.points == 501 and not prof.truncated
+        assert prof.rows[0][1].challenges == 0
+        assert prof == _whole_listing_profile(ambient, Identity(), config)
 
 
 def _pointwise_uc_rows(ambient, f, config):
