@@ -540,7 +540,8 @@ def sym_oscillation(
     centers: Domain | None = None,
 ) -> OscillationResult:
     """sup |f(x) - f(y)| over pairs x > y in A with midpoint in `centers`
-    (A itself by default) and half-distance strictly below delta."""
+    (A itself by default) and half-distance strictly below delta. Like the
+    usc modulus_profile, it values f only on the prefix its survey reaches."""
     config = replace(config or AnalysisConfig(), delta_schedule=(delta,))
     return modulus_profile(ambient, f, config, "usc", centers=centers).rows[0][1]
 
@@ -779,16 +780,11 @@ def modulus_profile(
 ) -> ModulusProfile:
     """Oscillation sup at every schedule delta, computed in one pass.
 
-    A usc profile counts every point of a listing but values and keys only
-    the prefix its survey reaches: it surveys the fewest points with more
-    than max_pairs candidates, growing the prefix eightfold (valuing only
-    the new points) while a survey of fewer than all points does not cut.
-    A cut survey reads no point past its cut, a listed midpoint lies
-    between its points (Domain.enumerate), keys of a prefix keep every
-    order and equality, and rows are rebuilt from positions, so the rows
-    are those of the whole listing. A survey that never cuts keys up to
-    15/7 times the points and reads its candidates once per round; f is
-    not evaluated past the reach."""
+    A usc profile counts a whole listing but values and keys only the prefix
+    its survey reaches (the fewest points with more than max_pairs
+    candidates, or all if their survey does not cut): rows are exact, and f
+    is not evaluated past that prefix, so a point there where f fails
+    raises nothing."""
     config = config or AnalysisConfig()
     if notion not in ("uc", "usc"):
         raise ConfigurationError("modulus profile notion must be 'uc' or 'usc'")
@@ -808,9 +804,8 @@ def modulus_profile(
     vals = _probe_values(f, head, runs)
     # no centers: the midpoints are answered from the listed prefix
     survey = _pairs_from_points(head, vals, centers, schedule, cap, en_trunc)
-    while survey.candidates_checked <= cap and len(head) < len(pts):
-        head = pts[: 8 * len(head)]
-        vals += _evaluate_many(f, head[len(vals) :])
+    if survey.candidates_checked <= cap and len(head) < len(pts):
+        head, vals = pts, vals + _evaluate_many(f, pts[len(head) :])
         survey = _pairs_from_points(head, vals, centers, schedule, cap, en_trunc)
     rows = _sup_rows(survey.entries, schedule, survey.truncated, (survey.cuts, head, vals))
     return ModulusProfile(notion, rows, len(pts), sampled, survey.truncated)
@@ -2189,41 +2184,51 @@ def verify_refuting_sequence(
     placement, strictly shrinking scale, and the exact oscillation values."""
     prev_scale: QuadExt | None = None
     limit = n_check if seq.n_max is None else min(n_check, seq.n_max)
-
-    def fail(problem: str) -> SequenceReport:
-        return SequenceReport(False, n_i - 1, f"term {n_i} {problem}")
-
     for n_i in range(1, limit + 1):
         x, y = (as_quadext(t) for t in seq.term(n_i))
         if not ambient.contains(x) or not ambient.contains(y):
-            return fail("leaves the domain")
+            return SequenceReport(False, n_i - 1, f"term {n_i} leaves the domain")
         osc = abs(evaluate(f, x) - evaluate(f, y))
         if osc != as_quadext(seq.claimed(n_i)):
-            return fail("oscillation differs from the claim")
+            return SequenceReport(
+                False, n_i - 1, f"term {n_i} oscillation differs from the claim"
+            )
         if osc < seq.epsilon:
-            return fail("oscillates below epsilon")
+            return SequenceReport(
+                False, n_i - 1, f"term {n_i} oscillates below epsilon"
+            )
         if seq.kind == "c":
             if seq.anchor is None or y != seq.anchor:
-                return fail("does not pin the anchor")
+                return SequenceReport(
+                    False, n_i - 1, f"term {n_i} does not pin the anchor"
+                )
             scale = abs(x - seq.anchor)
         elif seq.kind == "sc":
             if seq.anchor is None or x + y != 2 * seq.anchor:
-                return fail("is not mirrored around the anchor")
+                return SequenceReport(
+                    False, n_i - 1, f"term {n_i} is not mirrored around the anchor"
+                )
             scale = (x - y) / 2 if x > y else (y - x) / 2
         elif seq.kind == "usc":
             if not ambient.contains((x + y) / 2):
-                return fail("midpoint leaves the domain")
+                return SequenceReport(
+                    False, n_i - 1, f"term {n_i} midpoint leaves the domain"
+                )
             scale = abs(x - y) / 2
         elif seq.kind == "wrt_b":
             if centers is None or not centers.contains((x + y) / 2):
-                return fail("midpoint leaves the center set")
+                return SequenceReport(
+                    False, n_i - 1, f"term {n_i} midpoint leaves the center set"
+                )
             scale = abs(x - y) / 2
         else:  # uc
             scale = abs(x - y)
         if scale.sign() <= 0:
-            return fail("has zero scale")
+            return SequenceReport(False, n_i - 1, f"term {n_i} has zero scale")
         if prev_scale is not None and not scale < prev_scale:
-            return fail("scale fails to shrink strictly")
+            return SequenceReport(
+                False, n_i - 1, f"term {n_i} scale fails to shrink strictly"
+            )
         prev_scale = scale
     return SequenceReport(True, limit)
 
@@ -2263,11 +2268,15 @@ def verify_witness(
             if "osc" in t and osc != parse_quadext(t["osc"]):
                 issues.append("family term oscillation mismatch")
                 break
-    elif kind in ("anchor", "approach"):
+    elif kind == "anchor":
         a = parse_quadext(w["anchor"])
         if not ambient.contains(a):
             issues.append("witness anchor leaves the domain")
-        elif kind == "approach":
+    elif kind == "approach":
+        a = parse_quadext(w["anchor"])
+        if not ambient.contains(a):
+            issues.append("witness anchor leaves the domain")
+        else:
             fa = evaluate(f, a)
             for t in w.get("terms", []):
                 x = parse_quadext(t["x"])

@@ -191,7 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_moduli = sub.add_parser("moduli", help="print an oscillation profile")
     p_moduli.add_argument("spec_file")
-    p_moduli.add_argument("--notion", choices=("uc", "usc"), required=True)
+    p_moduli.add_argument(
+        "--notion",
+        choices=("uc", "usc"),
+        required=True,
+        help="usc values f only on the listed points its pair survey reaches",
+    )
     _add_config_flags(p_moduli)
     p_moduli.set_defaults(func=_cmd_moduli)
     return parser

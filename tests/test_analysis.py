@@ -1810,10 +1810,11 @@ class TestPrefixSurvey:
             assert got == _whole_listing_profile(ambient, f, config, centers), (f, centers, config)
             assert got.points == n
             rounds.append(list(seen["surveyed"]))
-        # some survey cut a prefix short of the listing, and some grew
-        # through three or more rounds
+        # some survey cut a prefix short of the listing, some prefix did not
+        # cut and the whole listing was surveyed, and none took three rounds
         assert any(r == [r[0]] and r[0] < n for r in rounds)
-        assert max(map(len, rounds)) >= 3
+        assert any(len(r) == 2 and r[0] < r[1] == n for r in rounds)
+        assert max(map(len, rounds)) <= 2
 
     def test_ex28_values_only_the_surveyed_prefix(self, monkeypatch):
         """ex-2.8 at max_pairs 800: 41 points hold more than 800 candidates
@@ -1830,17 +1831,35 @@ class TestPrefixSurvey:
 
     def test_listing_without_candidates_grows_to_the_whole_listing(self, monkeypatch):
         """Every gap of the integers is at least the width cap 2*delta = 1,
-        so no survey cuts: the prefix grows eightfold to the whole listing
-        and each point is valued once."""
+        so the first prefix does not cut: the whole listing is surveyed in
+        a second round and each point is valued once."""
         ambient = IntegerWindow(0, 500)
         config = AnalysisConfig(delta_schedule=(qx(Fraction(1, 2)),), max_pairs=0)
         seen = _count_probe_work(monkeypatch)
         prof = modulus_profile(ambient, Identity(), config, "usc")
-        assert seen["surveyed"] == [2, 16, 128, 501]
-        assert seen["valued"] == [2, 14, 112, 373]
+        assert seen["surveyed"] == [2, 501]
+        assert seen["valued"] == [2, 499]
         assert prof.points == 501 and not prof.truncated
         assert prof.rows[0][1].challenges == 0
         assert prof == _whole_listing_profile(ambient, Identity(), config)
+
+    def test_f_is_not_valued_past_the_surveyed_prefix(self):
+        """1/x fails only at 0, the last of the 101 listed integers. At
+        max_pairs 100 every pair is a candidate and the survey cuts inside
+        the first 15 points, so the usc profile and sym_oscillation value f
+        on those alone and raise nothing; at the default max_pairs the
+        prefix holds the whole listing and 0 raises, as it does for the uc
+        profile at any max_pairs."""
+        ambient, f, delta = IntegerWindow(-100, 0), Reciprocal(), qx(1000)
+        cut = AnalysisConfig(delta_schedule=(delta,), max_pairs=100)
+        prof = modulus_profile(ambient, f, cut, "usc")
+        assert prof.points == 101 and prof.truncated
+        assert prof.rows[0][1] == sym_oscillation(ambient, f, delta, cut)
+        assert max(prof.rows[0][1].witness) <= -86
+        with pytest.raises(DomainError):
+            modulus_profile(ambient, f, replace(cut, max_pairs=10**6), "usc")
+        with pytest.raises(DomainError):
+            modulus_profile(ambient, f, cut, "uc")
 
 
 def _pointwise_uc_rows(ambient, f, config):
