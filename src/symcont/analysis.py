@@ -61,9 +61,10 @@ from .functions import (
     _analytic_pieces,
     _as_affine,
     _evaluate_many,
+    _side_limit,
+    _side_tiles,
     describe_function,
     evaluate,
-    one_sided_limits,
     is_piecewise_constant,
     sup_abs_diff,
     tile_formulas,
@@ -818,31 +819,29 @@ def modulus_profile(
 def _sup_rows(
     entries: Sequence[tuple],
     schedule: tuple[QuadExt, ...],
-    truncated: bool = False,
-    lift: tuple[list, Sequence[QuadExt], Sequence[QuadExt]] | None = None,
+    truncated: bool,
+    lift: tuple[Sequence, Sequence[QuadExt], Sequence[QuadExt]],
 ) -> list[tuple[QuadExt, OscillationResult]]:
     """Oscillation sup at every schedule delta over challenge entries
-    (scale, osc, x, y) sorted by scale ascending. Each row counts the
-    entries with scale below delta and names the pair of the earliest entry
-    that reaches their sup.
-
-    With lift = (cuts, points, values) the entries are keys (S, O, j, i) of
-    the pair (points[j], points[i]): S is below cuts[k] exactly when the
-    scale is below schedule[k], and O orders the oscillations as the
-    numbers do. Each row's sup is rebuilt as |values[j] - values[i]| from
-    the positions of the pair that realizes it, on any kind of key."""
+    (S, O, j, i) sorted by S ascending, each the keys of the pair
+    (points[j], points[i]) for lift = (cuts, points, values): S is below
+    cuts[k] exactly when the pair's scale is below schedule[k], and O orders
+    the oscillations as the numbers do. Each row counts the entries with
+    scale below delta and names the pair of the earliest entry that reaches
+    their sup, rebuilt as |values[j] - values[i]| from its positions, on any
+    kind of key."""
     rows = []
     best = wit = None
     i = 0
-    cuts, points, values = (schedule, None, None) if lift is None else lift
+    cuts, points, values = lift
     for delta, cut in zip(reversed(schedule), reversed(cuts)):
         end = bisect.bisect_left(entries, cut, i, key=lambda e: e[0])
         for k in range(i, end):
             if best is None or entries[k][1] > best:
                 best, wit = entries[k][1], entries[k][2:]
         i = end
-        value, pair = best, wit
-        if values is not None and wit is not None:
+        value = pair = None
+        if wit is not None:
             value = abs(values[wit[0]] - values[wit[1]])
             pair = (points[wit[0]], points[wit[1]])
         rows.append((delta, OscillationResult(value, pair, i, truncated)))
@@ -982,7 +981,7 @@ class _FamilyKeys:
     def sup_rows(self, entries: Sequence[tuple]) -> list[tuple[QuadExt, OscillationResult]]:
         """_sup_rows over key entries (h, osc, j, i) whose scale h is a
         distance of point keys."""
-        return _sup_rows(entries, self.schedule, lift=(self.thr, self.pts, self.vals))
+        return _sup_rows(entries, self.schedule, False, (self.thr, self.pts, self.vals))
 
 
 def _family_keys(
@@ -1562,35 +1561,43 @@ class _Junction:
 
 
 def _collect_junctions(
-    ambient: IntervalUnion, f: FuncSpec
+    ambient: IntervalUnion, f: FuncSpec, tiles: list[tuple[IntervalPiece, Formula]]
 ) -> list[_Junction]:
-    pieces = ambient.pieces
-    coords: list[QuadExt] = []
-    for prev, nxt in zip(pieces, pieces[1:]):
-        if prev.hi == nxt.lo and nxt.lo not in coords:
-            coords.append(nxt.lo)
-    out = []
-    for c in coords:
-        left_piece = next(
-            (p for p in pieces if not p.is_degenerate and p.hi == c), None
-        )
-        right_piece = next(
-            (p for p in pieces if not p.is_degenerate and p.lo == c), None
-        )
-        left, right = one_sided_limits(f, pieces, c)
+    """The points where one piece of the ambient ends and the next starts,
+    ascending, with the facing pieces and their limits read from the tiles."""
+    ends, starts = _side_tiles(tiles)
+    out: list[_Junction] = []
+    for prev, nxt in itertools.pairwise(ambient.pieces):
+        c = nxt.lo
+        # the pieces ascend, so a junction seen twice is seen twice in a row
+        if prev.hi != c or (out and out[-1].c == c):
+            continue
+        left, right = ends.get(c), starts.get(c)
         in_dom = ambient.contains(c)
         owned = evaluate(f, c) if in_dom else None
-        out.append(_Junction(c, in_dom, owned, left, right, left_piece, right_piece))
+        out.append(
+            _Junction(
+                c,
+                in_dom,
+                owned,
+                _side_limit(left, c),
+                _side_limit(right, c),
+                None if left is None else left[0],
+                None if right is None else right[0],
+            )
+        )
     return out
 
 
-def _junction_c_ok(j: _Junction) -> bool:
-    if not j.in_domain:
-        return True
-    for side in (j.left, j.right):
-        if side.exists and (side.value is None or side.value != j.owned):
-            return False
-    return True
+def _junction_c_failure(j: _Junction) -> tuple[SideLimit, IntervalPiece, int] | None:
+    """(limit, piece, sign of the side) of the first side, left before
+    right, whose limit misses the value owned at a junction in the domain,
+    or None when the junction keeps f continuous."""
+    if j.in_domain:
+        for side, piece, sgn in ((j.left, j.left_piece, -1), (j.right, j.right_piece, 1)):
+            if side.exists and (side.value is None or side.value != j.owned):
+                return side, piece, sgn
+    return None
 
 
 def _junction_sc_ok(j: _Junction) -> bool:
@@ -1628,8 +1635,9 @@ def _ladder(
 
 # per notion: the step s/(m + k) of the m-th pair, the factor of the step on
 # the far side of a jump, the factor for a pair pinned at the junction point,
-# and the two descriptions; the symmetric pairs keep their midpoints inside
-# a piece next to the junction
+# the two ladder descriptions, and the notes of a verdict refuted by a leaf,
+# refuted at a junction and proven; the symmetric pairs keep their midpoints
+# inside a piece next to the junction
 _JUNCTION_LADDERS = {
     "UC": (
         1,
@@ -1639,6 +1647,13 @@ _JUNCTION_LADDERS = {
         "oscillating by the jump",
         "pairs pinned at the junction point itself keep oscillating by the "
         "gap between the value and the limit",
+        (
+            "a piece formula is not uniformly continuous on its piece",
+            "a junction breaks the uniform modulus",
+            "every piece formula is uniformly continuous, junction limits "
+            "agree with owned values, and distinct components are "
+            "separated by a positive gap",
+        ),
     ),
     "USC": (
         4,
@@ -1649,6 +1664,13 @@ _JUNCTION_LADDERS = {
         "symmetric pairs with one endpoint pinned at the junction point "
         "(midpoint inside the adjacent piece) keep oscillating by the gap "
         "between the value and the limit",
+        (
+            "the divergent-piece pair family is symmetric-valid: each "
+            "midpoint lies inside the piece",
+            "the junction pair family uses midpoints inside the domain",
+            "on interval unions the uniform symmetric modulus and the "
+            "uniform modulus stand or fall together",
+        ),
     ),
 }
 
@@ -1658,7 +1680,7 @@ def _junction_witness(j: _Junction, f: FuncSpec, notion: str) -> dict:
 
     A divergent one-sided limit never reaches here: it comes only from a
     reciprocal piece ending at 0, which _leaf_uc_failure reports first."""
-    k, far, pinned, jump_text, pinned_text = _JUNCTION_LADDERS[notion]
+    k, far, pinned, jump_text, pinned_text, _ = _JUNCTION_LADDERS[notion]
     c = j.c
     if j.left.exists and j.right.exists and j.left.value != j.right.value:
         s = min(QuadExt.of(1), j.left_piece.length, j.right_piece.length)
@@ -1692,12 +1714,12 @@ def _interval_classify(
             raise ConfigurationError(
                 f"reciprocal piece {piece.describe()} contains 0"
             )
-    junctions = _collect_junctions(ambient, f)
+    junctions = _collect_junctions(ambient, f, tiles)
     merged = merge_interval_components(pieces)
     min_gap = min(merged.gaps) if merged.gaps else None
 
     leaf_reports = []
-    leaf_failure: tuple[IntervalPiece, dict] | None = None
+    leaf_failure: dict | None = None
     for piece, fm in tiles:
         fail = _leaf_uc_failure(piece, fm)
         lip = _leaf_lipschitz(piece, fm)
@@ -1709,8 +1731,8 @@ def _interval_classify(
                 "lipschitz_bound": _fmt(lip),
             }
         )
-        if fail is not None and leaf_failure is None:
-            leaf_failure = (piece, fail)
+        if leaf_failure is None:
+            leaf_failure = fail
 
     cert_base = {
         "kind": "interval_decision",
@@ -1733,14 +1755,12 @@ def _interval_classify(
         )
 
     # C
-    bad_c = [j for j in junctions if not _junction_c_ok(j)]
-    if bad_c:
-        j = bad_c[0]
-        side, piece, sgn = (
-            (j.left, j.left_piece, -1)
-            if j.left.exists and (j.left.value is None or j.left.value != j.owned)
-            else (j.right, j.right_piece, 1)
-        )
+    c_fail = next(
+        ((j, fail) for j in junctions if (fail := _junction_c_failure(j)) is not None),
+        None,
+    )
+    if c_fail is not None:
+        j, (side, piece, sgn) = c_fail
         s = min(QuadExt.of(1), piece.length)
         terms = []
         for m in range(1, _LADDER_TERMS + 1):
@@ -1777,67 +1797,28 @@ def _interval_classify(
             ],
         )
 
-    # UC
-    bad_uc_junction = [j for j in junctions if not _junction_uc_ok(j)]
-    if leaf_failure is not None:
-        piece, fail = leaf_failure
-        uc_v = verdict(
-            "UC",
-            "refuted",
-            witness=fail,
-            notes=["a piece formula is not uniformly continuous on its piece"],
-        )
-    elif bad_uc_junction:
-        j = bad_uc_junction[0]
-        uc_v = verdict(
-            "UC",
-            "refuted",
-            witness=_junction_witness(j, f, "UC"),
-            notes=["a junction breaks the uniform modulus"],
-        )
-    else:
-        uc_v = verdict(
-            "UC",
-            "proven",
-            certificate=dict(cert_base),
-            notes=[
-                "every piece formula is uniformly continuous, junction limits "
-                "agree with owned values, and distinct components are "
-                "separated by a positive gap"
-            ],
-        )
-
-    # USC mirrors UC on interval unions: a uniform symmetric modulus forces a
-    # uniform modulus across junctions and inside pieces, and conversely
-    if leaf_failure is not None:
-        piece, fail = leaf_failure
-        usc_v = verdict(
-            "USC",
-            "refuted",
-            witness=fail,
-            notes=[
-                "the divergent-piece pair family is symmetric-valid: each "
-                "midpoint lies inside the piece"
-            ],
-        )
-    elif bad_uc_junction:
-        j = bad_uc_junction[0]
-        usc_v = verdict(
-            "USC",
-            "refuted",
-            witness=_junction_witness(j, f, "USC"),
-            notes=["the junction pair family uses midpoints inside the domain"],
-        )
-    else:
-        usc_v = verdict(
-            "USC",
-            "proven",
-            certificate=dict(cert_base),
-            notes=[
-                "on interval unions the uniform symmetric modulus and the "
-                "uniform modulus stand or fall together"
-            ],
-        )
+    # UC, and USC with it: on interval unions a uniform symmetric modulus
+    # forces a uniform modulus across junctions and inside pieces, and
+    # conversely, so one leaf or junction decides both
+    bad_junction = next((j for j in junctions if not _junction_uc_ok(j)), None)
+    uniform = {}
+    for notion in ("UC", "USC"):
+        leaf_note, junction_note, proven_note = _JUNCTION_LADDERS[notion][-1]
+        if leaf_failure is not None:
+            uniform[notion] = verdict(
+                notion, "refuted", witness=leaf_failure, notes=[leaf_note]
+            )
+        elif bad_junction is not None:
+            uniform[notion] = verdict(
+                notion,
+                "refuted",
+                witness=_junction_witness(bad_junction, f, notion),
+                notes=[junction_note],
+            )
+        else:
+            uniform[notion] = verdict(
+                notion, "proven", certificate=dict(cert_base), notes=[proven_note]
+            )
 
     # SC
     bad_sc = [j for j in junctions if not _junction_sc_ok(j)]
@@ -1887,7 +1868,7 @@ def _interval_classify(
             ],
         )
 
-    return {"C": c_v, "UC": uc_v, "SC": sc_v, "USC": usc_v}
+    return {"C": c_v, "UC": uniform["UC"], "SC": sc_v, "USC": uniform["USC"]}
 
 
 # -- staircase pipeline ------------------------------------------------------
@@ -1923,15 +1904,19 @@ def _staircase_classify(
         ],
     )
 
-    # cross-gap records: (gap width, oscillation between facing endpoints)
-    records = []
-    for i in range(len(blocks) - 1):
-        left_end = blocks[i].hi
-        right_start = blocks[i + 1].lo
-        osc = abs(evaluate(f, right_start) - evaluate(f, left_end))
-        records.append((right_start - left_end, osc, left_end, right_start))
+    # the block endpoints ascending, block i from ends[2i] to ends[2i + 1],
+    # each valued once; a lone block faces no other, so none is valued
+    ends = [e for b in blocks for e in (b.lo, b.hi)]
+    vals = _evaluate_many(f, ends) if len(blocks) > 1 else []
 
-    chain: list[tuple[QuadExt, QuadExt, QuadExt, QuadExt]] = []
+    # cross-gap records: (gap width, oscillation between facing endpoints,
+    # positions of the left block's end and the right block's start)
+    records = [
+        (ends[k + 1] - ends[k], abs(vals[k + 1] - vals[k]), k, k + 1)
+        for k in range(1, len(ends) - 1, 2)
+    ]
+
+    chain: list[tuple[QuadExt, QuadExt, int, int]] = []
     for rec in records:
         if not chain or rec[0] < chain[-1][0]:
             chain.append(rec)
@@ -1958,7 +1943,7 @@ def _staircase_classify(
                     {
                         "gap": format_quadext(g),
                         "osc": format_quadext(o),
-                        "pair": [format_quadext(r), format_quadext(l)],
+                        "pair": [format_quadext(ends[r]), format_quadext(ends[l])],
                     }
                     for g, o, l, r in sample
                 ],
@@ -1985,20 +1970,20 @@ def _staircase_classify(
 
     # USC: candidate symmetric pairs are the endpoint combinations of
     # adjacent blocks whose midpoints land back inside the staircase
-    entries: list[tuple[QuadExt, QuadExt, QuadExt, QuadExt]] = []
+    # (scale, osc, w, u) with w and u positions in ends
+    entries: list[tuple[QuadExt, QuadExt, int, int]] = []
     candidates = 0
-    for i in range(len(blocks) - 1):
-        b1, b2 = blocks[i], blocks[i + 1]
-        for u in (b1.lo, b1.hi):
-            for w in (b2.lo, b2.hi):
+    for k in range(0, len(ends) - 2, 2):
+        for u in (k, k + 1):
+            for w in (k + 2, k + 3):
                 candidates += 1
-                if ambient.contains((u + w) / 2):
-                    osc = abs(evaluate(f, w) - evaluate(f, u))
-                    entries.append(((w - u) / 2, osc, w, u))
+                if ambient.contains((ends[u] + ends[w]) / 2):
+                    entries.append(((ends[w] - ends[u]) / 2, abs(vals[w] - vals[u]), w, u))
     entries.sort()
     res_usc = dict(res)
     res_usc["pairs_checked"] = candidates
-    rows = _sup_rows(entries, config.delta_schedule)
+    schedule = config.delta_schedule
+    rows = _sup_rows(entries, schedule, False, (schedule, ends, vals))
     flat = _flat_row(rows)
     if not entries:
         usc_v = _open_verdict(

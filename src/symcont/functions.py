@@ -398,7 +398,8 @@ def tile_formulas(
 
     A bare formula covers every piece. A piecewise spec must own each piece
     through exactly one region: an interval-union region listing the piece
-    itself, or a finite-points region holding a degenerate piece's point.
+    itself, found in one map from every listed piece to its regions'
+    formulas, or a finite-points region holding a degenerate piece's point.
     """
     if isinstance(f, Formula):
         return [(p, f) for p in pieces]
@@ -406,19 +407,18 @@ def tile_formulas(
         raise ConfigurationError(
             "analytic interval analysis needs a bare formula or piecewise spec"
         )
+    listed: dict[IntervalPiece, list[Formula]] = {}
+    for fp in f.pieces:
+        if isinstance(fp.region, IntervalUnion):
+            # the pieces of one union are distinct, so a region counts once
+            for p in fp.region.pieces:
+                listed.setdefault(p, []).append(fp.formula)
+    finite = [fp for fp in f.pieces if isinstance(fp.region, FinitePoints)]
     out: list[tuple[IntervalPiece, Formula]] = []
     for piece in pieces:
-        owners = []
-        for fp in f.pieces:
-            region = fp.region
-            if isinstance(region, IntervalUnion) and piece in region.pieces:
-                owners.append(fp.formula)
-            elif (
-                isinstance(region, FinitePoints)
-                and piece.is_degenerate
-                and region.contains(piece.lo)
-            ):
-                owners.append(fp.formula)
+        owners = listed.get(piece, [])
+        if piece.is_degenerate:
+            owners = owners + [fp.formula for fp in finite if fp.region.contains(piece.lo)]
         if len(owners) != 1:
             raise ConfigurationError(
                 f"piece {piece.describe()} owned by {len(owners)} regions; need 1"
@@ -433,21 +433,31 @@ class SideLimit:
     value: QuadExt | None  # None with exists=True means the limit diverges
 
 
+def _side_tiles(tiles: Sequence[tuple[IntervalPiece, Formula]]) -> tuple[dict, dict]:
+    """The non-degenerate tiles keyed by the point where each ends (the tile
+    on the left of that point) and by the point where each starts (on its
+    right)."""
+    ends, starts = {}, {}
+    for tile in tiles:
+        piece = tile[0]
+        if not piece.is_degenerate:
+            ends[piece.hi] = starts[piece.lo] = tile
+    return ends, starts
+
+
+def _side_limit(tile: tuple[IntervalPiece, Formula] | None, c: QuadExt) -> SideLimit:
+    """The closure limit at c of the formula of a tile that ends or starts
+    at c; missing without such a tile."""
+    return SideLimit(False, None) if tile is None else SideLimit(True, formula_limit(tile[1], c))
+
+
 def one_sided_limits(
     f: FuncSpec, pieces: tuple[IntervalPiece, ...], c: QuadExt
 ) -> tuple[SideLimit, SideLimit]:
     """Closure limits of f at c along the non-degenerate pieces that end at c
     (left) and start at c (right)."""
-    tiles = tile_formulas(f, pieces)
-    left = right = SideLimit(False, None)
-    for piece, fm in tiles:
-        if piece.is_degenerate:
-            continue
-        if piece.hi == c:
-            left = SideLimit(True, formula_limit(fm, c))
-        if piece.lo == c:
-            right = SideLimit(True, formula_limit(fm, c))
-    return left, right
+    ends, starts = _side_tiles(tile_formulas(f, pieces))
+    return _side_limit(ends.get(c), c), _side_limit(starts.get(c), c)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from symcont import (
     QuadExt,
     Reciprocal,
     RefutingSequence,
+    Staircase,
     TruncatedRationals,
     UnionOf,
     apply_implications,
@@ -62,7 +63,7 @@ from symcont.analysis import (
 from symcont.domains import SymmetricPair
 from symcont.exactnum import format_quadext
 from symcont.functions import is_piecewise_constant
-from symcont.zoo import build_example, indicator_with_zero
+from symcont.zoo import build_example, indicator_with_zero, staircase_function
 
 from conftest import (
     brute_force_usc_status,
@@ -275,6 +276,62 @@ class TestIntervalPipeline:
         for notion in NOTIONS:
             assert verdicts[notion].status == "proven"
             assert verdicts[notion].scope == "full"
+
+
+class TestOneTiling:
+    """Each analytic pipeline tiles its domain once, whatever its junction or
+    block count; a staircase values each block endpoint once, in one batch."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        counts = Counter()
+
+        def counted(name, original):
+            def wrapper(f, xs):
+                counts[name] += 1
+                counts[name + "_points"] += 1 if isinstance(xs, QuadExt) else len(xs)
+                return original(f, xs)
+
+            return wrapper
+
+        for name, key in (
+            ("tile_formulas", "tile"),
+            ("_evaluate_many", "many"),
+            ("evaluate", "evaluate"),
+        ):
+            monkeypatch.setattr(analysis, name, counted(key, getattr(analysis, name)))
+
+        def refused(*args):
+            raise AssertionError("one_sided_limits tiles the pieces again")
+
+        monkeypatch.setattr(functions, "one_sided_limits", refused)
+        return counts
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 120])
+    def test_interval_union_tiled_once(self, monkeypatch, n):
+        pieces = tuple(IntervalPiece(qx(k), qx(k + 1), True, k == n - 1) for k in range(n))
+        f = Piecewise(tuple(FuncPiece(IntervalUnion((p,)), Const(3)) for p in pieces))
+        counts = self.counting(monkeypatch)
+        verdicts = analysis._interval_classify(IntervalUnion(pieces), f, FAST)
+        assert counts["tile"] == 1
+        assert len(verdicts["UC"].certificate["junctions"]) == n - 1
+        assert "one_sided_limits" not in vars(analysis)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 120])
+    def test_staircase_tiled_and_valued_once(self, monkeypatch, n):
+        stair = Staircase("A", n)
+        counts = self.counting(monkeypatch)
+        analysis._staircase_classify(stair, staircase_function(stair), FAST)
+        assert counts["tile"] == 1
+        # a lone block faces no other block, so none of its ends is valued
+        assert (counts["many"], counts["many_points"]) == ((1, 2 * n) if n > 1 else (0, 0))
+        assert counts["evaluate"] == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 40])
+    def test_reciprocal_on_staircase_b_raises(self, n):
+        # the first block of variant B is [0, 1]
+        with pytest.raises(DomainError, match="^reciprocal evaluated at 0$"):
+            classify(Staircase("B", n), Reciprocal(), FAST)
 
 
 class TestImplications:
@@ -1228,7 +1285,7 @@ def _brute_survey(pts, member, schedule, max_pairs):
 def _check_survey(pts, vals, centers, schedule, max_pairs):
     """The survey on integer keys against the one on exact keys and the
     brute force over every candidate's exact midpoint, and its sup rows
-    against those of the exact entries (h, osc, x, y) of its pairs."""
+    against those of the exact entries (h, osc, j, i) of its pairs."""
     got = _pairs_from_points(pts, vals, centers, schedule, max_pairs)
     with _exact_only():
         exact = _pairs_from_points(pts, vals, centers, schedule, max_pairs)
@@ -1238,9 +1295,10 @@ def _check_survey(pts, vals, centers, schedule, max_pairs):
     assert _survey_view(got) == _survey_view(exact) == want
     index = _pair_positions(got)
     assert [(p.x, p.y) for p in got.pairs] == [(pts[j], pts[i]) for j, i in index]
-    plain = [((pts[j] - pts[i]) / 2, abs(vals[j] - vals[i]), pts[j], pts[i]) for j, i in index]
+    plain = [((pts[j] - pts[i]) / 2, abs(vals[j] - vals[i]), j, i) for j, i in index]
     rows = _survey_rows(got, vals, schedule)
-    assert rows == _survey_rows(exact, vals, schedule) == _sup_rows(plain, schedule, got.truncated)
+    plain_rows = _sup_rows(plain, schedule, got.truncated, (schedule, pts, vals))
+    assert rows == _survey_rows(exact, vals, schedule) == plain_rows
     return got
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -113,6 +114,49 @@ class TestAnalyze:
         data = json.loads(out)
         assert data["config"]["delta_schedule"] == ["1/2", "1/4"]
         assert data["config"]["max_pairs"] == 123
+
+
+class TestGluedPieces:
+    """An interval union of many glued pieces, one Piecewise region each, is
+    tiled once: the junction limits are read from that tiling."""
+
+    @staticmethod
+    def zigzag_spec(n):
+        # x - k on [k, k+1) for even k, k + 1 - x for odd k: continuous at
+        # every junction, so every junction reaches the certificate
+        pieces = [{"lo": k, "hi": k + 1, "hiClosed": k == n - 1} for k in range(n)]
+        formulas = [
+            {"formula": "Affine", "m": 1, "c": -k}
+            if k % 2 == 0
+            else {"formula": "Affine", "m": -1, "c": k + 1}
+            for k in range(n)
+        ]
+        return {
+            "domain": {"type": "IntervalUnion", "pieces": pieces},
+            "function": {
+                "type": "Piecewise",
+                "pieces": [
+                    {"region": {"type": "IntervalUnion", "pieces": [p]}, "formula": fm}
+                    for p, fm in zip(pieces, formulas)
+                ],
+            },
+        }
+
+    def test_300_pieces_are_prompt(self, tmp_path):
+        # tiling the union again at every junction took 11.5 s on 2 vCPUs
+        path = tmp_path / "zigzag.json"
+        path.write_text(json.dumps(self.zigzag_spec(300)))
+        start = time.perf_counter()
+        proc = run_cli("analyze", str(path), "--format", "json", timeout=30)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "7dfcb4961e37487a3ba92c63315f5013a4b2ebc637ccab39447c194ce15250e1"
+        )
+        report = json.loads(proc.stdout)
+        cert = report["verdicts"]["UC"]["certificate"]
+        assert len(cert["junctions"]) == 299
+        assert elapsed < 5
 
 
 class TestZoo:

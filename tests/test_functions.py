@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -510,6 +511,81 @@ class TestTiling:
         f = Piecewise((FuncPiece(FinitePoints.of(qx(9)), Const(0)),))
         with pytest.raises(ConfigurationError):
             tile_formulas(f, (IntervalPiece(qx(0), qx(1)),))
+
+
+def _scan_tiles(f, pieces):
+    """tile_formulas of a piecewise spec by brute force: every region is
+    tested for every piece."""
+    out = []
+    for piece in pieces:
+        owners = [
+            fp.formula
+            for fp in f.pieces
+            if (isinstance(fp.region, IntervalUnion) and piece in fp.region.pieces)
+            or (
+                isinstance(fp.region, FinitePoints)
+                and piece.is_degenerate
+                and fp.region.contains(piece.lo)
+            )
+        ]
+        if len(owners) != 1:
+            raise ConfigurationError(
+                f"piece {piece.describe()} owned by {len(owners)} regions; need 1"
+            )
+        out.append((piece, owners[0]))
+    return out
+
+
+def _tiling_case(rng):
+    """A piecewise spec and pieces to tile over the grid 0, 1/2, ..., 4 and
+    sqrt2: disjoint interval-union regions, finite-points regions, and the
+    listed pieces plus some no region lists."""
+    ends = sorted({qx(Fraction(k, 2)) for k in range(9)} | {SQRT2})
+    cands = [IntervalPiece(x, x) for x in ends]
+    for x, y in zip(ends, ends[1:]):
+        cands += [IntervalPiece(x, y, lc, hc) for lc in (True, False) for hc in (True, False)]
+    regions = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.3:
+            regions.append(FinitePoints(tuple(rng.sample(ends, rng.randint(1, 3)))))
+            continue
+        chosen = []
+        for piece in rng.sample(cands, rng.randint(1, 6)):
+            try:
+                IntervalUnion(tuple(chosen + [piece]))
+            except DomainError:
+                continue
+            chosen.append(piece)
+        regions.append(IntervalUnion(tuple(chosen)))
+    f = Piecewise(tuple(FuncPiece(r, Const(k)) for k, r in enumerate(regions)))
+    listed = [p for r in regions if isinstance(r, IntervalUnion) for p in r.pieces]
+    pool = listed * 3 + [IntervalPiece(x, x) for x in ends] + rng.sample(cands, 3)
+    return f, tuple(rng.choice(pool) for _ in range(rng.randint(1, 8)))
+
+
+class TestTilingOracle:
+    def test_matches_region_scan(self):
+        rng = random.Random(20261019)
+        seen = {"through_points": 0, "twice": 0, "unowned": 0, "tiled": 0}
+        for _ in range(3000):
+            f, pieces = _tiling_case(rng)
+            try:
+                want = _scan_tiles(f, pieces)
+            except ConfigurationError as exc:
+                with pytest.raises(ConfigurationError) as got:
+                    tile_formulas(f, pieces)
+                assert str(got.value) == str(exc)
+                seen["unowned" if " by 0 regions" in str(exc) else "twice"] += 1
+                continue
+            assert tile_formulas(f, pieces) == want
+            seen["tiled"] += 1
+            seen["through_points"] += any(
+                isinstance(fp.region, FinitePoints) and fp.formula == fm
+                for piece, fm in want
+                if piece.is_degenerate
+                for fp in f.pieces
+            )
+        assert min(seen.values()) >= 50, seen
 
 
 class TestDescriptions:
