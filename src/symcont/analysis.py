@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .domains import (
@@ -306,7 +306,9 @@ def _probe_points(
     endpoint leave it open on one side), so the runs concatenate into the
     sorted points. When the pieces share one sqrt2 part and have rational
     lengths, the points are the integer keys X_lo + k*S of _index_keys, and
-    no point is built until it is read; otherwise each piece's grid is built.
+    no point is built until it is read; their stretches hold each piece's
+    equispaced run (IntervalPiece.grid_run) of three points or more.
+    Otherwise each piece's grid is built.
     A probe of more than PROBE_POINTS_MAX points raises ConfigurationError."""
     if domain.enumerable:
         en = domain.enumerate(config.enum_limit)
@@ -329,6 +331,13 @@ def _probe_points(
         )
     if pts is None:
         pts = tuple(itertools.chain.from_iterable(p.grid(exponent) for p in pieces))
+    else:
+        at = 0
+        for p, ks, _ in runs:
+            a, b = p.grid_run(exponent)
+            if b - a >= 3:
+                pts.stretches.append((at + a, at + b))
+            at += len(ks)
     return pts, runs, False
 
 
@@ -349,7 +358,11 @@ def _probe_values(
     every owner is affine (Const, Identity or Affine) with a rational change
     slope*step per grid step, the values are integer keys too: f(lo) +
     (slope*step)*k over the run's k, by _index_keys, and neither a point nor
-    a value is built. Every other probe is valued by _evaluate_many."""
+    a value is built. Such values also record the points' equispaced
+    stretches: on each piece's run between its open-end refinements both
+    keys then step by one constant, which lets _uc_rows and the usc survey
+    scan only the ends of the run (_thin). Every other probe is valued by
+    _evaluate_many and has no stretches."""
     if isinstance(pts, _LiftedNumbers):
         pieces = tuple(p for p, _, _ in runs)
         owners: list[Formula | None] = [None] * len(pieces)
@@ -374,8 +387,50 @@ def _probe_values(
         else:
             vals = _index_keys(progressions)
             if vals is not None:
+                vals.stretches = pts.stretches
                 return vals
     return _evaluate_many(f, pts)
+
+
+def _thin(
+    stretches: Sequence[tuple[int, int]], keys: Sequence[int], reach: int
+) -> tuple[list[int], list[tuple[int, int, int]]] | None:
+    """The probe positions a scan or survey at the reach key R needs (a pair
+    is within reach when its key distance is below R), and (S, m, K) per
+    thinned stretch; None when no stretch thins.
+
+    In a stretch whose keys step by S and whose values step by one
+    constant, a pair d positions apart has width d*S and the same
+    oscillation wherever it lies, and it is within reach when
+    d <= m = (R - 1)//S. When K = L - 2(m + 1) >= max(m, 1) of the L
+    points lie between the first and the last m + 1, those K are dropped:
+    every pair they take part in repeats the (width, oscillation) of a pair
+    of the first m + 1 points, found earlier, and a pair reaching across
+    either end of the stretch has its stretch point among the m + 1 kept
+    there."""
+    spans, thinned, at = [], [], 0
+    for a, b in stretches:
+        step = keys[a + 1] - keys[a]
+        m = (reach - 1) // step
+        k = b - a - 2 * (m + 1)
+        if k >= max(m, 1):
+            spans.append(range(at, a + m + 1))
+            at = b - m - 1
+            thinned.append((step, m, k))
+    if not thinned:
+        return None
+    spans.append(range(at, len(keys)))
+    return list(itertools.chain.from_iterable(spans)), thinned
+
+
+def _skipped_pairs(thinned: Sequence[tuple[int, int, int]], cut: int) -> int:
+    """The pairs of key distance below cut that _thin dropped: per stretch,
+    K*m_c + m_c*(m_c + 1)/2 with m_c = min(m, (cut - 1)//S)."""
+    total = 0
+    for step, m, k in thinned:
+        mc = min(m, (cut - 1) // step)
+        total += k * mc + mc * (mc + 1) // 2
+    return total
 
 
 @dataclass
@@ -555,6 +610,10 @@ class _LiftedNumbers(Sequence):
 
     def __init__(self, keys: list[int], den: int, shift: Fraction) -> None:
         self.keys, self.den, self.shift = keys, den, shift
+        # positions [a, b) of runs of at least three keys stepping by one
+        # constant: a sampled probe's equispaced grid runs
+        # (IntervalPiece.grid_run), which its values keep when affine
+        self.stretches: list[tuple[int, int]] = []
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -742,16 +801,34 @@ def _uc_rows(fk: _FamilyKeys, truncated: bool) -> list[tuple[QuadExt, Oscillatio
     The comparison is exact on every kind of key: a ceiling threshold and
     a lifted gap are integers, an embedded gap less a threshold is a
     combination of three terms (whose sign _embed keeps), and exact keys
-    are the numbers."""
-    keys = fk.keys
-    gap = min((b - a for a, b in itertools.pairwise(keys)), default=None)
+    are the numbers.
+
+    On a sampled probe with equispaced stretches (_probe_values), each row
+    scans only the positions _thin keeps at its threshold and adds the
+    pairs it dropped. A dropped window repeats the oscillation of a kept
+    one found earlier, and the scan replaces its best only on a strictly
+    larger one, so the sup and its witness are those of the whole probe."""
+    keys, vkeys = fk.keys, fk.vkeys
+    gap = min(map(sub, keys[1:], keys), default=None)
+    # stretches are read on the index keys themselves, not on exact keys
+    stretches = ()
+    if isinstance(fk.vals, _LiftedNumbers) and fk.vals.stretches and keys is fk.pts.keys:
+        stretches = fk.vals.stretches
     rows = []
     for delta, thr in zip(fk.schedule, fk.thr):
         if gap is None or thr <= gap:
             rows.append((delta, OscillationResult(None, None, 0, truncated)))
             continue
         scan = _window_scan_exact if isinstance(thr, QuadExt) else _window_scan_int
-        _, idx, pairs = scan(keys, fk.vkeys, thr)
+        thin = _thin(stretches, keys, thr)
+        if thin is None:
+            _, idx, pairs = scan(keys, vkeys, thr)
+        else:
+            kept, thinned = thin
+            _, idx, pairs = scan([keys[p] for p in kept], [vkeys[p] for p in kept], thr)
+            pairs += _skipped_pairs(thinned, thr)
+            if idx is not None:
+                idx = (kept[idx[0]], kept[idx[1]])
         value = wit = None
         if idx is not None:
             j, i = max(idx), min(idx)
@@ -785,7 +862,16 @@ def modulus_profile(
     its survey reaches (the fewest points with more than max_pairs
     candidates, or all if their survey does not cut): rows are exact, and f
     is not evaluated past that prefix, so a point there where f fails
-    raises nothing."""
+    raises nothing.
+
+    A sampled probe whose values are affine index keys has equispaced
+    stretches (_probe_values). The uc scan at each delta, and the usc
+    survey of midpoints in the ambient union at the reach of the largest
+    delta, then run only on the ends of each stretch that _thin keeps, and
+    every row adds the pairs dropped below its delta: rows, witnesses and
+    counts are those of the whole probe. A survey whose whole candidate
+    count passes max_pairs runs on every point, as where it stops depends
+    on each candidate."""
     config = config or AnalysisConfig()
     if notion not in ("uc", "usc"):
         raise ConfigurationError("modulus profile notion must be 'uc' or 'usc'")
@@ -800,9 +886,16 @@ def modulus_profile(
         return ModulusProfile(notion, rows, len(pts), sampled, en_trunc)
     if centers is None and sampled:
         centers = ambient
-    # a sampled probe's keys are index keys: it is surveyed whole
+    # a sampled probe's keys are index keys: it is keyed whole
     head = pts if sampled else pts[: (isqrt(8 * cap + 1) + 1) // 2 + 1]
     vals = _probe_values(f, head, runs)
+    # a stretch lies in one piece of the ambient union, so every midpoint of
+    # a pair inside it is a center
+    rows = None
+    if centers is ambient:
+        rows = _thinned_usc_rows(head, vals, centers, schedule, cap)
+    if rows is not None:
+        return ModulusProfile(notion, rows, len(pts), sampled, False)
     # no centers: the midpoints are answered from the listed prefix
     survey = _pairs_from_points(head, vals, centers, schedule, cap, en_trunc)
     if survey.candidates_checked <= cap and len(head) < len(pts):
@@ -810,6 +903,39 @@ def modulus_profile(
         survey = _pairs_from_points(head, vals, centers, schedule, cap, en_trunc)
     rows = _sup_rows(survey.entries, schedule, survey.truncated, (survey.cuts, head, vals))
     return ModulusProfile(notion, rows, len(pts), sampled, survey.truncated)
+
+
+def _thinned_usc_rows(
+    pts: Sequence[QuadExt],
+    vals: Sequence[QuadExt],
+    centers: Domain,
+    schedule: tuple[QuadExt, ...],
+    max_pairs: int,
+) -> list[tuple[QuadExt, OscillationResult]] | None:
+    """The usc rows of a sampled probe from a survey of the positions _thin
+    keeps at the reach of 2*schedule[0], each row adding the pairs dropped
+    below its delta; centers hold the midpoint of every pair inside a
+    stretch. Each dropped pair is a candidate too, so the survey may read
+    only what is left of max_pairs. None when there is nothing to thin, or
+    when the survey of every point would stop at max_pairs."""
+    if not (isinstance(vals, _LiftedNumbers) and vals.stretches and schedule):
+        return None
+    keys, cuts = _keys(pts, [2 * d for d in schedule])
+    thin = _thin(vals.stretches, keys, cuts[0]) if keys is pts.keys else None
+    if thin is None:
+        return None
+    kept, thinned = thin
+    skipped = [_skipped_pairs(thinned, c) for c in cuts]
+    if skipped[0] > max_pairs:
+        return None
+    sub_pts = _LiftedNumbers([keys[p] for p in kept], pts.den, pts.shift)
+    sub_vals = _LiftedNumbers([vals.keys[p] for p in kept], vals.den, vals.shift)
+    left = max_pairs - skipped[0]
+    survey = _pairs_from_points(sub_pts, sub_vals, centers, schedule, left)
+    if survey.truncated:
+        return None
+    rows = _sup_rows(survey.entries, schedule, False, (survey.cuts, sub_pts, sub_vals))
+    return [(d, replace(r, challenges=r.challenges + n)) for (d, r), n in zip(rows, skipped)]
 
 
 # ---------------------------------------------------------------------------
@@ -1879,6 +2005,11 @@ def _staircase_classify(
 ) -> dict[str, Verdict]:
     blocks = ambient.block_pieces()
     tiles = tile_formulas(f, blocks)
+    # f must be defined on every block, a lone block's too, whose ends are
+    # never valued
+    for piece, fm in tiles:
+        if isinstance(fm, Reciprocal) and piece.contains(QuadExt.of(0)):
+            raise DomainError("reciprocal evaluated at 0")
     res = _resolution(config, points=2 * len(blocks))
     gaps = ambient.gaps()
 

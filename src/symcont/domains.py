@@ -432,6 +432,17 @@ class IntervalPiece:
             ks.update(n - 2 ** (top - m) for m in range(1, 11))
         return sorted(ks), n
 
+    def grid_run(self, exponent: int) -> tuple[int, int]:
+        """The positions [a, b) of the equispaced run in the ks of
+        grid_indices(exponent): the k = 0, g, ..., n (g = n/2**exponent)
+        that the piece keeps, between the 10 - min(exponent, 10) approach
+        points below g that an open low end adds and those above n - g that
+        an open high end adds. A degenerate piece's one point is its run."""
+        if self.is_degenerate:
+            return 0, 1
+        a = 0 if self.lo_closed else 10 - min(exponent, 10)
+        return a, a + 2**exponent + 1 - (not self.lo_closed) - (not self.hi_closed)
+
     def grid(self, exponent: int) -> list[QuadExt]:
         """Exact sample grid, ascending: 2**exponent + 1 equispaced points
         including the closed endpoints; an open endpoint is replaced by a run

@@ -327,7 +327,7 @@ class TestOneTiling:
         assert (counts["many"], counts["many_points"]) == ((1, 2 * n) if n > 1 else (0, 0))
         assert counts["evaluate"] == 0
 
-    @pytest.mark.parametrize("n", [2, 3, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
     def test_reciprocal_on_staircase_b_raises(self, n):
         # the first block of variant B is [0, 1]
         with pytest.raises(DomainError, match="^reciprocal evaluated at 0$"):
@@ -1769,6 +1769,20 @@ class TestIntegerPaths:
                     assert grid == self.sorted_set_grid(piece, e), (piece, e)
                     assert piece.grid_size(e) == len(grid), (piece, e)
 
+    def test_grid_run_is_the_equispaced_run(self):
+        """grid_run names the contiguous k of grid_indices that step by
+        n/2**e; every k outside it is an open-end approach point."""
+        assert IntervalPiece(qx(1), qx(1)).grid_run(5) == (0, 1)
+        for e in range(0, 13):
+            for lo_closed in (True, False):
+                for hi_closed in (True, False):
+                    piece = IntervalPiece(qx(0), qx(1), lo_closed, hi_closed)
+                    ks, n = piece.grid_indices(e)
+                    a, b = piece.grid_run(e)
+                    g = n >> e
+                    assert ks[a:b] == [k for k in ks if k % g == 0], (e, lo_closed, hi_closed)
+                    assert all(k % g for k in ks[:a] + ks[b:])
+
 
 def _whole_listing_profile(ambient, f, config, centers=None):
     """The usc profile surveyed over every listed point and value, with the
@@ -2148,6 +2162,84 @@ class TestIndexProbe:
         pointwise = lambda f, pts, runs: [evaluate(f, p) for p in pts]  # noqa: E731
         with mock.patch.object(analysis, "_probe_values", pointwise):
             assert modulus_profile(ambient, f, config, "usc") == usc
+
+
+@contextlib.contextmanager
+def _whole_probe():
+    """Scan and survey every probe point: no equispaced stretch is thinned."""
+    with mock.patch.object(analysis, "_thin", return_value=None):
+        yield
+
+
+@st.composite
+def stretch_cases(draw):
+    """A sampled union from sampled_unions() at grid exponents 3-10, with a
+    max_pairs that may cut the usc survey and deltas either all at most
+    1/64, whose reach leaves most of a stretch out, or up to 2, past a
+    whole stretch."""
+    ambient, f, config = draw(sampled_unions())
+    small = (qx(Fraction(1, 64)), SQRT2 / 128, qx(Fraction(3, 512)), qx(Fraction(1, 4096)))
+    large = (qx(2), qx(1), SQRT2 / 2, qx(Fraction(1, 8)), SQRT2 / 16)
+    pool = small if draw(st.booleans()) else large + small
+    deltas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    config = replace(
+        config,
+        delta_schedule=tuple(sorted(deltas, reverse=True)),
+        grid_exponent=draw(st.integers(3, 10)),
+        max_pairs=draw(st.sampled_from((10**6, 10**6, 3000, 300, 20))),
+    )
+    return ambient, f, config
+
+
+class TestStretchSkip:
+    """Scanning only the ends of each equispaced stretch of a sampled probe
+    (_thin) gives the profile of the whole probe: the same rows, witnesses
+    and challenge counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stretch_cases())
+    def test_thinned_profiles_match_whole_probe(self, case):
+        ambient, f, config = case
+        for notion in ("uc", "usc"):
+            got = modulus_profile(ambient, f, config, notion).to_json()
+            with _whole_probe():
+                assert got == modulus_profile(ambient, f, config, notion).to_json(), notion
+
+    def test_scans_only_the_stretch_ends(self):
+        """On two affine pieces at exponent 9 (7 for usc) the uc scan and the
+        usc survey each see a few dozen of the probe's points."""
+        left = IntervalPiece(qx(0), qx(1), True, True)
+        right = IntervalPiece(qx(1), qx(Fraction(3, 2)), False, True)
+        f = Piecewise((
+            FuncPiece(IntervalUnion((left,)), Affine(qx(3), qx(1))),
+            FuncPiece(IntervalUnion((right,)), Const(qx(-2))),
+        ))
+        ambient = IntervalUnion((left, right))
+        config = AnalysisConfig(
+            grid_exponent=9, delta_schedule=(qx(Fraction(1, 64)), qx(Fraction(1, 256)))
+        )
+        seen = []
+        scan, survey = analysis._window_scan_int, analysis._pairs_from_points
+
+        def counted_scan(keys, vals, thr):
+            seen.append(len(keys))
+            return scan(keys, vals, thr)
+
+        def counted_survey(pts, *args):
+            seen.append(len(pts))
+            return survey(pts, *args)
+
+        for notion in ("uc", "usc"):
+            seen.clear()
+            with mock.patch.object(analysis, "_window_scan_int", counted_scan), \
+                    mock.patch.object(analysis, "_pairs_from_points", counted_survey):
+                got = modulus_profile(ambient, f, config, notion)
+            assert seen and max(seen) <= 60, (notion, seen)
+            with _whole_probe():
+                whole = modulus_profile(ambient, f, config, notion)
+            assert got.to_json() == whole.to_json()
+            # more challenges than the scanned points can form among themselves
+            assert got.rows[0][1].challenges > max(seen) ** 2 / 2, (notion, got.rows)
 
 
 def _moved_piece(p, a, s):
