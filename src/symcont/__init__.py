@@ -76,20 +76,32 @@ from .functions import (
     sup_abs_diff,
 )
 from .specfile import ParsedSpec, parse_spec
-from .zoo import (
-    Budget,
-    CaseReport,
-    ExampleCase,
-    PaperExample,
-    ZooReport,
-    build_example,
-    get_example,
-    list_ids,
-    midpoint_contrast_naturals,
-    midpoint_exclusion_primes,
-    run_all,
-    run_example,
-    verify_staircase_proof,
+
+# the paper's catalog (symcont.zoo), imported on first use so that importing
+# symcont does not compile it
+_ZOO_NAMES = (
+    "Budget",
+    "CaseReport",
+    "ExampleCase",
+    "PaperExample",
+    "ZooReport",
+    "build_example",
+    "get_example",
+    "list_ids",
+    "midpoint_contrast_naturals",
+    "midpoint_exclusion_primes",
+    "run_all",
+    "run_example",
+    "verify_staircase_proof",
 )
+
+
+def __getattr__(name: str):
+    if name in _ZOO_NAMES:
+        from . import zoo
+
+        return getattr(zoo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

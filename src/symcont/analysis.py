@@ -42,6 +42,7 @@ from .domains import (
     IntervalUnion,
     Staircase,
     SymmetricPair,
+    _IndexKeys,
     exact_ceil,
     exact_floor,
     merge_interval_components,
@@ -296,55 +297,65 @@ def _midpoint_free_verdict(
 
 def _probe_points(
     domain: Domain, config: AnalysisConfig, *, for_pairs: bool
-) -> tuple[Sequence[QuadExt], list[tuple[IntervalPiece, list[int], int]] | None, bool]:
-    """(points, runs, enumeration_truncated), points ascending.
+) -> tuple[
+    Sequence[QuadExt], list[tuple[IntervalPiece, tuple, int]] | None, int, bool
+]:
+    """(points, runs, size, enumeration_truncated), points ascending, size
+    the number of points the probe holds.
 
-    An enumerable domain is listed and has no runs (None). A continuum is
-    sampled: runs holds (piece, ks, n) for each analytic piece, whose grid is
-    lo + (length/n)*k over the integers k of ks (IntervalPiece.grid_indices).
-    The pieces are sorted and pairwise disjoint (two pieces sharing an
-    endpoint leave it open on one side), so the runs concatenate into the
-    sorted points. When the pieces share one sqrt2 part and have rational
-    lengths, the points are the integer keys X_lo + k*S of _index_keys, and
-    no point is built until it is read; their stretches hold each piece's
-    equispaced run (IntervalPiece.grid_run) of three points or more.
-    Otherwise each piece's grid is built.
+    An enumerable domain is listed and has no runs (None). For pairs (a usc
+    survey) only the prefix of the listing that a survey can reach is
+    listed: the fewest points with more than max_pairs candidates. size and
+    the truncation flag then come from Domain.count, which builds no point.
+    A continuum is sampled: runs holds (piece, parts, n) for each analytic
+    piece, whose grid is lo + (length/n)*k over the integers k of the parts
+    (IntervalPiece.grid_indices). The pieces are sorted and pairwise
+    disjoint (two pieces sharing an endpoint leave it open on one side), so
+    the runs concatenate into the sorted points. When the pieces share one
+    sqrt2 part and have rational lengths, the points are the integer keys
+    X_lo + k*S of _index_keys, each computed only when its position is
+    read; their stretches hold each piece's equispaced run, the middle
+    part, of three points or more. Otherwise each piece's grid is built.
     A probe of more than PROBE_POINTS_MAX points raises ConfigurationError."""
     if domain.enumerable:
-        en = domain.enumerate(config.enum_limit)
-        return en.points, None, en.truncated
+        limit = config.enum_limit
+        if for_pairs:
+            size, truncated = domain.count(limit)
+            head = (isqrt(8 * config.max_pairs + 1) + 1) // 2 + 1
+            return domain.enumerate(min(head, limit)).points, None, size, truncated
+        en = domain.enumerate(limit)
+        return en.points, None, len(en.points), en.truncated
     exponent = config.grid_exponent
     if for_pairs:
         exponent = min(exponent, _SYM_SAMPLE_EXPONENT_CAP)
     pieces = _analytic_pieces(domain)
-    size = sum(piece.grid_size(exponent) for piece in pieces)
+    runs = [(piece, *piece.grid_indices(exponent)) for piece in pieces]
+    size = sum(len(ks) for _, parts, _ in runs for ks in parts)
     if size > PROBE_POINTS_MAX:
         raise ConfigurationError(
             f"sampled probe of {size} points exceeds the limit of "
             f"{PROBE_POINTS_MAX}: lower the grid exponent or the piece count"
         )
-    runs = [(piece, *piece.grid_indices(exponent)) for piece in pieces]
     pts = None
     if all(p.length.is_rational() for p in pieces):
         pts = _index_keys(
-            [(p.lo, Fraction(p.length.a, p.length.d * n), ks) for p, ks, n in runs]
+            [(p.lo, Fraction(p.length.a, p.length.d * n), parts) for p, parts, n in runs]
         )
     if pts is None:
         pts = tuple(itertools.chain.from_iterable(p.grid(exponent) for p in pieces))
     else:
         at = 0
-        for p, ks, _ in runs:
-            a, b = p.grid_run(exponent)
-            if b - a >= 3:
-                pts.stretches.append((at + a, at + b))
-            at += len(ks)
-    return pts, runs, False
+        for _, (low, run, high), _ in runs:
+            if len(run) >= 3:
+                pts.stretches.append((at + len(low), at + len(low) + len(run)))
+            at += len(low) + len(run) + len(high)
+    return pts, runs, size, False
 
 
 def _probe_values(
     f: FuncSpec,
     pts: Sequence[QuadExt],
-    runs: list[tuple[IntervalPiece, list[int], int]] | None,
+    runs: list[tuple[IntervalPiece, tuple, int]] | None,
 ) -> Sequence[QuadExt]:
     """f at every probe point.
 
@@ -358,10 +369,10 @@ def _probe_values(
     every owner is affine (Const, Identity or Affine) with a rational change
     slope*step per grid step, the values are integer keys too: f(lo) +
     (slope*step)*k over the run's k, by _index_keys, and neither a point nor
-    a value is built. Such values also record the points' equispaced
-    stretches: on each piece's run between its open-end refinements both
-    keys then step by one constant, which lets _uc_rows and the usc survey
-    scan only the ends of the run (_thin). Every other probe is valued by
+    a value is built until it is read. Such values also record the points'
+    equispaced stretches: on each piece's run between its open-end
+    refinements both keys then step by one constant, which lets _uc_rows
+    and the usc survey scan only the ends of the run (_thin). Every other probe is valued by
     _evaluate_many and has no stretches."""
     if isinstance(pts, _LiftedNumbers):
         pieces = tuple(p for p, _, _ in runs)
@@ -378,12 +389,12 @@ def _probe_values(
                 for p in pieces
             ]
         progressions = []
-        for (piece, ks, n), fm in zip(runs, owners):
+        for (piece, parts, n), fm in zip(runs, owners):
             aff = None if fm is None else _as_affine(fm)
             dv = None if aff is None else aff.slope * piece.length / n
             if dv is None or not dv.is_rational():
                 break
-            progressions.append((aff.slope * piece.lo + aff.intercept, dv.rat, ks))
+            progressions.append((aff.slope * piece.lo + aff.intercept, dv.rat, parts))
         else:
             vals = _index_keys(progressions)
             if vals is not None:
@@ -394,10 +405,10 @@ def _probe_values(
 
 def _thin(
     stretches: Sequence[tuple[int, int]], keys: Sequence[int], reach: int
-) -> tuple[list[int], list[tuple[int, int, int]]] | None:
+) -> tuple[list[range], list[tuple[int, int, int]]] | None:
     """The probe positions a scan or survey at the reach key R needs (a pair
-    is within reach when its key distance is below R), and (S, m, K) per
-    thinned stretch; None when no stretch thins.
+    is within reach when its key distance is below R), as ascending ranges,
+    and (S, m, K) per thinned stretch; None when no stretch thins.
 
     In a stretch whose keys step by S and whose values step by one
     constant, a pair d positions apart has width d*S and the same
@@ -420,7 +431,7 @@ def _thin(
     if not thinned:
         return None
     spans.append(range(at, len(keys)))
-    return list(itertools.chain.from_iterable(spans)), thinned
+    return spans, thinned
 
 
 def _skipped_pairs(thinned: Sequence[tuple[int, int, int]], cut: int) -> int:
@@ -525,7 +536,7 @@ def _pairs_from_points(
 
     Any other centers get the midpoint of each pair and their own contains."""
     keys, cuts = _keys(pts, [2 * d for d in schedule])
-    vk = _keys(vals)[0]
+    keys, vk = _whole(keys), _whole(_keys(vals)[0])
     n = len(keys)
     cap = cuts[0] if cuts else None
     # the first position of each point's run; a point outside every run, or
@@ -605,25 +616,38 @@ def sym_oscillation(
 class _LiftedNumbers(Sequence):
     """The numbers X_k/L + c*sqrt2 of integer keys X_k over one denominator
     L and one sqrt2 coefficient c, each built only when it is read. A
-    sampled probe gives its points and values this way, and _lift_rationals
-    hands the keys back without looking at any number."""
+    sampled probe gives its points and values this way, their keys held as
+    index runs (_IndexKeys) that compute a key only when its position is
+    read, and _lift_rationals hands the keys back without looking at any
+    number."""
 
-    def __init__(self, keys: list[int], den: int, shift: Fraction) -> None:
+    def __init__(self, keys: Sequence[int], den: int, shift: Fraction) -> None:
         self.keys, self.den, self.shift = keys, den, shift
         # positions [a, b) of runs of at least three keys stepping by one
-        # constant: a sampled probe's equispaced grid runs
-        # (IntervalPiece.grid_run), which its values keep when affine
+        # constant: a sampled probe's equispaced grid runs (the middle part
+        # of IntervalPiece.grid_indices), which its values keep when affine
         self.stretches: list[tuple[int, int]] = []
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def __getitem__(self, k: int) -> QuadExt:
+        return self._number(self.keys[k])
+
+    def __iter__(self) -> Iterator[QuadExt]:
+        # reading every number reads every key
+        return map(self._number, _whole(self.keys))
+
+    def _number(self, key: int) -> QuadExt:
         # X/L + c*sqrt2 over the one denominator L*c.den
         c = self.shift
-        return _reduced(
-            self.keys[k] * c.denominator, c.numerator * self.den, self.den * c.denominator
-        )
+        return _reduced(key * c.denominator, c.numerator * self.den, self.den * c.denominator)
+
+
+def _whole(keys: Sequence) -> Sequence:
+    """keys for a scan that reads every one: index keys built once as a
+    list (_IndexKeys.whole), any other keys as they are."""
+    return keys.whole if isinstance(keys, _IndexKeys) else keys
 
 
 def _lift_rationals(
@@ -719,24 +743,36 @@ def _keys(xs: Sequence[QuadExt], deltas: Sequence[QuadExt] = ()) -> tuple[Sequen
 
 
 def _index_keys(
-    runs: Sequence[tuple[QuadExt, Fraction, list[int]]],
+    runs: Sequence[tuple[QuadExt, Fraction, Sequence[Sequence[int]]]],
 ) -> _LiftedNumbers | None:
-    """The numbers v0 + dv*k of every run (v0, dv, ks), for k over ks, as
-    integer keys V0 + D*k over one L (V0 = L*rat(v0), D = L*dv), or None
-    when the v0 do not share one sqrt2 part or L passes LIFT_BITS_MAX bits.
-    A grid point lo + step*k and an affine value f(lo) + (slope*step)*k are
-    both such runs."""
+    """The numbers v0 + dv*k of every run (v0, dv, parts), for k over the
+    index parts in turn, as integer keys V0 + D*k over one L (V0 =
+    L*rat(v0), D = L*dv) held per part (_IndexKeys), an equispaced part's
+    as a range computed when read; or None when the v0 do not share one
+    sqrt2 part or L passes LIFT_BITS_MAX bits. A grid point lo + step*k
+    and an affine value f(lo) + (slope*step)*k are both such runs."""
     v = runs[0][0]
     if any(x.b * v.d != v.b * x.d for x, _, _ in runs):
         return None
     den = lcm(*(x.d for x, _, _ in runs), *(dv.denominator for _, dv, _ in runs))
     if den.bit_length() > LIFT_BITS_MAX:
         return None
-    keys: list[int] = []
-    for x, dv, ks in runs:
+    held, at = [], 0
+    for x, dv, parts in runs:
         x0, step = x.a * (den // x.d), dv.numerator * (den // dv.denominator)
-        keys += [x0 + step * k for k in ks]
-    return _LiftedNumbers(keys, den, Fraction(v.b, v.d))
+        for ks in parts:
+            if not ks:
+                continue
+            if not step:
+                keys = [x0] * len(ks)
+            elif isinstance(ks, range):
+                # x0 + step*k over a range of k is itself a range
+                keys = range(x0 + step * ks.start, x0 + step * ks.stop, step * ks.step)
+            else:
+                keys = [x0 + step * k for k in ks]
+            held.append((at, keys))
+            at += len(keys)
+    return _LiftedNumbers(_IndexKeys(held, at), den, Fraction(v.b, v.d))
 
 
 def _window_scan(
@@ -796,8 +832,9 @@ def _uc_rows(fk: _FamilyKeys, truncated: bool) -> list[tuple[QuadExt, Oscillatio
     pair, and that pair become exact numbers; the points ascend, so the
     later position is x > y.
 
-    No pair is closer than the smallest gap between neighbouring keys, so a
-    delta whose key is at or below it gets the empty row without a scan.
+    No pair is closer than the smallest gap between neighbouring keys (read
+    from the runs of index keys), so a delta whose key is at or below it
+    gets the empty row without a scan.
     The comparison is exact on every kind of key: a ceiling threshold and
     a lifted gap are integers, an embedded gap less a threshold is a
     combination of three terms (whose sign _embed keeps), and exact keys
@@ -809,7 +846,10 @@ def _uc_rows(fk: _FamilyKeys, truncated: bool) -> list[tuple[QuadExt, Oscillatio
     one found earlier, and the scan replaces its best only on a strictly
     larger one, so the sup and its witness are those of the whole probe."""
     keys, vkeys = fk.keys, fk.vkeys
-    gap = min(map(sub, keys[1:], keys), default=None)
+    if isinstance(keys, _IndexKeys):
+        gap = keys.gap()
+    else:
+        gap = min(map(sub, keys[1:], keys), default=None)
     # stretches are read on the index keys themselves, not on exact keys
     stretches = ()
     if isinstance(fk.vals, _LiftedNumbers) and fk.vals.stretches and keys is fk.pts.keys:
@@ -822,12 +862,13 @@ def _uc_rows(fk: _FamilyKeys, truncated: bool) -> list[tuple[QuadExt, Oscillatio
         scan = _window_scan_exact if isinstance(thr, QuadExt) else _window_scan_int
         thin = _thin(stretches, keys, thr)
         if thin is None:
-            _, idx, pairs = scan(keys, vkeys, thr)
+            _, idx, pairs = scan(_whole(keys), _whole(vkeys), thr)
         else:
-            kept, thinned = thin
-            _, idx, pairs = scan([keys[p] for p in kept], [vkeys[p] for p in kept], thr)
+            spans, thinned = thin
+            _, idx, pairs = scan(keys.take(spans), vkeys.take(spans), thr)
             pairs += _skipped_pairs(thinned, thr)
             if idx is not None:
+                kept = list(itertools.chain.from_iterable(spans))
                 idx = (kept[idx[0]], kept[idx[1]])
         value = wit = None
         if idx is not None:
@@ -858,24 +899,26 @@ def modulus_profile(
 ) -> ModulusProfile:
     """Oscillation sup at every schedule delta, computed in one pass.
 
-    A usc profile counts a whole listing but values and keys only the prefix
-    its survey reaches (the fewest points with more than max_pairs
-    candidates, or all if their survey does not cut): rows are exact, and f
-    is not evaluated past that prefix, so a point there where f fails
-    raises nothing.
+    A usc profile on a listing counts it (Domain.count) but lists, values
+    and keys only the prefix its survey reaches (the fewest points with
+    more than max_pairs candidates, or the whole listing if their survey
+    does not cut): rows are exact, and f is not evaluated past that prefix,
+    so a point there where f fails raises nothing.
 
-    A sampled probe whose values are affine index keys has equispaced
+    A sampled probe holds its point keys, and affine value keys, as index
+    runs read on demand (_index_keys). Its values then have equispaced
     stretches (_probe_values). The uc scan at each delta, and the usc
     survey of midpoints in the ambient union at the reach of the largest
-    delta, then run only on the ends of each stretch that _thin keeps, and
+    delta, then read only the ends of each stretch that _thin keeps, and
     every row adds the pairs dropped below its delta: rows, witnesses and
-    counts are those of the whole probe. A survey whose whole candidate
-    count passes max_pairs runs on every point, as where it stops depends
-    on each candidate."""
+    counts are those of the whole probe. A scan or survey that reads every
+    point builds every key once. A survey whose whole candidate count
+    passes max_pairs runs on every point, as where it stops depends on each
+    candidate."""
     config = config or AnalysisConfig()
     if notion not in ("uc", "usc"):
         raise ConfigurationError("modulus profile notion must be 'uc' or 'usc'")
-    pts, runs, en_trunc = _probe_points(ambient, config, for_pairs=notion == "usc")
+    pts, runs, size, en_trunc = _probe_points(ambient, config, for_pairs=notion == "usc")
     sampled = runs is not None
     schedule, cap = config.delta_schedule, config.max_pairs
     if notion == "uc":
@@ -883,26 +926,27 @@ def modulus_profile(
         # grouping a sampled probe's values by object would build every value
         groups = None if sampled else _const_groups(f, vals)
         rows = _uc_rows(_family_keys(pts, vals, schedule, groups), en_trunc)
-        return ModulusProfile(notion, rows, len(pts), sampled, en_trunc)
+        return ModulusProfile(notion, rows, size, sampled, en_trunc)
     if centers is None and sampled:
         centers = ambient
-    # a sampled probe's keys are index keys: it is keyed whole
-    head = pts if sampled else pts[: (isqrt(8 * cap + 1) + 1) // 2 + 1]
-    vals = _probe_values(f, head, runs)
+    vals = _probe_values(f, pts, runs)
     # a stretch lies in one piece of the ambient union, so every midpoint of
     # a pair inside it is a center
     rows = None
     if centers is ambient:
-        rows = _thinned_usc_rows(head, vals, centers, schedule, cap)
+        rows = _thinned_usc_rows(pts, vals, centers, schedule, cap)
     if rows is not None:
-        return ModulusProfile(notion, rows, len(pts), sampled, False)
+        return ModulusProfile(notion, rows, size, sampled, False)
     # no centers: the midpoints are answered from the listed prefix
-    survey = _pairs_from_points(head, vals, centers, schedule, cap, en_trunc)
-    if survey.candidates_checked <= cap and len(head) < len(pts):
-        head, vals = pts, vals + _evaluate_many(f, pts[len(head) :])
-        survey = _pairs_from_points(head, vals, centers, schedule, cap, en_trunc)
-    rows = _sup_rows(survey.entries, schedule, survey.truncated, (survey.cuts, head, vals))
-    return ModulusProfile(notion, rows, len(pts), sampled, survey.truncated)
+    survey = _pairs_from_points(pts, vals, centers, schedule, cap, en_trunc)
+    if survey.candidates_checked <= cap and len(pts) < size:
+        # the prefix survey did not cut: survey the whole listing, of which
+        # the prefix is the start
+        head, pts = pts, ambient.enumerate(config.enum_limit).points
+        vals = vals + _evaluate_many(f, pts[len(head) :])
+        survey = _pairs_from_points(pts, vals, centers, schedule, cap, en_trunc)
+    rows = _sup_rows(survey.entries, schedule, survey.truncated, (survey.cuts, pts, vals))
+    return ModulusProfile(notion, rows, size, sampled, survey.truncated)
 
 
 def _thinned_usc_rows(
@@ -924,12 +968,12 @@ def _thinned_usc_rows(
     thin = _thin(vals.stretches, keys, cuts[0]) if keys is pts.keys else None
     if thin is None:
         return None
-    kept, thinned = thin
+    spans, thinned = thin
     skipped = [_skipped_pairs(thinned, c) for c in cuts]
     if skipped[0] > max_pairs:
         return None
-    sub_pts = _LiftedNumbers([keys[p] for p in kept], pts.den, pts.shift)
-    sub_vals = _LiftedNumbers([vals.keys[p] for p in kept], vals.den, vals.shift)
+    sub_pts = _LiftedNumbers(keys.take(spans), pts.den, pts.shift)
+    sub_vals = _LiftedNumbers(vals.keys.take(spans), vals.den, vals.shift)
     left = max_pairs - skipped[0]
     survey = _pairs_from_points(sub_pts, sub_vals, centers, schedule, left)
     if survey.truncated:

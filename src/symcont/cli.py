@@ -40,7 +40,6 @@ from .report import (
     render_zoo_text,
 )
 from .specfile import parse_spec
-from .zoo import list_ids, run_all, run_example
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -122,6 +121,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_zoo(args: argparse.Namespace) -> int:
+    # the catalog is compiled only for this command
+    from .zoo import list_ids, run_all, run_example
+
     config = _apply_overrides(AnalysisConfig(), args)
     if args.all:
         zoo_report = run_all(config)

@@ -21,8 +21,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
+from operator import sub
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, InapplicableError
 from .exactnum import (
@@ -130,6 +131,14 @@ class Domain:
         listed points without calling contains."""
         raise NotImplementedError
 
+    def count(self, limit: int) -> tuple[int, bool]:
+        """(len(e.points), e.truncated) of e = enumerate(limit), for
+        limit >= 0: how many points that listing holds and whether the set
+        has more. Sets that can count without building their points
+        override this."""
+        en = self.enumerate(limit)
+        return len(en.points), en.truncated
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -171,6 +180,9 @@ class FinitePoints(Domain):
     def enumerate(self, limit: int) -> Enumeration:
         return Enumeration(self.points[:limit], truncated=len(self.points) > limit)
 
+    def count(self, limit: int) -> tuple[int, bool]:
+        return min(len(self.points), limit), len(self.points) > limit
+
     def describe(self) -> str:
         return f"finite set of {len(self.points)} points"
 
@@ -193,6 +205,10 @@ class IntegerWindow(Domain):
         count = self.hi - self.lo + 1
         pts = tuple(_make(self.lo + i, 0, 1) for i in range(min(count, limit)))
         return Enumeration(pts, truncated=count > limit)
+
+    def count(self, limit: int) -> tuple[int, bool]:
+        total = self.hi - self.lo + 1
+        return min(total, limit), total > limit
 
     def describe(self) -> str:
         return f"integers in [{self.lo}, {self.hi}]"
@@ -270,6 +286,10 @@ class NaturalReciprocals(Domain):
         total = self.max_n + self.with_zero
         return Enumeration(tuple(pts), truncated=total > limit)
 
+    def count(self, limit: int) -> tuple[int, bool]:
+        total = self.max_n + self.with_zero
+        return min(total, limit), total > limit
+
     def describe(self) -> str:
         base = f"reciprocals of naturals up to {self.max_n}"
         return base + (", with 0" if self.with_zero else "")
@@ -344,12 +364,15 @@ class TruncatedRationals(Domain):
             if has(xs[k])
         ]
 
-    def enumerate(self, limit: int) -> Enumeration:
-        """Walks the Farey sequence of order max_denominator (every reduced
+    def _walk(self, limit: int) -> Iterator[tuple[int, int]]:
+        """(p, q) of the first limit + 1 reduced fractions p/q in [lo, hi]
+        with q <= max_denominator, ascending, or of all of them if fewer.
+
+        Walks the Farey sequence of order max_denominator (every reduced
         fraction with that bound on its denominator, over the whole line)
-        from its least term >= lo by the next-term recurrence, and stops
-        after limit + 1 terms or past hi, so the work grows with limit rather
-        than with the size of the set. sqrt2 is then put in its place."""
+        from its least term >= lo by the next-term recurrence, on integers,
+        and stops past hi, so the work grows with limit rather than with the
+        size of the set."""
         n = self.max_denominator
         last_p, last_q = _farey_bracket(self.hi, n)[:2]
         a, b, c, d = _farey_bracket(self.lo, n)
@@ -357,15 +380,24 @@ class TruncatedRationals(Domain):
             # a/b < lo: the walk starts at the next term c/d
             k = (n + b) // d
             a, b, c, d = c, d, k * c - a, k * d - b
-        pts: list[QuadExt] = []
-        while len(pts) <= limit and a * last_q <= last_p * b:
+        for _ in range(limit + 1):
+            if a * last_q > last_p * b:
+                return
             # Farey neighbours have b*c - a*d == 1, so a/b is in lowest terms
-            pts.append(_make(a, 0, b))
+            yield a, b
             k = (n + b) // d
             a, b, c, d = c, d, k * c - a, k * d - b
+
+    def enumerate(self, limit: int) -> Enumeration:
+        """The fractions of _walk, with sqrt2 then put in its place."""
+        pts = [_make(a, 0, b) for a, b in self._walk(limit)]
         if self._sqrt2_in_range():
             bisect.insort(pts, SQRT2)
         return Enumeration(tuple(pts[:limit]), truncated=len(pts) > limit)
+
+    def count(self, limit: int) -> tuple[int, bool]:
+        total = sum(1 for _ in self._walk(limit)) + self._sqrt2_in_range()
+        return min(total, limit), total > limit
 
     def describe(self) -> str:
         base = (
@@ -410,64 +442,104 @@ class IntervalPiece:
         j = (bisect.bisect_right if self.hi_closed else bisect.bisect_left)(xs, self.hi)
         return i, j
 
-    def grid_indices(self, exponent: int) -> tuple[list[int], int]:
-        """(ks, n): the grid of `grid(exponent)` is lo + (length/n)*k over the
-        ascending integers k of ks.
+    def grid_indices(self, exponent: int) -> tuple[tuple[Sequence[int], ...], int]:
+        """((low, run, high), n): the grid of `grid(exponent)` is
+        lo + (length/n)*k over the ascending integers k of low, run and high
+        in turn, given in O(1) without a set or a sort.
 
         n = 2**N with N = max(exponent, 10) so that the open-end runs land on
-        integers too: the equispaced run is k = 0, 2**(N - exponent), ...,
-        2**N, an open low end drops k = 0 and adds k = 2**(N - m), and an open
-        high end drops k = 2**N and adds k = 2**N - 2**(N - m), m = 1..10. A
-        degenerate piece is the one point k = 0 (n = 1)."""
+        integers too. run is the equispaced run k = 0, g, ..., n (g =
+        2**(N - exponent)) that the piece keeps. An open low end drops k = 0,
+        and low holds its approach points k = 2**(N - m) below g, m = 1..10;
+        an open high end drops k = n, and high holds the k = n - 2**(N - m)
+        above n - g. A degenerate piece is the one point k = 0 (n = 1)."""
         if self.is_degenerate:
-            return [0], 1
+            return ((), range(1), ()), 1
         top = max(exponent, 10)
-        n = 2**top
-        ks = set(range(0, n + 1, 2 ** (top - exponent)))
-        if not self.lo_closed:
-            ks.discard(0)
-            ks.update(2 ** (top - m) for m in range(1, 11))
-        if not self.hi_closed:
-            ks.discard(n)
-            ks.update(n - 2 ** (top - m) for m in range(1, 11))
-        return sorted(ks), n
-
-    def grid_run(self, exponent: int) -> tuple[int, int]:
-        """The positions [a, b) of the equispaced run in the ks of
-        grid_indices(exponent): the k = 0, g, ..., n (g = n/2**exponent)
-        that the piece keeps, between the 10 - min(exponent, 10) approach
-        points below g that an open low end adds and those above n - g that
-        an open high end adds. A degenerate piece's one point is its run."""
-        if self.is_degenerate:
-            return 0, 1
-        a = 0 if self.lo_closed else 10 - min(exponent, 10)
-        return a, a + 2**exponent + 1 - (not self.lo_closed) - (not self.hi_closed)
+        n, g = 2**top, 2 ** (top - exponent)
+        near = [2 ** (top - m) for m in range(10, exponent, -1)]
+        low = () if self.lo_closed else near
+        high = () if self.hi_closed else [n - k for k in reversed(near)]
+        if low and high and high[0] == low[-1]:
+            # exponent 0: n/2 approaches both open ends, and is one point
+            high = high[1:]
+        run = range(0 if self.lo_closed else g, n + 1 if self.hi_closed else n, g)
+        return (low, run, high), n
 
     def grid(self, exponent: int) -> list[QuadExt]:
         """Exact sample grid, ascending: 2**exponent + 1 equispaced points
         including the closed endpoints; an open endpoint is replaced by a run
         of points approaching it at length/2**m, m = 1..10. The points are
         those of grid_indices, each built once from its k."""
-        ks, n = self.grid_indices(exponent)
+        parts, n = self.grid_indices(exponent)
         # lo + length*k/n over one denominator, reduced once per point
         lo, ln = self.lo, self.length
         a0, b0, den = lo.a * ln.d * n, lo.b * ln.d * n, lo.d * ln.d * n
         da, db = ln.a * lo.d, ln.b * lo.d
-        return [_reduced(a0 + da * k, b0 + db * k, den) for k in ks]
-
-    def grid_size(self, exponent: int) -> int:
-        """len(self.grid(exponent)), without building the grid. An open end
-        drops one point of the equispaced run and adds the 10 - min(exponent,
-        10) points of its approach run that the equispaced run lacks."""
-        if self.is_degenerate:
-            return 1
-        open_ends = (not self.lo_closed) + (not self.hi_closed)
-        return 2**exponent + 1 + open_ends * (9 - min(exponent, 10))
+        return [
+            _reduced(a0 + da * k, b0 + db * k, den) for k in itertools.chain(*parts)
+        ]
 
     def describe(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
         return f"{left}{self.lo}, {self.hi}{right}"
+
+
+class _IndexKeys:
+    """Integer keys X0 + S*k over the k of grid index parts
+    (IntervalPiece.grid_indices), as runs (start, keys): the positions
+    start, start + 1, ... hold the keys of one part. An equispaced part's
+    keys are a range, computed when read, and an approach part's are a
+    short list. A key is read by position (negative positions count from
+    the end), the keys of ranges of positions by take, and whole lists
+    every key once, for a scan that reads them all. A sampled probe's
+    points, and affine values, are keyed this way."""
+
+    def __init__(self, runs: list[tuple[int, Sequence[int]]], size: int) -> None:
+        self.runs, self.size = runs, size
+        self.starts = [start for start, _ in runs]
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, p: int) -> int:
+        if p < 0:
+            p += self.size
+        if not 0 <= p < self.size:
+            raise IndexError("index key position out of range")
+        start, keys = self.runs[bisect.bisect_right(self.starts, p) - 1]
+        return keys[p - start]
+
+    def take(self, spans: Iterable[range]) -> list[int]:
+        """The keys at the positions of the ascending ranges spans, in order."""
+        out: list[int] = []
+        for span in spans:
+            p, stop = span.start, span.stop
+            while p < stop:
+                start, keys = self.runs[bisect.bisect_right(self.starts, p) - 1]
+                end = min(stop, start + len(keys))
+                out += keys[p - start : end - start]
+                p = end
+        return out
+
+    @cached_property
+    def whole(self) -> list[int]:
+        return list(itertools.chain.from_iterable(keys for _, keys in self.runs))
+
+    def gap(self) -> int | None:
+        """The smallest difference of neighbouring keys, when they ascend
+        (a probe's points), or None for fewer than two: a range's step
+        inside it, and read between runs and along the approach lists."""
+        gaps, last = [], None
+        for _, keys in self.runs:
+            if last is not None:
+                gaps.append(keys[0] - last)
+            if len(keys) > 1:
+                d = keys.step if isinstance(keys, range) else min(map(sub, keys[1:], keys))
+                gaps.append(d)
+            last = keys[-1]
+        return min(gaps, default=None)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import contextlib
 import itertools
+import math
+import operator
 import random
 import time
 import tracemalloc
@@ -1767,21 +1769,20 @@ class TestIntegerPaths:
                     piece = IntervalPiece(lo, hi, lo_closed, hi_closed)
                     grid = piece.grid(e)
                     assert grid == self.sorted_set_grid(piece, e), (piece, e)
-                    assert piece.grid_size(e) == len(grid), (piece, e)
 
     def test_grid_run_is_the_equispaced_run(self):
-        """grid_run names the contiguous k of grid_indices that step by
-        n/2**e; every k outside it is an open-end approach point."""
-        assert IntervalPiece(qx(1), qx(1)).grid_run(5) == (0, 1)
+        """The middle part of grid_indices, the grid run, holds the k that
+        step by n/2**e; every k outside it is an open-end approach point."""
+        assert IntervalPiece(qx(1), qx(1)).grid_indices(5) == (((), range(1), ()), 1)
         for e in range(0, 13):
             for lo_closed in (True, False):
                 for hi_closed in (True, False):
                     piece = IntervalPiece(qx(0), qx(1), lo_closed, hi_closed)
-                    ks, n = piece.grid_indices(e)
-                    a, b = piece.grid_run(e)
+                    (low, run, high), n = piece.grid_indices(e)
+                    ks = [*low, *run, *high]
                     g = n >> e
-                    assert ks[a:b] == [k for k in ks if k % g == 0], (e, lo_closed, hi_closed)
-                    assert all(k % g for k in ks[:a] + ks[b:])
+                    assert list(run) == [k for k in ks if k % g == 0], (e, lo_closed, hi_closed)
+                    assert all(k % g for k in [*low, *high])
 
 
 def _whole_listing_profile(ambient, f, config, centers=None):
@@ -2240,6 +2241,156 @@ class TestStretchSkip:
             assert got.to_json() == whole.to_json()
             # more challenges than the scanned points can form among themselves
             assert got.rows[0][1].challenges > max(seen) ** 2 / 2, (notion, got.rows)
+
+
+def _set_grid_indices(piece, exponent):
+    """IntervalPiece.grid_indices as first built: a set of every k, sorted."""
+    if piece.is_degenerate:
+        return [0], 1
+    top = max(exponent, 10)
+    n = 2**top
+    ks = set(range(0, n + 1, 2 ** (top - exponent)))
+    if not piece.lo_closed:
+        ks.discard(0)
+        ks.update(2 ** (top - m) for m in range(1, 11))
+    if not piece.hi_closed:
+        ks.discard(n)
+        ks.update(n - 2 ** (top - m) for m in range(1, 11))
+    return sorted(ks), n
+
+
+def _list_index_keys(runs):
+    """analysis._index_keys as first built, on (v0, dv, ks) runs with ks a
+    list: every key V0 + D*k in one list, and L and the sqrt2 coefficient;
+    None when the v0 do not share one sqrt2 part."""
+    v = runs[0][0]
+    if any(x.b * v.d != v.b * x.d for x, _, _ in runs):
+        return None
+    den = math.lcm(*(x.d for x, _, _ in runs), *(dv.denominator for _, dv, _ in runs))
+    keys = []
+    for x, dv, ks in runs:
+        x0, step = x.a * (den // x.d), dv.numerator * (den // dv.denominator)
+        keys += [x0 + step * k for k in ks]
+    return keys, den, Fraction(v.b, v.d)
+
+
+@st.composite
+def index_pieces(draw):
+    """One to three sorted disjoint pieces with rational lengths (zero for
+    a degenerate piece), every end closed or open, the ends rational or
+    all shifted by one sqrt2 part, an exponent 0-14, and per piece a
+    rational slope (zero for a constant) and one intercept sqrt2 part,
+    shared or not."""
+    shift = draw(st.sampled_from(_IRRS))
+    lo = QuadExt(draw(_RATS), shift)
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.sampled_from((0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(7, 4))))
+        ends = (True, True) if length == 0 else (draw(st.booleans()), draw(st.booleans()))
+        pieces.append(IntervalPiece(lo, lo + length, *ends))
+        lo = lo + length + draw(st.sampled_from((Fraction(1, 8), 1)))
+    slopes = [draw(st.sampled_from((0, 1, -3, Fraction(5, 2)))) for _ in pieces]
+    irr = draw(st.sampled_from(((0,) * len(pieces), (1,) * len(pieces), (0, 1, 0)[: len(pieces)])))
+    return pieces, draw(st.integers(0, 14)), slopes, irr
+
+
+class TestIndexRuns:
+    """Grid indices given as parts and the keys read from them by position
+    (_IndexKeys) against the set-and-sort indices and the whole key list
+    they were first built as."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(index_pieces(), st.data())
+    def test_indices_and_keys_match_whole_lists(self, case, data):
+        pieces, e, slopes, irr = case
+        point_runs, value_runs, old_points, old_values = [], [], [], []
+        for piece, slope, c in zip(pieces, slopes, irr):
+            parts, n = piece.grid_indices(e)
+            ks, old_n = _set_grid_indices(piece, e)
+            assert [k for part in parts for k in part] == ks and n == old_n
+            assert len(piece.grid(e)) == len(ks)
+            step = Fraction(piece.length.a, piece.length.d * n)
+            v0 = QuadExt(slope) * piece.lo + QuadExt(1, c)
+            point_runs.append((piece.lo, step, parts))
+            old_points.append((piece.lo, step, ks))
+            value_runs.append((v0, slope * step, parts))
+            old_values.append((v0, slope * step, ks))
+        grid = [x for piece in pieces for x in piece.grid(e)]
+        for runs, old in ((point_runs, old_points), (value_runs, old_values)):
+            got, want = analysis._index_keys(runs), _list_index_keys(old)
+            if want is None:
+                assert got is None
+                continue
+            keys = got.keys
+            size = len(want[0])
+            assert (len(keys), got.den, got.shift) == (size, *want[1:])
+            assert [keys[p] for p in range(size)] == want[0]
+            assert [keys[-p] for p in range(1, size + 1)] == want[0][::-1]
+            for p in (size, -size - 1):
+                with pytest.raises(IndexError):
+                    keys[p]
+            cuts = sorted(data.draw(st.lists(st.integers(0, size), max_size=6)))
+            spans = [range(a, b) for a, b in zip([0, *cuts], [*cuts, size])][::2]
+            assert keys.take(spans) == [want[0][p] for span in spans for p in span]
+            assert keys.whole == want[0]
+            if runs is point_runs:
+                assert keys.gap() == min(map(operator.sub, want[0][1:], want[0]), default=None)
+                assert list(got) == [got[p] for p in range(size)] == grid
+
+
+class TestBuildOnlyWhatIsRead:
+    """Read-count guards: a thinned sampled profile builds no whole key
+    list, and a listed usc profile whose survey cuts in its first prefix
+    lists no point past it."""
+
+    def test_thinned_profiles_build_no_whole_key_list(self, monkeypatch):
+        """A moduli-style glued union (a constant piece, then an affine one
+        continuing it) at exponent 9: the uc sweep at 1/256 and the usc
+        profile from 1/64 to 1/1024 read only kept positions and
+        witnesses."""
+        left = IntervalPiece(qx(Fraction(-5, 2)), qx(-2))
+        right = IntervalPiece(qx(-2), qx(-1), False, True)
+        f = Piecewise((
+            FuncPiece(IntervalUnion((left,)), Const(qx(Fraction(4, 3)))),
+            FuncPiece(IntervalUnion((right,)), Affine(qx(-3), qx(-6) + qx(Fraction(4, 3)))),
+        ))
+        ambient = IntervalUnion((left, right))
+        config = AnalysisConfig(grid_exponent=9)
+        schedule = tuple(qx(Fraction(1, 2**j)) for j in range(6, 11))
+        with _whole_probe():
+            uc = uc_oscillation(ambient, f, qx(Fraction(1, 256)), config)
+            usc = modulus_profile(ambient, f, replace(config, delta_schedule=schedule), "usc")
+
+        def unread(self):
+            raise AssertionError("whole key list built")
+
+        monkeypatch.setattr(analysis._IndexKeys, "whole", property(unread))
+        assert uc_oscillation(ambient, f, qx(Fraction(1, 256)), config) == uc
+        assert modulus_profile(ambient, f, replace(config, delta_schedule=schedule), "usc") == usc
+        assert uc.challenges > 0 and usc.rows[0][1].challenges > 0
+
+    @pytest.mark.parametrize("case", ["naturals", "ex28"])
+    def test_cut_listing_is_counted_not_listed(self, monkeypatch, case):
+        """NaturalReciprocals(10**5) at max_pairs 3000 and ex-2.8 at 800: the
+        first prefix cuts, so no listing at enum_limit is made, and the
+        profile, its point count and its truncation are those of the whole
+        listing."""
+        if case == "naturals":
+            ambient, f, config = NaturalReciprocals(10**5), Identity(), AnalysisConfig(max_pairs=3000)
+        else:
+            (ambient, f), config = _ex28(40), AnalysisConfig(max_pairs=800)
+        limits = []
+        listing = type(ambient).enumerate
+
+        def recorded(self, limit):
+            limits.append(limit)
+            return listing(self, limit)
+
+        monkeypatch.setattr(type(ambient), "enumerate", recorded)
+        prof = modulus_profile(ambient, f, config, "usc")
+        assert limits and max(limits) < config.enum_limit
+        monkeypatch.undo()
+        assert prof == _whole_listing_profile(ambient, f, config)
 
 
 def _moved_piece(p, a, s):

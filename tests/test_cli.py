@@ -194,7 +194,6 @@ class TestZoo:
         assert a.stdout == b.stdout
 
     def test_mismatch_exits_one(self, monkeypatch):
-        import symcont.cli as cli_mod
         import symcont.zoo as zoo_mod
 
         real_run_example = zoo_mod.run_example
@@ -204,7 +203,8 @@ class TestZoo:
             reports[0].mismatches.append("forced for the exit-code test")
             return reports
 
-        monkeypatch.setattr(cli_mod, "run_example", tampered)
+        # _cmd_zoo imports the catalog's names when it runs
+        monkeypatch.setattr(zoo_mod, "run_example", tampered)
         code, out, _ = run_main("zoo", "--example", "ex-3.6", "--format", "json")
         assert code == 1
         assert json.loads(out)["ok"] is False

@@ -298,6 +298,60 @@ class TestEnumerationContract:
             assert en.truncated == (len(pts) > k)
 
 
+_QS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def enumerable_domains(draw):
+    """A domain of every enumerable class: finite sets, integer windows,
+    both reciprocal families with and without 0, truncated rationals (with
+    sqrt2 adjoined inside, at and beyond either end of [lo, hi]), degenerate
+    interval unions and unions of parts."""
+    kind = draw(st.sampled_from(
+        ("finite", "window", "naturals", "primes", "rationals", "degenerate", "union")
+    ))
+    if kind == "finite":
+        return FinitePoints(tuple(qx(q) for q in draw(st.lists(_QS, max_size=8))))
+    if kind == "window":
+        lo = draw(st.integers(-5, 5))
+        return IntegerWindow(lo, lo + draw(st.integers(0, 9)))
+    if kind in ("naturals", "primes"):
+        cls = NaturalReciprocals if kind == "naturals" else OddPrimeReciprocals
+        return cls(draw(st.integers(1, 30)), with_zero=draw(st.booleans()))
+    if kind == "rationals":
+        ends = (qx(draw(_QS)), qx(draw(_QS)), SQRT2, SQRT2 - 1, SQRT2 + qx(Fraction(1, 7)))
+        lo, hi = sorted(draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2)))
+        return TruncatedRationals(draw(st.integers(1, 7)), lo, hi, adjoin_sqrt2=draw(st.booleans()))
+    if kind == "degenerate":
+        pts = draw(st.lists(_QS, min_size=1, max_size=5, unique=True))
+        return IntervalUnion(tuple(IntervalPiece(qx(q), qx(q)) for q in pts))
+    return UnionOf((
+        NaturalReciprocals(draw(st.integers(1, 9)), with_zero=draw(st.booleans())),
+        FinitePoints(tuple(qx(q) for q in draw(st.lists(_QS, max_size=4)))),
+        TruncatedRationals(draw(st.integers(1, 4)), qx(0), qx(1), adjoin_sqrt2=True),
+    ))
+
+
+class TestCount:
+    """count(limit) is (len(e.points), e.truncated) of e = enumerate(limit):
+    in closed form for finite sets, integer windows and natural reciprocals,
+    by the integer Farey walk for truncated rationals, and by enumerate
+    itself through the base class elsewhere."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(enumerable_domains())
+    def test_count_matches_enumerate(self, d):
+        n = len(d.enumerate(10**4).points)
+        for limit in range(n + 3):
+            en = d.enumerate(limit)
+            assert d.count(limit) == (len(en.points), en.truncated), (d, limit)
+
+    def test_base_fallback_and_closed_forms(self):
+        assert "count" not in vars(OddPrimeReciprocals) and "count" not in vars(UnionOf)
+        assert NaturalReciprocals(10**12).count(5) == (5, True)
+        assert IntegerWindow(-(10**12), 10**12).count(10**13) == (2 * 10**12 + 1, False)
+
+
 class TestIntervals:
     def test_piece_contains(self):
         p = IntervalPiece(qx(0), qx(1), lo_closed=False, hi_closed=True)

@@ -307,13 +307,13 @@ class TestEvaluateMany:
     @settings(max_examples=60, deadline=None)
     @given(interval_unions(), mixed_specs(), st.integers(1, 4))
     def test_sampled_points(self, ambient, f, exponent):
-        pts, runs, _ = _probe_points(ambient, AnalysisConfig(grid_exponent=exponent), for_pairs=False)
+        pts, runs, _, _ = _probe_points(ambient, AnalysisConfig(grid_exponent=exponent), for_pairs=False)
         expected = _many_outcome(lambda: _pointwise(f, list(pts)))
         assert _many_outcome(lambda: _evaluate_many(f, pts)) == expected
 
     def test_sampled_points_are_lifted(self):
         ambient = IntervalUnion((IntervalPiece(0, 1), IntervalPiece(2, 3, False, True)))
-        pts, _, _ = _probe_points(ambient, AnalysisConfig(grid_exponent=4), for_pairs=False)
+        pts, _, _, _ = _probe_points(ambient, AnalysisConfig(grid_exponent=4), for_pairs=False)
         assert isinstance(pts, _LiftedNumbers)
         f = _spec(IntervalUnion((IntervalPiece(0, Fraction(1, 2)),)), ambient)
         assert _evaluate_many(f, pts) == _pointwise(f, list(pts))
