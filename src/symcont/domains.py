@@ -256,6 +256,10 @@ class OddPrimeReciprocals(Domain):
         total = len(primes) + self.with_zero
         return Enumeration(tuple(pts), truncated=total > limit)
 
+    def count(self, limit: int) -> tuple[int, bool]:
+        total = len(self._primes()) + self.with_zero
+        return min(total, limit), total > limit
+
     def describe(self) -> str:
         base = f"reciprocals of odd primes up to {self.max_prime}"
         return base + (", with 0" if self.with_zero else "")

@@ -31,14 +31,16 @@ whitespace ignored, a number string is one of
     [+-]sqrt2                       sqrt2, optionally signed
 
 with optional whitespace around the operator and the "*" and between a
-sign and sqrt2, and no zero denominator (exactnum.parse_quadext). A number
-string or JSON integer of more digits than the interpreter converts between
-int and str (4 300 by default) is rejected. Unknown keys are rejected
-everywhere. A Staircase takes at most STAIRCASE_BLOCKS_MAX
-(1 000) blocks, an OddPrimeReciprocals at most MAX_PRIME_MAX (10**6) as its
-maxPrime, a Monomial at most MONOMIAL_DEGREE_MAX (64) as its n, and a
-deltaSchedule at most analysis.DELTA_SCHEDULE_MAX (64) entries; larger
-values exit 2.
+sign and sqrt2, and no zero denominator (exactnum.parse_quadext). A
+document's repeated number strings are parsed once: each call of parse_spec
+keeps a table from string to number, so strings spelled alike give one
+shared, immutable QuadExt. A number string or JSON integer of more digits
+than the interpreter converts between int and str (4 300 by default) is
+rejected. Unknown keys are rejected everywhere. A Staircase takes at most
+STAIRCASE_BLOCKS_MAX (1 000) blocks, an OddPrimeReciprocals at most
+MAX_PRIME_MAX (10**6) as its maxPrime, a Monomial at most
+MONOMIAL_DEGREE_MAX (64) as its n, and a deltaSchedule at most
+analysis.DELTA_SCHEDULE_MAX (64) entries; larger values exit 2.
 """
 
 from __future__ import annotations
@@ -111,11 +113,17 @@ def _require_keys(obj: dict, where: str, required: set[str], optional: set[str] 
         raise ParseError(f"{where}: unknown key(s) {sorted(unknown)}")
 
 
-def _number(value: object, where: str, index: int | None = None) -> QuadExt:
-    """``value`` as an exact number. An error names it by ``where``, followed
-    by ``[index]`` for a list entry; that text is built only on error."""
+def _number(
+    value: object, where: str, numbers: dict[str, QuadExt], index: int | None = None
+) -> QuadExt:
+    """``value`` as an exact number; a string is parsed once per table
+    ``numbers``. An error names it by ``where``, followed by ``[index]`` for
+    a list entry; that text is built only on error."""
     if isinstance(value, str):
-        return parse_quadext(value)
+        q = numbers.get(value)
+        if q is None:
+            q = numbers[value] = parse_quadext(value)
+        return q
     if isinstance(value, int) and not isinstance(value, bool):
         return QuadExt(value)
     if index is not None:
@@ -154,7 +162,11 @@ def _list(value: object, where: str) -> list:
     return value
 
 
-def parse_domain(obj: object, where: str = "domain") -> Domain:
+def parse_domain(
+    obj: object, where: str = "domain", numbers: dict[str, QuadExt] | None = None
+) -> Domain:
+    if numbers is None:
+        numbers = {}
     d = _obj(obj, where)
     kind = d.get("type")
     if not isinstance(kind, str):
@@ -167,7 +179,7 @@ def parse_domain(obj: object, where: str = "domain") -> Domain:
             raise ParseError(f"{pw}: needs at least one point")
         # from a list: a tuple grown from a generator is resized, and the
         # interpreter keeps the freed ones until a full collection
-        return FinitePoints(tuple([_number(p, pw, i) for i, p in enumerate(pts)]))
+        return FinitePoints(tuple([_number(p, pw, numbers, i) for i, p in enumerate(pts)]))
     if kind == "IntegerWindow":
         _require_keys(d, where, {"type", "lo", "hi"})
         return IntegerWindow(
@@ -191,8 +203,8 @@ def parse_domain(obj: object, where: str = "domain") -> Domain:
         _require_keys(d, where, {"type", "maxDenominator", "lo", "hi", "adjoinSqrt2"})
         return TruncatedRationals(
             _integer(d["maxDenominator"], f"{where}.maxDenominator"),
-            _number(d["lo"], f"{where}.lo"),
-            _number(d["hi"], f"{where}.hi"),
+            _number(d["lo"], f"{where}.lo", numbers),
+            _number(d["hi"], f"{where}.hi", numbers),
             adjoin_sqrt2=_flag(d["adjoinSqrt2"], f"{where}.adjoinSqrt2"),
         )
     if kind == "IntervalUnion":
@@ -204,8 +216,8 @@ def parse_domain(obj: object, where: str = "domain") -> Domain:
             _require_keys(po, pw, {"lo", "hi"}, {"loClosed", "hiClosed"})
             pieces.append(
                 IntervalPiece(
-                    _number(po["lo"], f"{pw}.lo"),
-                    _number(po["hi"], f"{pw}.hi"),
+                    _number(po["lo"], f"{pw}.lo", numbers),
+                    _number(po["hi"], f"{pw}.hi", numbers),
                     lo_closed=_flag(po.get("loClosed", True), f"{pw}.loClosed"),
                     hi_closed=_flag(po.get("hiClosed", True), f"{pw}.hiClosed"),
                 )
@@ -227,26 +239,33 @@ def parse_domain(obj: object, where: str = "domain") -> Domain:
             raise ParseError(f"{where}.parts: needs at least one part")
         return UnionOf(
             tuple(
-                parse_domain(p, f"{where}.parts[{i}]") for i, p in enumerate(parts)
+                parse_domain(p, f"{where}.parts[{i}]", numbers)
+                for i, p in enumerate(parts)
             )
         )
     raise ParseError(f"{where}: unknown domain type {kind!r}")
 
 
-def parse_formula(obj: object, where: str) -> Formula:
+def parse_formula(
+    obj: object, where: str, numbers: dict[str, QuadExt] | None = None
+) -> Formula:
+    if numbers is None:
+        numbers = {}
     d = _obj(obj, where)
     kind = d.get("formula")
     if not isinstance(kind, str):
         raise ParseError(f"{where}: needs a 'formula' string")
     if kind == "Const":
         _require_keys(d, where, {"formula", "c"})
-        return Const(_number(d["c"], f"{where}.c"))
+        return Const(_number(d["c"], f"{where}.c", numbers))
     if kind == "Identity":
         _require_keys(d, where, {"formula"})
         return Identity()
     if kind == "Affine":
         _require_keys(d, where, {"formula", "m", "c"})
-        return Affine(_number(d["m"], f"{where}.m"), _number(d["c"], f"{where}.c"))
+        return Affine(
+            _number(d["m"], f"{where}.m", numbers), _number(d["c"], f"{where}.c", numbers)
+        )
     if kind == "Reciprocal":
         _require_keys(d, where, {"formula"})
         return Reciprocal()
@@ -259,10 +278,14 @@ def parse_formula(obj: object, where: str) -> Formula:
     raise ParseError(f"{where}: unknown formula {kind!r}")
 
 
-def parse_function(obj: object, where: str = "function") -> FuncSpec:
+def parse_function(
+    obj: object, where: str = "function", numbers: dict[str, QuadExt] | None = None
+) -> FuncSpec:
+    if numbers is None:
+        numbers = {}
     d = _obj(obj, where)
     if "formula" in d:
-        return parse_formula(d, where)
+        return parse_formula(d, where, numbers)
     kind = d.get("type")
     if kind == "Piecewise":
         _require_keys(d, where, {"type", "pieces"})
@@ -273,8 +296,8 @@ def parse_function(obj: object, where: str = "function") -> FuncSpec:
             _require_keys(po, pw, {"region", "formula"})
             pieces.append(
                 FuncPiece(
-                    parse_domain(po["region"], f"{pw}.region"),
-                    parse_formula(po["formula"], f"{pw}.formula"),
+                    parse_domain(po["region"], f"{pw}.region", numbers),
+                    parse_formula(po["formula"], f"{pw}.formula", numbers),
                 )
             )
         if not pieces:
@@ -286,14 +309,14 @@ def parse_function(obj: object, where: str = "function") -> FuncSpec:
         if op not in ("scale", "add", "sub", "mul", "div"):
             raise ParseError(f"{where}.op: unknown operation {op!r}")
         operands = tuple(
-            parse_function(o, f"{where}.operands[{i}]")
+            parse_function(o, f"{where}.operands[{i}]", numbers)
             for i, o in enumerate(_list(d["operands"], f"{where}.operands"))
         )
         alpha = None
         if op == "scale":
             if "alpha" not in d:
                 raise ParseError(f"{where}: scale needs an 'alpha'")
-            alpha = _number(d["alpha"], f"{where}.alpha")
+            alpha = _number(d["alpha"], f"{where}.alpha", numbers)
         elif "alpha" in d:
             raise ParseError(f"{where}: 'alpha' only applies to scale")
         return Combined(op, operands, alpha)
@@ -302,7 +325,11 @@ def parse_function(obj: object, where: str = "function") -> FuncSpec:
     )
 
 
-def parse_config(obj: object, where: str = "config") -> AnalysisConfig:
+def parse_config(
+    obj: object, where: str = "config", numbers: dict[str, QuadExt] | None = None
+) -> AnalysisConfig:
+    if numbers is None:
+        numbers = {}
     d = _obj(obj, where)
     _require_keys(
         d,
@@ -316,7 +343,7 @@ def parse_config(obj: object, where: str = "config") -> AnalysisConfig:
         sched = _list(d["deltaSchedule"], sw)
         if len(sched) > DELTA_SCHEDULE_MAX:
             raise ParseError(f"{sw}: at most {DELTA_SCHEDULE_MAX} entries")
-        kwargs["delta_schedule"] = tuple(_number(v, sw, i) for i, v in enumerate(sched))
+        kwargs["delta_schedule"] = tuple(_number(v, sw, numbers, i) for i, v in enumerate(sched))
     if "gridExponent" in d:
         kwargs["grid_exponent"] = _integer(d["gridExponent"], f"{where}.gridExponent")
     if "maxPairs" in d:
@@ -346,7 +373,9 @@ def _validate_subset(ambient: Domain, subset: Domain, enum_limit: int) -> None:
 
 def parse_spec(text: str) -> ParsedSpec:
     """Parse and fully validate a spec document; unknown keys are rejected
-    and subsetB membership in the ambient domain is checked point by point."""
+    and subsetB membership in the ambient domain is checked point by point.
+    Each distinct number string of the document is parsed once, into a
+    table that lives for this call only."""
     if not text.strip():
         raise ParseError("empty input")
     try:
@@ -362,11 +391,12 @@ def parse_spec(text: str) -> ParsedSpec:
         ) from None
     top = _obj(data, "spec")
     _require_keys(top, "spec", {"domain", "function"}, {"subsetB", "config"})
-    config = parse_config(top.get("config", {}))
-    domain = parse_domain(top["domain"])
-    function = parse_function(top["function"])
+    numbers: dict[str, QuadExt] = {}
+    config = parse_config(top.get("config", {}), "config", numbers)
+    domain = parse_domain(top["domain"], "domain", numbers)
+    function = parse_function(top["function"], "function", numbers)
     subset_b = None
     if "subsetB" in top:
-        subset_b = parse_domain(top["subsetB"], "subsetB")
+        subset_b = parse_domain(top["subsetB"], "subsetB", numbers)
         _validate_subset(domain, subset_b, config.enum_limit)
     return ParsedSpec(domain, function, subset_b, config)

@@ -2369,14 +2369,16 @@ class TestBuildOnlyWhatIsRead:
         assert modulus_profile(ambient, f, replace(config, delta_schedule=schedule), "usc") == usc
         assert uc.challenges > 0 and usc.rows[0][1].challenges > 0
 
-    @pytest.mark.parametrize("case", ["naturals", "ex28"])
+    @pytest.mark.parametrize("case", ["naturals", "primes", "ex28"])
     def test_cut_listing_is_counted_not_listed(self, monkeypatch, case):
-        """NaturalReciprocals(10**5) at max_pairs 3000 and ex-2.8 at 800: the
-        first prefix cuts, so no listing at enum_limit is made, and the
-        profile, its point count and its truncation are those of the whole
-        listing."""
+        """NaturalReciprocals(10**5) and OddPrimeReciprocals(10**6) at
+        max_pairs 3000 and ex-2.8 at 800: the first prefix cuts, so no
+        listing at enum_limit is made, and the profile, its point count and
+        its truncation are those of the whole listing."""
         if case == "naturals":
             ambient, f, config = NaturalReciprocals(10**5), Identity(), AnalysisConfig(max_pairs=3000)
+        elif case == "primes":
+            ambient, f, config = OddPrimeReciprocals(10**6), Identity(), AnalysisConfig(max_pairs=3000)
         else:
             (ambient, f), config = _ex28(40), AnalysisConfig(max_pairs=800)
         limits = []

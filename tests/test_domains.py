@@ -334,9 +334,9 @@ def enumerable_domains(draw):
 
 class TestCount:
     """count(limit) is (len(e.points), e.truncated) of e = enumerate(limit):
-    in closed form for finite sets, integer windows and natural reciprocals,
-    by the integer Farey walk for truncated rationals, and by enumerate
-    itself through the base class elsewhere."""
+    in closed form for finite sets, integer windows and both reciprocal
+    families, by the integer Farey walk for truncated rationals, and by
+    enumerate itself through the base class elsewhere."""
 
     @settings(max_examples=300, deadline=None)
     @given(enumerable_domains())
@@ -347,8 +347,11 @@ class TestCount:
             assert d.count(limit) == (len(en.points), en.truncated), (d, limit)
 
     def test_base_fallback_and_closed_forms(self):
-        assert "count" not in vars(OddPrimeReciprocals) and "count" not in vars(UnionOf)
+        assert "count" not in vars(UnionOf)
         assert NaturalReciprocals(10**12).count(5) == (5, True)
+        # 78 497 odd primes up to 10**6, and 0
+        assert OddPrimeReciprocals(10**6).count(10**5) == (78498, False)
+        assert OddPrimeReciprocals(10**6, with_zero=False).count(78496) == (78496, True)
         assert IntegerWindow(-(10**12), 10**12).count(10**13) == (2 * 10**12 + 1, False)
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import symcont.exactnum
+import symcont.specfile
 
 from symcont import (
     SQRT2,
@@ -385,6 +386,100 @@ class TestFractionFreeRequestPath:
         assert built == []
         assert cfg.delta_schedule == tuple(qx(Fraction(1, 2**j)) for j in range(21))
         assert AnalysisConfig(seed=3).delta_schedule is cfg.delta_schedule
+
+
+def _restating_spec(points: list[str], consts: tuple[str, str]) -> dict:
+    """A FinitePoints spec whose two Piecewise regions restate its points:
+    the first half takes consts[0], the rest consts[1]."""
+    half = len(points) // 2
+    return {
+        "domain": {"type": "FinitePoints", "points": points},
+        "function": {"type": "Piecewise", "pieces": [
+            {"region": {"type": "FinitePoints", "points": points[:half]},
+             "formula": {"formula": "Const", "c": consts[0]}},
+            {"region": {"type": "FinitePoints", "points": points[half:]},
+             "formula": {"formula": "Const", "c": consts[1]}}]},
+    }
+
+
+class TestNumberTable:
+    """parse_spec parses each distinct number string of a document once,
+    into a table that lives for that call only."""
+
+    @staticmethod
+    def _count_parses(monkeypatch) -> list[str]:
+        parsed = []
+        parse = symcont.specfile.parse_quadext
+
+        def counting(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(symcont.specfile, "parse_quadext", counting)
+        return parsed
+
+    def test_restated_points_parse_once(self, monkeypatch):
+        rng = random.Random(5)
+        points = [
+            f"{rng.randint(-999, 999)}/{rng.randint(1, 99)}"
+            + rng.choice(["", " + 1/4096*sqrt2", " - 3/8192*sqrt2"])
+            for _ in range(32)
+        ]
+        points = list(dict.fromkeys(points))
+        assert len(points) == 32
+        doc = _restating_spec(points, ("1/2", "-1/3"))
+        parsed = self._count_parses(monkeypatch)
+        spec = parse_spec(dumps(doc))
+        assert sorted(parsed) == sorted({*points, "1/2", "-1/3"})
+        # the same values as parts parsed each with a fresh table
+        assert spec.domain == parse_domain(doc["domain"])
+        assert spec.function == parse_function(doc["function"])
+
+    def test_no_table_outlives_a_call(self, monkeypatch):
+        text = dumps(_restating_spec(["0", "1/2", "sqrt2", "3/4"], ("1", "2")))
+        parsed = self._count_parses(monkeypatch)
+        parse_spec(text)
+        once = len(parsed)
+        parse_spec(text)
+        assert once == 6 and len(parsed) == 2 * once
+
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [("x", "not an exact number: 'x'"), ("1/0", "zero denominator in '1/0'")],
+    )
+    def test_bad_string_reports_alike_wherever_it_first_appears(self, bad, message):
+        in_domain = _restating_spec(["0", bad, "1/2", "3"], ("1", "2"))
+        in_region = _restating_spec(["0", "5", "1/2", "3"], ("1", "2"))
+        in_region["function"]["pieces"][1]["region"]["points"][0] = bad
+        for doc in (in_domain, in_region):
+            with pytest.raises(ParseError) as err:
+                parse_spec(dumps(doc))
+            assert str(err.value) == message
+
+    def test_shared_constant_object_reports_alike(self, tmp_path):
+        """Two Const pieces spelled alike share one value object, which
+        _const_groups groups by identity; the report equals the one for
+        equal values spelled apart. The set is a model of a sequence, so
+        the family pipeline reads those groups."""
+        regions = [[f"1/{n}" for n in range(1, 13) if n % 3 == k] for k in range(3)]
+        regions[1].append(0)
+        reports = []
+        for consts in (("1/2", "1", "1/2"), ("1/2", "1", "2/4")):
+            doc = {
+                "domain": {"type": "NaturalReciprocals", "maxN": 12, "withZero": True},
+                "function": {"type": "Piecewise", "pieces": [
+                    {"region": {"type": "FinitePoints", "points": r},
+                     "formula": {"formula": "Const", "c": c}}
+                    for r, c in zip(regions, consts)]},
+            }
+            path = tmp_path / f"spec-{len(reports)}.json"
+            path.write_text(dumps(doc), encoding="utf-8")
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["analyze", str(path), "--format", "json"]) == 0
+            reports.append(out.getvalue())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["verdicts"]["USC"]["status"] == "refuted"
 
 
 # ---------------------------------------------------------------------------
