@@ -728,13 +728,14 @@ def _keys(xs: Sequence[QuadExt], deltas: Sequence[QuadExt] = ()) -> tuple[Sequen
 
     * numbers sharing one sqrt2 part: the integers X_k of _lift_rationals,
       a distance being (X_j - X_i)/L, with the threshold ceil(L*delta) (an
-      integer distance is below L*delta exactly when below its ceiling);
+      integer distance is below L*delta exactly when below its ceiling),
+      by integer division for a rational delta;
     * any other numbers: the integers of _embed, with delta embedded too;
     * when L passes LIFT_BITS_MAX bits: the numbers and the deltas."""
     lifted = _lift_rationals(xs)
     if lifted is not None:
         keys, den, _ = lifted
-        return keys, [exact_ceil(den * d) for d in deltas]
+        return keys, [exact_ceil(den * d) if d.b else -(-den * d.a // d.d) for d in deltas]
     embedded = _embed(xs, deltas)
     if embedded is not None:
         return embedded

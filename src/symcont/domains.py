@@ -214,16 +214,22 @@ class IntegerWindow(Domain):
         return f"integers in [{self.lo}, {self.hi}]"
 
 
+def _prime_flags(n: int) -> bytearray:
+    """flags[k] is 1 exactly when k is prime, k = 0..n (n >= 1), by the
+    sieve of Eratosthenes."""
+    flags = bytearray([1]) * (n + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(n) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return flags
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _odd_primes_up_to(n: int) -> tuple[int, ...]:
     if n < 3:
         return ()
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-    return tuple(p for p in range(3, n + 1) if sieve[p])
+    return tuple(itertools.compress(range(3, n + 1), _prime_flags(n)[3:]))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -297,6 +303,33 @@ class NaturalReciprocals(Domain):
     def describe(self) -> str:
         base = f"reciprocals of naturals up to {self.max_n}"
         return base + (", with 0" if self.with_zero else "")
+
+
+def _floors(x: QuadExt, n: int) -> list[int]:
+    """floor(q*x) for q = 1..n, exactly: q*x = (q*a + q*b*sqrt2)/d is
+    floored as exact_floor does, with floor(|q*b|*sqrt2) = isqrt(2*(q*b)**2)."""
+    a, b, d = x.a, x.b, x.d
+    if not b:
+        return [q * a // d for q in range(1, n + 1)]
+    t = 2 * b * b
+    if b > 0:
+        return [(q * a + math.isqrt(t * q * q)) // d for q in range(1, n + 1)]
+    return [(q * a - math.isqrt(t * q * q) - 1) // d for q in range(1, n + 1)]
+
+
+def _mobius(n: int) -> list[int]:
+    """mu(k) for k = 0..n (n >= 1), with 0 in place of mu(0): each prime
+    negates mu at its multiples and zeroes it at those of its square; a
+    prime above n/2 has no other multiple."""
+    mu = [1] * (n + 1)
+    mu[0] = 0
+    for p in itertools.compress(range(n + 1), _prime_flags(n)):
+        if 2 * p > n:
+            mu[p] = -1
+        else:
+            mu[p::p] = [-m for m in mu[p::p]]
+            mu[p * p :: p * p] = [0] * (n // (p * p))
+    return mu
 
 
 def _farey_bracket(x: QuadExt, n: int) -> tuple[int, int, int, int]:
@@ -399,8 +432,32 @@ class TruncatedRationals(Domain):
             bisect.insort(pts, SQRT2)
         return Enumeration(tuple(pts[:limit]), truncated=len(pts) > limit)
 
+    def _reduced_count(self) -> int:
+        """The number R(N) of reduced p/q in [lo, hi] with q <= N =
+        max_denominator, by Möbius inversion: F(M), the number of pairs
+        (p, q) with q <= M and p/q in range, reduced or not, is the sum over
+        q <= M of floor(q*hi) - ceil(q*lo) + 1, and a pair is d times a
+        reduced one of denominator at most M/d, so F(M) = sum_d R(M // d)
+        and R(N) = sum_d mu(d)*F(N // d). O(N) work."""
+        n = self.max_denominator
+        # ceil(q*lo) = -floor(q*(-lo))
+        per_q = (h + l + 1 for h, l in zip(_floors(self.hi, n), _floors(-self.lo, n)))
+        f = list(itertools.accumulate(per_q, initial=0))
+        return sum(m * f[n // d] for d, m in enumerate(_mobius(n)) if m)
+
     def count(self, limit: int) -> tuple[int, bool]:
-        total = sum(1 for _ in self._walk(limit)) + self._sqrt2_in_range()
+        """By _reduced_count where the walk may take 8*N steps or more (N =
+        max_denominator), and by the walk otherwise: _reduced_count costs
+        as much as two or three walk steps per denominator. The walk takes
+        at most limit + 1 steps, and at most the sum over q <= N of
+        q*(hi - lo) + 1, which reaches 8*N exactly when
+        (hi - lo)*(N + 1) >= 14."""
+        n = self.max_denominator
+        if 8 * n <= limit and (self.hi - self.lo) * (n + 1) >= 14:
+            total = self._reduced_count()
+        else:
+            total = sum(1 for _ in self._walk(limit))
+        total += self._sqrt2_in_range()
         return min(total, limit), total > limit
 
     def describe(self) -> str:

@@ -2394,6 +2394,28 @@ class TestBuildOnlyWhatIsRead:
         monkeypatch.undo()
         assert prof == _whole_listing_profile(ambient, f, config)
 
+    def test_ex28_walks_only_its_prefix(self, monkeypatch):
+        """ex-2.8 at max_pairs 800 counts its listing of 982 points in
+        closed form, so the Farey walk takes no more steps than listing the
+        surveyed prefix of head points needs: head + 1."""
+        (ambient, f), config = _ex28(40), AnalysisConfig(max_pairs=800)
+        head = (math.isqrt(8 * config.max_pairs + 1) + 1) // 2 + 1
+        steps = 0
+        walk = TruncatedRationals._walk
+
+        def counted(self, limit):
+            nonlocal steps
+            for term in walk(self, limit):
+                steps += 1
+                yield term
+
+        monkeypatch.setattr(TruncatedRationals, "_walk", counted)
+        prof = modulus_profile(ambient, f, config, "usc")
+        assert 0 < steps <= head + 1
+        assert ambient.count(config.enum_limit) == (982, False)
+        monkeypatch.undo()
+        assert prof == _whole_listing_profile(ambient, f, config)
+
 
 def _moved_piece(p, a, s):
     """The image of an interval piece under x -> a*x + s, a = 1 or -1."""

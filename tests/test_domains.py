@@ -195,6 +195,21 @@ class TestReciprocalPrefix:
         assert en.points[1] == qx(Fraction(1, 2 * 10**6)) and en.truncated
 
 
+@st.composite
+def count_cases(draw):
+    """A truncated-rationals set with N <= 60 (so that mu(d) is -1, 0 and 1
+    among d <= N, as at 30, 4 and 6), rational or sqrt2-shifted ends, and a
+    limit on either side of the closed form's threshold 8*N."""
+    end = st.tuples(
+        st.fractions(min_value=-2, max_value=2, max_denominator=9),
+        st.sampled_from((Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(1, 3))),
+    )
+    lo, hi = sorted(qx(r, i) for r, i in draw(st.lists(end, min_size=2, max_size=2)))
+    n = draw(st.integers(1, 60))
+    limit = draw(st.sampled_from((0, 1, 8 * n - 1, 8 * n, 8 * n + 1, 10**5)))
+    return TruncatedRationals(n, lo, hi, adjoin_sqrt2=draw(st.booleans())), limit
+
+
 class TestTruncatedRationals:
     def test_farey_count(self):
         d = TruncatedRationals(5, qx(0), qx(1), adjoin_sqrt2=False)
@@ -256,6 +271,48 @@ class TestTruncatedRationals:
         assert time.perf_counter() - start < 0.25
         assert en.points[:3] == (qx(0), qx(Fraction(1, 800)), qx(Fraction(1, 799)))
         assert len(en.points) == 20 and en.truncated
+
+    @settings(max_examples=150, deadline=None)
+    @given(count_cases())
+    def test_count_matches_sorted_listing(self, case):
+        d, limit = case
+        pts, truncated = self.sorted_listing(d, limit)
+        assert d.count(limit) == (len(pts), truncated), case
+
+    @pytest.mark.parametrize(
+        "d, limit, branch, expected",
+        [
+            (TruncatedRationals(10**6, 0, 1), 5000, "walk", (5000, True)),
+            (TruncatedRationals(5000, 0, 10**30), 10**5, "closed", (10**5, True)),
+            # 8*N == limit, on a window of width 1/500 about sqrt2
+            (
+                TruncatedRationals(
+                    12500, SQRT2 - qx(Fraction(1, 1000)), SQRT2 + qx(Fraction(1, 1000)), True
+                ),
+                10**5,
+                "closed",
+                None,
+            ),
+        ],
+        ids=["walk_large_n", "closed_wide_window", "closed_narrow_sqrt2_window"],
+    )
+    def test_count_is_prompt_on_either_branch(self, monkeypatch, d, limit, branch, expected):
+        """count finishes in under 0.25 s on the branch named, which the
+        other branch's method, made to raise, confirms."""
+        if expected is None:
+            # the fractions the walk lists, and sqrt2
+            walked = sum(1 for _ in d._walk(limit)) + 1
+            expected = min(walked, limit), walked > limit
+
+        def unused(*args):
+            raise AssertionError("wrong branch")
+
+        other = "_reduced_count" if branch == "walk" else "_walk"
+        monkeypatch.setattr(TruncatedRationals, other, unused)
+        start = time.perf_counter()
+        got = d.count(limit)
+        assert time.perf_counter() - start < 0.25
+        assert got == expected
 
 
 ENUMERABLE = {
@@ -321,7 +378,7 @@ def enumerable_domains(draw):
     if kind == "rationals":
         ends = (qx(draw(_QS)), qx(draw(_QS)), SQRT2, SQRT2 - 1, SQRT2 + qx(Fraction(1, 7)))
         lo, hi = sorted(draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2)))
-        return TruncatedRationals(draw(st.integers(1, 7)), lo, hi, adjoin_sqrt2=draw(st.booleans()))
+        return TruncatedRationals(draw(st.integers(1, 16)), lo, hi, adjoin_sqrt2=draw(st.booleans()))
     if kind == "degenerate":
         pts = draw(st.lists(_QS, min_size=1, max_size=5, unique=True))
         return IntervalUnion(tuple(IntervalPiece(qx(q), qx(q)) for q in pts))
@@ -335,8 +392,10 @@ def enumerable_domains(draw):
 class TestCount:
     """count(limit) is (len(e.points), e.truncated) of e = enumerate(limit):
     in closed form for finite sets, integer windows and both reciprocal
-    families, by the integer Farey walk for truncated rationals, and by
-    enumerate itself through the base class elsewhere."""
+    families, for truncated rationals by Möbius inversion when the limit
+    and the window are wide enough against max_denominator and by the
+    integer Farey walk otherwise, and by enumerate itself through the base
+    class elsewhere."""
 
     @settings(max_examples=300, deadline=None)
     @given(enumerable_domains())
