@@ -446,14 +446,13 @@ class TruncatedRationals(Domain):
         return sum(m * f[n // d] for d, m in enumerate(_mobius(n)) if m)
 
     def count(self, limit: int) -> tuple[int, bool]:
-        """By _reduced_count where the walk may take 8*N steps or more (N =
-        max_denominator), and by the walk otherwise: _reduced_count costs
-        as much as two or three walk steps per denominator. The walk takes
-        at most limit + 1 steps, and at most the sum over q <= N of
-        q*(hi - lo) + 1, which reaches 8*N exactly when
-        (hi - lo)*(N + 1) >= 14."""
+        """By _reduced_count when 8*N <= limit (N = max_denominator), and by
+        the walk otherwise. _reduced_count costs as much as two or three
+        walk steps per denominator, so under that bound it costs at most
+        about 3*limit/8 steps against the walk's limit + 1 at most; a larger
+        N, such as a large maxDenominator read from a spec, walks."""
         n = self.max_denominator
-        if 8 * n <= limit and (self.hi - self.lo) * (n + 1) >= 14:
+        if 8 * n <= limit:
             total = self._reduced_count()
         else:
             total = sum(1 for _ in self._walk(limit))

@@ -195,21 +195,6 @@ class TestReciprocalPrefix:
         assert en.points[1] == qx(Fraction(1, 2 * 10**6)) and en.truncated
 
 
-@st.composite
-def count_cases(draw):
-    """A truncated-rationals set with N <= 60 (so that mu(d) is -1, 0 and 1
-    among d <= N, as at 30, 4 and 6), rational or sqrt2-shifted ends, and a
-    limit on either side of the closed form's threshold 8*N."""
-    end = st.tuples(
-        st.fractions(min_value=-2, max_value=2, max_denominator=9),
-        st.sampled_from((Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(1, 3))),
-    )
-    lo, hi = sorted(qx(r, i) for r, i in draw(st.lists(end, min_size=2, max_size=2)))
-    n = draw(st.integers(1, 60))
-    limit = draw(st.sampled_from((0, 1, 8 * n - 1, 8 * n, 8 * n + 1, 10**5)))
-    return TruncatedRationals(n, lo, hi, adjoin_sqrt2=draw(st.booleans())), limit
-
-
 class TestTruncatedRationals:
     def test_farey_count(self):
         d = TruncatedRationals(5, qx(0), qx(1), adjoin_sqrt2=False)
@@ -245,7 +230,7 @@ class TestTruncatedRationals:
         pts.sort()
         return tuple(pts[:limit]), len(pts) > limit
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         ends=st.lists(
             st.tuples(
@@ -255,15 +240,21 @@ class TestTruncatedRationals:
             min_size=2,
             max_size=2,
         ),
-        n=st.integers(1, 24),
-        limit=st.sampled_from((1, 2, 3, 7, 40, 10**5)),
+        n=st.integers(1, 60),
         adjoin=st.booleans(),
+        data=st.data(),
     )
-    def test_farey_walk_matches_sorted_listing(self, ends, n, limit, adjoin):
+    def test_farey_walk_matches_sorted_listing(self, ends, n, adjoin, data):
+        """enumerate and count against the sorted listing. N runs to 60, so
+        that mu(d) is -1, 0 and 1 among d <= N (as at 30, 4 and 6), and the
+        limits fall on either side of count's threshold 8*N."""
         lo, hi = sorted(qx(r, i) for r, i in ends)
         d = TruncatedRationals(n, lo, hi, adjoin_sqrt2=adjoin)
+        limit = data.draw(st.sampled_from((0, 1, 2, 3, 7, 40, 8 * n - 1, 8 * n, 8 * n + 1, 10**5)))
+        pts, truncated = self.sorted_listing(d, limit)
         en = d.enumerate(limit)
-        assert (en.points, en.truncated) == self.sorted_listing(d, limit)
+        assert (en.points, en.truncated) == (pts, truncated)
+        assert d.count(limit) == (len(pts), truncated)
 
     def test_work_follows_the_limit(self):
         start = time.perf_counter()
@@ -271,13 +262,6 @@ class TestTruncatedRationals:
         assert time.perf_counter() - start < 0.25
         assert en.points[:3] == (qx(0), qx(Fraction(1, 800)), qx(Fraction(1, 799)))
         assert len(en.points) == 20 and en.truncated
-
-    @settings(max_examples=150, deadline=None)
-    @given(count_cases())
-    def test_count_matches_sorted_listing(self, case):
-        d, limit = case
-        pts, truncated = self.sorted_listing(d, limit)
-        assert d.count(limit) == (len(pts), truncated), case
 
     @pytest.mark.parametrize(
         "d, limit, branch, expected",
@@ -393,9 +377,8 @@ class TestCount:
     """count(limit) is (len(e.points), e.truncated) of e = enumerate(limit):
     in closed form for finite sets, integer windows and both reciprocal
     families, for truncated rationals by Möbius inversion when the limit
-    and the window are wide enough against max_denominator and by the
-    integer Farey walk otherwise, and by enumerate itself through the base
-    class elsewhere."""
+    is at least 8*max_denominator and by the integer Farey walk otherwise,
+    and by enumerate itself through the base class elsewhere."""
 
     @settings(max_examples=300, deadline=None)
     @given(enumerable_domains())
