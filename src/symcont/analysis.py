@@ -45,7 +45,6 @@ from .domains import (
     _IndexKeys,
     exact_ceil,
     exact_floor,
-    merge_interval_components,
 )
 from .errors import ConfigurationError, DomainError
 from .exactnum import QuadExt, _make, _reduced, as_quadext, format_quadext
@@ -220,7 +219,6 @@ def _resolution(
     *,
     points: int | None = None,
     enumeration_truncated: bool | None = None,
-    sampled: bool | None = None,
     pairs_checked: int | None = None,
 ) -> dict:
     out = {
@@ -235,8 +233,6 @@ def _resolution(
         out["points"] = points
     if enumeration_truncated is not None:
         out["enumeration_truncated"] = enumeration_truncated
-    if sampled is not None:
-        out["sampled"] = sampled
     if pairs_checked is not None:
         out["pairs_checked"] = pairs_checked
     return out
@@ -361,36 +357,29 @@ def _probe_values(
 
     When the points of a sampled probe are integer keys (_LiftedNumbers)
     and Piecewise first-match cannot tell the points of one piece apart (f
-    is a bare formula, or every region of f is an interval union of ambient
-    pieces), each run is valued with the formula owning its piece. The
-    pieces are disjoint, so a point of piece P lies in a region exactly when
-    the region lists P, and the first region listing P owns the whole run;
-    pieces are compared by tuple membership, which hashes no endpoint. When
-    every owner is affine (Const, Identity or Affine) with a rational change
-    slope*step per grid step, the values are integer keys too: f(lo) +
-    (slope*step)*k over the run's k, by _index_keys, and neither a point nor
-    a value is built until it is read. Such values also record the points'
-    equispaced stretches: on each piece's run between its open-end
-    refinements both keys then step by one constant, which lets _uc_rows
-    and the usc survey scan only the ends of the run (_thin). Every other probe is valued by
+    is a bare formula, or its regions are interval unions that list each
+    ambient piece exactly once and nothing else), each run is valued with
+    the formula owning its piece, read from the owner index
+    (_OwnerIndex.piece_owners), which compares no point. When every owner
+    is affine (Const, Identity or Affine) with a rational change slope*step
+    per grid step, the values are integer keys too: f(lo) + (slope*step)*k
+    over the run's k, by _index_keys, and neither a point nor a value is
+    built until it is read. Such values also record the points' equispaced
+    stretches: on each piece's run between its open-end refinements both
+    keys then step by one constant, which lets _uc_rows and the usc survey
+    scan only the ends of the run (_thin). Every other probe is valued by
     _evaluate_many and has no stretches."""
+    owners = None
     if isinstance(pts, _LiftedNumbers):
-        pieces = tuple(p for p, _, _ in runs)
-        owners: list[Formula | None] = [None] * len(pieces)
         if isinstance(f, Formula):
-            owners = [f] * len(pieces)
-        elif isinstance(f, Piecewise) and all(
-            isinstance(fp.region, IntervalUnion)
-            and all(q in pieces for q in fp.region.pieces)
-            for fp in f.pieces
-        ):
-            owners = [
-                next((fp.formula for fp in f.pieces if p in fp.region.pieces), None)
-                for p in pieces
-            ]
+            owners = [f] * len(runs)
+        elif isinstance(f, Piecewise):
+            tags = f._owners.piece_owners(tuple(p for p, _, _ in runs))
+            owners = None if tags is None else [f.pieces[i].formula for i in tags]
+    if owners is not None:
         progressions = []
         for (piece, parts, n), fm in zip(runs, owners):
-            aff = None if fm is None else _as_affine(fm)
+            aff = _as_affine(fm)
             dv = None if aff is None else aff.slope * piece.length / n
             if dv is None or not dv.is_rational():
                 break
@@ -1348,7 +1337,8 @@ def _usc_family(
     entries = None
     if not en_truncated and 0 < all_pairs <= config.max_pairs:
         if groups is None:
-            entries, _, cut = _mirror_entries(fk, fk.keys, config.max_pairs)
+            # all_pairs <= max_pairs bounds the walk, so it is never cut
+            entries = _mirror_entries(fk, fk.keys, config.max_pairs)[0]
             found = bool(entries)
         else:
             found = any(
@@ -1371,7 +1361,7 @@ def _usc_family(
         return _open_verdict(
             "USC", res, "pair budget too small for a symmetric sweep at this resolution"
         )
-    return _sweep_verdict("USC", entries, fk, config, res, cut)
+    return _sweep_verdict("USC", entries, fk, config, res, False)
 
 
 def _usc_const_sweep(
@@ -1645,7 +1635,7 @@ def _family_classify(
     c_v = _per_point_c(fk, windows, config, en.truncated, groups)
     usc_v = _usc_family(fk, config, en.truncated, groups)
     uc_v = _uc_family(fk, config, en.truncated, groups is not None, c_v)
-    if c_v.status == "proven" or usc_v.status == "proven":
+    if usc_v.status == "proven":
         sc_v = _open_verdict(
             "SC",
             _resolution(config, points=len(pts), enumeration_truncated=en.truncated),
@@ -1689,8 +1679,6 @@ def _leaf_uc_failure(piece: IntervalPiece, fm: Formula) -> dict | None:
     piece (only a reciprocal running into 0 can fail)."""
     if not isinstance(fm, Reciprocal) or piece.is_degenerate:
         return None
-    if piece.contains(QuadExt.of(0)):
-        raise ConfigurationError("reciprocal piece contains 0")
     if piece.lo == 0:
         end, closed, sgn = piece.hi, piece.hi_closed, 1
     elif piece.hi == 0:
@@ -1795,10 +1783,9 @@ def _junction_uc_ok(j: _Junction) -> bool:
 def _ladder(
     f: FuncSpec,
     make_pair: Callable[[int], tuple[QuadExt, QuadExt]],
-    count: int = _LADDER_TERMS,
 ) -> list[dict]:
     terms = []
-    for n_i in range(1, count + 1):
+    for n_i in range(1, _LADDER_TERMS + 1):
         x, y = make_pair(n_i)
         terms.append(_pair_json(x, y, abs(evaluate(f, x) - evaluate(f, y))))
     return terms
@@ -1886,8 +1873,10 @@ def _interval_classify(
                 f"reciprocal piece {piece.describe()} contains 0"
             )
     junctions = _collect_junctions(ambient, f, tiles)
-    merged = merge_interval_components(pieces)
-    min_gap = min(merged.gaps) if merged.gaps else None
+    # the pieces are sorted and disjoint: the nearest components hold two
+    # neighbouring pieces that share no endpoint
+    gaps = [q.lo - p.hi for p, q in itertools.pairwise(pieces) if q.lo != p.hi]
+    min_gap = min(gaps, default=None)
 
     leaf_reports = []
     leaf_failure: dict | None = None

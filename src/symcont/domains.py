@@ -82,6 +82,11 @@ def locate_piece(los, pieces, x) -> int:
     return -1
 
 
+def pieces_overlap(p: IntervalPiece, q: IntervalPiece) -> bool:
+    """Whether p and q share a point, for p.lo <= q.lo."""
+    return p.hi > q.lo or (p.hi == q.lo and p.hi_closed and q.lo_closed)
+
+
 def pieces_members(xs, idx, pieces) -> list[int]:
     """The positions among idx whose points of the ascending listing xs lie
     in one of the sorted disjoint pieces, ascending: each piece takes the run
@@ -611,9 +616,7 @@ class IntervalUnion(Domain):
             raise DomainError("interval union needs at least one piece")
         pieces = tuple(sorted(self.pieces, key=lambda p: (p.lo, p.hi)))
         for prev, nxt in itertools.pairwise(pieces):
-            if prev.hi > nxt.lo or (
-                prev.hi == nxt.lo and prev.hi_closed and nxt.lo_closed
-            ):
+            if pieces_overlap(prev, nxt):
                 raise DomainError(
                     f"overlapping pieces {prev.describe()} and {nxt.describe()}"
                 )
@@ -664,7 +667,7 @@ def merge_interval_components(pieces) -> MergeResult:
     order = sorted(range(len(pieces)), key=lambda i: (pieces[i].lo, pieces[i].hi))
     for ia, ib in itertools.pairwise(order):
         a, b = pieces[ia], pieces[ib]
-        if b.lo < a.hi or (b.lo == a.hi and a.hi_closed and b.lo_closed):
+        if pieces_overlap(a, b):
             raise DomainError(
                 f"overlapping pieces {a.describe()} and {b.describe()}"
             )

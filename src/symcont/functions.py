@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .domains import Domain, FinitePoints, IntervalPiece, IntervalUnion, locate_piece
+from .domains import Domain, FinitePoints, IntervalPiece, IntervalUnion, locate_piece, pieces_overlap
 from .errors import ConfigurationError, DomainError, SymcontError
 from .exactnum import ONE, QuadExt, as_quadext
 
@@ -138,11 +138,6 @@ class Piecewise:
         return _OwnerIndex(self.pieces)
 
 
-def _overlap(p: IntervalPiece, q: IntervalPiece) -> bool:
-    """Whether p and q share a point, for p.lo <= q.lo."""
-    return p.hi > q.lo or (p.hi == q.lo and p.hi_closed and q.lo_closed)
-
-
 class _OwnerIndex:
     """The owner of a point among the regions of a piecewise spec: the first
     region that contains it, found by exact keys instead of one ``contains``
@@ -189,7 +184,7 @@ class _OwnerIndex:
         while True:
             # pieces of one region are disjoint, so a clash is between regions
             clash = {
-                r for (p, i), (q, j) in itertools.pairwise(spans) if _overlap(p, q)
+                r for (p, i), (q, j) in itertools.pairwise(spans) if pieces_overlap(p, q)
                 for r in (i, j)
             }
             if not clash:
@@ -220,6 +215,14 @@ class _OwnerIndex:
             if region.contains(x):
                 return i
         return best
+
+    def piece_owners(self, pieces: tuple[IntervalPiece, ...]) -> tuple[int, ...] | None:
+        """The region owning each of the sorted disjoint pieces, when the
+        regions list each of them once and nothing else (the index then holds
+        only those pieces); None otherwise."""
+        if self.lead or self.finite or self.rest or self.pieces != pieces:
+            return None
+        return self.tags
 
     def owners(self, xs: Sequence[QuadExt]) -> list[int]:
         """The owner of each point of the ascending listing xs: the index of

@@ -42,6 +42,7 @@ from symcont import (
     check_wrt_subset,
     classify,
     evaluate,
+    merge_interval_components,
     modulus_profile,
     parse_quadext,
     sym_oscillation,
@@ -232,6 +233,27 @@ class TestFamilyPipeline:
         assert {v.status for v in verdicts.values()} == {"no_violation"}
 
 
+@st.composite
+def component_unions(draw):
+    """An interval union of one to eight pieces in ascending order, with
+    rational or sqrt2 ends: each piece is degenerate or not, open or closed
+    at each end, and either touches the one before (sharing an end that at
+    most one of them holds) or leaves a gap."""
+    lo = QuadExt(draw(_RATS), draw(st.sampled_from(_IRRS)))
+    pieces = []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.sampled_from((qx(0), qx(Fraction(1, 4)), qx(1), SQRT2 / 2)))
+        lo_closed = draw(st.booleans()) or length == 0
+        hi_closed = draw(st.booleans()) or length == 0
+        if pieces:
+            prev = pieces[-1]
+            touch = draw(st.booleans()) and not (prev.hi_closed and lo_closed)
+            gaps = (qx(Fraction(1, 8)), qx(1), qx(3), SQRT2 / 4, SQRT2)
+            lo = prev.hi if touch else prev.hi + draw(st.sampled_from(gaps))
+        pieces.append(IntervalPiece(lo, lo + length, lo_closed, hi_closed))
+    return IntervalUnion(tuple(pieces))
+
+
 class TestIntervalPipeline:
     def test_reciprocal_on_open_interval(self):
         dom = IntervalUnion((IntervalPiece(qx(0), qx(3), False, True),))
@@ -278,6 +300,26 @@ class TestIntervalPipeline:
         for notion in NOTIONS:
             assert verdicts[notion].status == "proven"
             assert verdicts[notion].scope == "full"
+
+    @settings(max_examples=150, deadline=None)
+    @given(component_unions())
+    def test_min_component_gap_is_the_least_merged_gap(self, ambient):
+        verdicts = analysis._interval_classify(ambient, Identity(), FAST)
+        gaps = merge_interval_components(ambient.pieces).gaps
+        want = format_quadext(min(gaps)) if gaps else None
+        assert verdicts["C"].certificate["min_component_gap"] == want
+
+    def test_3000_separated_pieces_are_prompt(self):
+        """The smallest gap comes from neighbouring pieces: taking it over
+        every pair of components took about 8 s on 2 vCPUs."""
+        n = 3000
+        ambient = IntervalUnion(tuple(IntervalPiece(qx(2 * k), qx(2 * k + 1)) for k in range(n)))
+        start = time.perf_counter()
+        verdicts = classify(ambient, Identity(), AnalysisConfig())
+        elapsed = time.perf_counter() - start
+        assert all(v.status == "proven" for v in verdicts.values())
+        assert verdicts["UC"].certificate["min_component_gap"] == "1"
+        assert elapsed < 1, elapsed
 
 
 class TestOneTiling:
@@ -1984,6 +2026,83 @@ class TestTileValues:
         )
         prof = modulus_profile(ambient, f, self.CONFIG, "uc")
         assert prof.rows == _pointwise_uc_rows(ambient, f, self.CONFIG)
+
+    @staticmethod
+    def three_pieces(shift):
+        return (
+            IntervalPiece(qx(0) + shift, qx(1) + shift),
+            IntervalPiece(qx(1) + shift, qx(2) + shift, False, True),
+            IntervalPiece(qx(3) + shift, qx(Fraction(7, 2)) + shift),
+        )
+
+    @pytest.mark.parametrize(
+        "case, lifted",
+        [
+            ("two_pieces_one_region", True),
+            ("reversed_regions", True),
+            ("unlisted_piece", False),
+            ("sqrt2_shifted", True),
+        ],
+    )
+    def test_owner_of_each_piece(self, case, lifted):
+        """Each run takes the formula of the one region listing its piece,
+        whatever the order of the regions or how many pieces one lists; a
+        piece no region lists leaves the probe to pointwise evaluation."""
+        shift = SQRT2 if case == "sqrt2_shifted" else qx(0)
+        a, b, c = self.three_pieces(shift)
+        ambient = IntervalUnion((a, b, c))
+        regions = {
+            "two_pieces_one_region": ((a, c), (b,)),
+            "reversed_regions": ((c,), (b,), (a,)),
+            # b's points are covered by a region piece that is not b
+            "unlisted_piece": ((a,), (IntervalPiece(b.lo, c.hi, False, True),)),
+            "sqrt2_shifted": ((a, c), (b,)),
+        }[case]
+        # 3(x - shift) - 1, rational on the shifted pieces too
+        formulas = (Affine(qx(3), qx(-1) - 3 * shift), Const(2), Identity())
+        f = Piecewise(
+            tuple(FuncPiece(IntervalUnion(r), fm) for r, fm in zip(regions, formulas))
+        )
+        pts, runs, _, _ = _probe_points(ambient, self.CONFIG, for_pairs=False)
+        vals = analysis._probe_values(f, pts, runs)
+        assert isinstance(vals, analysis._LiftedNumbers) == lifted
+        prof = modulus_profile(ambient, f, self.CONFIG, "uc")
+        assert prof.rows == _pointwise_uc_rows(ambient, f, self.CONFIG)
+
+    def test_uncovered_piece_raises(self):
+        a, b, c = self.three_pieces(qx(0))
+        f = Piecewise(
+            (FuncPiece(IntervalUnion((a,)), Const(7)), FuncPiece(IntervalUnion((c,)), Identity()))
+        )
+        for notion in ("uc", "usc"):
+            with pytest.raises(DomainError, match="not covered"):
+                modulus_profile(IntervalUnion((a, b, c)), f, self.CONFIG, notion)
+
+    @pytest.mark.parametrize(
+        "notion, config, bound",
+        [
+            ("uc", AnalysisConfig(grid_exponent=3), 1.5),
+            ("usc", AnalysisConfig(grid_exponent=3, max_pairs=20000), 0.5),
+        ],
+        ids=["uc", "usc"],
+    )
+    def test_3000_glued_pieces_are_prompt(self, notion, config, bound):
+        """The owner of each of 3 000 pieces comes from the owner index:
+        scanning every region for every piece took about 3 s for either
+        profile on 2 vCPUs."""
+        n = 3000
+        pieces = tuple(IntervalPiece(qx(k), qx(k + 1), True, k == n - 1) for k in range(n))
+        f = Piecewise(
+            tuple(
+                FuncPiece(IntervalUnion((p,)), Affine(qx((-1) ** k), qx(0)))
+                for k, p in enumerate(pieces)
+            )
+        )
+        start = time.perf_counter()
+        prof = modulus_profile(IntervalUnion(pieces), f, config, notion)
+        elapsed = time.perf_counter() - start
+        assert len(prof.rows) == len(config.delta_schedule)
+        assert elapsed < bound, elapsed
 
 
 class TestProbeCounts:

@@ -118,13 +118,17 @@ class TestAnalyze:
 
 class TestGluedPieces:
     """An interval union of many glued pieces, one Piecewise region each, is
-    tiled once: the junction limits are read from that tiling."""
+    tiled once: the junction limits are read from that tiling. Separated
+    pieces take their smallest component gap from neighbouring pieces."""
 
     @staticmethod
-    def zigzag_spec(n):
-        # x - k on [k, k+1) for even k, k + 1 - x for odd k: continuous at
-        # every junction, so every junction reaches the certificate
-        pieces = [{"lo": k, "hi": k + 1, "hiClosed": k == n - 1} for k in range(n)]
+    def zigzag_spec(n, step=1):
+        # x - k on [step*k, step*k + 1) for even k, k + 1 - x for odd k: with
+        # step 1 continuous at every junction, so every junction reaches the
+        # certificate; with step 2 separated by gaps of 1
+        pieces = [
+            {"lo": step * k, "hi": step * k + 1, "hiClosed": k == n - 1} for k in range(n)
+        ]
         formulas = [
             {"formula": "Affine", "m": 1, "c": -k}
             if k % 2 == 0
@@ -142,20 +146,28 @@ class TestGluedPieces:
             },
         }
 
-    def test_300_pieces_are_prompt(self, tmp_path):
-        # tiling the union again at every junction took 11.5 s on 2 vCPUs
+    @pytest.mark.parametrize(
+        "n, step, digest, junctions",
+        [
+            (300, 1, "7dfcb4961e37487a3ba92c63315f5013a4b2ebc637ccab39447c194ce15250e1", 299),
+            (3000, 2, "60a1ef905d9d569d24ae1a0f25a0cb10186a466c343627d74c85b993fc64998b", 0),
+        ],
+        ids=["glued_300", "separated_3000"],
+    )
+    def test_many_pieces_are_prompt(self, tmp_path, n, step, digest, junctions):
+        # on 2 vCPUs, tiling the union again at every junction took 11.5 s
+        # for the glued 300, and taking the gap of every pair of components
+        # 7.2 s for the separated 3 000
         path = tmp_path / "zigzag.json"
-        path.write_text(json.dumps(self.zigzag_spec(300)))
+        path.write_text(json.dumps(self.zigzag_spec(n, step)))
         start = time.perf_counter()
         proc = run_cli("analyze", str(path), "--format", "json", timeout=30)
         elapsed = time.perf_counter() - start
         assert proc.returncode == 0
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-            "7dfcb4961e37487a3ba92c63315f5013a4b2ebc637ccab39447c194ce15250e1"
-        )
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
         report = json.loads(proc.stdout)
         cert = report["verdicts"]["UC"]["certificate"]
-        assert len(cert["junctions"]) == 299
+        assert len(cert["junctions"]) == junctions
         assert elapsed < 5
 
 
