@@ -1984,8 +1984,12 @@ def _interval_classify(
     bad_sc = [j for j in junctions if not _junction_sc_ok(j)]
     if bad_sc:
         j = bad_sc[0]
-        s = min(QuadExt.of(1), j.left_piece.length, j.right_piece.length)
-        terms = _ladder(f, lambda m: (j.c + s / (m + 1), j.c - s / (m + 1)))
+        if leaf_failure is None and j is bad_junction:
+            # two finite limits differ: UC's jump ladder holds these pairs
+            terms = [dict(t) for t in uniform["UC"].witness["terms"]]
+        else:
+            s = min(QuadExt.of(1), j.left_piece.length, j.right_piece.length)
+            terms = _ladder(f, lambda m: (j.c + s / (m + 1), j.c - s / (m + 1)))
         sc_v = verdict(
             "SC",
             "refuted",
@@ -2329,43 +2333,61 @@ def verify_refuting_sequence(
     seq: RefutingSequence,
     n_check: int,
     centers: Domain | None = None,
+    *,
+    points: dict | None = None,
 ) -> SequenceReport:
     """Re-derive every claim of the sequence exactly: membership, midpoint
-    placement, strictly shrinking scale, and the exact oscillation values."""
+    placement, strictly shrinking scale, and the exact oscillation values.
+
+    points maps a point's (a, b, d) to [its membership in ambient, f there or
+    None until asked]: sequences on one ambient and f may share it, so each
+    point is tested and valued once, both memberships of a term first."""
+    table = {} if points is None else points
+
+    def entry(x: QuadExt) -> list:
+        if (e := table.get(key := (x.a, x.b, x.d))) is None:
+            e = table[key] = [ambient.contains(x), None]
+        return e
+
+    kind, anchor, eps = seq.kind, seq.anchor, seq.epsilon
+    twice = None if anchor is None else 2 * anchor
     prev_scale: QuadExt | None = None
     limit = n_check if seq.n_max is None else min(n_check, seq.n_max)
     for n_i in range(1, limit + 1):
-        x, y = (as_quadext(t) for t in seq.term(n_i))
-        if not ambient.contains(x) or not ambient.contains(y):
+        x, y = map(as_quadext, seq.term(n_i))
+        if not (ex := entry(x))[0] or not (ey := entry(y))[0]:
             return SequenceReport(False, n_i - 1, f"term {n_i} leaves the domain")
-        osc = abs(evaluate(f, x) - evaluate(f, y))
+        for e, p in ((ex, x), (ey, y)):
+            if e[1] is None:
+                e[1] = evaluate(f, p)
+        osc = abs(ex[1] - ey[1])
         if osc != as_quadext(seq.claimed(n_i)):
             return SequenceReport(
                 False, n_i - 1, f"term {n_i} oscillation differs from the claim"
             )
-        if osc < seq.epsilon:
+        if osc < eps:
             return SequenceReport(
                 False, n_i - 1, f"term {n_i} oscillates below epsilon"
             )
-        if seq.kind == "c":
-            if seq.anchor is None or y != seq.anchor:
+        if kind == "c":
+            if anchor is None or y != anchor:
                 return SequenceReport(
                     False, n_i - 1, f"term {n_i} does not pin the anchor"
                 )
-            scale = abs(x - seq.anchor)
-        elif seq.kind == "sc":
-            if seq.anchor is None or x + y != 2 * seq.anchor:
+            scale = abs(x - anchor)
+        elif kind == "sc":
+            if twice is None or x + y != twice:
                 return SequenceReport(
                     False, n_i - 1, f"term {n_i} is not mirrored around the anchor"
                 )
             scale = (x - y) / 2 if x > y else (y - x) / 2
-        elif seq.kind == "usc":
-            if not ambient.contains((x + y) / 2):
+        elif kind == "usc":
+            if not entry((x + y) / 2)[0]:
                 return SequenceReport(
                     False, n_i - 1, f"term {n_i} midpoint leaves the domain"
                 )
             scale = abs(x - y) / 2
-        elif seq.kind == "wrt_b":
+        elif kind == "wrt_b":
             if centers is None or not centers.contains((x + y) / 2):
                 return SequenceReport(
                     False, n_i - 1, f"term {n_i} midpoint leaves the center set"

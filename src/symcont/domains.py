@@ -657,8 +657,9 @@ class MergeResult:
 def merge_interval_components(pieces) -> MergeResult:
     """Group pieces into maximal components whose closures chain together.
 
-    gaps holds the distance between every pair of distinct components in
-    index order; shared_endpoint_pairs records which input pieces (by their
+    gaps holds the distance between each pair of neighbouring components,
+    ascending by position, so its minimum is the least distance between any
+    two components; shared_endpoint_pairs records which input pieces (by their
     position in the argument) were glued across a common endpoint. Overlap
     is an error.
     """
@@ -681,11 +682,7 @@ def merge_interval_components(pieces) -> MergeResult:
         else:
             components.append([idx])
     comp_pieces = tuple(tuple(pieces[i] for i in comp) for comp in components)
-    gaps = tuple(
-        comp_pieces[j][0].lo - comp_pieces[i][-1].hi
-        for i in range(len(comp_pieces))
-        for j in range(i + 1, len(comp_pieces))
-    )
+    gaps = tuple(b[0].lo - a[-1].hi for a, b in itertools.pairwise(comp_pieces))
     return MergeResult(comp_pieces, gaps, tuple(glued))
 
 

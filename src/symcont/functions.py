@@ -147,7 +147,8 @@ class _OwnerIndex:
       point's coordinates ``(a, b, d)`` to the first such region holding it.
     * Regions whose type is exactly ``IntervalUnion`` give their pieces,
       sorted by low end and tagged with the region, located by
-      ``locate_piece``. When pieces of different regions overlap, those
+      ``locate_piece``. A piece listed again by a later region keeps the
+      first region's tag. When pieces of different regions overlap, those
       regions are scanned instead, until the rest are disjoint.
     * Every other region is scanned with ``contains``, in order: the ones
       listed before the first indexed region (``lead``) by ``evaluate``
@@ -182,19 +183,22 @@ class _OwnerIndex:
             key=lambda t: (t[0].lo, t[0].hi),
         )
         while True:
-            # pieces of one region are disjoint, so a clash is between regions
+            # pieces of one region are disjoint, so a clash is between regions;
+            # a piece listed again is no clash, its first region owns it
             clash = {
-                r for (p, i), (q, j) in itertools.pairwise(spans) if pieces_overlap(p, q)
-                for r in (i, j)
+                r for (p, i), (q, j) in itertools.pairwise(spans)
+                if pieces_overlap(p, q) and p != q for r in (i, j)
             }
             if not clash:
                 break
             spans = [t for t in spans if t[1] not in clash]
+        indexed = {i for i, region in enumerate(regions) if type(region) is FinitePoints}
+        indexed.update(i for _, i in spans)
+        # the stable sort puts the first region's copy first
+        spans = [t for k, t in enumerate(spans) if not (k and t[0] == spans[k - 1][0])]
         self.los = tuple(p.lo for p, _ in spans)
         self.pieces = tuple(p for p, _ in spans)
         self.tags = tuple(i for _, i in spans)
-        indexed = {i for i, region in enumerate(regions) if type(region) is FinitePoints}
-        indexed.update(self.tags)
         first = min(indexed, default=self.size)
         self.lead = func_pieces[:first]
         self.rest = tuple(

@@ -909,14 +909,17 @@ def run_case(
     config: AnalysisConfig,
     budget: Budget,
 ) -> CaseReport:
+    """Classify one case and re-check its refuting sequences exactly, on one
+    point table kept for this call only (see verify_refuting_sequence)."""
     verdicts = classify(case.ambient, case.f, config)
     seq_reports = []
+    points: dict = {}
     for seq in case.sequences:
         n_check = min(budget.sequence_terms, config.max_pairs)
         if seq.n_max is not None:
             n_check = min(n_check, seq.n_max)
         centers = case.subset_b if seq.kind == "wrt_b" else None
-        rep = verify_refuting_sequence(case.ambient, case.f, seq, n_check, centers)
+        rep = verify_refuting_sequence(case.ambient, case.f, seq, n_check, centers, points=points)
         overrode = False
         if (
             case.family_scope

@@ -294,6 +294,43 @@ class TestIntervalPipeline:
         for notion in NOTIONS:
             assert verdicts[notion].scope == "full"
 
+    @pytest.mark.parametrize("far_jump, ladders", [(False, 2), (True, 3)])
+    def test_sc_reuses_the_uc_jump_ladder(self, monkeypatch, far_jump, ladders):
+        """When SC's first bad junction is UC's jump junction, SC copies UC's
+        mirror ladder there instead of building it again; a jump at a
+        junction outside the domain comes first for UC only."""
+        pieces = [
+            IntervalPiece(qx(0), qx(1)),
+            IntervalPiece(qx(1), qx(2), False, True),
+            IntervalPiece(qx(2), qx(3), False, True),
+        ]
+        if far_jump:
+            pieces[0] = IntervalPiece(qx(0), qx(1), True, False)
+        dom = IntervalUnion(tuple(pieces))
+        f = Piecewise(
+            tuple(
+                FuncPiece(IntervalUnion((p,)), Const(v))
+                for p, v in zip(pieces, (2 if far_jump else 0, 0, 1))
+            )
+        )
+        built = []
+        ladder = analysis._ladder
+
+        def counted(*args):
+            built.append(args)
+            return ladder(*args)
+
+        monkeypatch.setattr(analysis, "_ladder", counted)
+        verdicts = analysis._interval_classify(dom, f, FAST)
+        assert len(built) == ladders
+        uc, sc = verdicts["UC"].witness, verdicts["SC"].witness
+        c = qx(2)
+        assert sc["anchor"] == format_quadext(c)
+        assert sc["terms"] == ladder(f, lambda m: (c + 1 / qx(m + 1), c - 1 / qx(m + 1)))
+        assert (sc["terms"] == uc["terms"]) != far_jump
+        assert sc["terms"] is not uc["terms"]
+        assert all(s is not u for s, u in zip(sc["terms"], uc["terms"]))
+
     def test_affine_everywhere_uc(self):
         dom = IntervalUnion((IntervalPiece(qx(-2), qx(2)),))
         verdicts = classify(dom, Const(5), FAST)
@@ -542,6 +579,19 @@ class TestRefutingSequences:
         # scales grow with n, so the strict-shrink check trips at term 2
         rep = verify_refuting_sequence(dom, Const(0), seq, 9)
         assert not rep.ok and rep.terms_checked == 1
+
+    def test_membership_is_decided_before_any_value(self):
+        """f would raise at x, which lies in the domain, but y does not: the
+        term leaves the domain and f is never valued, with a fresh table and
+        with one that already holds x's membership."""
+        dom = NaturalReciprocals(10, with_zero=True)
+        seq = RefutingSequence("uc", qx(1), lambda n: (qx(0), qx(5)), lambda n: qx(1))
+        points = {}
+        for table in (None, points, points):
+            rep = verify_refuting_sequence(dom, Reciprocal(), seq, 3, points=table)
+            assert (rep.ok, rep.terms_checked) == (False, 0)
+            assert rep.failure == "term 1 leaves the domain"
+        assert points == {(0, 0, 1): [True, None], (5, 0, 1): [False, None]}
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -1621,6 +1671,11 @@ class TestIntegerPaths:
     @example(_family_example((0, _8TH, 1), (2, 0, 1), (2, _HALF)))
     # a point at exactly the largest delta, which the scan must not reach
     @example(_family_example((0, _8TH, 1), (0, 1, 2), (1, _HALF)))
+    # SC: a mirror pair around 1 at exactly the largest delta, which the
+    # scan must not reach, would hide the flat unit jump of the pair at 1/8
+    @example(
+        _family_example((0, 7 * _8TH, 1, 9 * _8TH, 2), (0, 0, 0, 1, 2), (1, _HALF, _HALF / 2))
+    )
     # pairs of one value closer than any pair of two values: UC on this
     # piecewise-constant f reads only the rows with a positive sup
     @example(
@@ -2068,6 +2123,30 @@ class TestTileValues:
         assert isinstance(vals, analysis._LiftedNumbers) == lifted
         prof = modulus_profile(ambient, f, self.CONFIG, "uc")
         assert prof.rows == _pointwise_uc_rows(ambient, f, self.CONFIG)
+
+    def test_piece_listed_again_keeps_the_first_owner(self):
+        """A piece that later regions list again keeps the first region's
+        tag, so the probe stays lifted; a partial overlap still drops the
+        regions from the index."""
+        a, b, c = self.three_pieces(qx(0))
+        ambient = IntervalUnion((a, b, c))
+        f = Piecewise(
+            (
+                FuncPiece(IntervalUnion((c,)), Const(7)),
+                FuncPiece(IntervalUnion((a, c)), Affine(qx(3), qx(-1))),
+                FuncPiece(IntervalUnion((b, c)), Identity()),
+            )
+        )
+        assert f._owners.piece_owners(ambient.pieces) == (1, 2, 0)
+        pts, runs, _, _ = _probe_points(ambient, self.CONFIG, for_pairs=False)
+        vals = analysis._probe_values(f, pts, runs)
+        assert isinstance(vals, analysis._LiftedNumbers)
+        first = [next(fp.formula for fp in f.pieces if fp.region.contains(p)) for p in pts]
+        assert list(vals) == [evaluate(fm, p) for fm, p in zip(first, pts)]
+        assert [evaluate(f, p) for p in pts] == list(vals)
+        half = IntervalPiece(c.lo, (c.lo + c.hi) / 2)
+        g = Piecewise((FuncPiece(IntervalUnion((half,)), Const(7)), f.pieces[1], f.pieces[2]))
+        assert g._owners.piece_owners(ambient.pieces) is None
 
     def test_uncovered_piece_raises(self):
         a, b, c = self.three_pieces(qx(0))

@@ -93,3 +93,22 @@ def test_tracer_counts_owner_index_evaluation_and_restores():
     counts, totals = dict(tracer.counts), {k: list(v) for k, v in tracer.totals.items()}
     assert [symcont.functions.evaluate(f, p) for p in pts] == expected
     assert tracer.counts == counts and tracer.totals == totals
+
+
+def test_tracer_sees_each_sequence_verified_and_restores():
+    """zoo holds verify_refuting_sequence under its own name: the tracer must
+    wrap that binding too, or the catalog's verification goes unseen."""
+    import symcont.zoo
+    from symcont import Budget
+
+    before = _bindings()
+    tracer = Tracer()
+    with instrument(tracer):
+        reports = symcont.zoo.run_example("ex-2.4", None, Budget.small())
+    sequences = sum(len(r.sequence_reports) for r in reports)
+    assert sequences == 2
+    assert tracer.calls("analysis.verify") == sequences
+    assert tracer.calls("zoo.run_case") == len(reports)
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

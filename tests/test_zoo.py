@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,10 @@ from symcont import (
     ConfigurationError,
     QuadExt,
     evaluate,
+    verify_refuting_sequence,
     verify_witness,
 )
+from symcont import analysis
 from symcont.report import dump_json, render_zoo_text
 from symcont.zoo import (
     Budget,
@@ -26,7 +30,12 @@ from symcont.zoo import (
     verify_staircase_proof,
 )
 
-from conftest import qx
+from conftest import REPO_ROOT, qx
+
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from perfbench.workloads import CATALOG_BUDGET  # noqa: E402
 
 SMALL = Budget.small()
 FAST = AnalysisConfig(grid_exponent=6, enum_limit=10**4)
@@ -158,6 +167,52 @@ class TestCorruptedSequenceDetected:
         report = run_case("ex-2.4", case, FAST, budget)
         assert not report.ok
         assert any("sequence" in m for m in report.mismatches)
+
+
+class TestPointTable:
+    """run_case checks the sequences of a case against one point table."""
+
+    @staticmethod
+    def reports(case, budget, shared):
+        points = {}
+        out = []
+        for seq in case.sequences:
+            centers = case.subset_b if seq.kind == "wrt_b" else None
+            args = (case.ambient, case.f, seq, budget.sequence_terms, centers)
+            out.append(verify_refuting_sequence(*args, points=points if shared else None))
+        return out
+
+    @pytest.mark.parametrize(
+        "budget", [SMALL, Budget(**CATALOG_BUDGET)], ids=["small", "catalog"]
+    )
+    def test_shared_table_changes_no_report(self, budget):
+        checked = 0
+        for example_id in EXPECTED_IDS:
+            for case in build_example(example_id, budget):
+                shared = self.reports(case, budget, True)
+                assert shared == self.reports(case, budget, False), example_id
+                checked += len(shared)
+        assert checked == 17
+
+    def test_each_point_is_valued_once(self, monkeypatch):
+        """ex-2.7's c sequence reads the values its usc sequence took at the
+        same pairs (1/n, 0), and on its own values its anchor 0 once."""
+        (case,) = build_example("ex-2.7", SMALL)
+        _, c = case.sequences
+        valued = Counter()
+        real = analysis.evaluate
+
+        def counted(f, x):
+            valued[x] += 1
+            return real(f, x)
+
+        monkeypatch.setattr(analysis, "evaluate", counted)
+        n = SMALL.sequence_terms
+        assert [r.ok for r in self.reports(case, SMALL, True)] == [True, True]
+        assert valued == Counter([qx(0)] + [qx(Fraction(1, k)) for k in range(1, n + 1)])
+        valued.clear()
+        assert verify_refuting_sequence(case.ambient, case.f, c, n).ok
+        assert valued[qx(0)] == 1 and sum(valued.values()) == n + 1
 
 
 class TestMidpointArithmetic:
