@@ -521,7 +521,7 @@ def _pairs_from_points(
       count as midpoints. An enumeration lists the least points of its set
       in ascending order, so a member between two listed points is listed,
       and a midpoint is a member exactly when X_i + X_j is a doubled listed
-      key (as in _usc_const_sweep and _mirror_walk).
+      key (as in _usc_family and _mirror_walk).
 
     Any other centers get the midpoint of each pair and their own contains."""
     keys, cuts = _keys(pts, [2 * d for d in schedule])
@@ -1355,29 +1355,18 @@ def _usc_family(
                 "no symmetric challenge exists at any scale",
             )
 
-    if groups is not None:
-        return _usc_const_sweep(fk, config, en_truncated, groups)
-    if entries is None:
-        return _open_verdict(
-            "USC", res, "pair budget too small for a symmetric sweep at this resolution"
-        )
-    return _sweep_verdict("USC", entries, fk, config, res, False)
+    if groups is None:
+        if entries is None:
+            return _open_verdict(
+                "USC", res, "pair budget too small for a symmetric sweep at this resolution"
+            )
+        return _sweep_verdict("USC", entries, fk, res, False)
 
-
-def _usc_const_sweep(
-    fk: _FamilyKeys,
-    config: AnalysisConfig,
-    en_truncated: bool,
-    groups: list[list[int]],
-) -> Verdict:
-    """Symmetric sweep over the pairs across value groups only (pairs inside
-    one group oscillate by exactly zero); the effective deltas are the
-    scales at which such pairs exist."""
+    # pairs inside one value group oscillate by exactly zero, so only pairs
+    # across groups are swept: the effective deltas are the scales of those
     cross = list(itertools.combinations(groups, 2))
     total = sum(len(g) * len(h) for g, h in cross)
-    res = _resolution(
-        config, points=len(fk.pts), enumeration_truncated=en_truncated, pairs_checked=total
-    )
+    res["pairs_checked"] = total
     if total > config.max_pairs:
         return _open_verdict("USC", res, "cross-region pair count exceeds the pair budget")
     keys, vkeys = fk.keys, fk.vkeys
@@ -1432,7 +1421,6 @@ def _sweep_verdict(
     notion: str,
     entries: list[tuple],
     fk: _FamilyKeys,
-    config: AnalysisConfig,
     res: dict,
     truncated: bool,
 ) -> Verdict:
@@ -1723,7 +1711,9 @@ def _collect_junctions(
     ambient: IntervalUnion, f: FuncSpec, tiles: list[tuple[IntervalPiece, Formula]]
 ) -> list[_Junction]:
     """The points where one piece of the ambient ends and the next starts,
-    ascending, with the facing pieces and their limits read from the tiles."""
+    ascending, with the facing pieces and their limits read from the tiles.
+    The pieces are sorted and disjoint, so c is a member exactly when one of
+    the first two pieces meeting there holds it (a degenerate one does)."""
     ends, starts = _side_tiles(tiles)
     out: list[_Junction] = []
     for prev, nxt in itertools.pairwise(ambient.pieces):
@@ -1732,7 +1722,7 @@ def _collect_junctions(
         if prev.hi != c or (out and out[-1].c == c):
             continue
         left, right = ends.get(c), starts.get(c)
-        in_dom = ambient.contains(c)
+        in_dom = prev.hi_closed or nxt.lo_closed
         owned = evaluate(f, c) if in_dom else None
         out.append(
             _Junction(
@@ -2041,6 +2031,17 @@ def _interval_classify(
 def _staircase_classify(
     ambient: Staircase, f: FuncSpec, config: AnalysisConfig
 ) -> dict[str, Verdict]:
+    """C, UC, SC and USC on a staircase, from its block ends.
+
+    The ends ascend, block i running from ends[2i] to ends[2i + 1]. The ends
+    and their values are keyed once (_keys, with the key of 2*delta for each
+    schedule delta); every comparison runs on the keys K, and a reported
+    gap, oscillation or pair is rebuilt from its positions. UC walks the
+    chain of strictly shrinking gaps between facing ends. A USC candidate
+    joins an end u in {k, k + 1} of one block to an end w in {k + 2, k + 3}
+    of the next. Its midpoint lies in [ends[k], ends[k + 3]], which holds
+    only these two blocks, so it is a member unless it falls in the open gap
+    between them: 2*K[k + 1] < K[u] + K[w] < 2*K[k + 2]."""
     blocks = ambient.block_pieces()
     tiles = tile_formulas(f, blocks)
     # f must be defined on every block, a lone block's too, whose ends are
@@ -2049,7 +2050,23 @@ def _staircase_classify(
         if isinstance(fm, Reciprocal) and piece.contains(QuadExt.of(0)):
             raise DomainError("reciprocal evaluated at 0")
     res = _resolution(config, points=2 * len(blocks))
-    gaps = ambient.gaps()
+    schedule = config.delta_schedule
+    # each end valued once; a lone block faces no other, so none is valued
+    ends = [e for b in blocks for e in (b.lo, b.hi)]
+    vals = _evaluate_many(f, ends) if len(blocks) > 1 else []
+    keys, cuts = _keys(ends, [2 * d for d in schedule])
+    vk = _keys(vals)[0]
+
+    def across(l: int, r: int) -> tuple[QuadExt, QuadExt]:
+        return ends[r] - ends[l], abs(vals[r] - vals[l])
+
+    # cross-gap records: (gap key, oscillation key, positions of the left
+    # block's end and the right block's start)
+    records = [
+        (keys[k + 1] - keys[k], abs(vk[k + 1] - vk[k]), k, k + 1)
+        for k in range(1, len(ends) - 1, 2)
+    ]
+    min_gap = across(*min(records)[2:])[0] if records else None
 
     c_v = Verdict(
         "C",
@@ -2063,7 +2080,7 @@ def _staircase_classify(
                 for p, fm in tiles[:4]
             ],
             "blocks": len(blocks),
-            "min_present_gap": _fmt(QuadExt(min(gaps))) if gaps else None,
+            "min_present_gap": _fmt(min_gap),
         },
         resolution=dict(res),
         notes=[
@@ -2073,32 +2090,13 @@ def _staircase_classify(
         ],
     )
 
-    # the block endpoints ascending, block i from ends[2i] to ends[2i + 1],
-    # each valued once; a lone block faces no other, so none is valued
-    ends = [e for b in blocks for e in (b.lo, b.hi)]
-    vals = _evaluate_many(f, ends) if len(blocks) > 1 else []
-
-    # cross-gap records: (gap width, oscillation between facing endpoints,
-    # positions of the left block's end and the right block's start)
-    records = [
-        (ends[k + 1] - ends[k], abs(vals[k + 1] - vals[k]), k, k + 1)
-        for k in range(1, len(ends) - 1, 2)
-    ]
-
-    chain: list[tuple[QuadExt, QuadExt, int, int]] = []
+    chain: list[tuple] = []
     for rec in records:
         if not chain or rec[0] < chain[-1][0]:
             chain.append(rec)
-    uc_refuted = False
-    if len(chain) >= 2:
-        max_osc = chain[0][1]
-        for rec in chain[1:]:
-            if rec[1] > max_osc:
-                max_osc = rec[1]
-        terminal = chain[-1][1]
-        uc_refuted = terminal == max_osc and terminal.sign() > 0
-    if uc_refuted:
-        sample = chain[:3] + chain[-3:]
+    oscs = [rec[1] for rec in chain]
+    if len(chain) >= 2 and 0 < oscs[-1] == max(oscs):
+        sample = [across(l, r) + (l, r) for *_, l, r in chain[:3] + chain[-3:]]
         uc_v = Verdict(
             "UC",
             "refuted",
@@ -2106,8 +2104,8 @@ def _staircase_classify(
             "truncation",
             witness={
                 "kind": "chain",
-                "terminal_gap": format_quadext(chain[-1][0]),
-                "terminal_osc": format_quadext(chain[-1][1]),
+                "terminal_gap": format_quadext(sample[-1][0]),
+                "terminal_osc": format_quadext(sample[-1][1]),
                 "records": [
                     {
                         "gap": format_quadext(g),
@@ -2137,22 +2135,18 @@ def _staircase_classify(
             ],
         )
 
-    # USC: candidate symmetric pairs are the endpoint combinations of
-    # adjacent blocks whose midpoints land back inside the staircase
-    # (scale, osc, w, u) with w and u positions in ends
-    entries: list[tuple[QuadExt, QuadExt, int, int]] = []
-    candidates = 0
+    # USC: (width key, oscillation key, w, u) per candidate pair of facing
+    # blocks whose midpoint is a member
+    entries = []
     for k in range(0, len(ends) - 2, 2):
+        gap_lo, gap_hi = 2 * keys[k + 1], 2 * keys[k + 2]
         for u in (k, k + 1):
             for w in (k + 2, k + 3):
-                candidates += 1
-                if ambient.contains((ends[u] + ends[w]) / 2):
-                    entries.append(((ends[w] - ends[u]) / 2, abs(vals[w] - vals[u]), w, u))
+                if not gap_lo < keys[u] + keys[w] < gap_hi:
+                    entries.append((keys[w] - keys[u], abs(vk[w] - vk[u]), w, u))
     entries.sort()
-    res_usc = dict(res)
-    res_usc["pairs_checked"] = candidates
-    schedule = config.delta_schedule
-    rows = _sup_rows(entries, schedule, False, (schedule, ends, vals))
+    res_usc = {**res, "pairs_checked": 4 * (len(blocks) - 1)}
+    rows = _sup_rows(entries, schedule, False, (cuts, ends, vals))
     flat = _flat_row(rows)
     if not entries:
         usc_v = _open_verdict(
@@ -2276,7 +2270,7 @@ def check_wrt_subset(
     res = _resolution(
         config, points=n, enumeration_truncated=truncated, pairs_checked=checked
     )
-    v = _sweep_verdict("USC_wrt_B", entries, fk, config, res, truncated)
+    v = _sweep_verdict("USC_wrt_B", entries, fk, res, truncated)
     if v.status == "proven" and v.method == "midpoint_free":
         v.notes = ["no symmetric challenge is centered on the subset at any scale"]
         v.certificate["pairs_checked"] = checked

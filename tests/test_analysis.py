@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import itertools
 import math
 import operator
@@ -65,7 +66,8 @@ from symcont.analysis import (
 )
 from symcont.domains import SymmetricPair
 from symcont.exactnum import format_quadext
-from symcont.functions import is_piecewise_constant
+from symcont.functions import _evaluate_many, is_piecewise_constant, tile_formulas
+from symcont.report import dump_json
 from symcont.zoo import build_example, indicator_with_zero, staircase_function
 
 from conftest import (
@@ -346,6 +348,18 @@ class TestIntervalPipeline:
         want = format_quadext(min(gaps)) if gaps else None
         assert verdicts["C"].certificate["min_component_gap"] == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(component_unions())
+    def test_junction_membership_read_from_the_facing_pieces(self, ambient):
+        """A junction is a member exactly when one of its facing pieces holds
+        it, a degenerate piece at the junction being one of them."""
+        tiles = tile_formulas(Identity(), ambient.pieces)
+        junctions = analysis._collect_junctions(ambient, Identity(), tiles)
+        touching = {p.hi for p, q in itertools.pairwise(ambient.pieces) if p.hi == q.lo}
+        assert [j.c for j in junctions] == sorted(touching)
+        for j in junctions:
+            assert j.in_domain == ambient.contains(j.c)
+
     def test_3000_separated_pieces_are_prompt(self):
         """The smallest gap comes from neighbouring pieces: taking it over
         every pair of components took about 8 s on 2 vCPUs."""
@@ -413,6 +427,81 @@ class TestOneTiling:
         # the first block of variant B is [0, 1]
         with pytest.raises(DomainError, match="^reciprocal evaluated at 0$"):
             classify(Staircase("B", n), Reciprocal(), FAST)
+
+
+# sha256 of the dump_json document of the _staircase_classify verdicts for
+# staircase_function at the default config
+_STAIRCASE_PINS = [
+    ("A", 1, "53f5b8336515642f8ba18df6ba2648d59b89fce3db74e9688e988c9794aef13e"),
+    ("A", 2, "394b91b3f612816a00280dc3e57b07b93a432d97f0837bc3af2df86a65efbfeb"),
+    ("A", 9, "5959735276c8cf987555fd2c87c495d5971678604fadbdeae63f69196311dfcb"),
+    ("A", 25, "aa57afc6aa673dc8aa3aca0eb2834106c4e9ec71c5bcd73b207b3cb2bb83820b"),
+    ("A", 1000, "a0891e55d6f27aad316f2ce859ddfff00d10a3393db4f5e74f4c00b1a81f4ecb"),
+    ("B", 1, "161721cbd08f57c00cdbd29031afd52d4466e61ef3d588669481dfaec895993c"),
+    ("B", 2, "ae2aca7ac200c1241459ac3db1259df64a4bdb8b8d5873dec167a1dae8586f63"),
+    ("B", 9, "a09f998aaca01374d0a672eca66d9c57dbc233e940d10b064491cb2ff38759f0"),
+    ("B", 25, "7402b7a67b70d5a73213f2953c61dae26ccd889073a0622a22c0682248668360"),
+    ("B", 1000, "387dece6f311ba414ebd0fb36d7957ea2e52793586b70e23a8b410af7cd5df0a"),
+]
+
+
+def _staircase_document(stair, f):
+    verdicts = analysis._staircase_classify(stair, f, AnalysisConfig())
+    return dump_json({notion: v.to_json() for notion, v in verdicts.items()})
+
+
+class TestStaircaseKeys:
+    """The staircase pipeline compares on keys of the block ends and of their
+    values, and decides each candidate midpoint by the facing blocks."""
+
+    @pytest.mark.parametrize("variant, blocks, digest", _STAIRCASE_PINS)
+    def test_verdicts_pinned_on_integer_and_exact_keys(self, variant, blocks, digest):
+        stair = Staircase(variant, blocks)
+        f = staircase_function(stair)
+        for ctx in (contextlib.nullcontext(), _exact_only()):
+            with ctx:
+                document = _staircase_document(stair, f)
+            assert hashlib.sha256(document.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("variant", "AB")
+    @pytest.mark.parametrize("blocks", [2, 9, 25])
+    @pytest.mark.parametrize("f", [Identity(), Monomial(2), Affine(SQRT2, 1)])
+    def test_embedded_and_lifted_values_match_exact(self, variant, blocks, f):
+        stair = Staircase(variant, blocks)
+        with _exact_only():
+            exact = _staircase_document(stair, f)
+        assert _staircase_document(stair, f) == exact
+
+    @pytest.mark.parametrize("variant", "AB")
+    @pytest.mark.parametrize("blocks", [1, 2, 25, 200])
+    def test_no_membership_test_or_gap_list(self, monkeypatch, variant, blocks):
+        """The 4*(blocks - 1) candidate midpoints are decided from the keys
+        of the facing blocks' ends, and the smallest gap is read from the
+        ends."""
+        calls = Counter()
+        for name in ("contains", "gaps"):
+
+            def counted(self, *args, _name=name, _orig=getattr(Staircase, name)):
+                calls[_name] += 1
+                return _orig(self, *args)
+
+            monkeypatch.setattr(Staircase, name, counted)
+        stair = Staircase(variant, blocks)
+        verdicts = analysis._staircase_classify(stair, staircase_function(stair), FAST)
+        assert verdicts["USC"].resolution["pairs_checked"] == 4 * (blocks - 1)
+        assert calls == Counter()
+
+    def test_b_1000_is_prompt(self):
+        """It took about 0.45 s on 2 vCPUs, most of it in Staircase.contains
+        on 1 400-2 900-bit breakpoints."""
+        stair = Staircase("B", 1000)
+        f = staircase_function(stair)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            analysis._staircase_classify(stair, f, AnalysisConfig())
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.3, times
 
 
 class TestImplications:
@@ -754,6 +843,133 @@ class TestPiecewiseConstantFamily:
             assert verdicts["USC"].status == "refuted"
             assert calls == evaluation
             assert calls[ambient] == 0
+
+
+def _steps(*parts):
+    """A piecewise-constant f: the value c on the points of each (points, c)."""
+    return Piecewise(tuple(FuncPiece(FinitePoints.of(*pts), Const(c)) for pts, c in parts))
+
+
+_RECIPS = [Fraction(1, k) for k in range(1, 41)]
+_SIGNED = [Fraction(s, k) for k in range(1, 11) for s in (1, -1)] + [0]
+_TWO_SCALES = [0, Fraction(1, 2), 1, 10, Fraction(81, 8), Fraction(41, 4)]
+_MIDPOINT_FREE = (
+    "no pair of domain points has its midpoint in the domain, so no symmetric "
+    "challenge exists at any scale"
+)
+_FLAT_CROSS = (
+    "valid symmetric pairs with the same positive oscillation exist at every "
+    "effective delta down to the model floor"
+)
+_FLAT_MIRROR = (
+    "oscillation stays at the same positive level at every effective delta "
+    "down to the model floor"
+)
+
+# (points, f, config, (status, method, resolution pairs_checked,
+# certificate pairs_checked, note))
+_USC_OUTCOMES = {
+    "midpoint_free": (
+        [0, 1, 3], Identity(), {}, ("proven", "midpoint_free", 3, 3, _MIDPOINT_FREE)
+    ),
+    "midpoint_free_constant": (
+        [0, 1, 3],
+        _steps(([0, 1], 1), ([3], 0)),
+        {},
+        ("proven", "midpoint_free", 3, 3, _MIDPOINT_FREE),
+    ),
+    "pair_budget": (
+        [Fraction(1, k) for k in range(1, 51)],
+        Identity(),
+        {"enum_limit": 10},
+        ("no_violation", "flat_modulus", None, None,
+         "pair budget too small for a symmetric sweep at this resolution"),
+    ),
+    "cross_pair_budget": (
+        range(10),
+        _steps((range(0, 10, 2), 1), (range(1, 10, 2), 0)),
+        {"max_pairs": 10},
+        ("no_violation", "flat_modulus", 25, None,
+         "cross-region pair count exceeds the pair budget"),
+    ),
+    "truncated_without_cross_pair": (
+        [0, 1, 3, 7, 20],
+        _steps(([0, 3], 1), ([1, 7, 20], 0)),
+        {"enum_limit": 4},
+        ("no_violation", "flat_modulus", 4, None,
+         "no valid cross-region pair found, but the enumeration was truncated"),
+    ),
+    "zero_constant": (
+        [0, 1, 2, 5],
+        _steps(([0, 1, 2], 1), ([5], 0)),
+        {},
+        ("proven", "exhaustive_enumeration", 3, 3,
+         "pairs within one constant region oscillate by exactly zero, and every "
+         "cross-region pair has its midpoint outside the domain, so the "
+         "symmetric modulus vanishes identically"),
+    ),
+    "zero_non_constant": (
+        [-1, 0, 1],
+        Monomial(2),
+        {},
+        ("proven", "exhaustive_enumeration", None, 1,
+         "every valid pair oscillates by exactly zero"),
+    ),
+    "flat_constant": (
+        _RECIPS,
+        _steps(([p for p in _RECIPS if p.denominator % 2 == 0], 1),
+               ([p for p in _RECIPS if p.denominator % 2], 0)),
+        {},
+        ("refuted", "flat_modulus", 400, None, _FLAT_CROSS),
+    ),
+    "flat_non_constant": (
+        _SIGNED + [100],
+        Piecewise((
+            FuncPiece(FinitePoints.of(100), Identity()),
+            FuncPiece(FinitePoints.of(*(p for p in _SIGNED if p > 0)), Const(1)),
+            FuncPiece(FinitePoints.of(*(p for p in _SIGNED if p <= 0)), Const(0)),
+        )),
+        {},
+        ("refuted", "flat_modulus", None, None, _FLAT_MIRROR),
+    ),
+    "decay_constant": (
+        _TWO_SCALES,
+        _steps(([0, Fraction(1, 2), 10, Fraction(81, 8)], 0), ([1], 3),
+               ([Fraction(41, 4)], 1)),
+        {},
+        ("no_violation", "flat_modulus", 9, None,
+         "cross-region symmetric oscillation decays at this resolution"),
+    ),
+    "decay_non_constant": (
+        _TWO_SCALES,
+        Identity(),
+        {},
+        ("no_violation", "flat_modulus", None, None,
+         "oscillation decays (or the probe was truncated) at this resolution"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _USC_OUTCOMES)
+def test_usc_family_outcomes(case):
+    """Each way _usc_family decides a listing: the midpoint-free walk, the
+    two budget skips, and the zero, flat and decay rows of the cross-group
+    sweep (piecewise-constant f) and of the mirror sweep (any other f)."""
+    points, f, knobs, want = _USC_OUTCOMES[case]
+    config = AnalysisConfig(**knobs)
+    en = FinitePoints.of(*points).enumerate(config.enum_limit)
+    vals = _evaluate_many(f, en.points)
+    groups = analysis._const_groups(f, vals)
+    fk = analysis._family_keys(en.points, vals, config.delta_schedule, groups)
+    v = analysis._usc_family(fk, config, en.truncated, groups)
+    got = (
+        v.status,
+        v.method,
+        v.resolution.get("pairs_checked"),
+        (v.certificate or {}).get("pairs_checked"),
+        *v.notes,
+    )
+    assert got == want
 
 
 class TestOscillationScans:
