@@ -55,7 +55,6 @@ from .functions import (
     FuncSpec,
     Identity,
     Monomial,
-    Piecewise,
     Reciprocal,
     SideLimit,
     _analytic_pieces,
@@ -356,26 +355,22 @@ def _probe_values(
     """f at every probe point.
 
     When the points of a sampled probe are integer keys (_LiftedNumbers)
-    and Piecewise first-match cannot tell the points of one piece apart (f
-    is a bare formula, or its regions are interval unions that list each
-    ambient piece exactly once and nothing else), each run is valued with
-    the formula owning its piece, read from the owner index
-    (_OwnerIndex.piece_owners), which compares no point. When every owner
-    is affine (Const, Identity or Affine) with a rational change slope*step
-    per grid step, the values are integer keys too: f(lo) + (slope*step)*k
-    over the run's k, by _index_keys, and neither a point nor a value is
-    built until it is read. Such values also record the points' equispaced
-    stretches: on each piece's run between its open-end refinements both
-    keys then step by one constant, which lets _uc_rows and the usc survey
-    scan only the ends of the run (_thin). Every other probe is valued by
-    _evaluate_many and has no stretches."""
+    and one formula owns each piece by first match (tile_formulas, which
+    asks _OwnerIndex.tile_owners), each run is valued with the formula
+    owning its piece. When every owner is affine (Const, Identity or Affine)
+    with a rational change slope*step per grid step, the values are integer
+    keys too: f(lo) + (slope*step)*k over the run's k, by _index_keys, and
+    neither a point nor a value is built until it is read. Such values also
+    record the points' equispaced stretches: on each piece's run between its
+    open-end refinements both keys then step by one constant, which lets
+    _uc_rows and the usc survey scan only the ends of the run (_thin). Every
+    other probe is valued by _evaluate_many and has no stretches."""
     owners = None
     if isinstance(pts, _LiftedNumbers):
-        if isinstance(f, Formula):
-            owners = [f] * len(runs)
-        elif isinstance(f, Piecewise):
-            tags = f._owners.piece_owners(tuple(p for p, _, _ in runs))
-            owners = None if tags is None else [f.pieces[i].formula for i in tags]
+        try:
+            owners = [fm for _, fm in tile_formulas(f, tuple(p for p, _, _ in runs))]
+        except ConfigurationError:
+            pass
     if owners is not None:
         progressions = []
         for (piece, parts, n), fm in zip(runs, owners):

@@ -6,7 +6,7 @@ A function spec is one of:
   wherever the function is evaluated,
 * a piecewise spec mapping regions (domains) to formulas; the first region
   containing a point owns it (found through an owner index, see
-  ``_OwnerIndex``), or
+  ``_OwnerIndex``) in ``evaluate``, ``_evaluate_many`` and ``tile_formulas`` alike, or
 * a combination (scale, add, sub, mul, div) of other specs.
 
 Everything evaluates inside Q(sqrt 2); no floats are involved. ``evaluate``
@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .domains import Domain, FinitePoints, IntervalPiece, IntervalUnion, locate_piece, pieces_overlap
+from .domains import sorted_points
 from .errors import ConfigurationError, DomainError, SymcontError
 from .exactnum import ONE, QuadExt, as_quadext
 
@@ -151,22 +152,22 @@ class _OwnerIndex:
       first region's tag. When pieces of different regions overlap, those
       regions are scanned instead, until the rest are disjoint.
     * Every other region is scanned with ``contains``, in order: the ones
-      listed before the first indexed region (``lead``) by ``evaluate``
-      before it asks the index, the others (``rest``) only while their index
-      is below the owner the index found.
+      listed before the first indexed region (``lead``) before the index is
+      asked, the others (``rest``) only while their index is below the
+      owner the index found.
 
     ``owners`` answers the same question for a whole ascending listing, with
     ``Domain.members`` in place of ``contains`` and a bisection of the listing
-    per indexed piece in place of ``locate_piece``.
+    per indexed piece in place of ``locate_piece``; ``tile_owners`` for pieces.
 
     It holds regions and pieces, never a bound method, so it calls whatever
     ``contains`` the classes carry at the time of the call.
     """
 
-    __slots__ = ("size", "lead", "finite", "los", "pieces", "tags", "rest")
+    __slots__ = ("size", "regions", "lead", "finite", "los", "pieces", "tags", "rest")
 
     def __init__(self, func_pieces: tuple[FuncPiece, ...]) -> None:
-        regions = [fp.region for fp in func_pieces]
+        self.regions = regions = [fp.region for fp in func_pieces]
         self.size = len(regions)
         self.finite: dict[tuple[int, int, int], int] = {}
         for i, region in enumerate(regions):
@@ -206,8 +207,11 @@ class _OwnerIndex:
         )
 
     def owner(self, x: QuadExt) -> int:
-        """Index of the first region past the lead that contains x, or the
-        region count when none does."""
+        """Index of the first region that contains x, or the region count
+        when none does."""
+        for i, fp in enumerate(self.lead):
+            if fp.region.contains(x):
+                return i
         best = self.finite.get((x.a, x.b, x.d), self.size)
         if self.los:
             j = locate_piece(self.los, self.pieces, x)
@@ -220,13 +224,42 @@ class _OwnerIndex:
                 return i
         return best
 
-    def piece_owners(self, pieces: tuple[IntervalPiece, ...]) -> tuple[int, ...] | None:
-        """The region owning each of the sorted disjoint pieces, when the
-        regions list each of them once and nothing else (the index then holds
-        only those pieces); None otherwise."""
-        if self.lead or self.finite or self.rest or self.pieces != pieces:
-            return None
-        return self.tags
+    def tile_owners(self, pieces: tuple[IntervalPiece, ...]) -> Sequence[int]:
+        """The first-match owner of each piece; ConfigurationError when its
+        points take more than one region or none, or when a region not exactly
+        ``FinitePoints`` or ``IntervalUnion`` comes at or before the owner of a
+        piece wider than a point. First match over those two kinds is constant
+        on each cut (a piece end, a region's point or piece end) and each open
+        gap between cuts, so ``owners`` of the cuts and gap midpoints decides
+        every piece. When the index holds just the pieces asked for, their
+        tags are the owners."""
+        if not (self.lead or self.finite or self.rest) and self.pieces == pieces:
+            return self.tags
+        seen = (FinitePoints, IntervalUnion)
+        blind = next((i for i, r in enumerate(self.regions) if type(r) not in seen), self.size)
+        cuts = sorted_points(itertools.chain(
+            *((q.lo, q.hi) for q in pieces),
+            *(r.points if type(r) is FinitePoints else (e for q in r.pieces for e in (q.lo, q.hi))
+              for r in self.regions[:blind]),
+        ))
+        listing = [*cuts[:1], *(x for u, v in itertools.pairwise(cuts) for x in ((u + v) / 2, v))]
+        owned = self.owners(listing)
+        out = []
+        for p in pieces:
+            i, j = p.span(listing)
+            got = sorted(set(owned[i:j]))
+            if got[-1] == self.size:
+                why = "has points no piecewise region covers"
+            elif len(got) > 1:
+                why = f"is split between piecewise regions {', '.join(map(str, got))}"
+            elif got[0] >= blind and not p.is_degenerate:
+                why = (f"comes after piecewise region {blind} ({self.regions[blind].describe()}),"
+                       " which is neither an interval union nor finite points")
+            else:
+                out.append(got[0])
+                continue
+            raise ConfigurationError(f"piece {p.describe()} {why}: no one formula tiles it")
+        return out
 
     def owners(self, xs: Sequence[QuadExt]) -> list[int]:
         """The owner of each point of the ascending listing xs: the index of
@@ -285,15 +318,8 @@ def evaluate(f: FuncSpec, x: QuadExt) -> QuadExt:
     if isinstance(f, Formula):
         return formula_eval(f, x)
     if isinstance(f, Piecewise):
-        q = x if type(x) is QuadExt else as_quadext(x)
-        owners = f._owners
-        # the lead is scanned here, as by a plain first-match loop, so a
-        # leading family region costs no call into the index
-        for fp in owners.lead:
-            if fp.region.contains(q):
-                return formula_eval(fp.formula, x)
-        i = owners.owner(q)
-        if i == owners.size:
+        i = f._owners.owner(x if type(x) is QuadExt else as_quadext(x))
+        if i == len(f.pieces):
             raise DomainError(f"{x} not covered by any piecewise region")
         return formula_eval(f.pieces[i].formula, x)
     if isinstance(f, Combined):
@@ -401,12 +427,13 @@ def is_piecewise_constant(f: FuncSpec) -> bool:
 def tile_formulas(
     f: FuncSpec, pieces: tuple[IntervalPiece, ...]
 ) -> list[tuple[IntervalPiece, Formula]]:
-    """Assign one formula to each interval piece.
-
-    A bare formula covers every piece. A piecewise spec must own each piece
-    through exactly one region: an interval-union region listing the piece
-    itself, found in one map from every listed piece to its regions'
-    formulas, or a finite-points region holding a degenerate piece's point.
+    """Assign one formula to each interval piece, by the first-match rule of
+    ``evaluate``: a bare formula covers every piece, and a piecewise spec
+    gives each piece the formula of the one region owning all its points
+    (``_OwnerIndex.tile_owners``). A piece split between regions, not
+    wholly covered, or preceded by a region that is neither an interval
+    union nor a finite point set (unless the piece is one point) raises
+    ConfigurationError, so the interval and staircase pipelines exit 2.
     """
     if isinstance(f, Formula):
         return [(p, f) for p in pieces]
@@ -414,24 +441,7 @@ def tile_formulas(
         raise ConfigurationError(
             "analytic interval analysis needs a bare formula or piecewise spec"
         )
-    listed: dict[IntervalPiece, list[Formula]] = {}
-    for fp in f.pieces:
-        if isinstance(fp.region, IntervalUnion):
-            # the pieces of one union are distinct, so a region counts once
-            for p in fp.region.pieces:
-                listed.setdefault(p, []).append(fp.formula)
-    finite = [fp for fp in f.pieces if isinstance(fp.region, FinitePoints)]
-    out: list[tuple[IntervalPiece, Formula]] = []
-    for piece in pieces:
-        owners = listed.get(piece, [])
-        if piece.is_degenerate:
-            owners = owners + [fp.formula for fp in finite if fp.region.contains(piece.lo)]
-        if len(owners) != 1:
-            raise ConfigurationError(
-                f"piece {piece.describe()} owned by {len(owners)} regions; need 1"
-            )
-        out.append((piece, owners[0]))
-    return out
+    return [(p, f.pieces[i].formula) for p, i in zip(pieces, f._owners.tile_owners(pieces))]
 
 
 @dataclass(frozen=True)
@@ -515,10 +525,9 @@ def bounded_on(f: FuncSpec, domain: Domain, *, enum_limit: int = 10**5) -> Bound
                 best, at = v, p
         return BoundReport(best, at, False, en.truncated, "enumeration")
     pieces = _analytic_pieces(domain)
-    tiles = tile_formulas(f, pieces)
     best = None
     at = None
-    for piece, fm in tiles:
+    for piece, fm in tile_formulas(f, pieces):
         val, point, unbounded = _formula_piece_bound(fm, piece)
         if unbounded:
             return BoundReport(None, None, True, False, "analytic")
@@ -563,11 +572,8 @@ def sup_abs_diff(f: FuncSpec, g: FuncSpec, domain: Domain) -> QuadExt:
     reciprocal vs constant on a piece avoiding 0.
     """
     pieces = _analytic_pieces(domain)
-    f_tiles = dict(tile_formulas(f, pieces))
-    g_tiles = dict(tile_formulas(g, pieces))
     best = QuadExt.of(0)
-    for piece in pieces:
-        fa, ga = f_tiles[piece], g_tiles[piece]
+    for (piece, fa), (_, ga) in zip(tile_formulas(f, pieces), tile_formulas(g, pieces)):
         val = _piece_sup_diff(fa, ga, piece)
         if val > best:
             best = val

@@ -2311,14 +2311,14 @@ class TestTileValues:
         [
             ("two_pieces_one_region", True),
             ("reversed_regions", True),
-            ("unlisted_piece", False),
+            ("unlisted_piece", True),
             ("sqrt2_shifted", True),
         ],
     )
     def test_owner_of_each_piece(self, case, lifted):
-        """Each run takes the formula of the one region listing its piece,
-        whatever the order of the regions or how many pieces one lists; a
-        piece no region lists leaves the probe to pointwise evaluation."""
+        """Each run takes the formula of the one region owning its piece,
+        whatever the order of the regions or how many pieces one lists, also
+        when a wider region piece holds it."""
         shift = SQRT2 if case == "sqrt2_shifted" else qx(0)
         a, b, c = self.three_pieces(shift)
         ambient = IntervalUnion((a, b, c))
@@ -2342,8 +2342,8 @@ class TestTileValues:
 
     def test_piece_listed_again_keeps_the_first_owner(self):
         """A piece that later regions list again keeps the first region's
-        tag, so the probe stays lifted; a partial overlap still drops the
-        regions from the index."""
+        tag, so the probe stays lifted; a piece that an earlier region's
+        piece cuts in two is refused."""
         a, b, c = self.three_pieces(qx(0))
         ambient = IntervalUnion((a, b, c))
         f = Piecewise(
@@ -2353,7 +2353,7 @@ class TestTileValues:
                 FuncPiece(IntervalUnion((b, c)), Identity()),
             )
         )
-        assert f._owners.piece_owners(ambient.pieces) == (1, 2, 0)
+        assert f._owners.tile_owners(ambient.pieces) == (1, 2, 0)
         pts, runs, _, _ = _probe_points(ambient, self.CONFIG, for_pairs=False)
         vals = analysis._probe_values(f, pts, runs)
         assert isinstance(vals, analysis._LiftedNumbers)
@@ -2362,7 +2362,8 @@ class TestTileValues:
         assert [evaluate(f, p) for p in pts] == list(vals)
         half = IntervalPiece(c.lo, (c.lo + c.hi) / 2)
         g = Piecewise((FuncPiece(IntervalUnion((half,)), Const(7)), f.pieces[1], f.pieces[2]))
-        assert g._owners.piece_owners(ambient.pieces) is None
+        with pytest.raises(ConfigurationError, match="split between piecewise regions 0, 1"):
+            g._owners.tile_owners(ambient.pieces)
 
     def test_uncovered_piece_raises(self):
         a, b, c = self.three_pieces(qx(0))

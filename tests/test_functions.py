@@ -35,9 +35,10 @@ from symcont import (
 )
 from symcont import AnalysisConfig
 from symcont.analysis import _LiftedNumbers, _probe_points
-from symcont.functions import _evaluate_many, formula_limit, tile_formulas
+from symcont.functions import _evaluate_many, formula_eval, formula_limit, tile_formulas
+from symcont.zoo import staircase_function
 
-from conftest import dec, evaluate_by_scan, qx, rational_value
+from conftest import _member, dec, evaluate_by_scan, qx, rational_value
 
 
 def indicator_sqrt2() -> Piecewise:
@@ -496,7 +497,7 @@ class TestTiling:
         tiles = tile_formulas(Identity(), pieces)
         assert [fm for _, fm in tiles] == [Identity(), Identity()]
 
-    def test_owner_must_be_unique(self):
+    def test_piece_listed_twice_takes_the_first_region(self):
         piece = IntervalPiece(qx(0), qx(1))
         f = Piecewise(
             (
@@ -504,48 +505,100 @@ class TestTiling:
                 FuncPiece(IntervalUnion((piece,)), Const(1)),
             )
         )
-        with pytest.raises(ConfigurationError):
-            tile_formulas(f, (piece,))
+        assert tile_formulas(f, (piece,)) == [(piece, Const(0))]
+
+    def test_piece_inside_a_listed_piece(self):
+        piece = IntervalPiece(qx(1), qx(2), False, True)
+        f = _spec(FinitePoints.of(0), IntervalUnion((IntervalPiece(qx(0), qx(3)),)))
+        assert tile_formulas(f, (piece, IntervalPiece(qx(0), qx(0)))) == [
+            (piece, Const(1)),
+            (IntervalPiece(qx(0), qx(0)), Const(0)),
+        ]
 
     def test_unowned_piece(self):
         f = Piecewise((FuncPiece(FinitePoints.of(qx(9)), Const(0)),))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="no piecewise region covers"):
             tile_formulas(f, (IntervalPiece(qx(0), qx(1)),))
+
+    @pytest.mark.parametrize(
+        "lead, piece, match",
+        [
+            (FinitePoints.of(qx(Fraction(1, 2))), IntervalPiece(qx(0), qx(1), False, False),
+             "split between piecewise regions 0, 1"),
+            (IntervalUnion((IntervalPiece(qx(Fraction(1, 4)), qx(Fraction(3, 4))),)),
+             IntervalPiece(qx(0), qx(1)), "split between piecewise regions 0, 1"),
+            (NaturalReciprocals(10), IntervalPiece(qx(0), qx(1)), "comes after piecewise region 0"),
+        ],
+        ids=["point", "inner_piece", "family"],
+    )
+    def test_an_earlier_region_meeting_the_piece_is_refused(self, lead, piece, match):
+        """5 on the leading region by first match, the identity on the
+        piece: no single formula holds on the piece."""
+        f = Piecewise((FuncPiece(lead, Const(5)), FuncPiece(IntervalUnion((piece,)), Identity())))
+        assert evaluate(f, piece.lo + (piece.hi - piece.lo) / 2) == qx(5)
+        with pytest.raises(ConfigurationError, match=match):
+            tile_formulas(f, (piece,))
+
+    def test_a_point_is_decided_after_a_family_region(self):
+        f = _spec(NaturalReciprocals(10, False), IntervalUnion((IntervalPiece(qx(0), qx(1)),)))
+        half, zero = IntervalPiece(qx(Fraction(1, 2)), qx(Fraction(1, 2))), IntervalPiece(0, 0)
+        assert tile_formulas(f, (half, zero)) == [(half, Const(0)), (zero, Const(1))]
+
+
+# every piece end and region point of _tiling_case lies on this grid, so
+# first match is constant on each grid point and on each open gap between
+# neighbours, whose midpoint stands for it
+_GRID = sorted({qx(Fraction(k, 2)) for k in range(9)} | {SQRT2}, key=dec)
+_GRID_PROBES = sorted(_GRID + [(u + v) / 2 for u, v in zip(_GRID, _GRID[1:])], key=dec)
 
 
 def _scan_tiles(f, pieces):
-    """tile_formulas of a piecewise spec by brute force: every region is
-    tested for every piece."""
+    """tile_formulas of a piecewise spec by brute force: each grid probe of
+    each piece is given to the regions in order, and the piece is refused
+    when its probes take more than one region or none, or when a region
+    that is not an interval union or finite points comes at or before its
+    owner (unless the piece is one point)."""
+    regions = [fp.region for fp in f.pieces]
+    size = len(regions)
+    blind = next(
+        (i for i, r in enumerate(regions) if not isinstance(r, (FinitePoints, IntervalUnion))),
+        size,
+    )
     out = []
     for piece in pieces:
-        owners = [
-            fp.formula
-            for fp in f.pieces
-            if (isinstance(fp.region, IntervalUnion) and piece in fp.region.pieces)
-            or (
-                isinstance(fp.region, FinitePoints)
-                and piece.is_degenerate
-                and fp.region.contains(piece.lo)
-            )
-        ]
-        if len(owners) != 1:
-            raise ConfigurationError(
-                f"piece {piece.describe()} owned by {len(owners)} regions; need 1"
-            )
-        out.append((piece, owners[0]))
+        got = set()
+        for x in _GRID_PROBES:
+            if piece.contains(x):
+                got.add(next((i for i, r in enumerate(regions) if r.contains(x)), size))
+        got = sorted(got)
+        if got[-1] == size:
+            why = "has points no piecewise region covers"
+        elif len(got) > 1:
+            why = f"is split between piecewise regions {', '.join(map(str, got))}"
+        elif got[0] >= blind and not piece.is_degenerate:
+            why = f"comes after piecewise region {blind} ({regions[blind].describe()})"
+        else:
+            out.append((piece, f.pieces[got[0]].formula))
+            continue
+        raise ConfigurationError(f"piece {piece.describe()} {why}")
     return out
 
 
 def _tiling_case(rng):
     """A piecewise spec and pieces to tile over the grid 0, 1/2, ..., 4 and
-    sqrt2: disjoint interval-union regions, finite-points regions, and the
-    listed pieces plus some no region lists."""
-    ends = sorted({qx(Fraction(k, 2)) for k in range(9)} | {SQRT2})
+    sqrt2: interval-union regions, which may list, nest in or overlap each
+    other's pieces, finite-points regions, now and then a family region
+    whose points 1/3, 1/5 and 1/7 no probe meets, and the listed pieces plus
+    some no region lists."""
+    ends = _GRID
     cands = [IntervalPiece(x, x) for x in ends]
     for x, y in zip(ends, ends[1:]):
         cands += [IntervalPiece(x, y, lc, hc) for lc in (True, False) for hc in (True, False)]
     regions = []
     for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.1:
+            regions.append(OddPrimeReciprocals(7))
+            continue
         if rng.random() < 0.3:
             regions.append(FinitePoints(tuple(rng.sample(ends, rng.randint(1, 3)))))
             continue
@@ -566,7 +619,7 @@ def _tiling_case(rng):
 class TestTilingOracle:
     def test_matches_region_scan(self):
         rng = random.Random(20261019)
-        seen = {"through_points": 0, "twice": 0, "unowned": 0, "tiled": 0}
+        seen = {"through_points": 0, "split": 0, "unowned": 0, "family": 0, "tiled": 0}
         for _ in range(3000):
             f, pieces = _tiling_case(rng)
             try:
@@ -574,8 +627,9 @@ class TestTilingOracle:
             except ConfigurationError as exc:
                 with pytest.raises(ConfigurationError) as got:
                     tile_formulas(f, pieces)
-                assert str(got.value) == str(exc)
-                seen["unowned" if " by 0 regions" in str(exc) else "twice"] += 1
+                assert str(got.value).startswith(str(exc))
+                kind = "unowned" if "covers" in str(exc) else "split" if "split" in str(exc) else "family"
+                seen[kind] += 1
                 continue
             assert tile_formulas(f, pieces) == want
             seen["tiled"] += 1
@@ -586,6 +640,118 @@ class TestTilingOracle:
                 for fp in f.pieces
             )
         assert min(seen.values()) >= 50, seen
+
+
+# ---------------------------------------------------------------------------
+# tiles against first match on the pieces of interval unions and staircases
+
+_NUDGE = qx(Fraction(1, 8))
+
+
+@st.composite
+def tiling_cases(draw):
+    """Pieces of an interval union or a staircase, and a Piecewise whose
+    regions list those pieces again, nest them in wider pieces, cut them with
+    inner pieces, hold points at, inside and beside them, and now and then
+    start with a family region; region i carries a formula naming i."""
+    if draw(st.booleans()):
+        pieces = draw(interval_unions()).pieces
+    else:
+        pieces = Staircase(draw(st.sampled_from("AB")), draw(st.integers(1, 3))).block_pieces()
+    regions = [draw(family_regions)] if draw(st.integers(0, 3)) == 0 else []
+    for _ in range(draw(st.integers(1, 4))):
+        chosen = draw(st.lists(st.sampled_from(pieces), min_size=1, max_size=3))
+        kind = draw(st.sampled_from(("same", "wider", "inner", "points")))
+        if kind == "points":
+            pts = [x for p in chosen for x in (p.lo, (p.lo + p.hi) / 2, p.hi + _NUDGE)]
+            regions.append(FinitePoints(tuple(draw(st.lists(st.sampled_from(pts), min_size=1)))))
+            continue
+        if kind == "wider":
+            chosen = [
+                IntervalPiece(p.lo - _NUDGE, p.hi + draw(st.sampled_from((0, _NUDGE))),
+                              True, draw(st.booleans()))
+                for p in chosen
+            ]
+        elif kind == "inner":
+            chosen = [
+                p if p.is_degenerate
+                else IntervalPiece(p.lo, (p.lo + p.hi) / 2, draw(st.booleans()), draw(st.booleans()))
+                for p in chosen
+            ]
+        try:
+            regions.append(IntervalUnion(tuple(chosen)))
+        except DomainError:
+            regions.append(IntervalUnion(tuple(chosen[:1])))
+    if draw(st.booleans()):
+        # a catch-all last region, so that more cases tile
+        regions.append(IntervalUnion(pieces))
+    formulas = [draw(st.sampled_from((Const(i), Affine(1, 10 * i)))) for i in range(len(regions))]
+    return pieces, Piecewise(tuple(FuncPiece(r, fm) for r, fm in zip(regions, formulas)))
+
+
+def _breakpoints(region) -> list[QuadExt]:
+    """The piece ends of a region made of ranges, the points of the others."""
+    if isinstance(region, IntervalUnion):
+        return [e for p in region.pieces for e in (p.lo, p.hi)]
+    if isinstance(region, Staircase):
+        return [qx(b) for b in region.breakpoints()]
+    if isinstance(region, UnionOf):
+        return [x for part in region.parts for x in _breakpoints(part)]
+    return list(region.enumerate(64).points)
+
+
+def _piece_probes(piece, cuts) -> list[QuadExt]:
+    """The closed ends of the piece, the cuts inside it and the midpoint of
+    each gap between them."""
+    if piece.is_degenerate:
+        return [piece.lo]
+    inner = sorted((x for x in cuts if piece.lo < x < piece.hi), key=dec)
+    line = [piece.lo, *inner, piece.hi]
+    gaps = [(u + v) / 2 for u, v in zip(line, line[1:])]
+    return [piece.lo] * piece.lo_closed + inner + gaps + [piece.hi] * piece.hi_closed
+
+
+class TestTilesFollowFirstMatch:
+    @settings(max_examples=200, deadline=None)
+    @given(tiling_cases())
+    # 9 on the point 5/4 of the first staircase block by first match
+    @example((Staircase("A", 2).block_pieces(), Piecewise(
+        (FuncPiece(FinitePoints.of(qx(Fraction(5, 4))), Const(9)),)
+        + staircase_function(Staircase("A", 2)).pieces
+    )))
+    def test_tiles_agree_with_evaluate(self, case):
+        """A piece is refused exactly when a brute-force scan of its probes
+        (closed ends, every region's breakpoints inside it, a point of each
+        gap between them) finds more than one owner, or none, or when a
+        region other than an interval union or finite points comes at or
+        before its owner and the piece is more than a point. Every tile
+        agrees with evaluate and with the first-match scan on those probes."""
+        pieces, f = case
+        regions = [fp.region for fp in f.pieces]
+        size = len(regions)
+        blind = next(
+            (i for i, r in enumerate(regions) if type(r) not in (FinitePoints, IntervalUnion)),
+            size,
+        )
+        cuts = [x for r in regions for x in _breakpoints(r)]
+        refused = False
+        for piece in pieces:
+            got = {
+                next((i for i, r in enumerate(regions) if _member(r, x)), size)
+                for x in _piece_probes(piece, cuts)
+            }
+            refused |= (
+                len(got) > 1 or size in got or (min(got) >= blind and not piece.is_degenerate)
+            )
+        try:
+            tiles = tile_formulas(f, pieces)
+        except ConfigurationError:
+            assert refused
+            return
+        assert not refused
+        for piece, fm in tiles:
+            for x in _piece_probes(piece, cuts):
+                assert formula_eval(fm, x) == evaluate(f, x) == evaluate_by_scan(f, x), (piece, x)
 
 
 class TestDescriptions:
