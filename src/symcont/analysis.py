@@ -64,6 +64,7 @@ from .functions import (
     _side_tiles,
     describe_function,
     evaluate,
+    formula_eval,
     is_piecewise_constant,
     sup_abs_diff,
     tile_formulas,
@@ -2046,9 +2047,10 @@ def _staircase_classify(
             raise DomainError("reciprocal evaluated at 0")
     res = _resolution(config, points=2 * len(blocks))
     schedule = config.delta_schedule
-    # each end valued once; a lone block faces no other, so none is valued
+    # each end valued once, by its block's tile formula; a lone block faces
+    # no other, so none is valued
     ends = [e for b in blocks for e in (b.lo, b.hi)]
-    vals = _evaluate_many(f, ends) if len(blocks) > 1 else []
+    vals = [formula_eval(fm, e) for b, fm in tiles if len(tiles) > 1 for e in (b.lo, b.hi)]
     keys, cuts = _keys(ends, [2 * d for d in schedule])
     vk = _keys(vals)[0]
 

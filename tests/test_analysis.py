@@ -375,7 +375,7 @@ class TestIntervalPipeline:
 
 class TestOneTiling:
     """Each analytic pipeline tiles its domain once, whatever its junction or
-    block count; a staircase values each block endpoint once, in one batch."""
+    block count; a staircase values each block endpoint once, by its tile."""
 
     @staticmethod
     def counting(monkeypatch):
@@ -393,6 +393,7 @@ class TestOneTiling:
             ("tile_formulas", "tile"),
             ("_evaluate_many", "many"),
             ("evaluate", "evaluate"),
+            ("formula_eval", "value"),
         ):
             monkeypatch.setattr(analysis, name, counted(key, getattr(analysis, name)))
 
@@ -419,8 +420,8 @@ class TestOneTiling:
         analysis._staircase_classify(stair, staircase_function(stair), FAST)
         assert counts["tile"] == 1
         # a lone block faces no other block, so none of its ends is valued
-        assert (counts["many"], counts["many_points"]) == ((1, 2 * n) if n > 1 else (0, 0))
-        assert counts["evaluate"] == 0
+        assert counts["value"] == (2 * n if n > 1 else 0)
+        assert counts["many"] == counts["evaluate"] == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40])
     def test_reciprocal_on_staircase_b_raises(self, n):
@@ -489,6 +490,23 @@ class TestStaircaseKeys:
         stair = Staircase(variant, blocks)
         verdicts = analysis._staircase_classify(stair, staircase_function(stair), FAST)
         assert verdicts["USC"].resolution["pairs_checked"] == 4 * (blocks - 1)
+        assert calls == Counter()
+
+    @pytest.mark.parametrize("variant", "AB")
+    def test_ends_valued_from_tiles(self, monkeypatch, variant):
+        """Each block end is valued by its block's tile formula, so no
+        listing is valued and the owner index is asked for no point."""
+        calls = Counter()
+        for owner, name in ((analysis, "_evaluate_many"), (functions._OwnerIndex, "owners"),
+                            (functions._OwnerIndex, "owner")):
+
+            def counted(*args, _name=name, _orig=getattr(owner, name)):
+                calls[_name] += 1
+                return _orig(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        stair = Staircase(variant, 1000)
+        analysis._staircase_classify(stair, staircase_function(stair), FAST)
         assert calls == Counter()
 
     def test_b_1000_is_prompt(self):
