@@ -1005,16 +1005,19 @@ def _sup_rows(
     return rows
 
 
+def _flat(top, bottom) -> bool:
+    """The flat rule: the sup at the smallest effective delta equals the
+    positive sup at the largest."""
+    return bottom == top and top > 0
+
+
 def _flat_row(rows: list[tuple[QuadExt, OscillationResult]]) -> OscillationResult | None:
     """The row at the smallest effective delta (one with challenges) when the
-    modulus is flat: its sup is positive and equals the sup at the largest
-    effective delta. The sup is monotone in delta, so it never decayed in
-    between; at least two effective deltas are needed."""
+    modulus is flat (_flat). The sup is monotone in delta, so it never
+    decayed in between; at least two effective deltas are needed."""
     effective = [res for _, res in rows if res.challenges]
-    if len(effective) >= 2:
-        top, bottom = effective[0].value, effective[-1].value
-        if bottom == top and top.sign() > 0:
-            return effective[-1]
+    if len(effective) >= 2 and _flat(effective[0].value, effective[-1].value):
+        return effective[-1]
     return None
 
 
@@ -1261,8 +1264,8 @@ def _per_point_c(
             continue
         small = thr[w]
         a, va = keys[idx], vkeys[idx]
+        # at, the position realizing m_big, is set once m_big is positive
         m_big = m_small = 0
-        at = idx  # the position realizing m_big
         if groups is not None:
             for gk, gv, g0 in group_keys:
                 # a's own group is the one with value f(a), so a is in no
@@ -1272,7 +1275,7 @@ def _per_point_c(
                 i = bisect.bisect_left(gk, a)
                 left = a - gk[i - 1] if i else big
                 right = gk[i] - a if i < len(gk) else big
-                dist, osc = min(left, right), abs(gv - va)
+                dist, osc = left if left < right else right, abs(gv - va)
                 if dist < big and osc > m_big:
                     m_big, at = osc, g0
                 if dist < small and osc > m_small:
@@ -1288,7 +1291,7 @@ def _per_point_c(
                         m_big, at = osc, k
                     if dist < small and osc > m_small:
                         m_small = osc
-        if m_small == m_big and m_big > 0:
+        if _flat(m_big, m_small):
             flat.append((pts[idx], abs(vals[at] - vals[idx])))
 
     if flat:
@@ -1576,18 +1579,18 @@ def _sc_family(
         if w is None:
             continue
         small = thr[w]
-        m_big = m_small = None
+        m_big = m_small = 0
         for h, k, i in _mirror_walk(keys, idx + 1, keys[idx], fk.pos):
             if not h < big:
                 break
             if i is None:
                 continue
             osc = abs(vkeys[k] - vkeys[i])
-            if m_big is None or osc > m_big:
+            if osc > m_big:
                 m_big, at = osc, (k, i)
-            if h < small and (m_small is None or osc > m_small):
+            if h < small and osc > m_small:
                 m_small = osc
-        if m_big is not None and m_small == m_big and m_big > 0:
+        if _flat(m_big, m_small):
             flat.append((pts[idx], abs(vals[at[0]] - vals[at[1]])))
     if flat:
         return _flat_verdict(

@@ -430,6 +430,51 @@ class TestOneTiling:
             classify(Staircase("B", n), Reciprocal(), FAST)
 
 
+class TestFirstMatchTiles:
+    """The interval and staircase pipelines tile by first match: a piece an
+    earlier region meets is refused instead of proven continuous, and a
+    piece listed twice, or inside a wider listed piece, classifies as when
+    it is listed once."""
+
+    @pytest.mark.parametrize("case", ["point", "inner_piece", "family", "staircase"])
+    def test_an_earlier_region_meeting_a_piece_is_refused(self, case):
+        half = qx(Fraction(1, 2))
+        if case == "staircase":
+            ambient = Staircase("A", 2)
+            spike = FuncPiece(FinitePoints.of(qx(Fraction(5, 4))), Const(9))
+            f = Piecewise((spike,) + staircase_function(ambient).pieces)
+            # 9 inside the first block [1, 3/2], whose other points take 1
+            assert evaluate(f, qx(Fraction(5, 4))) == qx(9)
+        else:
+            piece = IntervalPiece(qx(0), qx(1), case != "point", case != "point")
+            lead = {
+                "point": FinitePoints.of(half),
+                "inner_piece": IntervalUnion((IntervalPiece(half / 2, 3 * half / 2),)),
+                "family": NaturalReciprocals(10),
+            }[case]
+            ambient = IntervalUnion((piece,))
+            f = Piecewise((FuncPiece(lead, Const(5)), FuncPiece(ambient, Identity())))
+            assert evaluate(f, half) == qx(5)
+        with pytest.raises(ConfigurationError, match="no one formula tiles it"):
+            classify(ambient, f, FAST)
+
+    @pytest.mark.parametrize("case", ["listed_twice", "nested"])
+    def test_same_verdicts_as_listed_once(self, case):
+        left, right = IntervalPiece(qx(0), qx(1)), IntervalPiece(qx(1), qx(2), False, True)
+        ambient = IntervalUnion((left, right))
+        seven = FuncPiece(IntervalUnion((right,)), Const(7))
+        once = Piecewise((seven, FuncPiece(IntervalUnion((left,)), Identity())))
+        if case == "listed_twice":
+            f = Piecewise((seven, FuncPiece(ambient, Identity())))
+        else:
+            wider = IntervalPiece(qx(1), qx(3), False, True)
+            f = Piecewise((FuncPiece(IntervalUnion((wider,)), Const(7)), once.pieces[1]))
+        verdicts = [classify(ambient, g, FAST) for g in (f, once)]
+        documents = [dump_json({n: v.to_json() for n, v in vs.items()}) for vs in verdicts]
+        assert documents[0] == documents[1]
+        assert verdicts[0]["C"].status == "refuted"
+
+
 # sha256 of the dump_json document of the _staircase_classify verdicts for
 # staircase_function at the default config
 _STAIRCASE_PINS = [

@@ -171,6 +171,30 @@ class TestGluedPieces:
         assert elapsed < 5
 
 
+class TestFirstMatchTiling:
+    def test_piece_met_by_an_earlier_region_exits_2(self, tmp_path):
+        """5 at 1/2 by first match, the identity elsewhere on (0, 1): no one
+        formula tiles the piece, so no verdict is printed."""
+        unit = {"lo": 0, "hi": 1, "loClosed": False, "hiClosed": False}
+        spec = {
+            "domain": {"type": "IntervalUnion", "pieces": [unit]},
+            "function": {
+                "type": "Piecewise",
+                "pieces": [
+                    {"region": {"type": "FinitePoints", "points": ["1/2"]},
+                     "formula": {"formula": "Const", "c": 5}},
+                    {"region": {"type": "IntervalUnion", "pieces": [unit]},
+                     "formula": {"formula": "Identity"}},
+                ],
+            },
+        }
+        path = tmp_path / "spike.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_main("analyze", str(path))
+        assert (code, out) == (2, "")
+        assert "piece (0, 1) is split between piecewise regions 0, 1" in err
+
+
 class TestZoo:
     def test_single_example_json(self, report_schema):
         code, out, _ = run_main(
