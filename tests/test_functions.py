@@ -653,7 +653,8 @@ def tiling_cases(draw):
     """Pieces of an interval union or a staircase, and a Piecewise whose
     regions list those pieces again, nest them in wider pieces, cut them with
     inner pieces, hold points at, inside and beside them, and now and then
-    start with a family region; region i carries a formula naming i."""
+    start with a family region or hold one elsewhere; region i carries a
+    formula naming i."""
     if draw(st.booleans()):
         pieces = draw(interval_unions()).pieces
     else:
@@ -685,6 +686,8 @@ def tiling_cases(draw):
     if draw(st.booleans()):
         # a catch-all last region, so that more cases tile
         regions.append(IntervalUnion(pieces))
+    if draw(st.integers(0, 3)) == 0:
+        regions.insert(draw(st.integers(0, len(regions))), draw(family_regions))
     formulas = [draw(st.sampled_from((Const(i), Affine(1, 10 * i)))) for i in range(len(regions))]
     return pieces, Piecewise(tuple(FuncPiece(r, fm) for r, fm in zip(regions, formulas)))
 
@@ -719,6 +722,18 @@ class TestTilesFollowFirstMatch:
         (FuncPiece(FinitePoints.of(qx(Fraction(5, 4))), Const(9)),)
         + staircase_function(Staircase("A", 2)).pieces
     )))
+    # family regions before and after the owner of [0, 1], the first holding 1/2
+    @example((
+        (IntervalPiece(qx(0), qx(1)),),
+        _spec(NaturalReciprocals(10), IntervalUnion((IntervalPiece(qx(0), qx(1)),)),
+              NaturalReciprocals(3)),
+    ))
+    # the point 1/2 of two finite-points regions takes the first one's formula
+    @example((
+        (IntervalPiece(qx(Fraction(1, 2)), qx(Fraction(1, 2))), IntervalPiece(qx(1), qx(2))),
+        _spec(FinitePoints.of(Fraction(1, 2)), FinitePoints.of(Fraction(1, 2)),
+              IntervalUnion((IntervalPiece(qx(1), qx(2)),))),
+    ))
     def test_tiles_agree_with_evaluate(self, case):
         """A piece is refused exactly when a brute-force scan of its probes
         (closed ends, every region's breakpoints inside it, a point of each
