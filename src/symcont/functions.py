@@ -525,9 +525,10 @@ def bounded_on(f: FuncSpec, domain: Domain, *, enum_limit: int = 10**5) -> Bound
                 best, at = v, p
         return BoundReport(best, at, False, en.truncated, "enumeration")
     pieces = _analytic_pieces(domain)
+    tiles = tile_formulas(f, pieces)
     best = None
     at = None
-    for piece, fm in tile_formulas(f, pieces):
+    for piece, fm in tiles:
         val, point, unbounded = _formula_piece_bound(fm, piece)
         if unbounded:
             return BoundReport(None, None, True, False, "analytic")
