@@ -5,9 +5,15 @@ A function spec is one of:
 * a bare formula (constant, identity, affine, reciprocal, monomial), applied
   wherever the function is evaluated,
 * a piecewise spec mapping regions (domains) to formulas; the first region
-  containing a point owns it (found through an owner index, see
-  ``_OwnerIndex``) in ``evaluate``, ``_evaluate_many`` and ``tile_formulas`` alike, or
+  containing a point owns it, in ``evaluate``, ``_evaluate_many`` and
+  ``tile_formulas`` alike (found through an owner index, see
+  ``_OwnerIndex``), or
 * a combination (scale, add, sub, mul, div) of other specs.
+
+The interval and staircase pipelines give each piece of their domain one
+formula (``tile_formulas``). A piece that no one region owns whole, or one
+wider than a point that comes after a region other than ``FinitePoints`` or
+``IntervalUnion``, raises ConfigurationError, and ``symcont analyze`` exits 2.
 
 Everything evaluates inside Q(sqrt 2); no floats are involved. ``evaluate``
 takes one point; ``_evaluate_many`` takes an ascending listing and finds
@@ -152,9 +158,9 @@ class _OwnerIndex:
       first region's tag. When pieces of different regions overlap, those
       regions are scanned instead, until the rest are disjoint.
     * Every other region is scanned with ``contains``, in order: the ones
-      listed before the first indexed region (``lead``) before the index is
-      asked, the others (``rest``) only while their index is below the
-      owner the index found.
+      listed before the first indexed region (``lead``) by ``evaluate``
+      before it asks the index, the others (``rest``) only while their index
+      is below the owner the index found.
 
     ``owners`` answers the same question for a whole ascending listing, with
     ``Domain.members`` in place of ``contains`` and a bisection of the listing
@@ -207,11 +213,8 @@ class _OwnerIndex:
         )
 
     def owner(self, x: QuadExt) -> int:
-        """Index of the first region that contains x, or the region count
-        when none does."""
-        for i, fp in enumerate(self.lead):
-            if fp.region.contains(x):
-                return i
+        """Index of the first region past the lead that contains x, or the
+        region count when none does."""
         best = self.finite.get((x.a, x.b, x.d), self.size)
         if self.los:
             j = locate_piece(self.los, self.pieces, x)
@@ -318,8 +321,15 @@ def evaluate(f: FuncSpec, x: QuadExt) -> QuadExt:
     if isinstance(f, Formula):
         return formula_eval(f, x)
     if isinstance(f, Piecewise):
-        i = f._owners.owner(x if type(x) is QuadExt else as_quadext(x))
-        if i == len(f.pieces):
+        q = x if type(x) is QuadExt else as_quadext(x)
+        owners = f._owners
+        # the lead is scanned here, as by a plain first-match loop, so a
+        # leading family region costs no call into the index
+        for fp in owners.lead:
+            if fp.region.contains(q):
+                return formula_eval(fp.formula, x)
+        i = owners.owner(q)
+        if i == owners.size:
             raise DomainError(f"{x} not covered by any piecewise region")
         return formula_eval(f.pieces[i].formula, x)
     if isinstance(f, Combined):
