@@ -520,25 +520,6 @@ class TestTiling:
         with pytest.raises(ConfigurationError, match="no piecewise region covers"):
             tile_formulas(f, (IntervalPiece(qx(0), qx(1)),))
 
-    @pytest.mark.parametrize(
-        "lead, piece, match",
-        [
-            (FinitePoints.of(qx(Fraction(1, 2))), IntervalPiece(qx(0), qx(1), False, False),
-             "split between piecewise regions 0, 1"),
-            (IntervalUnion((IntervalPiece(qx(Fraction(1, 4)), qx(Fraction(3, 4))),)),
-             IntervalPiece(qx(0), qx(1)), "split between piecewise regions 0, 1"),
-            (NaturalReciprocals(10), IntervalPiece(qx(0), qx(1)), "comes after piecewise region 0"),
-        ],
-        ids=["point", "inner_piece", "family"],
-    )
-    def test_an_earlier_region_meeting_the_piece_is_refused(self, lead, piece, match):
-        """5 on the leading region by first match, the identity on the
-        piece: no single formula holds on the piece."""
-        f = Piecewise((FuncPiece(lead, Const(5)), FuncPiece(IntervalUnion((piece,)), Identity())))
-        assert evaluate(f, piece.lo + (piece.hi - piece.lo) / 2) == qx(5)
-        with pytest.raises(ConfigurationError, match=match):
-            tile_formulas(f, (piece,))
-
     def test_a_point_is_decided_after_a_family_region(self):
         f = _spec(NaturalReciprocals(10, False), IntervalUnion((IntervalPiece(qx(0), qx(1)),)))
         half, zero = IntervalPiece(qx(Fraction(1, 2)), qx(Fraction(1, 2))), IntervalPiece(0, 0)
