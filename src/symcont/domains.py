@@ -33,6 +33,7 @@ from .exactnum import (
     _make,
     _reduced,
     as_quadext,
+    floor_key,
     order_key,
 )
 
@@ -65,14 +66,23 @@ def sorted_points(points) -> tuple[QuadExt, ...]:
     return tuple(sorted(unique.values(), key=order_key))
 
 
-def locate_piece(los, pieces, x) -> int:
+def locate_piece(keys, pieces, x) -> int:
     """Index of the piece holding x among sorted disjoint pieces, or -1.
 
-    ``los`` holds the pieces' low ends. The last piece starting at or below x
-    is tested first, then the one before it: two pieces can meet at one
-    point, as (0, 1), [1, 1] and (1, 2] do at 1, and then x may sit in the
-    earlier one. No piece further back can hold x."""
-    i = bisect.bisect_right(los, x) - 1
+    ``keys`` holds ``floor_key`` of the pieces' low ends, ascending. With
+    k = floor_key(x), the bisection gives the last piece whose key is at
+    most k; while that piece's key is k and x lies below its low end,
+    compared exactly, the piece before it is taken instead. Keys below k
+    belong to low ends below x and keys above k to low ends above it, so
+    only the low ends in x's own 2**-64 cell are compared exactly, and the
+    result is the last piece starting at or below x. It is tested first,
+    then the one before it: two pieces can meet at one point, as (0, 1),
+    [1, 1] and (1, 2] do at 1, and then x may sit in the earlier one. No
+    piece further back can hold x."""
+    k = floor_key(x)
+    i = bisect.bisect_right(keys, k) - 1
+    while i >= 0 and keys[i] == k and x < pieces[i].lo:
+        i -= 1
     if i < 0:
         return -1
     if pieces[i].contains(x):
@@ -621,7 +631,7 @@ class IntervalUnion(Domain):
                     f"overlapping pieces {prev.describe()} and {nxt.describe()}"
                 )
         object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "_los", tuple(p.lo for p in pieces))
+        object.__setattr__(self, "_keys", tuple(floor_key(p.lo) for p in pieces))
 
     @property
     def enumerable(self) -> bool:
@@ -632,7 +642,7 @@ class IntervalUnion(Domain):
         return self.enumerable
 
     def contains(self, x: QuadExt) -> bool:
-        return locate_piece(self._los, self.pieces, x) >= 0
+        return locate_piece(self._keys, self.pieces, x) >= 0
 
     def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
         return pieces_members(xs, idx, self.pieces)
@@ -640,7 +650,7 @@ class IntervalUnion(Domain):
     def enumerate(self, limit: int) -> Enumeration:
         if not self.enumerable:
             raise InapplicableError("cannot enumerate a continuum of points")
-        pts = self._los
+        pts = tuple(p.lo for p in self.pieces)
         return Enumeration(pts[:limit], truncated=len(pts) > limit)
 
     def describe(self) -> str:
@@ -717,16 +727,14 @@ def staircase_breakpoints(variant: str, blocks: int) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _staircase_pieces(variant: str, blocks: int) -> tuple[IntervalPiece, ...]:
-    bp = staircase_breakpoints(variant, blocks)
-    return tuple(
-        IntervalPiece(QuadExt(bp[2 * i]), QuadExt(bp[2 * i + 1]))
-        for i in range(blocks)
-    )
+    ends = [_make(b.numerator, 0, b.denominator) for b in staircase_breakpoints(variant, blocks)]
+    return tuple(IntervalPiece(ends[2 * i], ends[2 * i + 1]) for i in range(blocks))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _staircase_los(variant: str, blocks: int) -> tuple[QuadExt, ...]:
-    return tuple(p.lo for p in _staircase_pieces(variant, blocks))
+def _staircase_keys(variant: str, blocks: int) -> tuple[int, ...]:
+    """``floor_key`` of each block's low end, for ``locate_piece``."""
+    return tuple(floor_key(p.lo) for p in _staircase_pieces(variant, blocks))
 
 
 @dataclass(frozen=True)
@@ -755,8 +763,8 @@ class Staircase(Domain):
         return tuple(bp[2 * i + 2] - bp[2 * i + 1] for i in range(self.blocks - 1))
 
     def contains(self, x: QuadExt) -> bool:
-        los = _staircase_los(self.variant, self.blocks)
-        return locate_piece(los, self.block_pieces(), x) >= 0
+        keys = _staircase_keys(self.variant, self.blocks)
+        return locate_piece(keys, self.block_pieces(), x) >= 0
 
     def members(self, xs: Sequence[QuadExt], idx: list[int]) -> list[int]:
         return pieces_members(xs, idx, self.block_pieces())

@@ -18,10 +18,13 @@ The sign of ``a + b*sqrt(2)`` (integers) is decided without approximation:
 an int or a Fraction) and takes the sign inline, so each of the four
 ordering operators costs one call. ``_sign`` serves ``sign()`` and ``abs``.
 
-``order_key(x)`` is ``(floor(x * 2**64), x)``: the floor is taken on integers
-as ``domains.exact_floor`` does (with ``isqrt``), never decreases as x grows,
-and so orders any two numbers whose floors differ by integer comparison
-alone; the rare equal floors fall back to the exact comparison of x.
+``floor_key(x)`` is ``floor(x * 2**64)``, taken on integers as
+``domains.exact_floor`` does (with ``isqrt``). It never decreases as x grows,
+and so orders any two numbers whose keys differ by integer comparison alone;
+only numbers in one 2**-64 cell share a key and need the exact comparison.
+It serves two places: ``order_key(x)`` is ``(floor_key(x), x)``, the sort key
+of every listing, and ``domains.locate_piece`` bisects the keys of piece low
+ends, comparing exactly only the ends that share x's key.
 """
 
 from __future__ import annotations
@@ -334,17 +337,22 @@ def compare(x: QuadExt, y: QuadExt) -> int:
 _KEY_SHIFT = 64
 
 
-def order_key(x: QuadExt) -> tuple[int, QuadExt]:
-    """``(floor(x * 2**64), x)``, a sort key that orders as x does.
-
-    The floor is ``(a*2**64 + floor(b*2**64*sqrt2)) // d`` on integers, so
-    keys whose floors differ compare without a QuadExt operation."""
+def floor_key(x: QuadExt) -> int:
+    """``floor(x * 2**64)``, as ``(a*2**64 + floor(b*2**64*sqrt2)) // d`` on
+    integers: it never decreases as x grows, and numbers whose keys differ
+    are ordered by them."""
     a, b = x.a << _KEY_SHIFT, x.b
     if b:
         # |B|*sqrt2 for B = b*2**64 is isqrt(2*B*B) plus a fraction in (0, 1)
         m = math.isqrt(2 * b * b << 2 * _KEY_SHIFT)
         a += m if b > 0 else -m - 1
-    return (a // x.d, x)
+    return a // x.d
+
+
+def order_key(x: QuadExt) -> tuple[int, QuadExt]:
+    """``(floor_key(x), x)``, a sort key that orders as x does: keys whose
+    floors differ compare without a QuadExt operation."""
+    return (floor_key(x), x)
 
 
 def midpoint(x: QuadExt, y: QuadExt) -> QuadExt:

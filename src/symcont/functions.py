@@ -30,7 +30,7 @@ from typing import Sequence
 from .domains import Domain, FinitePoints, IntervalPiece, IntervalUnion, locate_piece, pieces_overlap
 from .domains import sorted_points
 from .errors import ConfigurationError, DomainError, SymcontError
-from .exactnum import ONE, QuadExt, as_quadext
+from .exactnum import ONE, QuadExt, as_quadext, floor_key
 
 
 class Formula:
@@ -154,9 +154,10 @@ class _OwnerIndex:
       point's coordinates ``(a, b, d)`` to the first such region holding it.
     * Regions whose type is exactly ``IntervalUnion`` give their pieces,
       sorted by low end and tagged with the region, located by
-      ``locate_piece``. A piece listed again by a later region keeps the
-      first region's tag. When pieces of different regions overlap, those
-      regions are scanned instead, until the rest are disjoint.
+      ``locate_piece`` on the ``floor_key`` of their low ends. A piece
+      listed again by a later region keeps the first region's tag. When
+      pieces of different regions overlap, those regions are scanned
+      instead, until the rest are disjoint.
     * Every other region is scanned with ``contains``, in order: the ones
       listed before the first indexed region (``lead``) by ``evaluate``
       before it asks the index, the others (``rest``) only while their index
@@ -170,7 +171,7 @@ class _OwnerIndex:
     ``contains`` the classes carry at the time of the call.
     """
 
-    __slots__ = ("size", "regions", "lead", "finite", "los", "pieces", "tags", "rest")
+    __slots__ = ("size", "regions", "lead", "finite", "keys", "pieces", "tags", "rest")
 
     def __init__(self, func_pieces: tuple[FuncPiece, ...]) -> None:
         self.regions = regions = [fp.region for fp in func_pieces]
@@ -203,7 +204,7 @@ class _OwnerIndex:
         indexed.update(i for _, i in spans)
         # the stable sort puts the first region's copy first
         spans = [t for k, t in enumerate(spans) if not (k and t[0] == spans[k - 1][0])]
-        self.los = tuple(p.lo for p, _ in spans)
+        self.keys = tuple(floor_key(p.lo) for p, _ in spans)
         self.pieces = tuple(p for p, _ in spans)
         self.tags = tuple(i for _, i in spans)
         first = min(indexed, default=self.size)
@@ -216,8 +217,8 @@ class _OwnerIndex:
         """Index of the first region past the lead that contains x, or the
         region count when none does."""
         best = self.finite.get((x.a, x.b, x.d), self.size)
-        if self.los:
-            j = locate_piece(self.los, self.pieces, x)
+        if self.keys:
+            j = locate_piece(self.keys, self.pieces, x)
             if j >= 0 and self.tags[j] < best:
                 best = self.tags[j]
         for i, region in self.rest:

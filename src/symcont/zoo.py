@@ -42,7 +42,7 @@ from .domains import (
     staircase_breakpoints,
 )
 from .errors import ConfigurationError
-from .exactnum import ONE, SQRT2, ZERO, QuadExt, format_quadext
+from .exactnum import ONE, SQRT2, ZERO, QuadExt, _make, _reduced, format_quadext
 from .functions import (
     Affine,
     Combined,
@@ -161,6 +161,11 @@ def _interval(lo, hi, lo_closed=True, hi_closed=True) -> IntervalPiece:
     return IntervalPiece(QuadExt.of(lo), QuadExt.of(hi), lo_closed, hi_closed)
 
 
+def _mirror_around_one(n: int) -> tuple[QuadExt, QuadExt]:
+    """The pair 1 + 1/(n+1), 1 - 1/(n+1)."""
+    return _make(n + 2, 0, n + 1), _make(n, 0, n + 1)
+
+
 # ---------------------------------------------------------------------------
 # entry builders
 
@@ -170,22 +175,23 @@ def _build_2_4(budget: Budget) -> list[ExampleCase]:
     f = Reciprocal()
 
     def pair(n: int) -> tuple[QuadExt, QuadExt]:
-        return QuadExt.of(Fraction(3, n)), QuadExt.of(Fraction(1, n))
+        return _reduced(3, 0, n), _make(1, 0, n)
 
     def osc(n: int) -> QuadExt:
-        return QuadExt.of(Fraction(2 * n, 3))
+        return _reduced(2 * n, 0, 3)
 
+    two_thirds = _make(2, 0, 3)
     seqs = [
         RefutingSequence(
             "usc",
-            QuadExt.of(Fraction(2, 3)),
+            two_thirds,
             pair,
             osc,
             label="pairs (3/n, 1/n) with midpoint 2/n inside the interval",
         ),
         RefutingSequence(
             "uc",
-            QuadExt.of(Fraction(2, 3)),
+            two_thirds,
             pair,
             osc,
             label="the same pairs read as plain distance challenges",
@@ -214,10 +220,10 @@ def _build_2_5(budget: Budget) -> list[ExampleCase]:
     seqs = [
         RefutingSequence(
             "c",
-            QuadExt.of(1),
-            lambda n: (ONE / primes[n - 1], ZERO),
-            lambda n: QuadExt.of(1),
-            anchor=QuadExt.of(0),
+            ONE,
+            lambda n: (_make(1, 0, primes[n - 1]), ZERO),
+            lambda n: ONE,
+            anchor=ZERO,
             n_max=len(primes),
             label="prime reciprocals sliding into the anchor 0 with unit jump",
         )
@@ -245,18 +251,18 @@ def _build_2_7(budget: Budget) -> list[ExampleCase]:
     seqs = [
         RefutingSequence(
             "usc",
-            QuadExt.of(1),
-            lambda n: (ONE / n, ZERO),
-            lambda n: QuadExt.of(1),
+            ONE,
+            lambda n: (_make(1, 0, n), ZERO),
+            lambda n: ONE,
             n_max=budget.max_n // 2,
             label="pairs (1/n, 0) whose midpoints 1/(2n) stay in the set",
         ),
         RefutingSequence(
             "c",
-            QuadExt.of(1),
-            lambda n: (ONE / n, ZERO),
-            lambda n: QuadExt.of(1),
-            anchor=QuadExt.of(0),
+            ONE,
+            lambda n: (_make(1, 0, n), ZERO),
+            lambda n: ONE,
+            anchor=ZERO,
             n_max=budget.max_n,
             label="reciprocals sliding into the anchor 0 with unit jump",
         ),
@@ -278,13 +284,8 @@ def _build_2_7(budget: Budget) -> list[ExampleCase]:
     ]
 
 
-_SQRT2_CONVERGENTS = (
-    Fraction(7, 5),
-    Fraction(17, 12),
-    Fraction(41, 29),
-    Fraction(99, 70),
-    Fraction(239, 169),
-)
+# (p, q) of the continued-fraction approximants p/q of sqrt2, in lowest terms
+_SQRT2_CONVERGENTS = ((7, 5), (17, 12), (41, 29), (99, 70), (239, 169))
 
 
 def _build_2_8(budget: Budget) -> list[ExampleCase]:
@@ -300,13 +301,13 @@ def _build_2_8(budget: Budget) -> list[ExampleCase]:
             FuncPiece(FinitePoints.of(SQRT2), Const(SQRT2)),
         )
     )
-    conv = [c for c in _SQRT2_CONVERGENTS if c.denominator <= budget.max_denominator]
+    conv = [_make(p, 0, q) for p, q in _SQRT2_CONVERGENTS if q <= budget.max_denominator]
     jump = SQRT2 - 1
     seqs = [
         RefutingSequence(
             "c",
             jump,
-            lambda n: (QuadExt.of(conv[n - 1]), SQRT2),
+            lambda n: (conv[n - 1], SQRT2),
             lambda n: jump,
             anchor=SQRT2,
             n_max=len(conv),
@@ -335,22 +336,24 @@ def _build_3_2(budget: Budget) -> list[ExampleCase]:
     n_cap = budget.finite_n
     pts = []
     for n in range(1, n_cap + 1):
-        pts.append(QuadExt.of(n))
-        pts.append(QuadExt.of(n) + Fraction(1, 2 * n))
-        pts.append(QuadExt.of(n) + Fraction(1, n))
+        # n, n + 1/(2n) and n + 1/n, each numerator prime to its denominator
+        pts.append(_make(n, 0, 1))
+        pts.append(_make(2 * n * n + 1, 0, 2 * n))
+        pts.append(_make(n * n + 1, 0, n))
     ambient = FinitePoints(tuple(pts))
     f = Combined("mul", (Identity(), Identity()))
 
     def pair(n: int) -> tuple[QuadExt, QuadExt]:
-        return QuadExt.of(n) + Fraction(1, n), QuadExt.of(n)
+        return _make(n * n + 1, 0, n), _make(n, 0, 1)
 
     def osc(n: int) -> QuadExt:
-        return QuadExt.of(2) + Fraction(1, n * n)
+        return _make(2 * n * n + 1, 0, n * n)
 
+    two = _make(2, 0, 1)
     seqs = [
         RefutingSequence(
             "usc",
-            QuadExt.of(2),
+            two,
             pair,
             osc,
             n_max=n_cap,
@@ -358,7 +361,7 @@ def _build_3_2(budget: Budget) -> list[ExampleCase]:
         ),
         RefutingSequence(
             "uc",
-            QuadExt.of(2),
+            two,
             pair,
             osc,
             n_max=n_cap,
@@ -397,10 +400,10 @@ def _build_3_3(budget: Budget) -> list[ExampleCase]:
     seqs = [
         RefutingSequence(
             "c",
-            QuadExt.of(3),
-            lambda n: (ONE / primes[n - 1], ZERO),
-            lambda n: QuadExt.of(primes[n - 1]),
-            anchor=QuadExt.of(0),
+            _make(3, 0, 1),
+            lambda n: (_make(1, 0, primes[n - 1]), ZERO),
+            lambda n: _make(primes[n - 1], 0, 1),
+            anchor=ZERO,
             n_max=len(primes),
             label="values p at 1/p explode while the points slide into 0",
         )
@@ -437,24 +440,20 @@ def _build_3_5(budget: Budget) -> list[ExampleCase]:
         )
     )
 
-    def mirror(n: int) -> tuple[QuadExt, QuadExt]:
-        u = Fraction(1, n + 1)
-        return QuadExt.of(1 + u), QuadExt.of(1 - u)
-
     seqs = [
         RefutingSequence(
             "sc",
-            QuadExt.of(1),
-            mirror,
-            lambda n: QuadExt.of(1),
-            anchor=QuadExt.of(1),
+            ONE,
+            _mirror_around_one,
+            lambda n: ONE,
+            anchor=ONE,
             label="mirror pairs around 1 keep the unit jump",
         ),
         RefutingSequence(
             "uc",
-            QuadExt.of(1),
-            mirror,
-            lambda n: QuadExt.of(1),
+            ONE,
+            _mirror_around_one,
+            lambda n: ONE,
             label="the same pairs at shrinking distance",
         ),
     ]
@@ -497,8 +496,8 @@ def _build_3_6(budget: Budget) -> list[ExampleCase]:
 def _build_3_7(budget: Budget) -> list[ExampleCase]:
     recips = []
     for n in range(1, budget.max_n + 1):
-        recips.append(ONE / n)
-        recips.append(ONE / -n)
+        recips.append(_make(1, 0, n))
+        recips.append(_make(-1, 0, n))
     anchors = IntegerWindow(-5, 5)
     ambient = UnionOf((FinitePoints(tuple(recips)), anchors))
     f = Piecewise(
@@ -513,9 +512,9 @@ def _build_3_7(budget: Budget) -> list[ExampleCase]:
     seqs = [
         RefutingSequence(
             "wrt_b",
-            QuadExt.of(2),
-            lambda n: (ONE / n, ONE / -n),
-            lambda n: QuadExt.of(2 * n),
+            _make(2, 0, 1),
+            lambda n: (_make(1, 0, n), _make(-1, 0, n)),
+            lambda n: _make(2 * n, 0, 1),
             n_max=budget.max_n,
             label="pairs (1/n, -1/n) centered at the anchor 0",
         )
@@ -550,13 +549,14 @@ def _build_3_8(budget: Budget) -> list[ExampleCase]:
     blocks = budget.staircase_blocks
     stair = Staircase("A", blocks)
     f = staircase_function(stair)
-    bp = [QuadExt(b) for b in stair.breakpoints()]
+    bp = [e for p in stair.block_pieces() for e in (p.lo, p.hi)]
+    two = _make(2, 0, 1)
     seqs = [
         RefutingSequence(
             "uc",
-            QuadExt.of(2),
+            two,
             lambda k: (bp[4 * k - 2], bp[4 * k - 3]),
-            lambda k: QuadExt.of(2),
+            lambda k: two,
             n_max=blocks // 2,
             label="facing endpoints across the 1/k gaps jump by 2",
         )
@@ -582,22 +582,23 @@ def _build_3_9(budget: Budget) -> list[ExampleCase]:
     blocks = budget.staircase_blocks
     stair = Staircase("B", blocks)
     f = staircase_function(stair)
-    bp = [QuadExt(b) for b in stair.breakpoints()]
+    bp = [e for p in stair.block_pieces() for e in (p.lo, p.hi)]
+    two = _make(2, 0, 1)
     seqs = [
         RefutingSequence(
             "usc",
-            QuadExt.of(2),
+            two,
             lambda n: (bp[2 * n], bp[2 * n - 2]),
-            lambda n: QuadExt.of(2),
+            lambda n: two,
             n_max=blocks - 1,
             label="block starts two apart: the midpoint falls back inside "
             "the block between them",
         ),
         RefutingSequence(
             "uc",
-            QuadExt.of(2),
+            two,
             lambda n: (bp[2 * n], bp[2 * n - 1]),
-            lambda n: QuadExt.of(2),
+            lambda n: two,
             n_max=blocks - 1,
             label="facing endpoints across the 1/(2n) gaps jump by 2",
         ),
@@ -647,27 +648,23 @@ def _build_4_3(budget: Budget) -> list[ExampleCase]:
         )
     )
 
-    def straddle(n: int) -> tuple[QuadExt, QuadExt]:
-        u = Fraction(1, n + 1)
-        return QuadExt.of(1 + u), QuadExt.of(1 - u)
-
     def sym_straddle(n: int) -> tuple[QuadExt, QuadExt]:
-        u = Fraction(1, n + 4)
-        return QuadExt.of(1 + u), QuadExt.of(1 - 3 * u)
+        # 1 + 1/(n+4) and 1 - 3/(n+4); n + 1 and n + 4 share a factor 3 or none
+        return _make(n + 5, 0, n + 4), _reduced(n + 1, 0, n + 4)
 
     touch_seqs = [
         RefutingSequence(
             "uc",
-            QuadExt.of(1),
-            straddle,
-            lambda n: QuadExt.of(1),
+            ONE,
+            _mirror_around_one,
+            lambda n: ONE,
             label="pairs straddling the touching point at shrinking distance",
         ),
         RefutingSequence(
             "usc",
-            QuadExt.of(1),
+            ONE,
             sym_straddle,
-            lambda n: QuadExt.of(1),
+            lambda n: ONE,
             label="straddling pairs whose midpoints stay inside the left piece",
         ),
     ]

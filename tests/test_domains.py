@@ -26,6 +26,7 @@ from symcont import (
 from symcont import domains
 from symcont.analysis import _pairs_from_points
 from symcont.domains import SymmetricPair, exact_ceil, exact_floor
+from symcont.exactnum import floor_key
 
 from conftest import dec, qx
 
@@ -143,7 +144,7 @@ class TestParameterCaches:
             domains._odd_prime_set,
             domains.staircase_breakpoints,
             domains._staircase_pieces,
-            domains._staircase_los,
+            domains._staircase_keys,
         ):
             info = cache.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize
@@ -730,6 +731,20 @@ LOCATE_CASES = {
         _piece(SQRT2, SQRT2 + 1, False, True),
         _piece(SQRT2 + 2, SQRT2 + 3, False, False),
     ),
+    # low ends that share one 2**-64 cell, so one floor_key: only the exact
+    # step-back of locate_piece tells them apart
+    "one_cell_rational": (
+        _piece(1, 1 + Fraction(1, 2**71), False, False),
+        _piece(1 + Fraction(1, 2**71), 1 + Fraction(1, 2**70), True, False),
+        _piece(1 + Fraction(1, 2**70), 1 + Fraction(3, 2**71), False, True),
+        _piece(1 + Fraction(3, 2**71), 2, False, True),
+    ),
+    # 26102926097/18457556052, a Pell convergent just above sqrt2, in its cell
+    "one_cell_sqrt2": (
+        _piece(SQRT2, SQRT2),
+        _piece(SQRT2, Fraction(26102926097, 18457556052), False, False),
+        _piece(Fraction(26102926097, 18457556052), 3),
+    ),
 }
 
 
@@ -747,19 +762,25 @@ class TestLocatePiece:
     @pytest.mark.parametrize("name", sorted(LOCATE_CASES))
     def test_matches_linear_scan(self, name):
         pieces = tuple(sorted(LOCATE_CASES[name], key=lambda p: (p.lo, p.hi)))
-        los = [p.lo for p in pieces]
+        keys = [floor_key(p.lo) for p in pieces]
         union = IntervalUnion(pieces)
         for x in _locate_probes(pieces):
             holders = [i for i, p in enumerate(pieces) if p.contains(x)]
             assert len(holders) <= 1
-            assert domains.locate_piece(los, pieces, x) == (holders[0] if holders else -1)
+            assert domains.locate_piece(keys, pieces, x) == (holders[0] if holders else -1)
             assert union.contains(x) == bool(holders)
 
     def test_touching_ends(self):
         pieces = LOCATE_CASES["closed_then_open"]
-        assert domains.locate_piece([p.lo for p in pieces], pieces, qx(1)) == 0
+        assert domains.locate_piece([floor_key(p.lo) for p in pieces], pieces, qx(1)) == 0
         pieces = LOCATE_CASES["open_point_open"]
-        assert domains.locate_piece([p.lo for p in pieces], pieces, qx(1)) == 1
+        assert domains.locate_piece([floor_key(p.lo) for p in pieces], pieces, qx(1)) == 1
+
+    @pytest.mark.parametrize("name", ["one_cell_rational", "one_cell_sqrt2"])
+    def test_low_ends_share_a_key(self, name):
+        # the cases above mean something only while the low ends tie
+        pieces = LOCATE_CASES[name]
+        assert len({floor_key(p.lo) for p in pieces}) == 1
 
     def test_staircase_matches_linear_scan_at_ends(self):
         stair = Staircase("B", 12)

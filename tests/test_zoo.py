@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -29,6 +30,8 @@ from symcont.zoo import (
     step_lattice_function,
     verify_staircase_proof,
 )
+from symcont.domains import staircase_breakpoints
+from symcont.exactnum import SQRT2
 
 from conftest import REPO_ROOT, qx
 
@@ -213,6 +216,94 @@ class TestPointTable:
         valued.clear()
         assert verify_refuting_sequence(case.ambient, case.f, c, n).ok
         assert valued[qx(0)] == 1 and sum(valued.values()) == n + 1
+
+
+def _odd_primes(m: int) -> list[int]:
+    return [p for p in range(3, m + 1, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
+
+
+def _closed_forms(example_id: str, budget: Budget) -> list[list[tuple]]:
+    """Per case, per sequence: (term, claimed) of each example's refuting
+    sequences as closed forms in Fraction, written apart from the builders."""
+    one = Fraction(1)
+    if example_id in ("ex-2.5", "ex-3.3"):
+        primes = _odd_primes(budget.max_prime)
+        claim = (lambda n: one) if example_id == "ex-2.5" else (lambda n: primes[n - 1])
+        return [[(lambda n: (Fraction(1, primes[n - 1]), 0), claim)]]
+    if example_id == "ex-2.8":
+        conv = [c for c in (Fraction(7, 5), Fraction(17, 12), Fraction(41, 29),
+                            Fraction(99, 70), Fraction(239, 169))
+                if c.denominator <= budget.max_denominator]
+        return [[(lambda n: (conv[n - 1], SQRT2), lambda n: SQRT2 - 1)]]
+    if example_id in ("ex-3.8", "ex-3.9"):
+        variant = "A" if example_id == "ex-3.8" else "B"
+        bp = staircase_breakpoints(variant, budget.staircase_blocks)
+        if variant == "A":
+            return [[(lambda k: (bp[4 * k - 2], bp[4 * k - 3]), lambda k: 2)]]
+        return [[(lambda n: (bp[2 * n], bp[2 * n - 2]), lambda n: 2),
+                 (lambda n: (bp[2 * n], bp[2 * n - 1]), lambda n: 2)]]
+    mirror = lambda n: (1 + Fraction(1, n + 1), 1 - Fraction(1, n + 1))  # noqa: E731
+    forms = {
+        "ex-2.4": [[(lambda n: (Fraction(3, n), Fraction(1, n)), lambda n: Fraction(2 * n, 3))] * 2],
+        "ex-2.7": [[(lambda n: (Fraction(1, n), 0), lambda n: one)] * 2],
+        "ex-3.2": [[(lambda n: (n + Fraction(1, n), n), lambda n: 2 + Fraction(1, n * n))] * 2],
+        "ex-3.5": [[(mirror, lambda n: one)] * 2],
+        "ex-3.6": [[]],
+        "ex-3.7": [[(lambda n: (Fraction(1, n), Fraction(-1, n)), lambda n: 2 * n)], []],
+        "ex-4.3": [[], [(mirror, lambda n: one),
+                        (lambda n: (1 + Fraction(1, n + 4), 1 - Fraction(3, n + 4)), lambda n: one)]],
+    }
+    return forms[example_id]
+
+
+class TestSequenceTerms:
+    """The catalog builds its terms on integer coordinates; they must still
+    be the paper's sequences."""
+
+    @pytest.mark.parametrize("budget", [SMALL, Budget()], ids=["small", "published"])
+    def test_terms_match_closed_forms(self, budget):
+        checked = 0
+        for example_id in EXPECTED_IDS:
+            cases = build_example(example_id, budget)
+            forms = _closed_forms(example_id, budget)
+            assert len(forms) == len(cases), example_id
+            for case, case_forms in zip(cases, forms):
+                assert len(case.sequences) == len(case_forms), example_id
+                for seq, (term, claimed) in zip(case.sequences, case_forms):
+                    for n in range(1, min(30, seq.n_max or 30) + 1):
+                        assert seq.term(n) == term(n), (example_id, n)
+                        assert seq.claimed(n) == claimed(n), (example_id, n)
+                        checked += 1
+        assert checked >= 17 * 5
+
+    @pytest.mark.parametrize("budget", [SMALL, Budget()], ids=["small", "published"])
+    def test_ex_3_2_set(self, budget):
+        (case,) = build_example("ex-3.2", budget)
+        expected = {
+            x for n in range(1, budget.finite_n + 1)
+            for x in (Fraction(n), n + Fraction(1, 2 * n), n + Fraction(1, n))
+        }
+        points = case.ambient.enumerate(10**6).points
+        assert len(points) == len(expected) and set(points) == expected
+
+    def test_sequence_checks_build_no_fraction(self, monkeypatch):
+        """No Fraction is made while the sequences are checked, terms and
+        claims included: the whole check runs on integer coordinates."""
+        cases = [c for example_id in EXPECTED_IDS for c in build_example(example_id, SMALL)]
+        made = []
+        real = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        reports = [
+            r for case in cases for r in TestPointTable.reports(case, SMALL, True)
+        ]
+        monkeypatch.undo()
+        assert len(reports) == 17 and all(r.ok for r in reports)
+        assert made == []
 
 
 class TestMidpointArithmetic:
