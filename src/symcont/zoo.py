@@ -161,6 +161,9 @@ def _interval(lo, hi, lo_closed=True, hi_closed=True) -> IntervalPiece:
     return IntervalPiece(QuadExt.of(lo), QuadExt.of(hi), lo_closed, hi_closed)
 
 
+_TWO = _make(2, 0, 1)
+
+
 def _mirror_around_one(n: int) -> tuple[QuadExt, QuadExt]:
     """The pair 1 + 1/(n+1), 1 - 1/(n+1)."""
     return _make(n + 2, 0, n + 1), _make(n, 0, n + 1)
@@ -349,11 +352,10 @@ def _build_3_2(budget: Budget) -> list[ExampleCase]:
     def osc(n: int) -> QuadExt:
         return _make(2 * n * n + 1, 0, n * n)
 
-    two = _make(2, 0, 1)
     seqs = [
         RefutingSequence(
             "usc",
-            two,
+            _TWO,
             pair,
             osc,
             n_max=n_cap,
@@ -361,7 +363,7 @@ def _build_3_2(budget: Budget) -> list[ExampleCase]:
         ),
         RefutingSequence(
             "uc",
-            two,
+            _TWO,
             pair,
             osc,
             n_max=n_cap,
@@ -512,7 +514,7 @@ def _build_3_7(budget: Budget) -> list[ExampleCase]:
     seqs = [
         RefutingSequence(
             "wrt_b",
-            _make(2, 0, 1),
+            _TWO,
             lambda n: (_make(1, 0, n), _make(-1, 0, n)),
             lambda n: _make(2 * n, 0, 1),
             n_max=budget.max_n,
@@ -550,13 +552,12 @@ def _build_3_8(budget: Budget) -> list[ExampleCase]:
     stair = Staircase("A", blocks)
     f = staircase_function(stair)
     bp = [e for p in stair.block_pieces() for e in (p.lo, p.hi)]
-    two = _make(2, 0, 1)
     seqs = [
         RefutingSequence(
             "uc",
-            two,
+            _TWO,
             lambda k: (bp[4 * k - 2], bp[4 * k - 3]),
-            lambda k: two,
+            lambda k: _TWO,
             n_max=blocks // 2,
             label="facing endpoints across the 1/k gaps jump by 2",
         )
@@ -583,22 +584,21 @@ def _build_3_9(budget: Budget) -> list[ExampleCase]:
     stair = Staircase("B", blocks)
     f = staircase_function(stair)
     bp = [e for p in stair.block_pieces() for e in (p.lo, p.hi)]
-    two = _make(2, 0, 1)
     seqs = [
         RefutingSequence(
             "usc",
-            two,
+            _TWO,
             lambda n: (bp[2 * n], bp[2 * n - 2]),
-            lambda n: two,
+            lambda n: _TWO,
             n_max=blocks - 1,
             label="block starts two apart: the midpoint falls back inside "
             "the block between them",
         ),
         RefutingSequence(
             "uc",
-            two,
+            _TWO,
             lambda n: (bp[2 * n], bp[2 * n - 1]),
-            lambda n: two,
+            lambda n: _TWO,
             n_max=blocks - 1,
             label="facing endpoints across the 1/(2n) gaps jump by 2",
         ),
