@@ -676,8 +676,9 @@ def _embed(
     floor(sqrt2*2**P), and phi is additive. Let H bound |A| and |B| over
     the numbers and the terms. Every comparison of a scan is the sign of a
     combination z = sum c_i*t_i of them with sum |c_i| <= 4: a window edge
-    x_r - x_l - T, an oscillation order (v_a - v_b) - (v_c - v_d), a mirror
-    2a - x - y, a midpoint x_i + x_j - 2x_m. So L*z = a + b*sqrt2 with
+    x_r - x_l - T, an order of two oscillations (v_a - v_b) - (v_c - v_d) or
+    of two gaps (x_b - x_a) - (x_d - x_c), a mirror 2a - x - y, a midpoint
+    x_i + x_j - 2x_m. So L*z = a + b*sqrt2 with
     |a|, |b| <= 4H. If z != 0, a**2 - 2b**2 is a nonzero integer, hence
     |a + b*sqrt2| >= 1/|a - b*sqrt2| >= 1/((1 + sqrt2)*4H), while
     phi(z) = 2**P*(a + b*sqrt2) - b*e with 0 <= e < 1, an error below
@@ -726,6 +727,19 @@ def _keys(xs: Sequence[QuadExt], deltas: Sequence[QuadExt] = ()) -> tuple[Sequen
         return embedded
     # numbers given by their keys are built once here for the exact scans
     return tuple(xs), list(deltas)
+
+
+def _min_gap(pts: Sequence[QuadExt]) -> QuadExt | None:
+    """The smallest difference of adjacent points of the ascending pts, or
+    None when fewer than two: the differences are compared on the keys of
+    _keys, which order them as the numbers do, and the number is built once,
+    from the pair that realizes the least."""
+    if len(pts) < 2:
+        return None
+    keys = _keys(pts)[0]
+    gaps = list(map(sub, keys[1:], keys[:-1]))
+    k = gaps.index(min(gaps))
+    return pts[k + 1] - pts[k]
 
 
 def _index_keys(
@@ -1086,10 +1100,8 @@ def _discrete_classify(
                 "unavailable; treated as a resolution-limited model"
             )
         return verdicts
-    # the smallest adjacent difference, as Domain.min_gap finds it, from the
-    # enumeration at hand
     pts = en.points
-    gap = min((b - a for a, b in itertools.pairwise(pts)), default=None)
+    gap = _min_gap(pts)
     cert = {
         "kind": "uniformly_discrete",
         "gap": _fmt(gap) if gap is not None else None,
@@ -1563,24 +1575,51 @@ def _sc_family(
     windows: list[int | None],
     config: AnalysisConfig,
     en_truncated: bool,
+    groups: list[list[int]] | None,
 ) -> Verdict:
     """Per-anchor mirror scan on the keys of _family_keys: the mirrored
     oscillation must be the same positive value across the anchor's whole
-    effective delta window to refute."""
+    effective delta window to refute.
+
+    A piecewise-constant f, given as the point positions of each value
+    group, oscillates only on pairs across two groups, and each such pair
+    has an end outside the largest group. An anchor a then reads either
+    the points of the other groups strictly within the largest delta of a,
+    found by bisection, with their mirrors looked up, or the outward walk,
+    whichever reads no more keys, as counted by bisection."""
     pts = fk.pts
     n = len(pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
     if n * (n - 1) // 2 > config.max_pairs:
         return _open_verdict("SC", res, "pair budget too small for a per-anchor mirror scan")
-    keys, vkeys, vals, thr = fk.keys, fk.vkeys, fk.vals, fk.thr
+    keys, vkeys, vals, thr, pos = fk.keys, fk.vkeys, fk.vals, fk.thr, fk.pos
     big = thr[0]
+    if groups is not None:
+        largest = max(groups, key=len, default=None)
+        outside = sorted(k for g in groups if g is not largest for k in g)
+        okeys = [keys[k] for k in outside]
     flat: list[tuple[QuadExt, QuadExt]] = []
     for idx, w in enumerate(windows):
         if w is None:
             continue
         small = thr[w]
+        a = keys[idx]
+        found = None
+        if groups is not None:
+            lo, hi = bisect.bisect_right(okeys, a - big), bisect.bisect_left(okeys, a + big)
+            # the walk reads the keys above a up to the first one at least
+            # a + big or with its mirror below the lowest key
+            end = bisect.bisect_left(keys, a + big)
+            end = bisect.bisect_right(keys, a + a - keys[0], idx, end)
+            if hi - lo <= min(end, n - 1) - idx:
+                # a pair with both ends near a is read twice, which no sup minds
+                found = (
+                    (abs(keys[k] - a), k, pos.get(a + a - keys[k])) for k in outside[lo:hi]
+                )
+        if found is None:
+            found = _mirror_walk(keys, idx + 1, a, pos)
         m_big = m_small = 0
-        for h, k, i in _mirror_walk(keys, idx + 1, keys[idx], fk.pos):
+        for h, k, i in found:
             if not h < big:
                 break
             if i is None:
@@ -1629,7 +1668,7 @@ def _family_classify(
             "scan skipped; an implication settles this notion",
         )
     else:
-        sc_v = _sc_family(fk, windows, config, en.truncated)
+        sc_v = _sc_family(fk, windows, config, en.truncated, groups)
     return {"C": c_v, "UC": uc_v, "SC": sc_v, "USC": usc_v}
 
 

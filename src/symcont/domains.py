@@ -75,17 +75,22 @@ def locate_piece(keys, pieces, x) -> int:
     compared exactly, the piece before it is taken instead. Keys below k
     belong to low ends below x and keys above k to low ends above it, so
     only the low ends in x's own 2**-64 cell are compared exactly, and the
-    result is the last piece starting at or below x. It is tested first,
-    then the one before it: two pieces can meet at one point, as (0, 1),
-    [1, 1] and (1, 2] do at 1, and then x may sit in the earlier one. No
-    piece further back can hold x."""
+    result is the last piece starting at or below x. When its key is below
+    k, x lies above its low end, and so above every earlier piece, and only
+    its high end is compared. Otherwise it is tested first, then the one
+    before it: two pieces can meet at one point, as (0, 1), [1, 1] and
+    (1, 2] do at 1, and then x may sit in the earlier one. No piece further
+    back can hold x."""
     k = floor_key(x)
     i = bisect.bisect_right(keys, k) - 1
     while i >= 0 and keys[i] == k and x < pieces[i].lo:
         i -= 1
     if i < 0:
         return -1
-    if pieces[i].contains(x):
+    piece = pieces[i]
+    if keys[i] < k:
+        return i if x < piece.hi or (piece.hi_closed and x == piece.hi) else -1
+    if piece.contains(x):
         return i
     if i and pieces[i - 1].contains(x):
         return i - 1
@@ -158,17 +163,17 @@ class Domain:
         raise NotImplementedError
 
     def min_gap(self, limit: int) -> QuadExt | None:
-        """Smallest adjacent difference among the first `limit` points.
+        """Smallest adjacent difference among the first `limit` points,
+        found on their integer keys (``analysis._min_gap``).
 
         Returns None when fewer than two points exist. For non-enumerable
         domains the question is not meaningful and raises.
         """
+        from .analysis import _min_gap
+
         if not self.enumerable:
             raise InapplicableError(f"min_gap undefined for {self.describe()}")
-        pts = self.enumerate(limit).points
-        if len(pts) < 2:
-            return None
-        return min(b - a for a, b in itertools.pairwise(pts))
+        return _min_gap(self.enumerate(limit).points)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Sequence
 from .domains import Domain, FinitePoints, IntervalPiece, IntervalUnion, locate_piece, pieces_overlap
 from .domains import sorted_points
 from .errors import ConfigurationError, DomainError, SymcontError
-from .exactnum import ONE, QuadExt, as_quadext, floor_key
+from .exactnum import ONE, QuadExt, _make, as_quadext, floor_key
 
 
 class Formula:
@@ -85,6 +85,17 @@ def _qpow(x: QuadExt, n: int) -> QuadExt:
     return out
 
 
+def _reciprocal(x: QuadExt) -> QuadExt:
+    """1/x, tested for 0 on the coordinates: a rational a/d gives d/a
+    without a division, any other point ONE / x."""
+    a, b, d = x.a, x.b, x.d
+    if b:
+        return ONE / x
+    if not a:
+        raise DomainError("reciprocal evaluated at 0")
+    return _make(-d, 0, -a) if a < 0 else _make(d, 0, a)
+
+
 def formula_eval(fm: Formula, x: QuadExt) -> QuadExt:
     if isinstance(fm, Const):
         return fm.value
@@ -93,9 +104,7 @@ def formula_eval(fm: Formula, x: QuadExt) -> QuadExt:
     if isinstance(fm, Affine):
         return fm.slope * x + fm.intercept
     if isinstance(fm, Reciprocal):
-        if x == 0:
-            raise DomainError("reciprocal evaluated at 0")
-        return ONE / x
+        return _reciprocal(x if type(x) is QuadExt else as_quadext(x))
     if isinstance(fm, Monomial):
         return _qpow(x, fm.degree)
     raise ConfigurationError(f"unknown formula {fm!r}")
@@ -388,6 +397,8 @@ def _values(f: FuncSpec, xs: Sequence[QuadExt]) -> list[QuadExt]:
             return [f.value] * len(xs)
         if isinstance(f, Identity):
             return list(xs)
+        if isinstance(f, Reciprocal):
+            return list(map(_reciprocal, xs))
         return [formula_eval(f, x) for x in xs]
     if isinstance(f, Piecewise):
         groups: dict[int, list[int]] = {}

@@ -18,6 +18,7 @@ from symcont import (
     SQRT2,
     Affine,
     AnalysisConfig,
+    Budget,
     Combined,
     ConfigurationError,
     Const,
@@ -1452,11 +1453,56 @@ def _family_example(points, values, schedule, formula=lambda v: Affine(0, v)):
     return FinitePoints(pts), f, FinitePoints(pts[:1]), config
 
 
-def _sc(pts, vals, config, truncated):
-    """The SC family scan run on its own, on the keys the pipeline gives it."""
-    fk = analysis._family_keys(pts, vals, config.delta_schedule)
+def _sc(pts, vals, config, truncated, groups=None):
+    """The SC family scan run on its own, on the keys the pipeline gives it,
+    by the mirror walk or, given the value groups, from the groups."""
+    fk = analysis._family_keys(pts, vals, config.delta_schedule, groups)
     windows = analysis._anchor_windows(fk.keys, fk.thr)
-    return _sc_family(fk, windows, config, truncated)
+    return _sc_family(fk, windows, config, truncated, groups)
+
+
+@st.composite
+def grouped_sc_cases(draw):
+    """A piecewise-constant f on a truncated listing of FinitePoints of
+    eighths, NaturalReciprocals with 0 or OddPrimeReciprocals: up to three
+    regions of listed points, each with its own value, before a catch-all on
+    the whole set, and a schedule of point distances (a mirror pair's
+    half-width is one), their halves and an irrational delta, the largest
+    maybe a distance itself."""
+    kind = draw(st.sampled_from(("finite", "naturals", "primes")))
+    if kind == "finite":
+        rats = draw(st.lists(_EIGHTHS, min_size=3, max_size=14, unique=True))
+        ambient = FinitePoints(tuple(qx(r) for r in rats))
+    elif kind == "naturals":
+        ambient = NaturalReciprocals(draw(st.integers(3, 30)), with_zero=True)
+    else:
+        ambient = OddPrimeReciprocals(draw(st.integers(7, 110)), with_zero=draw(st.booleans()))
+    listed = ambient.enumerate(1000).points
+    limit = draw(st.integers(2, len(listed) - 1))
+    pts = listed[:limit]
+    subsets = st.lists(st.sampled_from(pts), min_size=1, unique=True)
+    regions = [FinitePoints(tuple(draw(subsets))) for _ in range(draw(st.integers(0, 3)))]
+    pieces = []
+    for region in regions + [ambient]:
+        value = qx(draw(st.sampled_from(_VALUE_POOL)))
+        if draw(st.booleans()):
+            value = value + SQRT2
+        pieces.append(FuncPiece(region, Const(value)))
+    dists = sorted({x - y for k, y in enumerate(pts) for x in pts[k + 1 :]})
+    deltas = {qx(4), SQRT2 / draw(st.integers(2, 40))}
+    for d in draw(st.lists(st.sampled_from(dists), max_size=6)):
+        deltas.update((d, d / 2))
+    if draw(st.booleans()):
+        top = draw(st.sampled_from(dists))
+        deltas = {d for d in deltas if d < top} | {top}
+    config = AnalysisConfig(delta_schedule=tuple(sorted(deltas, reverse=True)), enum_limit=limit)
+    return ambient, Piecewise(tuple(pieces)), config
+
+
+def _const_example(points, values, schedule):
+    """A piecewise-constant family case with one value per point."""
+    ambient, f, _, config = _family_example(points, values, schedule, Const)
+    return ambient, f, config
 
 
 def _family_verdicts(ambient, f, subset, config):
@@ -2095,6 +2141,74 @@ class TestIntegerPaths:
             assert (wrt["status"], wrt["method"]) == ("proven", "exhaustive_enumeration")
         else:
             assert wrt["status"] == "no_violation"
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_sc_cases())
+    # a cross-group mirror pair around 1 at exactly the largest delta, both
+    # ends outside the largest group, which the scan must not read: it would
+    # hide the flat unit jump of (7/8, 9/8); the points of the largest group
+    # above 1 make the walk the longer read
+    @example(
+        _const_example(
+            (0, 7 * _8TH, 1, 17 * _8TH / 2, 9 * _8TH, 10 * _8TH, 12 * _8TH, 2),
+            (5, 0, 0, 0, 1, 0, 0, 3),
+            (1, _HALF, _HALF / 2),
+        )
+    )
+    # the largest group not listed first
+    @example(_const_example((0, _8TH, 2 * _8TH, 3 * _8TH, _HALF), (1, 0, 0, 0, 0), (1, _8TH)))
+    # two groups of equal size
+    @example(_const_example((0, _8TH, 2 * _8TH, 3 * _8TH), (0, 1, 0, 1), (1, _HALF, _8TH)))
+    # a single group
+    @example(_const_example((0, _8TH, 2 * _8TH, 3 * _8TH), (2, 2, 2, 2), (1, _HALF, _8TH)))
+    def test_grouped_sc_matches_walk_and_brute_force(self, case):
+        """SC read from the value groups of a piecewise-constant f, on
+        integer and on exact keys, gives the verdict of the mirror walk, and
+        the status, witness anchor, jump and flat anchor count of the
+        all-pairs oracle."""
+        ambient, f, config = case
+        en = ambient.enumerate(config.enum_limit)
+        pts = en.points
+        vals = _evaluate_many(f, pts)
+        groups = analysis._const_groups(f, vals)
+        got = _sc(pts, vals, config, en.truncated, groups).to_json()
+        with _exact_only():
+            assert _sc(pts, vals, config, en.truncated, groups).to_json() == got
+        assert _sc(pts, vals, config, en.truncated).to_json() == got
+        flat = _brute_sc(ambient, list(pts), vals, config.delta_schedule)
+        assert got["status"] == ("refuted" if flat else "no_violation")
+        if flat:
+            jump = max(j for _, j in flat)
+            assert got["witness"] == {
+                "kind": "anchor",
+                "anchor": format_quadext(min(a for a, j in flat if j == jump)),
+                "jump": format_quadext(jump),
+                "flat_anchor_count": len(flat),
+            }
+
+    def test_ex27_sc_reads_groups_not_walks(self, monkeypatch):
+        """ex-2.7's indicator is 1 on every listed point but 0, so each
+        anchor of its SC scan reads at most that one point of the smaller
+        group, and no anchor walks its mirrors; the walk gives the same
+        verdict."""
+        case = build_example("ex-2.7", Budget.small())[0]
+        config = AnalysisConfig()
+        en = case.ambient.enumerate(config.enum_limit)
+        vals = _evaluate_many(case.f, en.points)
+        groups = analysis._const_groups(case.f, vals)
+        walks = []
+        walk = analysis._mirror_walk
+
+        def counted(*args):
+            walks.append(args[2])
+            return walk(*args)
+
+        monkeypatch.setattr(analysis, "_mirror_walk", counted)
+        got = _sc(en.points, vals, config, en.truncated, groups)
+        assert walks == []
+        assert got.to_json() == classify(case.ambient, case.f, config)["SC"].to_json()
+        assert _sc(en.points, vals, config, en.truncated).to_json() == got.to_json()
+        assert len(walks) > 0
 
     def test_family_mirror_scans_call_no_contains(self, monkeypatch):
         """On lifted points the mirror walks look mirrors up among the listed

@@ -112,3 +112,22 @@ def test_tracer_sees_each_sequence_verified_and_restores():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_tracer_sees_one_grouped_sc_scan_and_restores():
+    """On a piecewise-constant f the SC scan reads the value groups inside
+    the one _sc_family call the tracer wraps, so analysis.sc_family_s still
+    times the whole scan."""
+    from symcont import Budget
+    from symcont.zoo import build_example
+
+    case = build_example("ex-2.7", Budget.small())[0]
+    before = _bindings()
+    tracer = Tracer()
+    with instrument(tracer):
+        verdicts = classify(case.ambient, case.f, AnalysisConfig())
+    assert verdicts["SC"].status == "no_violation"
+    assert tracer.calls("analysis.sc_family") == 1
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

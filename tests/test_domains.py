@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from symcont import (
     merge_interval_components,
     staircase_breakpoints,
 )
-from symcont import domains
+from symcont import analysis, domains
 from symcont.analysis import _pairs_from_points
 from symcont.domains import SymmetricPair, exact_ceil, exact_floor
 from symcont.exactnum import floor_key
@@ -71,6 +72,31 @@ class TestFinitePoints:
     def test_min_gap(self):
         d = FinitePoints.of(qx(0), qx(Fraction(1, 8)), qx(1))
         assert d.min_gap(100) == qx(Fraction(1, 8))
+
+    @pytest.mark.parametrize("keys", ["embedded", "exact"])
+    def test_min_gap_on_keys(self, keys):
+        """The least adjacent gap on the keys _embed gives a listing of
+        mixed sqrt2 parts, and on the exact numbers of a listing whose
+        common denominator passes LIFT_BITS_MAX bits, against the 50-digit
+        image of every gap."""
+        if keys == "embedded":
+            rng = random.Random(7)
+            d = FinitePoints(
+                tuple(
+                    qx(Fraction(rng.randint(-400, 400), rng.randint(1, 12)),
+                       Fraction(rng.randint(-3, 3), rng.randint(1, 5)))
+                    for _ in range(60)
+                )
+            )
+        else:
+            d = OddPrimeReciprocals(3500, with_zero=True)
+        pts = d.enumerate(1000).points
+        assert analysis._lift_rationals(pts) is None
+        assert (analysis._embed(pts) is None) == (keys == "exact")
+        gaps = [b - a for a, b in zip(pts, pts[1:])]
+        got = d.min_gap(1000)
+        assert got in gaps
+        assert abs(dec(got) - min(dec(g) for g in gaps)) < Decimal(10) ** -45
 
     def test_scale_complete(self):
         assert FinitePoints.of(qx(0)).scale_complete

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -282,6 +283,35 @@ def _many_outcome(fn):
 
 def _pointwise(f, xs):
     return [evaluate(f, x) for x in xs]
+
+
+# nonzero points: rational, negative and with a sqrt2 part
+reciprocal_points = st.builds(
+    qx,
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+    st.sampled_from((0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 7))),
+).filter(lambda x: x != 0)
+
+
+class TestReciprocal:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(reciprocal_points, min_size=1, max_size=12, unique=True))
+    def test_batch_pointwise_and_division_agree(self, xs):
+        xs = sorted(xs)
+        got = _evaluate_many(Reciprocal(), xs)
+        assert got == [evaluate(Reciprocal(), x) for x in xs] == [QuadExt(1) / x for x in xs]
+        for x, y in zip(xs, got):
+            assert abs(dec(x) * dec(y) - 1) < Decimal(10) ** -45
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(reciprocal_points, max_size=8, unique=True))
+    def test_zero_in_a_listing_raises_the_pointwise_error(self, xs):
+        xs = sorted(xs + [qx(0)])
+        with pytest.raises(DomainError) as batch:
+            _evaluate_many(Reciprocal(), xs)
+        with pytest.raises(DomainError) as single:
+            evaluate(Reciprocal(), qx(0))
+        assert str(batch.value) == str(single.value) == "reciprocal evaluated at 0"
 
 
 class TestEvaluateMany:
