@@ -1583,10 +1583,9 @@ def _sc_family(
 
     A piecewise-constant f, given as the point positions of each value
     group, oscillates only on pairs across two groups, and each such pair
-    has an end outside the largest group. An anchor a then reads either
-    the points of the other groups strictly within the largest delta of a,
-    found by bisection, with their mirrors looked up, or the outward walk,
-    whichever reads no more keys, as counted by bisection."""
+    has an end outside the largest group. An anchor a then reads the points
+    of the other groups strictly within the largest delta of a, found by
+    bisection, and looks their mirrors up."""
     pts = fk.pts
     n = len(pts)
     res = _resolution(config, points=n, enumeration_truncated=en_truncated)
@@ -1604,20 +1603,12 @@ def _sc_family(
             continue
         small = thr[w]
         a = keys[idx]
-        found = None
-        if groups is not None:
-            lo, hi = bisect.bisect_right(okeys, a - big), bisect.bisect_left(okeys, a + big)
-            # the walk reads the keys above a up to the first one at least
-            # a + big or with its mirror below the lowest key
-            end = bisect.bisect_left(keys, a + big)
-            end = bisect.bisect_right(keys, a + a - keys[0], idx, end)
-            if hi - lo <= min(end, n - 1) - idx:
-                # a pair with both ends near a is read twice, which no sup minds
-                found = (
-                    (abs(keys[k] - a), k, pos.get(a + a - keys[k])) for k in outside[lo:hi]
-                )
-        if found is None:
+        if groups is None:
             found = _mirror_walk(keys, idx + 1, a, pos)
+        else:
+            lo, hi = bisect.bisect_right(okeys, a - big), bisect.bisect_left(okeys, a + big)
+            # a pair with both ends near a is read twice, which no sup minds
+            found = ((abs(keys[k] - a), k, pos.get(a + a - keys[k])) for k in outside[lo:hi])
         m_big = m_small = 0
         for h, k, i in found:
             if not h < big:

@@ -89,7 +89,7 @@ def locate_piece(keys, pieces, x) -> int:
         return -1
     piece = pieces[i]
     if keys[i] < k:
-        return i if x < piece.hi or (piece.hi_closed and x == piece.hi) else -1
+        return i if piece.below_hi(x) else -1
     if piece.contains(x):
         return i
     if i and pieces[i - 1].contains(x):
@@ -163,17 +163,17 @@ class Domain:
         raise NotImplementedError
 
     def min_gap(self, limit: int) -> QuadExt | None:
-        """Smallest adjacent difference among the first `limit` points,
-        found on their integer keys (``analysis._min_gap``).
+        """Smallest adjacent difference among the first `limit` points.
 
         Returns None when fewer than two points exist. For non-enumerable
         domains the question is not meaningful and raises.
         """
-        from .analysis import _min_gap
-
         if not self.enumerable:
             raise InapplicableError(f"min_gap undefined for {self.describe()}")
-        return _min_gap(self.enumerate(limit).points)
+        pts = self.enumerate(limit).points
+        if len(pts) < 2:
+            return None
+        return min(b - a for a, b in itertools.pairwise(pts))
 
 
 @dataclass(frozen=True)
@@ -510,9 +510,13 @@ class IntervalPiece:
     def length(self) -> QuadExt:
         return self.hi - self.lo
 
+    def below_hi(self, x: QuadExt) -> bool:
+        """Whether x lies below the high end, or at it when that end is closed."""
+        return x < self.hi or (self.hi_closed and x == self.hi)
+
     def contains(self, x: QuadExt) -> bool:
         if self.lo < x:
-            return x < self.hi or (self.hi_closed and x == self.hi)
+            return self.below_hi(x)
         # x <= lo, and lo <= hi
         return self.lo_closed and x == self.lo
 

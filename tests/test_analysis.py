@@ -2146,8 +2146,7 @@ class TestIntegerPaths:
     @given(grouped_sc_cases())
     # a cross-group mirror pair around 1 at exactly the largest delta, both
     # ends outside the largest group, which the scan must not read: it would
-    # hide the flat unit jump of (7/8, 9/8); the points of the largest group
-    # above 1 make the walk the longer read
+    # hide the flat unit jump of (7/8, 9/8)
     @example(
         _const_example(
             (0, 7 * _8TH, 1, 17 * _8TH / 2, 9 * _8TH, 10 * _8TH, 12 * _8TH, 2),

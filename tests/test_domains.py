@@ -75,10 +75,10 @@ class TestFinitePoints:
 
     @pytest.mark.parametrize("keys", ["embedded", "exact"])
     def test_min_gap_on_keys(self, keys):
-        """The least adjacent gap on the keys _embed gives a listing of
-        mixed sqrt2 parts, and on the exact numbers of a listing whose
-        common denominator passes LIFT_BITS_MAX bits, against the 50-digit
-        image of every gap."""
+        """The least adjacent gap found on the keys _embed gives a listing
+        of mixed sqrt2 parts, and on the exact numbers of a listing whose
+        common denominator passes LIFT_BITS_MAX bits, is the one min_gap
+        finds by exact subtraction and the least 50-digit image of a gap."""
         if keys == "embedded":
             rng = random.Random(7)
             d = FinitePoints(
@@ -94,7 +94,8 @@ class TestFinitePoints:
         assert analysis._lift_rationals(pts) is None
         assert (analysis._embed(pts) is None) == (keys == "exact")
         gaps = [b - a for a, b in zip(pts, pts[1:])]
-        got = d.min_gap(1000)
+        got = analysis._min_gap(pts)
+        assert got == d.min_gap(1000)
         assert got in gaps
         assert abs(dec(got) - min(dec(g) for g in gaps)) < Decimal(10) ** -45
 
